@@ -101,7 +101,7 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_instance(args) -> tuple:
-    """(tree, task_bits, weights, b, label) from the source flags."""
+    """(tree, network, task_bits, weights, b, label) from the source flags."""
     picked = [
         k for k in ("network", "topology", "nodes") if getattr(args, k) is not None
     ]
@@ -123,7 +123,7 @@ def _resolve_instance(args) -> tuple:
             if args.cycles_per_gbit is not None
             else topo.b_comp
         )
-        return topo.tree, task, weights, b, args.topology
+        return topo.tree, topo.network, task, weights, b, args.topology
     task = gbit_to_bits(args.task_gbit if args.task_gbit is not None else 1.0)
     weights = Weights(
         args.w1 if args.w1 is not None else 0.5,
@@ -136,12 +136,13 @@ def _resolve_instance(args) -> tuple:
     )
     if args.network is not None:
         net = load_network(args.network)
-        return build_sink_tree(net), task, weights, b, Path(args.network).stem
+        return build_sink_tree(net), net, task, weights, b, Path(args.network).stem
     params = GenParams(
         node_count=args.nodes, edge_prob=args.edge_prob, rng_seed=args.seed
     )
     net = generate_network(params)
-    return build_sink_tree(net), task, weights, b, f"random-{args.nodes}n-s{args.seed}"
+    label = f"random-{args.nodes}n-s{args.seed}"
+    return build_sink_tree(net), net, task, weights, b, label
 
 
 def _method_params(args) -> dict:
@@ -249,14 +250,14 @@ def _render_tree(tree: SinkTree) -> str:
 
 
 def _cmd_tree(args) -> int:
-    tree, _, _, _, label = _resolve_instance(args)
+    tree, _, _, _, _, label = _resolve_instance(args)
     print(f"# {label}")
     print(_render_tree(tree))
     return 0
 
 
 def _cmd_solve(args) -> int:
-    tree, task, weights, b, label = _resolve_instance(args)
+    tree, _, task, weights, b, label = _resolve_instance(args)
     spec = MethodSpec(name=args.method, params=_method_params(args))
     if not _valid_cli_method(spec):
         print(f"error: unknown method {args.method!r}", file=sys.stderr)
@@ -353,13 +354,13 @@ def _report_records(records) -> None:
 
 
 def _cmd_verify(args) -> int:
-    tree, task, weights, b, label = _resolve_instance(args)
+    tree, net, task, weights, b, label = _resolve_instance(args)
     spec = MethodSpec(name=args.method, params=_method_params(args))
     if not _valid_cli_method(spec):
         print(f"error: unknown method {args.method!r}", file=sys.stderr)
         return 2
     sol = _solve_one(spec, tree, task, weights, b, spec.params)
-    results = verify_instance(sol)
+    results = verify_instance(sol, net)
     bad = 0
     for res in results:
         mark = "PASS" if res.ok else "FAIL"

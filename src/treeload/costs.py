@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ScheduleError
-from .network import ServerParams
 from .tree import SinkTree
 from .units import DEFAULT_B
 
@@ -60,11 +59,6 @@ class Allocation:
                 f"allocation sums to {sum(self.y)}, expected {self.total}"
             )
 
-    @classmethod
-    def from_values(cls, values, total: float | None = None) -> "Allocation":
-        values = tuple(float(v) for v in values)
-        return cls(y=values, total=float(sum(values)) if total is None else float(total))
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.y, dtype=float)
 
@@ -100,73 +94,6 @@ def validate_schedule(tree: SinkTree, schedule: Schedule) -> None:
             raise ScheduleError(f"order for subtree {t} is not a permutation of it")
 
 
-def _predecessors(tree: SinkTree, schedule: Schedule, i: int) -> tuple[int, ...]:
-    """Nodes of i's subtree scheduled before i."""
-    t = tree.subtree_root_of[i]
-    for root, seq in zip(tree.subtree_roots, schedule.orders):
-        if root == t:
-            if i not in seq:
-                raise ScheduleError(f"node {i} missing from its subtree order")
-            return seq[: seq.index(i)]
-    raise ScheduleError(f"schedule has no order for subtree {t}")
-
-
-# --- elementary quantities ------------------------------------------------
-
-
-def transmission_time(tree: SinkTree, alloc: Allocation, i: int) -> float:
-    """Store-and-forward delivery time of i's own subtask; 0 at the master."""
-    return alloc.y[i] * tree.path_inv_rate[i]
-
-
-def waiting_time(tree: SinkTree, schedule: Schedule, alloc: Allocation, i: int) -> float:
-    """Channel time spent on earlier subtasks over the path edges shared with them."""
-    if i == 0:
-        return 0.0
-    return sum(
-        alloc.y[j] * tree.shared_prefix_inv_rate(i, j)
-        for j in _predecessors(tree, schedule, i)
-    )
-
-
-def compute_time(srv: ServerParams, y: float, b: float = DEFAULT_B) -> float:
-    """Local processing time of y bits at b cycles per bit."""
-    return y * b / srv.cpu_freq
-
-
-def relay_load(tree: SinkTree, alloc: Allocation, i: int, j: int) -> float:
-    """Bits node i forwards onto its child j: the whole load under j."""
-    if tree.parent[j] != i:
-        raise ParameterError(f"node {j} is not a child of node {i}")
-    return sum(alloc.y[k] for k in tree.descendants(j))
-
-
-def node_energy(tree: SinkTree, alloc: Allocation, i: int, b: float = DEFAULT_B) -> float:
-    """Compute energy plus transmit energy for relaying into each child."""
-    srv = tree.servers[i]
-    e = srv.switched_cap * alloc.y[i] * b * srv.cpu_freq**2
-    for j in tree.children[i]:
-        e += srv.tx_power * relay_load(tree, alloc, i, j) / tree.edge_rate[j]
-    return e
-
-
-def node_cost(
-    tree: SinkTree,
-    schedule: Schedule,
-    alloc: Allocation,
-    weights: Weights,
-    i: int,
-    b: float = DEFAULT_B,
-) -> float:
-    """Weighted completion-time/energy cost of a single node."""
-    t_total = (
-        transmission_time(tree, alloc, i)
-        + waiting_time(tree, schedule, alloc, i)
-        + compute_time(tree.servers[i], alloc.y[i], b)
-    )
-    return weights.w1 * t_total + weights.w2 * node_energy(tree, alloc, i, b)
-
-
 # --- full breakdown -------------------------------------------------------
 
 
@@ -200,40 +127,42 @@ def system_cost(
     weights: Weights,
     b: float = DEFAULT_B,
 ) -> CostBreakdown:
-    """Evaluate the whole cost table for one allocation under one schedule."""
+    """Evaluate the whole cost table for one allocation under one schedule.
+
+    Every term comes from the matrices that also build the linear form:
+    the energy-only static matrix holds compute energy on its diagonal and
+    ancestors' relay energy off it, and the unit-weight waiting matrix
+    holds the channel time of earlier subtasks.
+    """
     validate_schedule(tree, schedule)
     n = len(tree)
     if len(alloc.y) != n:
         raise ParameterError(f"allocation has {len(alloc.y)} entries, tree has {n}")
+    y = alloc.as_array()
+    energy = _static_matrix(tree, Weights(0.0, 1.0), b)
+    e_comp_rate = np.diag(energy).copy()
+    np.fill_diagonal(energy, 0.0)
+    waiting = np.zeros((n, n))
+    _add_waiting(waiting, tree, schedule, 1.0)
+    freq = np.array([srv.cpu_freq for srv in tree.servers])
 
-    # load passing through each node: own share plus everything below
-    under = list(alloc.y)
-    for i in range(n - 1, 0, -1):
-        under[tree.parent[i]] += under[i]
-
-    t_tran, t_wait, t_comp = [], [], []
-    e_comp, e_relay = [], []
-    for i in range(n):
-        srv = tree.servers[i]
-        t_tran.append(transmission_time(tree, alloc, i))
-        t_wait.append(waiting_time(tree, schedule, alloc, i))
-        t_comp.append(compute_time(srv, alloc.y[i], b))
-        e_comp.append(srv.switched_cap * alloc.y[i] * b * srv.cpu_freq**2)
-        e_relay.append(
-            sum(srv.tx_power * under[j] / tree.edge_rate[j] for j in tree.children[i])
-        )
-    t_total = [t_tran[i] + t_wait[i] + t_comp[i] for i in range(n)]
-    e_total = [e_comp[i] + e_relay[i] for i in range(n)]
-    j_node = [weights.w1 * t_total[i] + weights.w2 * e_total[i] for i in range(n)]
+    t_tran = np.array(tree.path_inv_rate) * y
+    t_wait = waiting @ y
+    t_comp = y * b / freq
+    e_comp = e_comp_rate * y
+    e_relay = energy @ y
+    t_total = t_tran + t_wait + t_comp
+    e_total = e_comp + e_relay
+    j_node = tuple((weights.w1 * t_total + weights.w2 * e_total).tolist())
     return CostBreakdown(
-        t_tran=tuple(t_tran),
-        t_wait=tuple(t_wait),
-        t_comp=tuple(t_comp),
-        t_total=tuple(t_total),
-        e_comp=tuple(e_comp),
-        e_relay=tuple(e_relay),
-        e_total=tuple(e_total),
-        j_node=tuple(j_node),
+        t_tran=tuple(t_tran.tolist()),
+        t_wait=tuple(t_wait.tolist()),
+        t_comp=tuple(t_comp.tolist()),
+        t_total=tuple(t_total.tolist()),
+        e_comp=tuple(e_comp.tolist()),
+        e_relay=tuple(e_relay.tolist()),
+        e_total=tuple(e_total.tolist()),
+        j_node=j_node,
         j_system=max(j_node),
     )
 
@@ -248,9 +177,6 @@ class CostCoefficients:
     a: np.ndarray
     b_comp: float
 
-    def node_cost(self, y: np.ndarray, i: int) -> float:
-        return float(self.a[i] @ y)
-
     def system_cost(self, y: np.ndarray) -> float:
         return float(np.max(self.a @ y))
 
@@ -259,22 +185,35 @@ def _static_matrix(tree: SinkTree, weights: Weights, b: float) -> np.ndarray:
     """Schedule-independent part: own time/energy plus ancestors' relay energy."""
     n = len(tree)
     a = np.zeros((n, n))
-    for i in range(n):
-        srv = tree.servers[i]
-        a[i, i] += weights.w1 * (tree.path_inv_rate[i] + b / srv.cpu_freq)
-        a[i, i] += weights.w2 * srv.switched_cap * b * srv.cpu_freq**2
-        # every bit destined to i crosses each ancestor's outgoing radio
-        path = tree.paths[i]
+    own = list(range(n))
+    a[own, own] += [
+        weights.w1 * (tree.path_inv_rate[i] + b / srv.cpu_freq)
+        for i, srv in enumerate(tree.servers)
+    ]
+    a[own, own] += [
+        weights.w2 * srv.switched_cap * b * srv.cpu_freq**2 for srv in tree.servers
+    ]
+    # every bit destined to i crosses each ancestor's outgoing radio
+    senders, dests, relay = [], [], []
+    for i, path in enumerate(tree.paths):
         for anc, nxt in zip(path, path[1:]):
-            a[anc, i] += weights.w2 * tree.servers[anc].tx_power / tree.edge_rate[nxt]
+            senders.append(anc)
+            dests.append(i)
+            relay.append(weights.w2 * tree.servers[anc].tx_power / tree.edge_rate[nxt])
+    # (sender, dest) pairs are distinct, so one indexed add books them all
+    a[senders, dests] += relay
     return a
 
 
 def _add_waiting(a: np.ndarray, tree: SinkTree, schedule: Schedule, w1: float) -> None:
+    late, early, shared = [], [], []
     for seq in schedule.orders:
         for pos, i in enumerate(seq):
             for j in seq[:pos]:
-                a[i, j] += w1 * tree.shared_prefix_inv_rate(i, j)
+                late.append(i)
+                early.append(j)
+                shared.append(w1 * tree.shared_prefix_inv_rate(i, j))
+    a[late, early] += shared
 
 
 def cost_coefficients(

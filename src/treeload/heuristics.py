@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .costs import Allocation, Schedule, Weights, canonical_schedule, system_cost
 from .errors import ParameterError
-from .solvers import Solution, solve_fixed_order
+from .solvers import Solution, _solution, solve_fixed_order
 from .tree import MASTER_ID, SinkTree, prune_tree
 from .units import DEFAULT_B
 
@@ -252,36 +252,12 @@ def ga(
 # literature baselines
 
 
-def _evaluated_at(
-    tree: SinkTree,
-    schedule: Schedule,
-    y: tuple[float, ...],
-    task_size: float,
-    weights: Weights,
-    b: float,
-    tag: str,
-) -> Solution:
-    alloc = Allocation(y=y, total=task_size)
-    breakdown = system_cost(tree, schedule, alloc, weights, b)
-    return Solution(
-        tree=tree,
-        weights=weights,
-        b_comp=b,
-        task_size=task_size,
-        allocation=alloc,
-        schedule=schedule,
-        cost=breakdown.j_system,
-        breakdown=breakdown,
-        solver_tag=tag,
-    )
-
-
 def baseline_local(
     tree: SinkTree, task_size: float, weights: Weights, *, b: float = DEFAULT_B
 ) -> Solution:
     """Everything stays on the master."""
     y = (task_size,) + (0.0,) * (len(tree) - 1)
-    return _evaluated_at(
+    return _solution(
         tree, canonical_schedule(tree), y, task_size, weights, b, "baseline-local"
     )
 
@@ -313,7 +289,7 @@ def baseline_partial(
         timed = system_cost(tree, sched, alloc, Weights(1.0, 0.0), b)
         if timed.j_system < best_time:
             best_time = timed.j_system
-            best = _evaluated_at(
+            best = _solution(
                 tree, sched, alloc.y, task_size, weights, b, "baseline-partial"
             )
     if best is None:
@@ -332,7 +308,7 @@ def baseline_master_worker(
     """
     keep = frozenset({MASTER_ID}) | frozenset(tree.children[MASTER_ID])
     alloc = _time_optimal_subset(tree, keep, task_size, b)
-    return _evaluated_at(
+    return _solution(
         tree,
         canonical_schedule(tree),
         alloc.y,
@@ -355,7 +331,7 @@ def baseline_multi_hop(
     best: Solution | None = None
     for i in range(len(tree)):
         y = tuple(task_size if k == i else 0.0 for k in range(len(tree)))
-        cand = _evaluated_at(
+        cand = _solution(
             tree, sched, y, task_size, weights, b, "baseline-multi-hop"
         )
         if best is None or cand.cost < best.cost:

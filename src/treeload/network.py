@@ -53,28 +53,6 @@ class ServerParams:
 
 
 @dataclass(frozen=True)
-class ShannonParams:
-    """Channel description for capacity computation, SI units."""
-
-    bandwidth: float        # Hz
-    signal_power: float     # received signal power, watts
-    noise_power: float      # noise power, watts
-
-    def __post_init__(self):
-        if not self.bandwidth > 0.0:
-            raise ParameterError("bandwidth must be > 0")
-        if self.signal_power < 0.0:
-            raise ParameterError("signal_power must be >= 0")
-        if not self.noise_power > 0.0:
-            raise ParameterError("noise_power must be > 0")
-
-
-def shannon_rate(ch: ShannonParams) -> float:
-    """Achievable rate B * log2(1 + S/N) in bits/s."""
-    return ch.bandwidth * math.log2(1.0 + ch.signal_power / ch.noise_power)
-
-
-@dataclass(frozen=True)
 class NetworkGraph:
     """Directed link-rate graph over a set of servers; node 0 is the master."""
 

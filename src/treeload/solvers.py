@@ -12,8 +12,8 @@ solution be rescaled instead of re-solved.
 
 `cmo` enumerates every per-subtree transmission order and keeps the best
 LP result.  `pmo` exploits that subtrees only interact through the master:
-each subtree is ordered and probed on its own (in parallel), then one more
-small LP splits the task between the master and the subtrees.
+each subtree is ordered and probed on its own, then one more small LP
+splits the task between the master and the subtrees.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -34,7 +33,6 @@ from .costs import (
     Weights,
     _add_waiting,
     _static_matrix,
-    canonical_schedule,
     system_cost,
 )
 from .errors import InfeasibleError, ParameterError
@@ -118,18 +116,18 @@ def _minmax_unit(
     return u, ()
 
 
-def _solution_from_unit(
+def _solution(
     tree: SinkTree,
     schedule: Schedule,
-    u: np.ndarray,
+    y,
     task_size: float,
     weights: Weights,
     b: float,
     tag: str,
-    flags: tuple[str, ...],
+    flags: tuple[str, ...] = (),
     evaluated: int = 1,
 ) -> Solution:
-    y = u * task_size
+    """Audit the split y (bits per node) under `schedule` into a Solution."""
     alloc = Allocation(y=tuple(float(v) for v in y), total=task_size)
     breakdown = system_cost(tree, schedule, alloc, weights, b)
     return Solution(
@@ -167,8 +165,8 @@ def solve_fixed_order(
         u_flags: tuple[str, ...] = ()
     else:
         u, u_flags = _minmax_unit(a, forced_zero, active_rows)
-    return _solution_from_unit(
-        tree, schedule, u, task_size, weights, b, "fixed-order", u_flags
+    return _solution(
+        tree, schedule, u * task_size, task_size, weights, b, "fixed-order", u_flags
     )
 
 
@@ -197,12 +195,15 @@ def cmo(
 ) -> Solution:
     """Exhaustive schedule search: one LP per order combination, keep the best.
 
-    Ties go to the earliest schedule in enumeration order.
+    Candidates are scored by the largest active row of the linear form;
+    only the winner is audited into a Solution.  Ties go to the earliest
+    schedule in enumeration order.
     """
     if task_size < 0.0:
         raise ParameterError("task size must be >= 0")
     static = _static_matrix(tree, weights, b)
-    best: Solution | None = None
+    rows = list(range(len(tree))) if active_rows is None else list(active_rows)
+    best = None
     evaluated = 0
     for schedule in enumerate_schedules(tree):
         evaluated += 1
@@ -213,13 +214,15 @@ def cmo(
             flags: tuple[str, ...] = ()
         else:
             u, flags = _minmax_unit(a, forced_zero, active_rows)
-        cand = _solution_from_unit(
-            tree, schedule, u, task_size, weights, b, "cmo", flags
-        )
-        if best is None or cand.cost < best.cost:
-            best = cand
+        y = u * task_size
+        z = float(np.max(a[rows] @ y, initial=0.0))
+        if best is None or z < best[0]:
+            best = (z, schedule, y, flags)
     assert best is not None
-    return replace(best, schedules_evaluated=evaluated)
+    _, schedule, y, flags = best
+    return _solution(
+        tree, schedule, y, task_size, weights, b, "cmo", flags, evaluated
+    )
 
 
 def _probe_subtree(
@@ -299,12 +302,11 @@ def pmo(
     forced_zero: frozenset[int] = frozenset(),
     *,
     b: float = DEFAULT_B,
-    max_workers: int | None = None,
 ) -> Solution:
-    """Parallel decomposition: order each subtree independently, then split.
+    """Decomposition: order each subtree independently, then split.
 
     Matches `cmo` cost while evaluating sum-of-factorials many schedules
-    instead of their product; subtree probes run on a thread pool.
+    instead of their product.
     """
     if task_size < 0.0:
         raise ParameterError("task size must be >= 0")
@@ -313,20 +315,10 @@ def pmo(
     probed = [t for t in roots if any(i not in forced_zero for i in tree.subtrees[t])]
     blocked = frozenset(t for t in roots if t not in probed)
 
-    results = {}
-    if probed:
-        workers = max_workers or min(len(probed), 8)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for t, res in zip(
-                probed,
-                pool.map(
-                    lambda t: _probe_subtree(
-                        tree, t, probe_size, weights, forced_zero, b
-                    ),
-                    probed,
-                ),
-            ):
-                results[t] = res
+    results = {
+        t: _probe_subtree(tree, t, probe_size, weights, forced_zero, b)
+        for t in probed
+    }
 
     evaluated = sum(res[3] for res in results.values())
     orders = {}
@@ -335,9 +327,9 @@ def pmo(
     schedule = Schedule.from_mapping(tree, orders)
 
     if task_size == 0.0:
-        u = np.zeros(len(tree))
-        return _solution_from_unit(
-            tree, schedule, u, task_size, weights, b, "pmo", (), max(evaluated, 1)
+        return _solution(
+            tree, schedule, np.zeros(len(tree)), task_size, weights, b, "pmo",
+            evaluated=max(evaluated, 1),
         )
     if 0 in forced_zero and not probed:
         raise InfeasibleError("every node is forced to zero workload")
@@ -360,8 +352,9 @@ def pmo(
         # probe shape, rescaled to the subtree's awarded total
         for i, share in results[t][1].items():
             u[i] = share * subtree_share[t] / task_size
-    return _solution_from_unit(
-        tree, schedule, u, task_size, weights, b, "pmo", (), max(evaluated, 1)
+    return _solution(
+        tree, schedule, u * task_size, task_size, weights, b, "pmo",
+        evaluated=max(evaluated, 1),
     )
 
 
@@ -372,16 +365,16 @@ def scale_solution(base: Solution, new_task_size: float) -> Solution:
     if base.task_size <= 0.0:
         raise ParameterError("base solution must have a positive task size")
     factor = new_task_size / base.task_size
-    y = tuple(v * factor for v in base.allocation.y)
-    alloc = Allocation(y=y, total=new_task_size)
-    breakdown = system_cost(base.tree, base.schedule, alloc, base.weights, base.b_comp)
-    return replace(
-        base,
-        task_size=new_task_size,
-        allocation=alloc,
-        cost=breakdown.j_system,
-        breakdown=breakdown,
-        solver_tag=base.solver_tag + "+scaled",
+    return _solution(
+        base.tree,
+        base.schedule,
+        [v * factor for v in base.allocation.y],
+        new_task_size,
+        base.weights,
+        base.b_comp,
+        base.solver_tag + "+scaled",
+        base.flags,
+        base.schedules_evaluated,
     )
 
 
@@ -421,16 +414,12 @@ def load_baseline(
     if doc.get("b_comp") != b:
         return None
     schedule = Schedule(orders=tuple(tuple(seq) for seq in doc["orders"]))
-    alloc = Allocation(y=tuple(doc["y"]), total=float(doc["task_size"]))
-    breakdown = system_cost(tree, schedule, alloc, weights, b)
-    return Solution(
-        tree=tree,
-        weights=weights,
-        b_comp=b,
-        task_size=float(doc["task_size"]),
-        allocation=alloc,
-        schedule=schedule,
-        cost=breakdown.j_system,
-        breakdown=breakdown,
-        solver_tag=str(doc.get("solver_tag", "cached")),
+    return _solution(
+        tree,
+        schedule,
+        doc["y"],
+        float(doc["task_size"]),
+        weights,
+        b,
+        str(doc.get("solver_tag", "cached")),
     )

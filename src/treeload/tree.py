@@ -66,14 +66,6 @@ class SinkTree:
         return tuple(tuple(k) for k in kids)
 
     @cached_property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        depth = self.depth_of
-        out: list[list[int]] = [[] for _ in range(self.height + 1)]
-        for i in range(len(self)):
-            out[depth[i]].append(i)
-        return tuple(tuple(level) for level in out)
-
-    @cached_property
     def depth_of(self) -> tuple[int, ...]:
         d = [0] * len(self)
         for i in range(1, len(self)):
@@ -127,27 +119,17 @@ class SinkTree:
             acc[i] = acc[self.parent[i]] + 1.0 / self.edge_rate[i]
         return tuple(acc)
 
-    def descendants(self, i: int) -> tuple[int, ...]:
-        """Nodes of the subtree rooted at i, including i, ascending ids."""
-        out = [i]
-        # children always carry larger ids, so one forward sweep suffices
-        member = [False] * len(self)
-        member[i] = True
-        for j in range(i + 1, len(self)):
-            if member[self.parent[j]]:
-                member[j] = True
-                out.append(j)
-        return tuple(out)
-
     def shared_prefix_inv_rate(self, i: int, j: int) -> float:
         """Sum of 1/rate over the edges both delivery paths traverse."""
-        p, q = self.paths[i], self.paths[j]
-        last = 0
-        for a, b in zip(p, q):
-            if a != b:
-                break
-            last = a
-        return self.path_inv_rate[last]
+        # ancestors carry smaller ids, so stepping the larger id up to its
+        # parent until the two meet lands on the deepest common node
+        parent = self.parent
+        while i != j:
+            if i > j:
+                i = parent[i]
+            else:
+                j = parent[j]
+        return self.path_inv_rate[i]
 
     @property
     def relabel_map(self) -> dict[int, int]:
@@ -219,15 +201,12 @@ def build_sink_tree(net: NetworkGraph) -> SinkTree:
     )
 
 
-def prune_tree(
-    tree: SinkTree, remove, cascade: bool = False
-) -> tuple[SinkTree, frozenset[int]]:
+def prune_tree(tree: SinkTree, remove) -> tuple[SinkTree, frozenset[int]]:
     """Drop nodes from a tree; return the rebuilt tree and its relay-only set.
 
     `remove` holds tree ids (never the root).  A removed node whose subtree
     still contains a kept node survives as a relay with a forced-zero
-    workload; with cascade=True the whole subtree under each removed node
-    goes too.  Returned relay ids refer to the new labeling.
+    workload.  Returned relay ids refer to the new labeling.
     """
     remove = set(remove)
     if MASTER_ID in remove:
@@ -235,12 +214,6 @@ def prune_tree(
     for i in remove:
         if not 0 <= i < len(tree):
             raise ParameterError(f"cannot remove unknown node {i}")
-
-    if cascade:
-        closed = set(remove)
-        for i in remove:
-            closed.update(tree.descendants(i))
-        remove = closed
 
     kept_workers = [i for i in range(len(tree)) if i not in remove]
     keep = set(kept_workers)

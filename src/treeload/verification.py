@@ -7,7 +7,9 @@ backlog ahead of it.  No pipelining credit is given: the discipline is
 plain store-and-forward, each subtask charged the full residence time of
 its predecessors on every shared edge.  The closed-form accounting in
 `costs` must agree with this replay; the two are written against the same
-channel discipline but share no code path.
+channel discipline but share no code path.  The replay also reports how
+long each edge is busy, which prices the relay energy a sender spends
+pushing traffic onto its child edges.
 
 `verify_instance` bundles the invariant suite the CLI exposes.
 """
@@ -30,10 +32,15 @@ from .tree import SinkTree
 
 @dataclass(frozen=True)
 class DeliveryTrace:
-    """Per-node arrival accounting from the queue replay."""
+    """Per-node arrival accounting from the queue replay.
+
+    busy[i] is the total time the edge parent(i) -> i carries traffic;
+    0.0 for the root, which has no incoming edge.
+    """
 
     t_wait: tuple[float, ...]
     t_tran: tuple[float, ...]
+    busy: tuple[float, ...]
 
     @property
     def arrival(self) -> tuple[float, ...]:
@@ -63,7 +70,8 @@ def simulate_delivery(
                 booked[hop].append(y / tree.edge_rate[hop])
             wait[i] = queue_delay
             tran[i] = carry
-    return DeliveryTrace(t_wait=tuple(wait), t_tran=tuple(tran))
+    busy = (0.0,) + tuple(sum(booked[hop]) for hop in range(1, n))
+    return DeliveryTrace(t_wait=tuple(wait), t_tran=tuple(tran), busy=busy)
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,14 @@ def check_tree(tree: SinkTree, net: NetworkGraph | None = None) -> list[CheckRes
     return out
 
 
+def _first_mismatch(rows) -> str:
+    """Describe the first (label, formula, replay) row that disagrees, or ''."""
+    for label, have, want in rows:
+        if abs(have - want) > 1e-9 * max(1.0, abs(want)):
+            return f"{label}: formula {have}, replay {want}"
+    return ""
+
+
 def check_solution(sol: Solution) -> list[CheckResult]:
     tree, alloc, sched = sol.tree, sol.allocation, sol.schedule
     out = []
@@ -163,18 +179,26 @@ def check_solution(sol: Solution) -> list[CheckResult]:
     )
 
     trace = simulate_delivery(tree, sched, alloc)
-    ok = True
-    detail = ""
-    for i in range(len(tree)):
+    detail = _first_mismatch(
+        (f"node {i} {label}", have, want)
+        for i in range(len(tree))
         for have, want, label in (
             (bd.t_wait[i], trace.t_wait[i], "wait"),
             (bd.t_tran[i], trace.t_tran[i], "tran"),
-        ):
-            if abs(have - want) > 1e-9 * max(1.0, abs(want)):
-                ok = False
-                detail = f"node {i} {label}: formula {have}, replay {want}"
-                break
-    out.append(CheckResult("delivery replay agrees", ok, detail))
+        )
+    )
+    out.append(CheckResult("delivery replay agrees", not detail, detail))
+
+    # relaying into child c costs tx_power for as long as edge c is busy
+    detail = _first_mismatch(
+        (
+            f"node {i}",
+            bd.e_relay[i],
+            tree.servers[i].tx_power * sum(trace.busy[c] for c in tree.children[i]),
+        )
+        for i in range(len(tree))
+    )
+    out.append(CheckResult("relay energy matches the replay", not detail, detail))
 
     if sol.solver_tag.startswith("cmo"):
         out.append(

@@ -47,8 +47,8 @@ from treeload import (
     pmo,
     scale_solution,
     simulate_delivery,
+    system_cost,
 )
-from treeload.costs import transmission_time, waiting_time
 from treeload.units import gbps_to_bps, ghz_to_hz
 
 Y = 1e9
@@ -294,10 +294,11 @@ def test_criterion_8_delivery_replay_matches_closed_form():
                         y=tuple(v / s * Y for v in parts), total=Y
                     )
                     trace = simulate_delivery(tree, sched, alloc)
+                    br = system_cost(tree, sched, alloc, W)
                     for i in range(n):
                         for have, want in (
-                            (trace.t_wait[i], waiting_time(tree, sched, alloc, i)),
-                            (trace.t_tran[i], transmission_time(tree, alloc, i)),
+                            (trace.t_wait[i], br.t_wait[i]),
+                            (trace.t_tran[i], br.t_tran[i]),
                         ):
                             gap = abs(have - want) / max(abs(want), 1e-12)
                             worst = max(worst, gap)

@@ -177,6 +177,8 @@ def test_verify_passes_on_clean_instance(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+    assert "[PASS] paths are shortest in the graph" in out
+    assert "[PASS] relay energy matches the replay" in out
 
 
 def test_verify_solo_generated_network(capsys):

@@ -16,14 +16,7 @@ from treeload import (
     canonical_schedule,
     system_cost,
 )
-from treeload.costs import (
-    cost_coefficients,
-    node_cost,
-    relay_load,
-    transmission_time,
-    validate_schedule,
-    waiting_time,
-)
+from treeload.costs import cost_coefficients, validate_schedule
 
 W = Weights(0.5, 0.05)
 
@@ -76,33 +69,37 @@ def test_validate_schedule_rejects_bad_orders():
 def test_master_has_no_delivery_terms():
     tree = rand_tree(random.Random(6), 6)
     alloc = spread(tree, random.Random(7))
-    sched = canonical_schedule(tree)
-    assert transmission_time(tree, alloc, 0) == 0.0
-    assert waiting_time(tree, sched, alloc, 0) == 0.0
+    br = system_cost(tree, canonical_schedule(tree), alloc, W, B_COMP)
+    assert br.t_tran[0] == 0.0
+    assert br.t_wait[0] == 0.0
 
 
 def test_waiting_counts_only_shared_edges():
     # two workers behind distinct level-1 roots never contend
     tree = make_tree([-1, 0, 0], [0, 10, 10], [2, 2, 2])
     alloc = Allocation(y=(0.0, 5e8, 5e8), total=1e9)
-    for sched in (Schedule(orders=((1,), (2,))),):
-        assert waiting_time(tree, sched, alloc, 1) == 0.0
-        assert waiting_time(tree, sched, alloc, 2) == 0.0
+    br = system_cost(tree, Schedule(orders=((1,), (2,))), alloc, W, B_COMP)
+    assert br.t_wait[1] == 0.0
+    assert br.t_wait[2] == 0.0
     # siblings on one chain do: the later one waits the full shared hop
     chain = make_tree([-1, 0, 1, 1], [0, 10, 10, 10], [2, 2, 2, 2])
     alloc = Allocation(y=(0.0, 0.0, 6e8, 4e8), total=1e9)
-    sched = Schedule(orders=((1, 2, 3),))
-    assert waiting_time(chain, sched, alloc, 3) == pytest.approx(6e8 / 10e9)
-    assert waiting_time(chain, sched, alloc, 2) == 0.0
+    br = system_cost(chain, Schedule(orders=((1, 2, 3),)), alloc, W, B_COMP)
+    assert br.t_wait[3] == pytest.approx(6e8 / 10e9)
+    assert br.t_wait[2] == 0.0
 
 
 def test_relay_load_accumulates_descendants():
     chain = make_tree([-1, 0, 1, 2], [0, 10, 10, 10], [2, 2, 2, 2])
     alloc = Allocation(y=(1e8, 2e8, 3e8, 4e8), total=1e9)
-    assert relay_load(chain, alloc, 0, 1) == pytest.approx(9e8)
-    assert relay_load(chain, alloc, 1, 2) == pytest.approx(7e8)
-    with pytest.raises(ParameterError):
-        relay_load(chain, alloc, 0, 3)
+    br = system_cost(chain, canonical_schedule(chain), alloc, W, B_COMP)
+    # bits node i pushes onto its one child edge: everything below it
+    relayed = [
+        br.e_relay[i] / chain.servers[i].tx_power * chain.edge_rate[i + 1]
+        for i in range(3)
+    ]
+    assert relayed == pytest.approx([9e8, 7e8, 4e8])
+    assert br.e_relay[3] == 0.0
 
 
 def test_system_cost_breakdown_is_consistent():
@@ -114,7 +111,10 @@ def test_system_cost_breakdown_is_consistent():
         assert br.t_total[i] == pytest.approx(br.t_tran[i] + br.t_wait[i] + br.t_comp[i])
         assert br.e_total[i] == pytest.approx(br.e_comp[i] + br.e_relay[i])
         assert br.j_node[i] == pytest.approx(
-            node_cost(tree, sched, alloc, W, i, B_COMP)
+            oracles.node_cost(
+                plain_of(tree), sched.orders, alloc.y, W.w1, W.w2, B_COMP, i
+            ),
+            rel=1e-12,
         )
     assert br.j_system == max(br.j_node)
     assert br.max_time == max(br.t_total)
@@ -170,7 +170,7 @@ def test_linear_form_reproduces_cost(seed):
         y = np.array(alloc.y)
         assert coeff.system_cost(y) == pytest.approx(br.j_system, rel=1e-12)
         for i in range(len(tree)):
-            assert coeff.node_cost(y, i) == pytest.approx(br.j_node[i], rel=1e-12)
+            assert coeff.a[i] @ y == pytest.approx(br.j_node[i], rel=1e-12)
 
 
 def test_cost_scales_linearly_with_mass():

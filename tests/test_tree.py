@@ -91,13 +91,6 @@ def test_prune_keeps_relays_for_deep_survivors():
     assert relays == {1, 2}
 
 
-def test_prune_cascade_drops_whole_branch():
-    tree = chain(4)
-    pruned, relays = prune_tree(tree, {2}, cascade=True)
-    assert len(pruned) == 2
-    assert relays == frozenset()
-
-
 def test_prune_refuses_master():
     tree = chain(3)
     with pytest.raises(ParameterError):

@@ -51,6 +51,10 @@ def test_replay_matches_closed_form(seed):
     for i in range(len(tree)):
         assert br.t_wait[i] == pytest.approx(trace.t_wait[i], rel=1e-9, abs=1e-18)
         assert br.t_tran[i] == pytest.approx(trace.t_tran[i], rel=1e-9, abs=1e-18)
+        relayed = sum(trace.busy[c] for c in tree.children[i])
+        assert br.e_relay[i] == pytest.approx(
+            tree.servers[i].tx_power * relayed, rel=1e-9, abs=1e-18
+        )
 
 
 def test_replay_orders_edge_contention():
