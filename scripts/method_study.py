@@ -1,89 +1,42 @@
 """Compare every solver and baseline on the four named topologies.
 
-Prints one table of costs and one of solve times.  The exact methods
-share a column-by-column story: pmo tracks cmo everywhere, the genetic
-search lands on or near the optimum with a modest budget, and the
-literature baselines trail by clear margins.
+Runs the method list of scenarios/topology_compare.json, with its task
+and weights, on each named topology in turn.  Prints one table of costs
+and one of solve times.  The exact methods share a column-by-column
+story: pmo tracks cmo everywhere, the genetic search lands on or near
+the optimum with a modest budget, and the literature baselines trail by
+clear margins.
 """
 
-import time
+from dataclasses import replace
+from pathlib import Path
 
-from treeload import (
-    GaParams,
-    LpParams,
-    NpParams,
-    TOPOLOGIES,
-    Weights,
-    baseline_local,
-    baseline_master_worker,
-    baseline_multi_hop,
-    baseline_partial,
-    cmo,
-    ga,
-    level_prune,
-    named_topology,
-    node_prune,
-    pmo,
-)
+from treeload import TOPOLOGIES, load_scenario, run_scenario
 
-
-def solve(method: str, topo):
-    tree, task, w, b = topo.tree, topo.task_size, topo.weights, topo.b_comp
-    if method == "cmo":
-        return cmo(tree, task, w, b=b)
-    if method == "pmo":
-        return pmo(tree, task, w, b=b)
-    if method == "ga":
-        return ga(tree, task, w, GaParams(population=20, generations=40, rng_seed=1), b=b)
-    if method == "np+pmo":
-        pruned, relays = node_prune(tree, NpParams(0.05), task, w, b=b)
-        return pmo(pruned, task, w, relays, b=b)
-    if method == "lp+pmo":
-        pruned = level_prune(tree, LpParams(min(2, tree.height)))
-        return pmo(pruned, task, w, b=b)
-    fn = {
-        "local": baseline_local,
-        "partial": baseline_partial,
-        "master_worker": baseline_master_worker,
-        "multi_hop": baseline_multi_hop,
-    }[method]
-    return fn(tree, task, w, b=b)
-
-
-METHODS = (
-    "cmo",
-    "pmo",
-    "ga",
-    "np+pmo",
-    "lp+pmo",
-    "local",
-    "partial",
-    "master_worker",
-    "multi_hop",
-)
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "topology_compare.json"
 
 
 def main() -> None:
+    base = load_scenario(SCENARIO)
+    methods = [m.name for m in base.methods]
     names = tuple(TOPOLOGIES)
-    topos = {n: named_topology(n) for n in names}
     costs = {}
     times = {}
-    for m in METHODS:
-        for n in names:
-            t0 = time.perf_counter()
-            sol = solve(m, topos[n])
-            times[m, n] = time.perf_counter() - t0
-            costs[m, n] = sol.cost
+    for n in names:
+        # one timed re-solve per method gives its solve time
+        for r in run_scenario(replace(base, source=n, repetitions=1)):
+            costs[r.method, n] = r.cost
+            times[r.method, n] = r.t_exe
 
     head = f"{'method':<14}" + "".join(f"{n:>14}" for n in names)
     print("cost J")
     print(head)
-    for m in METHODS:
+    for m in methods:
         print(f"{m:<14}" + "".join(f"{costs[m, n]:>14.6f}" for n in names))
     print()
     print("solve time (ms)")
     print(head)
-    for m in METHODS:
+    for m in methods:
         print(f"{m:<14}" + "".join(f"{times[m, n] * 1e3:>14.1f}" for n in names))
 
 

@@ -23,18 +23,19 @@ from pathlib import Path
 from .costs import Weights
 from .errors import ParameterError, TreeloadError
 from .harness import (
-    BASELINES,
     EXACT,
+    PRUNERS,
+    SOLVERS,
     MethodSpec,
-    Scenario,
     _audit_and_record,
-    _solve_one,
     emit_csv,
     emit_json,
     load_scenario,
+    method_params,
+    method_problems,
     run_scenario,
+    solve_method,
 )
-from .heuristics import GaParams
 from .network import GenParams, generate_network, load_network, save_network
 from .solvers import load_baseline, save_baseline, scale_solution
 from .topologies import TOPOLOGIES, named_topology
@@ -49,7 +50,17 @@ from .units import (
 )
 from .verification import verify_instance
 
-_METHODS = EXACT + ("ga",) + BASELINES
+# method parameter -> the flag that sets it
+_PARAM_FLAGS = {
+    "theta_p": "--theta-p",
+    "xi": "--xi",
+    "population": "--ga-population",
+    "generations": "--ga-generations",
+    "elite_frac": "--ga-elite-frac",
+    "mutation_prob": "--ga-mutation-prob",
+    "mutation_op": "--ga-mutation-op",
+    "rng_seed": "--seed",
+}
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -85,19 +96,21 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
+    prunable = ", ".join(k for k, solver in SOLVERS.items() if solver.prunable)
     p.add_argument(
         "--method",
         default="cmo",
-        help="cmo | pmo | ga | local | partial | master_worker | multi_hop,"
-        " optionally prefixed np+ or lp+",
+        help=" | ".join(SOLVERS)
+        + f"; {' or '.join(f'{k}+' for k in PRUNERS)} may prefix {prunable}",
     )
     p.add_argument("--theta-p", type=float, help="pruning benefit threshold for np+")
     p.add_argument("--xi", type=int, help="depth cutoff for lp+")
-    p.add_argument("--ga-population", type=int, default=4)
-    p.add_argument("--ga-generations", type=int, default=100)
-    p.add_argument("--ga-elite-frac", type=float, default=0.2)
-    p.add_argument("--ga-mutation-prob", type=float, default=0.05)
-    p.add_argument("--ga-mutation-op", choices=("swap", "shuffle"), default="swap")
+    # None means "not given": GaParams then supplies its own default
+    p.add_argument("--ga-population", type=int)
+    p.add_argument("--ga-generations", type=int)
+    p.add_argument("--ga-elite-frac", type=float)
+    p.add_argument("--ga-mutation-prob", type=float)
+    p.add_argument("--ga-mutation-op", choices=("swap", "shuffle"))
 
 
 def _resolve_instance(args) -> tuple:
@@ -145,36 +158,18 @@ def _resolve_instance(args) -> tuple:
     return build_sink_tree(net), net, task, weights, b, label
 
 
-def _method_params(args) -> dict:
-    out = {
-        "population": args.ga_population,
-        "generations": args.ga_generations,
-        "elite_frac": args.ga_elite_frac,
-        "mutation_prob": args.ga_mutation_prob,
-        "mutation_op": args.ga_mutation_op,
-        "rng_seed": args.seed,
-    }
-    if args.theta_p is not None:
-        out["theta_p"] = args.theta_p
-    if args.xi is not None:
-        out["xi"] = args.xi
-    return out
-
-
-def _inline_scenario(label: str, task: float, weights: Weights, b: float) -> Scenario:
-    # minimal carrier so the audited record path can be reused for `solve`
-    return Scenario(
-        scenario_id=label,
-        source_kind="topology",
-        source=label,
-        task_size=task,
-        weights=weights,
-        b_comp=b,
-        methods=(),
-        sweep=None,
-        repetitions=0,
-        rng_seed=0,
-    )
+def _method_spec(args) -> MethodSpec:
+    """--method with the parameters it reads from the flags that were given."""
+    reads = method_params(args.method) or ()
+    params = {}
+    for k, flag in _PARAM_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+        if k in reads and value is not None:
+            params[k] = value
+    problems = method_problems(args.method, params, spell=_PARAM_FLAGS.get)
+    if problems:
+        raise ParameterError("; ".join(problems))
+    return MethodSpec(name=args.method, params=params)
 
 
 def _emit(records, out_dir: str | None, fmt: str, stem: str) -> Path | None:
@@ -257,21 +252,19 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    spec = _method_spec(args)
     tree, _, task, weights, b, label = _resolve_instance(args)
-    spec = MethodSpec(name=args.method, params=_method_params(args))
-    if not _valid_cli_method(spec):
-        print(f"error: unknown method {args.method!r}", file=sys.stderr)
-        return 2
 
     sol = None
     shown = None
     if args.cache:
         cached = load_baseline(args.cache, tree, weights, b)
-        if cached is not None:
+        # a plan stands in only for the method that solved it
+        if cached is not None and cached.solver_tag == spec.name:
             sol = scale_solution(cached, task)
             print(f"reusing cached plan from {args.cache}")
     if sol is None:
-        sol = _solve_one(spec, tree, task, weights, b, spec.params)
+        sol = solve_method(spec, tree, task, weights, b)
         # a cache hit keeps the scaled plan's own tag instead
         shown = spec.name
         if args.cache and spec.name in EXACT:
@@ -282,11 +275,10 @@ def _cmd_solve(args) -> int:
     if args.reps > 0:
         t0 = time.perf_counter()
         for _ in range(args.reps):
-            _solve_one(spec, tree, task, weights, b, spec.params)
+            solve_method(spec, tree, task, weights, b)
         t_exe = (time.perf_counter() - t0) / args.reps
 
-    carrier = _inline_scenario(label, task, weights, b)
-    record = _audit_and_record(carrier, spec, sol, tree, None, None, t_exe)
+    record = _audit_and_record(label, spec.name, sol, tree, None, None, t_exe)
     _print_solution(sol, label, shown)
     if t_exe is not None:
         print(f"T_exe (s)   {t_exe:.6g} (mean of {args.reps})")
@@ -296,30 +288,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _valid_cli_method(spec: MethodSpec) -> bool:
-    if spec.pruner not in (None, "np", "lp"):
-        return False
-    ok_solver = spec.solver in _METHODS
-    if spec.pruner is not None:
-        ok_solver = spec.solver in ("cmo", "pmo", "ga")
-    if spec.pruner == "np" and "theta_p" not in spec.params:
-        raise ParameterError("np+ methods need --theta-p")
-    if spec.pruner == "lp" and "xi" not in spec.params:
-        raise ParameterError("lp+ methods need --xi")
-    return ok_solver
-
-
 def _cmd_compare(args) -> int:
-    s = load_scenario(args.scenario)
-    if s.sweep is not None:
-        s = replace(s, sweep=None)
-    s = _apply_overrides(s, args)
-    records = run_scenario(s)
-    _report_records(records)
-    path = _emit(records, args.out, args.format, s.scenario_id)
-    if path:
-        print(f"wrote {path}")
-    return 0
+    s = replace(load_scenario(args.scenario), sweep=None)
+    return _run(s, args, s.scenario_id)
 
 
 def _cmd_sweep(args) -> int:
@@ -327,39 +298,29 @@ def _cmd_sweep(args) -> int:
     if s.sweep is None:
         print("error: scenario has no sweep block", file=sys.stderr)
         return 2
-    s = _apply_overrides(s, args)
-    records = run_scenario(s)
-    _report_records(records)
-    path = _emit(records, args.out, args.format, f"{s.scenario_id}_sweep")
-    if path:
-        print(f"wrote {path}")
-    return 0
+    return _run(s, args, f"{s.scenario_id}_sweep")
 
 
-def _apply_overrides(s: Scenario, args) -> Scenario:
+def _run(s, args, stem: str) -> int:
     if args.reps is not None:
         s = replace(s, repetitions=args.reps)
-    if args.seed is not None:
-        s = replace(s, rng_seed=args.seed)
-    return s
-
-
-def _report_records(records) -> None:
+    records = run_scenario(s)
     for r in records:
         point = (
             f" {r.sweep_param}={r.sweep_value:g}" if r.sweep_param is not None else ""
         )
         t = f" T_exe={r.t_exe:.4g}s" if r.t_exe is not None else ""
         print(f"{r.scenario_id}{point} {r.method}: J={r.cost:.9g}{t}")
+    path = _emit(records, args.out, args.format, stem)
+    if path:
+        print(f"wrote {path}")
+    return 0
 
 
 def _cmd_verify(args) -> int:
+    spec = _method_spec(args)
     tree, net, task, weights, b, label = _resolve_instance(args)
-    spec = MethodSpec(name=args.method, params=_method_params(args))
-    if not _valid_cli_method(spec):
-        print(f"error: unknown method {args.method!r}", file=sys.stderr)
-        return 2
-    sol = _solve_one(spec, tree, task, weights, b, spec.params)
+    sol = solve_method(spec, tree, task, weights, b)
     results = verify_instance(sol, net)
     bad = 0
     for res in results:
@@ -411,14 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="run a scenario's methods at the base point")
     c.add_argument("--scenario", required=True, metavar="FILE")
-    c.add_argument("--seed", type=int, default=None)
     c.add_argument("--reps", type=int, default=None)
     _add_output_flags(c)
     c.set_defaults(fn=_cmd_compare)
 
     sw = sub.add_parser("sweep", help="run a scenario's parameter sweep")
     sw.add_argument("--scenario", required=True, metavar="FILE")
-    sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--reps", type=int, default=None)
     _add_output_flags(sw)
     sw.set_defaults(fn=_cmd_sweep)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .costs import Allocation, Schedule, Weights, system_cost
 from .errors import GenerationError, ScenarioError
@@ -39,9 +39,7 @@ from .topologies import TOPOLOGIES, named_topology
 from .tree import SinkTree, build_sink_tree
 from .units import DEFAULT_B, gbit_to_bits, gbps_to_bps, ghz_to_hz
 
-BASELINES = ("local", "partial", "master_worker", "multi_hop")
 EXACT = ("cmo", "pmo")
-PRUNE_TARGETS = ("cmo", "pmo", "ga")
 SWEEP_PARAMS = (
     "task_size",
     "theta_p",
@@ -61,12 +59,13 @@ class MethodSpec:
     params: dict[str, Any]
 
     @property
-    def pruner(self) -> str | None:
-        return self.name.split("+", 1)[0] if "+" in self.name else None
+    def pruner(self) -> str:
+        """The pruning prefix ("np", "lp"), or "" when there is none."""
+        return self.name.rpartition("+")[0]
 
     @property
     def solver(self) -> str:
-        return self.name.split("+", 1)[1] if "+" in self.name else self.name
+        return self.name.rpartition("+")[2]
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ class Scenario:
     methods: tuple[MethodSpec, ...]
     sweep: SweepSpec | None
     repetitions: int
-    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -107,16 +105,95 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
+# the method table: a method is named `[pruner+]solver`
+
+
+class Solver(NamedTuple):
+    # (tree, task_size, weights, forced relays, b, params it reads) -> Solution
+    solve: Callable[..., Solution]
+    params: tuple[str, ...] = ()  # parameter names it reads
+    prunable: bool = False  # takes an np+ or lp+ prefix
+
+
+class Pruner(NamedTuple):
+    param: str  # the one parameter it requires
+    # (tree, param value, task_size, weights, b) -> (working tree, forced relays)
+    prune: Callable[..., tuple[SinkTree, frozenset[int]]]
+
+
+# the entries name their functions inside lambdas, so a function replaced
+# on this module is the one that runs
+SOLVERS: dict[str, Solver] = {
+    "cmo": Solver(lambda t, y, w, f, b, p: cmo(t, y, w, f, b=b), prunable=True),
+    "pmo": Solver(lambda t, y, w, f, b, p: pmo(t, y, w, f, b=b), prunable=True),
+    "ga": Solver(
+        lambda t, y, w, f, b, p: ga(t, y, w, GaParams(**p), f, b=b),
+        tuple(field.name for field in fields(GaParams)),
+        prunable=True,
+    ),
+    "local": Solver(lambda t, y, w, f, b, p: baseline_local(t, y, w, b=b)),
+    "partial": Solver(lambda t, y, w, f, b, p: baseline_partial(t, y, w, b=b)),
+    "master_worker": Solver(
+        lambda t, y, w, f, b, p: baseline_master_worker(t, y, w, b=b)
+    ),
+    "multi_hop": Solver(lambda t, y, w, f, b, p: baseline_multi_hop(t, y, w, b=b)),
+}
+PRUNERS: dict[str, Pruner] = {
+    "np": Pruner(
+        "theta_p", lambda t, v, y, w, b: node_prune(t, NpParams(float(v)), y, w, b=b)
+    ),
+    "lp": Pruner(
+        "xi", lambda t, v, y, w, b: (level_prune(t, LpParams(int(v))), frozenset())
+    ),
+}
+
+
+def method_params(name: str) -> tuple[str, ...] | None:
+    """Parameter names method `name` reads, its pruner's first; None if unknown."""
+    pruner, plus, solver = name.rpartition("+")
+    entry = SOLVERS.get(solver)
+    if entry is None or (plus and (pruner not in PRUNERS or not entry.prunable)):
+        return None
+    return ((PRUNERS[pruner].param,) if pruner else ()) + entry.params
+
+
+def method_problems(
+    name: Any, params: Any, spell: Callable[[str], str] = "params.{}".format
+) -> list[str]:
+    """Everything wrong with running method `name` on `params`; [] when valid.
+
+    `spell` renders a parameter name the way the caller's user wrote it.
+    """
+    reads = method_params(name) if isinstance(name, str) else None
+    if reads is None:
+        return [f"unknown method {name!r}"]
+    if not isinstance(params, dict):
+        return ["params: must be an object"]
+    pruner = name.rpartition("+")[0]
+    problems = []
+    if pruner and PRUNERS[pruner].param not in params:
+        problems.append(f"{pruner}+ needs {spell(PRUNERS[pruner].param)}")
+    problems += [f"{spell(k)}: not read by {name}" for k in params if k not in reads]
+    return problems
+
+
+def solve_method(
+    spec: MethodSpec, tree: SinkTree, task_size: float, weights: Weights, b: float
+) -> Solution:
+    """Run a checked method: its pruning pass, if any, then its solver."""
+    work, forced = tree, frozenset()
+    if spec.pruner:
+        pruner = PRUNERS[spec.pruner]
+        work, forced = pruner.prune(
+            tree, spec.params[pruner.param], task_size, weights, b
+        )
+    solver = SOLVERS[spec.solver]
+    read = {k: spec.params[k] for k in solver.params if k in spec.params}
+    return solver.solve(work, task_size, weights, forced, b, read)
+
+
+# ---------------------------------------------------------------------------
 # scenario loading and validation
-
-
-def _valid_method(name: str) -> bool:
-    if name in EXACT or name in BASELINES or name == "ga":
-        return True
-    if "+" in name:
-        pruner, _, solver = name.partition("+")
-        return pruner in ("np", "lp") and solver in PRUNE_TARGETS
-    return False
 
 
 def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
@@ -201,20 +278,11 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
             if not isinstance(entry, dict) or "name" not in entry:
                 problems.append(f"methods[{k}]: needs a name")
                 continue
-            name = entry["name"]
-            params = entry.get("params", {})
-            if not _valid_method(name):
-                problems.append(f"methods[{k}].name: unknown method {name!r}")
-                continue
-            if not isinstance(params, dict):
-                problems.append(f"methods[{k}].params: must be an object")
-                continue
-            pruner = name.split("+", 1)[0] if "+" in name else None
-            if pruner == "np" and "theta_p" not in params:
-                problems.append(f"methods[{k}]: np needs params.theta_p")
-            if pruner == "lp" and "xi" not in params:
-                problems.append(f"methods[{k}]: lp needs params.xi")
-            methods.append(MethodSpec(name=name, params=params))
+            spec = MethodSpec(name=entry["name"], params=entry.get("params", {}))
+            found = method_problems(spec.name, spec.params)
+            problems += [f"methods[{k}]: {p}" for p in found]
+            if not found:
+                methods.append(spec)
 
     sweep = None
     sdoc = doc.get("sweep")
@@ -254,12 +322,11 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                         problems.append("sweep.node: required node id for cpu_freq")
                     else:
                         node = n
-                if param == "theta_p" and not any(
-                    m.pruner == "np" for m in methods
-                ):
-                    problems.append("sweep theta_p: no np+ method in methods")
-                if param == "xi" and not any(m.pruner == "lp" for m in methods):
-                    problems.append("sweep xi: no lp+ method in methods")
+                for prefix, pruner in PRUNERS.items():
+                    if param == pruner.param and not any(
+                        m.pruner == prefix for m in methods
+                    ):
+                        problems.append(f"sweep {param}: no {prefix}+ method in methods")
                 if param == "subtree_count" and source_kind != "generate":
                     problems.append(
                         "sweep subtree_count: needs a generated network source"
@@ -287,7 +354,6 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         methods=tuple(methods),
         sweep=sweep,
         repetitions=reps,
-        rng_seed=doc.get("rng_seed", 0),
     )
 
 
@@ -347,71 +413,22 @@ def _with_subtree_count(s: Scenario, count: int) -> NetworkGraph:
     )
 
 
+def _at_point(
+    spec: MethodSpec, sweep_param: str | None, value: float | None
+) -> MethodSpec:
+    """`spec` with its pruner's parameter set to the point's value, if swept."""
+    if spec.pruner and PRUNERS[spec.pruner].param == sweep_param:
+        return replace(spec, params={**spec.params, sweep_param: value})
+    return spec
+
+
 # ---------------------------------------------------------------------------
-# method dispatch
-
-
-def _merged(spec: MethodSpec, sweep_param: str | None, value: float) -> dict:
-    params = dict(spec.params)
-    if sweep_param == "theta_p" and spec.pruner == "np":
-        params["theta_p"] = value
-    if sweep_param == "xi" and spec.pruner == "lp":
-        params["xi"] = int(value)
-    return params
-
-
-def _solve_one(
-    spec: MethodSpec,
-    tree: SinkTree,
-    task_size: float,
-    weights: Weights,
-    b: float,
-    params: dict,
-) -> Solution:
-    name = spec.solver
-    if spec.pruner == "np":
-        work, relays = node_prune(
-            tree, NpParams(float(params["theta_p"])), task_size, weights, b=b
-        )
-        forced = relays
-    elif spec.pruner == "lp":
-        work = level_prune(tree, LpParams(int(params["xi"])))
-        forced = frozenset()
-    else:
-        work, forced = tree, frozenset()
-
-    if name == "cmo":
-        return cmo(work, task_size, weights, forced, b=b)
-    if name == "pmo":
-        return pmo(work, task_size, weights, forced, b=b)
-    if name == "ga":
-        ga_fields = {
-            k: params[k]
-            for k in (
-                "population",
-                "generations",
-                "elite_frac",
-                "mutation_prob",
-                "mutation_op",
-                "rng_seed",
-            )
-            if k in params
-        }
-        return ga(work, task_size, weights, GaParams(**ga_fields), forced, b=b)
-    if name == "local":
-        return baseline_local(work, task_size, weights, b=b)
-    if name == "partial":
-        return baseline_partial(work, task_size, weights, b=b)
-    if name == "master_worker":
-        return baseline_master_worker(work, task_size, weights, b=b)
-    if name == "multi_hop":
-        return baseline_multi_hop(work, task_size, weights, b=b)
-    raise ScenarioError((f"method {spec.name!r} not dispatchable",))
+# records
 
 
 def _audit_and_record(
-    s: Scenario,
-    spec: MethodSpec,
+    scenario_id: str,
+    method: str,
     sol: Solution,
     full_tree: SinkTree,
     sweep_param: str | None,
@@ -448,15 +465,15 @@ def _audit_and_record(
     drift = abs(check.j_system - sol.cost)
     if drift > 1e-9 * max(1.0, abs(sol.cost)):
         raise AssertionError(
-            f"cost audit failed for {spec.name}: {check.j_system} vs {sol.cost}"
+            f"cost audit failed for {method}: {check.j_system} vs {sol.cost}"
         )
 
     orders_net = tuple(
         tuple(full_tree.to_original[i] for i in order) for order in full_sched.orders
     )
     return RunRecord(
-        scenario_id=s.scenario_id,
-        method=spec.name,
+        scenario_id=scenario_id,
+        method=method,
         sweep_param=sweep_param,
         sweep_value=sweep_value,
         cost=sol.cost,
@@ -498,28 +515,21 @@ def run_scenario(s: Scenario) -> list[RunRecord]:
         assert net is not None
         tree = build_sink_tree(net)
 
+        sweep_param = s.sweep.parameter if s.sweep else None
         for spec in s.methods:
-            params = _merged(
-                spec, s.sweep.parameter if s.sweep else None, value if value is not None else 0.0
-            )
-            sol = _solve_one(spec, tree, task_size, s.weights, s.b_comp, params)
+            spec = _at_point(spec, sweep_param, value)
+            sol = solve_method(spec, tree, task_size, s.weights, s.b_comp)
             t_exe = None
             if s.repetitions > 0:
                 elapsed = 0.0
                 for _ in range(s.repetitions):
                     t0 = time.perf_counter()
-                    _solve_one(spec, tree, task_size, s.weights, s.b_comp, params)
+                    solve_method(spec, tree, task_size, s.weights, s.b_comp)
                     elapsed += time.perf_counter() - t0
                 t_exe = elapsed / s.repetitions
             records.append(
                 _audit_and_record(
-                    s,
-                    spec,
-                    sol,
-                    tree,
-                    s.sweep.parameter if s.sweep else None,
-                    value,
-                    t_exe,
+                    s.scenario_id, spec.name, sol, tree, sweep_param, value, t_exe
                 )
             )
     return records

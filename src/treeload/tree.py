@@ -95,15 +95,6 @@ class SinkTree:
         return {t: tuple(nodes) for t, nodes in out.items()}
 
     @cached_property
-    def subtree_root_of(self) -> tuple[int, ...]:
-        """Level-1 ancestor per node; -1 for the root itself."""
-        owner = [-1] * len(self)
-        for t, nodes in self.subtrees.items():
-            for i in nodes:
-                owner[i] = t
-        return tuple(owner)
-
-    @cached_property
     def paths(self) -> tuple[tuple[int, ...], ...]:
         """Root-to-node id sequences, including both endpoints."""
         out: list[tuple[int, ...]] = [(0,)]

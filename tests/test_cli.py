@@ -127,6 +127,45 @@ def test_solve_cache_roundtrip(tmp_path, capsys):
     assert cost_of(second) == pytest.approx(3 * cost_of(first), rel=1e-6)
 
 
+def test_solve_cache_serves_only_the_method_that_wrote_it(tmp_path, capsys):
+    cache = tmp_path / "plan.json"
+    assert main(
+        ["solve", "--topology", "mixed", "--method", "pmo", "--cache", str(cache)]
+    ) == 0
+    capsys.readouterr()
+    assert main(
+        ["solve", "--topology", "mixed", "--method", "local", "--cache", str(cache),
+         "--out", str(tmp_path), "--format", "json"]
+    ) == 0
+    cached_run = capsys.readouterr().out
+    assert main(["solve", "--topology", "mixed", "--method", "local"]) == 0
+    fresh_run = capsys.readouterr().out
+    assert "reusing cached plan" not in cached_run
+
+    def cost_line(text):
+        return next(l for l in text.splitlines() if l.startswith("cost J"))
+
+    assert cost_line(cached_run) == cost_line(fresh_run)
+    (row,) = json.loads((tmp_path / "mixed_local.json").read_text())
+    assert row["method"] == "local" and row["solver_tag"] == "baseline-local"
+
+
+def test_solve_ga_flags_reach_only_ga(capsys):
+    # --ga-* flags are ignored by methods that do not read them ...
+    assert main(
+        ["solve", "--topology", "wide_shallow", "--method", "pmo",
+         "--ga-population", "1"]
+    ) == 0
+    capsys.readouterr()
+    # ... and checked by GaParams when the method does
+    rc = main(
+        ["solve", "--topology", "wide_shallow", "--method", "ga",
+         "--ga-population", "1"]
+    )
+    assert rc == 2
+    assert "population" in capsys.readouterr().err
+
+
 def test_compare_runs_base_point_only(tmp_path, capsys):
     scen = tmp_path / "case.json"
     scen.write_text(json.dumps(SCENARIO))

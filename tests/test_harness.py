@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,15 @@ from treeload import (
     run_scenario,
 )
 from treeload.harness import (
+    PRUNERS,
+    SOLVERS,
     RunRecord,
     Scenario,
+    method_params,
     scenario_from_doc,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_DOC = {
     "scenario_id": "t",
@@ -48,7 +54,8 @@ def test_doc_error_lists_every_problem_at_once():
     bad = doc(
         task_size_gbit=-1,
         repetitions=-3,
-        methods=["pmo", "warp"],
+        methods=["pmo", "warp", "np+local", "+pmo", {"name": 7},
+                 {"name": "pmo", "params": []}],
     )
     with pytest.raises(ScenarioError) as exc:
         scenario_from_doc(bad)
@@ -56,6 +63,10 @@ def test_doc_error_lists_every_problem_at_once():
     assert "task_size_gbit" in msg
     assert "repetitions" in msg
     assert "warp" in msg
+    assert "methods[2]: unknown method 'np+local'" in msg
+    assert "methods[3]: unknown method '+pmo'" in msg
+    assert "methods[4]: unknown method 7" in msg
+    assert "methods[5]: params: must be an object" in msg
 
 
 def test_doc_requires_np_params():
@@ -65,6 +76,67 @@ def test_doc_requires_np_params():
     with pytest.raises(ScenarioError) as exc:
         scenario_from_doc(doc(methods=["lp+cmo"]))
     assert "xi" in str(exc.value)
+
+
+def test_doc_rejects_params_the_method_does_not_read():
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_doc(
+            doc(
+                methods=[
+                    {"name": "ga", "params": {"populaton": 50}},
+                    {"name": "pmo", "params": {"theta_p": 0.9}},
+                    {"name": "np+ga", "params": {"theta_p": 0.1, "xi": 2}},
+                    {"name": "lp+pmo", "params": {"xi": 1, "rng_seed": 3}},
+                ]
+            )
+        )
+    problems = exc.value.problems
+    assert problems == (
+        "methods[0]: params.populaton: not read by ga",
+        "methods[1]: params.theta_p: not read by pmo",
+        "methods[2]: params.xi: not read by np+ga",
+        "methods[3]: params.rng_seed: not read by lp+pmo",
+    )
+    # every key a method does read is accepted
+    s = scenario_from_doc(
+        doc(
+            methods=[
+                {"name": "np+ga", "params": {"theta_p": 0.1, "population": 6,
+                                             "generations": 2, "elite_frac": 0.5,
+                                             "mutation_prob": 0.1,
+                                             "mutation_op": "shuffle",
+                                             "rng_seed": 3}},
+                {"name": "lp+cmo", "params": {"xi": 1}},
+            ]
+        )
+    )
+    assert [m.name for m in s.methods] == ["np+ga", "lp+cmo"]
+
+
+def test_schema_agrees_with_the_method_table():
+    import jsonschema
+
+    schema = json.loads((ROOT / "schemas" / "scenario.schema.json").read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        doc_ = json.loads(path.read_text())
+        assert not list(validator.iter_errors(doc_)), path.name
+        scenario_from_doc(doc_)
+
+    names = [
+        prefix + solver
+        for prefix in ("", *(f"{p}+" for p in PRUNERS))
+        for solver in SOLVERS
+    ] + ["oracle", "np+", "+pmo", "lp+np+pmo", "np+local", "ga+", "pmo "]
+    for name in names:
+        as_doc = {"network": {"topology": "mixed"}, "methods": [name]}
+        in_schema = validator.is_valid(as_doc)
+        assert in_schema == (method_params(name) is not None), name
+
+    items = schema["properties"]["methods"]["items"]["oneOf"][1]
+    in_schema = set(items["properties"]["params"]["properties"])
+    read = {k for n in names if method_params(n) for k in method_params(n)}
+    assert read == in_schema
 
 
 def test_doc_sweep_validation():
