@@ -5,15 +5,26 @@ forms, so the best split solves
 
     min z   s.t.  (A y)_i <= z  for every node,  sum(y) = Y,  y >= 0,
 
-a small epigraph LP.  It is solved once on the unit simplex (the optimal
-shape of y does not depend on Y, only its scale does), which makes
-solutions exactly proportional across task sizes and lets a cached
-solution be rescaled instead of re-solved.
+the value of a zero-sum matrix game.  It is solved once on the unit
+simplex (the optimal shape of y does not depend on Y, only its scale
+does), which makes solutions exactly proportional across task sizes and
+lets a cached solution be rescaled instead of re-solved.
 
-`cmo` enumerates every per-subtree transmission order and keeps the best
-LP result.  `pmo` exploits that subtrees only interact through the master:
-each subtree is ordered and probed on its own, then one more small LP
-splits the task between the master and the subtrees.
+At the optimum the participating nodes S and as many binding rows R all
+finish together, so the split is one small linear solve on (S, R): the
+equaliser.  Its answer is accepted only with a certificate: the primal
+weights and the dual row weights from the transposed solve are
+nonnegative, and the dual bound is within 1e-12 of the primal value
+(weak duality).  HiGHS (scipy's `linprog`) supplies (S, R) when none is
+known or a guess fails; its vertex is then polished by the equaliser,
+and if that cannot be certified HiGHS's own answer is kept and the
+Solution is flagged "uncertified".
+
+`cmo` enumerates every per-subtree transmission order, carrying the last
+certified (S, R) from one schedule to the next, and keeps the best.
+`pmo` exploits that subtrees only interact through the master: each
+subtree is ordered and probed on its own, then one more small split
+divides the task between the master and the subtrees.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +55,11 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# an equaliser answer may dip this far below zero before clipping, and its
+# primal-dual gap may be at most this fraction of its value
+_CERT_TOL = 1e-12
+# cmo warns before enumerating more schedules than this
+_WARN_SCHEDULES = 10**6
 
 
 @dataclass(frozen=True)
@@ -62,15 +79,66 @@ class Solution:
     flags: tuple[str, ...] = ()
 
 
+def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """Equal-finish weights on support s and tight rows r, if provably optimal.
+
+    Solves [m_rs  -1; 1ᵀ 0] [u_s; z] = [0; 1] for the primal and the
+    transposed system for the duals p_r.  The answer passes only when u and
+    p are nonnegative (to _CERT_TOL before clipping) and the primal value
+    zp = max(m u) exceeds the dual bound zd = min over columns of pᵀm by at
+    most _CERT_TOL * zp: every simplex point costs at least zd (weak
+    duality), so a passing u is optimal to that tolerance.  Returns u over
+    all columns of m, or None when the system is singular or the
+    certificate fails.
+    """
+    k = len(s)
+    if k == 0 or k != len(r):
+        return None
+    kkt = np.zeros((2, k + 1, k + 1))
+    kkt[0, :k, :k] = m[np.ix_(r, s)]
+    kkt[1, :k, :k] = kkt[0, :k, :k].T
+    kkt[:, :k, k] = -1.0
+    kkt[:, k, :k] = 1.0
+    rhs = np.zeros((2, k + 1, 1))
+    rhs[:, k] = 1.0
+    try:
+        sol = np.linalg.solve(kkt, rhs)[:, :k, 0]
+    except np.linalg.LinAlgError:
+        return None
+    # `not >=` also rejects NaN
+    if not sol.min() >= -_CERT_TOL:
+        return None
+    u = np.zeros(m.shape[1])
+    u[s] = np.maximum(sol[0], 0.0)
+    u /= u.sum()
+    p = np.zeros(m.shape[0])
+    p[r] = np.maximum(sol[1], 0.0)
+    p /= p.sum()
+    zp = float((m @ u).max())
+    zd = float((p @ m).min())
+    return u if zp - zd <= _CERT_TOL * zp else None
+
+
 def _minmax_unit(
     a: np.ndarray,
     forced_zero: frozenset[int],
     active_rows: tuple[int, ...] | None,
-) -> tuple[np.ndarray, tuple[str, ...]]:
+    warm: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, tuple[str, ...], tuple[np.ndarray, np.ndarray] | None]:
     """Minimize max over rows of (a u) on the simplex; returns unit weights u.
 
     Columns in forced_zero are pinned to zero.  active_rows restricts which
     rows enter the max (all by default).
+
+    The optimum is the equal-finish point of some support S of columns and
+    as many tight rows R, so it is found by `_equalise` and certified by a
+    dual vector.  `warm` is the (S, R) of an earlier answer on a matrix of
+    the same shape; when it certifies here, no LP is solved.  Otherwise
+    HiGHS solves the epigraph LP, its basis gives (S, R), and the
+    equaliser polishes that vertex.  When the polish fails too (degenerate
+    or singular), HiGHS's clipped, renormalised answer is returned with
+    the flag "uncertified".  Returns (u, flags, support): support is the
+    certified (S, R) to warm-start the next call, or None.
     """
     n = a.shape[1]
     cols = [k for k in range(n) if k not in forced_zero]
@@ -85,35 +153,63 @@ def _minmax_unit(
     if free.size or not rows:
         # a column nobody pays for absorbs everything at zero cost
         u[cols[int(free[0])] if free.size else cols[0]] = 1.0
-        return u, ("free-node-shortcut",)
+        return u, ("free-node-shortcut",), None
 
     # scale by the smallest per-column maximum: that value bounds the
     # optimum from above (all mass on that column), and the optimum is at
     # least it divided by the column count, so the scaled solution sits in
     # [1/m, 1] even when entries span many orders of magnitude
     scale = float(sub.max(axis=0).min())
-    m = len(cols)
+    msc = sub / scale
+    u_cols = None if warm is None else _equalise(msc, *warm)
+    if u_cols is None:
+        res = _epigraph_lp(msc)
+        warm = _lp_support(msc, res)
+        u_cols = _equalise(msc, *warm)
+        if u_cols is None:
+            vals = np.maximum(res.x[:-1], 0.0)
+            u[cols] = vals / vals.sum()
+            return u, ("uncertified",), None
+    u[cols] = u_cols
+    return u, (), warm
+
+
+def _epigraph_lp(msc: np.ndarray):
+    """HiGHS on min z s.t. msc u <= z, sum(u) = 1, u >= 0."""
+    nr, m = msc.shape
     c = np.zeros(m + 1)
     c[-1] = 1.0
-    a_ub = np.hstack([sub / scale, -np.ones((len(rows), 1))])
-    b_ub = np.zeros(len(rows))
-    a_eq = np.concatenate([np.ones(m), [0.0]])[None, :]
-    bounds = [(0.0, None)] * m + [(0.0, None)]
     res = linprog(
         c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
+        A_ub=np.hstack([msc, -np.ones((nr, 1))]),
+        b_ub=np.zeros(nr),
+        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
         b_eq=[1.0],
-        bounds=bounds,
+        bounds=[(0.0, None)] * (m + 1),
         method="highs",
         options=_LP_OPTIONS,
     )
     if res.status != 0:
         raise InfeasibleError(f"fixed-order split LP failed: {res.message}")
-    vals = np.maximum(res.x[:m], 0.0)
-    u[cols] = vals / vals.sum()
-    return u, ()
+    return res
+
+
+def _lp_support(msc: np.ndarray, res) -> tuple[np.ndarray, np.ndarray]:
+    """(S, R) of a HiGHS answer: columns carrying weight, rows with a dual.
+
+    A degenerate vertex can leave |S| != |R|; the shorter side is padded
+    with the rows of least slack or the columns of least reduced cost.
+    """
+    x = res.x[:-1]
+    s = list(np.flatnonzero(x > 0.0))
+    r = list(np.flatnonzero(res.ineqlin.marginals < 0.0))
+    if len(r) < len(s):
+        by_slack = np.argsort(res.x[-1] - msc @ x, kind="stable")
+        r += [i for i in by_slack if i not in r][: len(s) - len(r)]
+    elif len(s) < len(r):
+        by_reduced_cost = np.argsort(res.lower.marginals[:-1], kind="stable")
+        s += [j for j in by_reduced_cost if j not in s][: len(r) - len(s)]
+    return np.array(sorted(s), dtype=int), np.array(sorted(r), dtype=int)
 
 
 def _solution(
@@ -164,7 +260,7 @@ def solve_fixed_order(
         u = np.zeros(len(tree))
         u_flags: tuple[str, ...] = ()
     else:
-        u, u_flags = _minmax_unit(a, forced_zero, active_rows)
+        u, u_flags, _ = _minmax_unit(a, forced_zero, active_rows)
     return _solution(
         tree, schedule, u * task_size, task_size, weights, b, "fixed-order", u_flags
     )
@@ -193,18 +289,33 @@ def cmo(
     b: float = DEFAULT_B,
     active_rows: tuple[int, ...] | None = None,
 ) -> Solution:
-    """Exhaustive schedule search: one LP per order combination, keep the best.
+    """Exhaustive schedule search: one certified split per order combination.
 
-    Candidates are scored by the largest active row of the linear form;
-    only the winner is audited into a Solution.  Ties go to the earliest
-    schedule in enumeration order.
+    Each schedule's split starts from the support and tight rows certified
+    for the previous schedule, so HiGHS runs only when that guess fails
+    its certificate (see `_minmax_unit`); neighbouring orders usually
+    share their optimal support.  Candidates are scored by the largest
+    active row of the linear form; only the winner is audited into a
+    Solution.  Ties go to the earliest schedule in enumeration order.
+    The result is flagged "uncertified" when any schedule's split was.
+    Warns (RuntimeWarning) before enumerating more than 10**6 schedules.
     """
     if task_size < 0.0:
         raise ParameterError("task size must be >= 0")
+    total = count_schedules(tree)
+    if total > _WARN_SCHEDULES:
+        warnings.warn(
+            f"cmo enumerates {total} transmission schedules (more than "
+            f"{_WARN_SCHEDULES}), one split each; this may run for hours",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     static = _static_matrix(tree, weights, b)
     rows = list(range(len(tree))) if active_rows is None else list(active_rows)
     best = None
     evaluated = 0
+    support = None
+    uncertified = False
     for schedule in enumerate_schedules(tree):
         evaluated += 1
         a = static.copy()
@@ -213,13 +324,16 @@ def cmo(
             u = np.zeros(len(tree))
             flags: tuple[str, ...] = ()
         else:
-            u, flags = _minmax_unit(a, forced_zero, active_rows)
+            u, flags, support = _minmax_unit(a, forced_zero, active_rows, support)
+            uncertified = uncertified or "uncertified" in flags
         y = u * task_size
         z = float(np.max(a[rows] @ y, initial=0.0))
         if best is None or z < best[0]:
             best = (z, schedule, y, flags)
     assert best is not None
     _, schedule, y, flags = best
+    if uncertified and "uncertified" not in flags:
+        flags += ("uncertified",)
     return _solution(
         tree, schedule, y, task_size, weights, b, "cmo", flags, evaluated
     )
@@ -236,7 +350,7 @@ def _probe_subtree(
     """Order one subtree in isolation: full probe load, master excluded.
 
     Returns (order over full-tree ids, per-node unit shares over full-tree
-    ids, probe cost, schedules tried).
+    ids, probe cost, schedules tried, probe flags).
     """
     sub, back = extract_subtree(tree, t)
     sub_forced = frozenset(
@@ -253,7 +367,7 @@ def _probe_subtree(
     )
     order = tuple(back[i] for i in probe.schedule.orders[0])
     shares = {back[i]: probe.allocation.y[i] / task_size for i in worker_rows}
-    return order, shares, probe.cost, probe.schedules_evaluated
+    return order, shares, probe.cost, probe.schedules_evaluated, probe.flags
 
 
 def solve_master_split(
@@ -266,14 +380,15 @@ def solve_master_split(
     b: float = DEFAULT_B,
     blocked: frozenset[int] = frozenset(),
     master_blocked: bool = False,
-) -> tuple[float, dict[int, float]]:
+) -> tuple[float, dict[int, float], tuple[str, ...]]:
     """Split the task between the master and whole subtrees.
 
     Each subtree t is summarized by its probe: cost probe_costs[t] when it
     carries probe_totals[t] bits, scaling linearly in between.  The master
     pays its own compute plus the relay energy of pushing each subtree's
     share onto its first hop.  Subtrees in `blocked` are pinned to zero, as
-    is the master's own share when master_blocked is set.
+    is the master's own share when master_blocked is set.  Returns the
+    master's bits, each subtree's bits, and the split's flags.
     """
     roots = tree.subtree_roots
     master = tree.servers[0]
@@ -290,9 +405,10 @@ def solve_master_split(
     forced = frozenset(1 + idx for idx, t in enumerate(roots) if t in blocked)
     if master_blocked:
         forced = forced | {0}
-    u, _ = _minmax_unit(a, forced, None)
+    u, flags, _ = _minmax_unit(a, forced, None)
     y0 = float(u[0] * task_size)
-    return y0, {t: float(u[1 + idx] * task_size) for idx, t in enumerate(roots)}
+    shares = {t: float(u[1 + idx] * task_size) for idx, t in enumerate(roots)}
+    return y0, shares, flags
 
 
 def pmo(
@@ -336,7 +452,7 @@ def pmo(
 
     probe_costs = {t: results[t][2] for t in probed}
     probe_totals = {t: probe_size for t in probed}
-    y0, subtree_share = solve_master_split(
+    y0, subtree_share, split_flags = solve_master_split(
         tree,
         probe_costs,
         probe_totals,
@@ -352,8 +468,10 @@ def pmo(
         # probe shape, rescaled to the subtree's awarded total
         for i, share in results[t][1].items():
             u[i] = share * subtree_share[t] / task_size
+    flags = [f for res in results.values() for f in res[4]] + list(split_flags)
+    uncertified = ("uncertified",) if "uncertified" in flags else ()
     return _solution(
-        tree, schedule, u * task_size, task_size, weights, b, "pmo",
+        tree, schedule, u * task_size, task_size, weights, b, "pmo", uncertified,
         evaluated=max(evaluated, 1),
     )
 

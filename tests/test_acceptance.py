@@ -96,7 +96,7 @@ def test_criterion_1_brute_force_optimality():
                             if sol.cost > v * (1 + 1e-9):
                                 above_grid += 1
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-4 and above_opt == 0 and above_grid == 0 and dt < 300
+    ok = worst <= 1e-12 and above_opt == 0 and above_grid == 0 and dt < 300
     line = report(
         1,
         ok,
@@ -120,7 +120,7 @@ def test_criterion_2_pmo_equals_cmo():
         worst = max(worst, abs(zb - za) / za)
         done += 1
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-7 and dt < 120
+    ok = worst <= 1e-12 and dt < 120
     line = report(2, ok, f"50 trees, worst |z_pmo - z_cmo|/z_cmo = {worst:.2e}, {dt:.1f}s")
     assert ok, line
 

@@ -1,25 +1,35 @@
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import B_COMP, make_tree, plain_of, rand_tree
+from scipy.optimize import linprog
+
+import treeload.solvers as solvers
 from treeload import (
+    GenParams,
     InfeasibleError,
     ParameterError,
     Weights,
+    build_sink_tree,
     canonical_schedule,
     cmo,
     count_schedules,
     enumerate_schedules,
+    generate_network,
     load_baseline,
+    named_topology,
     pmo,
     save_baseline,
     scale_solution,
     solve_fixed_order,
 )
+from treeload.costs import _add_waiting, _static_matrix
 
 W = Weights(0.5, 0.05)
 Y = 1e9
@@ -135,7 +145,7 @@ def test_pmo_matches_cmo_on_random_trees():
         hits += 1
         a = cmo(tree, Y, W, b=B_COMP)
         b = pmo(tree, Y, W, b=B_COMP)
-        assert abs(b.cost - a.cost) <= 1e-7 * a.cost
+        assert abs(b.cost - a.cost) <= 1e-12 * a.cost
         assert b.solver_tag == "pmo"
     assert hits >= 5
 
@@ -144,7 +154,134 @@ def test_pmo_survives_single_subtree():
     tree = make_tree([-1, 0, 1, 2], [0, 10, 5, 2], [2, 4, 3, 1])
     a = cmo(tree, Y, W, b=B_COMP)
     b = pmo(tree, Y, W, b=B_COMP)
-    assert b.cost == pytest.approx(a.cost, rel=1e-7)
+    assert b.cost == pytest.approx(a.cost, rel=1e-12)
+
+
+def _count_linprog(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "linprog", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
+def test_cmo_solves_one_lp_per_enumeration(name, monkeypatch):
+    # later schedules start from the previous certified support
+    topo = named_topology(name)
+    calls = _count_linprog(monkeypatch)
+    sol = cmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
+    assert sol.schedules_evaluated == count_schedules(topo.tree) > 1
+    assert len(calls) <= 1
+    calls.clear()
+    pmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
+    assert len(calls) <= len(topo.tree.subtree_roots) + 1
+
+
+def _highs_minmax(a: np.ndarray, forced: frozenset[int]) -> float:
+    """max(a u) at HiGHS's clipped, renormalised optimum, on the scaled LP."""
+    cols = [k for k in range(a.shape[1]) if k not in forced]
+    sub = a[:, cols]
+    msc = sub / sub.max(axis=0).min()
+    m = len(cols)
+    res = linprog(
+        np.r_[np.zeros(m), 1.0],
+        A_ub=np.hstack([msc, -np.ones((len(a), 1))]),
+        b_ub=np.zeros(len(a)),
+        A_eq=np.r_[np.ones(m), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * (m + 1),
+        method="highs",
+        options=solvers._LP_OPTIONS,
+    )
+    assert res.status == 0, res.message
+    u = np.maximum(res.x[:m], 0.0)
+    return float((sub @ (u / u.sum())).max())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=-28.0, max_value=-12.0),
+    st.sampled_from([(0.5, 0.05), (1.0, 0.0), (0.1, 0.9), (0.0, 1.0)]),
+)
+def test_split_is_certified_on_ill_conditioned_instances(seed, log_gamma, w):
+    # switched capacitance spans 1e-28..1e-2 (up to ten decades inside one
+    # network, as between the named topologies' two hardware classes) and
+    # link rates 1..100 Gbps
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    parent = [-1] + [rng.randrange(i) for i in range(1, n)]
+    rates = [0.0] + [10 ** rng.uniform(0.0, 2.0) for _ in range(n - 1)]
+    freqs = [rng.uniform(0.5, 8.0) for _ in range(n)]
+    caps = [10 ** (log_gamma + rng.uniform(0.0, 10.0)) for _ in range(n)]
+    tx = [rng.uniform(0.5, 4.0) for _ in range(n)]
+    tree = make_tree(parent, rates, freqs, caps, tx)
+    weights = Weights(*w)
+    forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
+
+    a = _static_matrix(tree, weights, B_COMP)
+    _add_waiting(a, tree, canonical_schedule(tree), weights.w1)
+    u, _, _ = solvers._minmax_unit(a, forced, None)
+    assert u.sum() == pytest.approx(1.0, abs=1e-12)
+    assert all(u[k] == 0.0 for k in forced)
+    assert (a @ u).max() <= _highs_minmax(a, forced) * (1 + 1e-12)
+
+    za = cmo(tree, Y, weights, b=B_COMP).cost
+    zb = pmo(tree, Y, weights, b=B_COMP).cost
+    assert abs(za - zb) <= 1e-12 * za
+
+
+def test_certificate_refutes_a_wrong_support():
+    # row 2 overshoots the equal-finish point of rows 0 and 1
+    m = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 0.0]])
+    assert solvers._equalise(m, np.array([0, 1]), np.array([0, 1])) is None
+    right = solvers._equalise(m, np.array([0, 1]), np.array([1, 2]))
+    assert right == pytest.approx([0.2, 0.8], abs=1e-15)
+    # a refuted warm guess falls back to HiGHS and still reaches the optimum
+    u, flags, support = solvers._minmax_unit(
+        m, frozenset(), None, (np.array([0, 1]), np.array([0, 1]))
+    )
+    assert u == pytest.approx([0.2, 0.8], abs=1e-15)
+    assert flags == ()
+    assert [list(x) for x in support] == [[0, 1], [1, 2]]
+    # against the duals of support {0}, column 1 is cheaper
+    m = np.array([[1.0, 0.5], [1.0, 0.5]])
+    assert solvers._equalise(m, np.array([0]), np.array([0])) is None
+
+
+def test_failed_polish_keeps_highs_answer_and_flags_it(monkeypatch):
+    tree = rand_tree(random.Random(12), 5)
+    sched = canonical_schedule(tree)
+    exact = solve_fixed_order(tree, sched, Y, W, b=B_COMP)
+    assert exact.flags == ()
+    monkeypatch.setattr(solvers, "_equalise", lambda m, s, r: None)
+    sol = solve_fixed_order(tree, sched, Y, W, b=B_COMP)
+    assert sol.flags == ("uncertified",)
+    assert sum(sol.allocation.y) == pytest.approx(Y, rel=1e-12)
+    assert sol.cost == pytest.approx(exact.cost, rel=1e-7)
+    assert "uncertified" in cmo(tree, Y, W, b=B_COMP).flags
+    assert "uncertified" in pmo(tree, Y, W, b=B_COMP).flags
+
+
+def test_huge_enumeration_warns_before_solving(monkeypatch):
+    # one 11-node subtree: 11! orders
+    net = generate_network(GenParams(node_count=12, edge_prob=0.3, rng_seed=7))
+    tree = build_sink_tree(net)
+    assert count_schedules(tree) == 39_916_800
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a schedule was solved before the warning")
+
+    monkeypatch.setattr(solvers, "linprog", no_solve)
+    for solve in (cmo, pmo):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="39916800"):
+                solve(tree, Y, W, b=B_COMP)
 
 
 def test_solver_rejects_bad_task_size():
