@@ -15,9 +15,16 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .costs import Allocation, Schedule, Weights, canonical_schedule, system_cost
+from .costs import (
+    Allocation,
+    Schedule,
+    Weights,
+    _static_matrix,
+    canonical_schedule,
+    system_cost,
+)
 from .errors import ParameterError
-from .solvers import Solution, _solution, solve_fixed_order
+from .solvers import Solution, _schedule_split, _solution, solve_fixed_order
 from .tree import MASTER_ID, SinkTree, prune_tree
 from .units import DEFAULT_B
 
@@ -84,7 +91,9 @@ def partial_offload_cost(
     """Best achievable cost when only the master and node i may compute.
 
     Every other node is forced to zero but still relays (and pays relay
-    energy) if it sits on the path to i.
+    energy) if it sits on the path to i.  The split has two free columns,
+    so its support comes in closed form from the rows' upper envelope and
+    no LP is solved (see `solvers._minmax_unit`).
     """
     if i == MASTER_ID:
         raise ParameterError("partial offloading needs a non-master node")
@@ -200,20 +209,38 @@ def ga(
     crossover, and mutates offspring with probability mutation_prob.
     Deterministic for a given rng_seed.  Returns the best solution seen
     across all generations.
+
+    The static cost matrix is built once per call, and each new
+    chromosome's split starts from the (S, R) certified for the previous
+    one (see `solvers._minmax_unit`), so HiGHS runs only as the cold start
+    of the first split and when a carried support fails its certificate.
+    That support and the fitness memo live only inside one call, so a
+    re-solve takes the same path.  Each chromosome is still audited into
+    a Solution and ranked by that audited cost.
     """
+    if task_size < 0.0:
+        raise ParameterError("task size must be >= 0")
     rng = random.Random(params.rng_seed)
     groups = [list(tree.subtrees[t]) for t in tree.subtree_roots]
 
     def random_chromosome() -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(rng.sample(g, len(g))) for g in groups)
 
+    static = _static_matrix(tree, weights, b)
     memo: dict[tuple[tuple[int, ...], ...], Solution] = {}
+    support = None
 
     def fitness(chrom: tuple[tuple[int, ...], ...]) -> Solution:
+        nonlocal support
         sol = memo.get(chrom)
         if sol is None:
-            sol = solve_fixed_order(
-                tree, Schedule(orders=chrom), task_size, weights, forced_zero, b=b
+            schedule = Schedule(orders=chrom)
+            _, u, flags, support = _schedule_split(
+                static, tree, schedule, weights.w1, task_size, forced_zero,
+                None, support,
+            )
+            sol = _solution(
+                tree, schedule, u * task_size, task_size, weights, b, "ga", flags
             )
             memo[chrom] = sol
         return sol
@@ -245,7 +272,7 @@ def ga(
         if gen_best.cost < best.cost:
             best = gen_best
 
-    return replace(best, solver_tag="ga", schedules_evaluated=len(memo))
+    return replace(best, schedules_evaluated=len(memo))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,18 @@ finish together, so the split is one small linear solve on (S, R): the
 equaliser.  Its answer is accepted only with a certificate: the primal
 weights and the dual row weights from the transposed solve are
 nonnegative, and the dual bound is within 1e-12 of the primal value
-(weak duality).  HiGHS (scipy's `linprog`) supplies (S, R) when none is
-known or a guess fails; its vertex is then polished by the equaliser,
-and if that cannot be certified HiGHS's own answer is kept and the
-Solution is flagged "uncertified".
+(weak duality).  (S, R) comes from, in turn: the last certified support
+of an earlier split of the same shape, when the caller carries one; for
+a split between two columns, the lowest point of the rows' upper
+envelope, found in closed form; and otherwise HiGHS (scipy's `linprog`),
+the cold start, whose vertex is polished by the equaliser.  If that
+cannot be certified either, HiGHS's own answer is kept and the Solution
+is flagged "uncertified".
 
 `cmo` enumerates every per-subtree transmission order, carrying the last
-certified (S, R) from one schedule to the next, and keeps the best.
+certified (S, R) from one schedule to the next, and keeps the best; the
+genetic search in `heuristics.ga` carries it the same way from one
+fitness evaluation to the next.
 `pmo` exploits that subtrees only interact through the master: each
 subtree is ordered and probed on its own, then one more small split
 divides the task between the master and the subtrees.
@@ -133,11 +138,13 @@ def _minmax_unit(
     The optimum is the equal-finish point of some support S of columns and
     as many tight rows R, so it is found by `_equalise` and certified by a
     dual vector.  `warm` is the (S, R) of an earlier answer on a matrix of
-    the same shape; when it certifies here, no LP is solved.  Otherwise
-    HiGHS solves the epigraph LP, its basis gives (S, R), and the
-    equaliser polishes that vertex.  When the polish fails too (degenerate
-    or singular), HiGHS's clipped, renormalised answer is returned with
-    the flag "uncertified".  Returns (u, flags, support): support is the
+    the same shape; when it certifies here, no LP is solved.  Otherwise,
+    when exactly two columns are free, (S, R) is read off the rows' upper
+    envelope in closed form (`_two_column_support`).  Failing both, HiGHS
+    solves the epigraph LP, its basis gives (S, R), and the equaliser
+    polishes that vertex.  When the polish fails too (degenerate or
+    singular), HiGHS's clipped, renormalised answer is returned with the
+    flag "uncertified".  Returns (u, flags, support): support is the
     certified (S, R) to warm-start the next call, or None.
     """
     n = a.shape[1]
@@ -162,6 +169,9 @@ def _minmax_unit(
     scale = float(sub.max(axis=0).min())
     msc = sub / scale
     u_cols = None if warm is None else _equalise(msc, *warm)
+    if u_cols is None and len(cols) == 2:
+        warm = _two_column_support(msc)
+        u_cols = _equalise(msc, *warm)
     if u_cols is None:
         res = _epigraph_lp(msc)
         warm = _lp_support(msc, res)
@@ -172,6 +182,45 @@ def _minmax_unit(
             return u, ("uncertified",), None
     u[cols] = u_cols
     return u, (), warm
+
+
+def _two_column_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, R) of a two-column split, read off the rows' upper envelope.
+
+    With weight t on column 0, row r costs the line
+    f_r(t) = msc[r, 1] + s_r t, s_r = msc[r, 0] - msc[r, 1], and the split
+    is the lowest point of max_r f_r on [0, 1].  Each falling line
+    (s_q < 0) drops below the rising and flat ones (s_r >= 0) at the
+    earliest of its crossings with them; the latest such drop, t_c, is
+    where the falling and the rising envelopes meet.  For t_c < 0 the
+    optimum is all weight on column 1 with the top rising row tight, for
+    t_c > 1 all weight on column 0 with the top falling row tight, and
+    otherwise it is the crossing itself, with both of its rows tight (a
+    crossing that rounds onto an end may sit an ulp inside it).
+    """
+    slope = msc[:, 0] - msc[:, 1]
+    rising = np.flatnonzero(slope >= 0.0)
+    falling = np.flatnonzero(slope < 0.0)
+    if falling.size == 0:
+        t_c = -math.inf
+    elif rising.size == 0:
+        t_c = math.inf
+    else:
+        # cross[i, k]: where rising line i meets falling line k
+        cross = (msc[falling, 1] - msc[rising, 1][:, None]) / (
+            slope[rising][:, None] - slope[falling]
+        )
+        drop = cross.min(axis=0)
+        k = int(np.argmax(drop))
+        t_c = float(drop[k])
+    if t_c < 0.0:
+        r = rising[int(np.argmax(msc[rising, 1]))]
+        return np.array([1]), np.array([r])
+    if t_c > 1.0:
+        q = falling[int(np.argmax(msc[falling, 0]))]
+        return np.array([0]), np.array([q])
+    r = rising[int(np.argmin(cross[:, k]))]
+    return np.array([0, 1]), np.array(sorted((int(r), int(falling[k]))))
 
 
 def _epigraph_lp(msc: np.ndarray):
@@ -254,16 +303,39 @@ def solve_fixed_order(
     """Optimal split for one fixed schedule."""
     if task_size < 0.0:
         raise ParameterError("task size must be >= 0")
-    a = _static_matrix(tree, weights, b)
-    _add_waiting(a, tree, schedule, weights.w1)
-    if task_size == 0.0:
-        u = np.zeros(len(tree))
-        u_flags: tuple[str, ...] = ()
-    else:
-        u, u_flags, _ = _minmax_unit(a, forced_zero, active_rows)
-    return _solution(
-        tree, schedule, u * task_size, task_size, weights, b, "fixed-order", u_flags
+    static = _static_matrix(tree, weights, b)
+    _, u, flags, _ = _schedule_split(
+        static, tree, schedule, weights.w1, task_size, forced_zero, active_rows
     )
+    return _solution(
+        tree, schedule, u * task_size, task_size, weights, b, "fixed-order", flags
+    )
+
+
+def _schedule_split(
+    static: np.ndarray,
+    tree: SinkTree,
+    schedule: Schedule,
+    w1: float,
+    task_size: float,
+    forced_zero: frozenset[int],
+    active_rows: tuple[int, ...] | None,
+    support: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """Unit split for one schedule, starting from a known support.
+
+    Adds the schedule's waiting terms to a copy of the static matrix and
+    solves the min-max split on it (`_minmax_unit`, warm-started from
+    `support`).  Returns (a, u, flags, support): the linear form, the unit
+    weights, their flags and the certified (S, R) to pass to the next
+    schedule.  A zero task solves nothing and passes `support` on.
+    """
+    a = static.copy()
+    _add_waiting(a, tree, schedule, w1)
+    if task_size == 0.0:
+        return a, np.zeros(len(tree)), (), support
+    u, flags, support = _minmax_unit(a, forced_zero, active_rows, support)
+    return a, u, flags, support
 
 
 def enumerate_schedules(tree: SinkTree):
@@ -318,14 +390,11 @@ def cmo(
     uncertified = False
     for schedule in enumerate_schedules(tree):
         evaluated += 1
-        a = static.copy()
-        _add_waiting(a, tree, schedule, weights.w1)
-        if task_size == 0.0:
-            u = np.zeros(len(tree))
-            flags: tuple[str, ...] = ()
-        else:
-            u, flags, support = _minmax_unit(a, forced_zero, active_rows, support)
-            uncertified = uncertified or "uncertified" in flags
+        a, u, flags, support = _schedule_split(
+            static, tree, schedule, weights.w1, task_size, forced_zero,
+            active_rows, support,
+        )
+        uncertified = uncertified or "uncertified" in flags
         y = u * task_size
         z = float(np.max(a[rows] @ y, initial=0.0))
         if best is None or z < best[0]:

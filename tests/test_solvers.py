@@ -12,24 +12,30 @@ from scipy.optimize import linprog
 
 import treeload.solvers as solvers
 from treeload import (
+    GaParams,
     GenParams,
     InfeasibleError,
+    NpParams,
     ParameterError,
     Weights,
+    baseline_partial,
     build_sink_tree,
     canonical_schedule,
     cmo,
     count_schedules,
     enumerate_schedules,
+    ga,
     generate_network,
     load_baseline,
     named_topology,
+    node_prune,
     pmo,
     save_baseline,
     scale_solution,
     solve_fixed_order,
 )
 from treeload.costs import _add_waiting, _static_matrix
+from treeload.heuristics import partial_offload_cost
 
 W = Weights(0.5, 0.05)
 Y = 1e9
@@ -181,6 +187,29 @@ def test_cmo_solves_one_lp_per_enumeration(name, monkeypatch):
     assert len(calls) <= len(topo.tree.subtree_roots) + 1
 
 
+@pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
+def test_heuristic_splits_skip_highs(name, monkeypatch):
+    # ga carries the last certified support from one chromosome to the
+    # next; master-plus-one splits are solved in closed form
+    topo = named_topology(name)
+    tree, y, w, b = topo.tree, topo.task_size, topo.weights, topo.b_comp
+    calls = _count_linprog(monkeypatch)
+    for seed in range(3):
+        calls.clear()
+        sol = ga(tree, y, w, GaParams(rng_seed=seed), b=b)
+        assert sol.schedules_evaluated > 1
+        assert len(calls) <= 1
+        # the same bits as a cold solve of the winning schedule
+        cold = solve_fixed_order(tree, sol.schedule, y, w, b=b)
+        assert sol.allocation == cold.allocation
+    calls.clear()
+    for i in range(1, len(tree)):
+        partial_offload_cost(tree, i, y, w, b=b)
+    node_prune(tree, NpParams(0.1), y, w, b=b)
+    baseline_partial(tree, y, w, b=b)
+    assert calls == []
+
+
 def _highs_minmax(a: np.ndarray, forced: frozenset[int]) -> float:
     """max(a u) at HiGHS's clipped, renormalised optimum, on the scaled LP."""
     cols = [k for k in range(a.shape[1]) if k not in forced]
@@ -202,6 +231,16 @@ def _highs_minmax(a: np.ndarray, forced: frozenset[int]) -> float:
     return float((sub @ (u / u.sum())).max())
 
 
+def _wide_tree(rng: random.Random, n: int, draw_cap):
+    """Random shape, link rates 1..100 Gbps, one draw_cap() per node's γ."""
+    parent = [-1] + [rng.randrange(i) for i in range(1, n)]
+    rates = [0.0] + [10 ** rng.uniform(0.0, 2.0) for _ in range(n - 1)]
+    freqs = [rng.uniform(0.5, 8.0) for _ in range(n)]
+    caps = [draw_cap() for _ in range(n)]
+    tx = [rng.uniform(0.5, 4.0) for _ in range(n)]
+    return make_tree(parent, rates, freqs, caps, tx)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),
@@ -214,12 +253,7 @@ def test_split_is_certified_on_ill_conditioned_instances(seed, log_gamma, w):
     # link rates 1..100 Gbps
     rng = random.Random(seed)
     n = rng.randint(2, 6)
-    parent = [-1] + [rng.randrange(i) for i in range(1, n)]
-    rates = [0.0] + [10 ** rng.uniform(0.0, 2.0) for _ in range(n - 1)]
-    freqs = [rng.uniform(0.5, 8.0) for _ in range(n)]
-    caps = [10 ** (log_gamma + rng.uniform(0.0, 10.0)) for _ in range(n)]
-    tx = [rng.uniform(0.5, 4.0) for _ in range(n)]
-    tree = make_tree(parent, rates, freqs, caps, tx)
+    tree = _wide_tree(rng, n, lambda: 10 ** (log_gamma + rng.uniform(0.0, 10.0)))
     weights = Weights(*w)
     forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
 
@@ -251,6 +285,68 @@ def test_certificate_refutes_a_wrong_support():
     # against the duals of support {0}, column 1 is cheaper
     m = np.array([[1.0, 0.5], [1.0, 0.5]])
     assert solvers._equalise(m, np.array([0]), np.array([0])) is None
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # parallel rows: two rising lines of slope 1, one falling
+        [[1.0, 0.0], [2.0, 1.0], [0.0, 3.0]],
+        # parallel rows only: both fall, the optimum is the end t = 1
+        [[1.0, 2.0], [2.0, 3.0]],
+        # three rows cross at t = 0.5, height 1
+        [[2.0, 0.0], [0.0, 2.0], [1.5, 0.5]],
+        # a rising and a falling row tie at t = 0, the optimum
+        [[3.0, 2.0], [1.0, 2.0], [0.5, 1.0]],
+        # two rising rows tie at t = 0
+        [[3.0, 2.0], [4.0, 2.0]],
+        # a falling and a rising row tie at t = 1, the optimum
+        [[2.0, 3.0], [2.0, 1.0]],
+        # flat top row: every t in [0.25, 0.75] is optimal
+        [[2.0, 0.0], [0.0, 2.0], [1.5, 1.5]],
+        # one row only
+        [[3.0, 1.0]],
+        [[1.0, 3.0]],
+        [[2.0, 2.0]],
+    ],
+)
+def test_two_column_closed_form_on_degenerate_envelopes(m, monkeypatch):
+    m = np.array(m)
+    calls = _count_linprog(monkeypatch)
+    u, flags, support = solvers._minmax_unit(m, frozenset(), None)
+    assert calls == []
+    assert flags == () and support is not None
+    assert u.min() >= 0.0 and u.sum() == pytest.approx(1.0, abs=1e-15)
+    assert (m @ u).max() == pytest.approx(_highs_minmax(m, frozenset()), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([(0.5, 0.05), (1.0, 0.0), (0.1, 0.9), (0.0, 1.0)]),
+)
+def test_two_column_split_spans_26_decades(seed, w):
+    # per-node switched capacitance anywhere in 1e-28..1e-2: HiGHS failed
+    # with "Model error" on such master-plus-one splits
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    tree = _wide_tree(rng, n, lambda: 10 ** rng.uniform(-28.0, -2.0))
+    weights = Weights(*w)
+    sched = canonical_schedule(tree)
+
+    a = _static_matrix(tree, weights, B_COMP)
+    _add_waiting(a, tree, sched, weights.w1)
+    t = np.linspace(0.0, 1.0, 1001)
+    for i in range(1, n):
+        sol = solve_fixed_order(
+            tree, sched, Y, weights, frozenset(range(n)) - {0, i}, b=B_COMP
+        )
+        assert "uncertified" not in sol.flags
+        assert partial_offload_cost(tree, i, Y, weights, b=B_COMP) == sol.cost
+        # every row's cost is a line in the master's share t
+        envelope = (np.outer(a[:, 0], t) + np.outer(a[:, i], 1.0 - t)).max(axis=0)
+        assert sol.cost <= Y * envelope.min() * (1 + 1e-12)
+    node_prune(tree, NpParams(0.1), Y, weights, b=B_COMP)
 
 
 def test_failed_polish_keeps_highs_answer_and_flags_it(monkeypatch):
