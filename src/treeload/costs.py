@@ -17,6 +17,7 @@ matrix; the solvers work on that form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class Weights:
     w2: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
+            raise ParameterError("weights must be finite")
         if self.w1 < 0.0 or self.w2 < 0.0:
             raise ParameterError("weights must be nonnegative")
         if self.w1 == 0.0 and self.w2 == 0.0:
@@ -48,10 +51,10 @@ class Allocation:
     total: float
 
     def __post_init__(self):
-        if self.total < 0.0:
-            raise ParameterError("total workload must be >= 0")
+        if not 0.0 <= self.total < math.inf:
+            raise ParameterError(f"total workload must be finite and >= 0, got {self.total}")
         for i, v in enumerate(self.y):
-            if v < 0.0:
+            if not v >= 0.0:
                 raise ParameterError(f"y[{i}] must be >= 0, got {v}")
         drift = abs(sum(self.y) - self.total)
         if drift > 1e-6 * self.total + 1e-9:
@@ -142,12 +145,10 @@ def system_cost(
     energy = _static_matrix(tree, Weights(0.0, 1.0), b)
     e_comp_rate = np.diag(energy).copy()
     np.fill_diagonal(energy, 0.0)
-    waiting = np.zeros((n, n))
-    _add_waiting(waiting, tree, schedule, 1.0)
     freq = np.array([srv.cpu_freq for srv in tree.servers])
 
     t_tran = np.array(tree.path_inv_rate) * y
-    t_wait = waiting @ y
+    t_wait = _waiting(tree, schedule) @ y
     t_comp = y * b / freq
     e_comp = e_comp_rate * y
     e_relay = energy @ y
@@ -170,19 +171,10 @@ def system_cost(
 # --- linear form ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CostCoefficients:
-    """J_i(y) = sum_k a[i, k] * y_k for a fixed tree and schedule."""
-
-    a: np.ndarray
-    b_comp: float
-
-    def system_cost(self, y: np.ndarray) -> float:
-        return float(np.max(self.a @ y))
-
-
 def _static_matrix(tree: SinkTree, weights: Weights, b: float) -> np.ndarray:
     """Schedule-independent part: own time/energy plus ancestors' relay energy."""
+    if not 0.0 < b < math.inf:
+        raise ParameterError(f"cycles per bit must be finite and > 0, got {b}")
     n = len(tree)
     a = np.zeros((n, n))
     own = list(range(n))
@@ -205,15 +197,14 @@ def _static_matrix(tree: SinkTree, weights: Weights, b: float) -> np.ndarray:
     return a
 
 
-def _add_waiting(a: np.ndarray, tree: SinkTree, schedule: Schedule, w1: float) -> None:
-    late, early, shared = [], [], []
+def _waiting(tree: SinkTree, schedule: Schedule) -> np.ndarray:
+    """Unit-weight waiting terms: i waits on each j sent before it in its subtree."""
+    pos = [0] * len(tree)
     for seq in schedule.orders:
-        for pos, i in enumerate(seq):
-            for j in seq[:pos]:
-                late.append(i)
-                early.append(j)
-                shared.append(w1 * tree.shared_prefix_inv_rate(i, j))
-    a[late, early] += shared
+        for k, i in enumerate(seq):
+            pos[i] = k
+    rank = np.array(pos)
+    return tree.shared_inv_rate * (rank[:, None] > rank[None, :])
 
 
 def cost_coefficients(
@@ -221,9 +212,9 @@ def cost_coefficients(
     schedule: Schedule,
     weights: Weights,
     b: float = DEFAULT_B,
-) -> CostCoefficients:
+) -> np.ndarray:
+    """Read-only matrix a of the linear form J_i(y) = sum_k a[i, k] * y_k."""
     validate_schedule(tree, schedule)
-    a = _static_matrix(tree, weights, b)
-    _add_waiting(a, tree, schedule, weights.w1)
+    a = _static_matrix(tree, weights, b) + weights.w1 * _waiting(tree, schedule)
     a.flags.writeable = False
-    return CostCoefficients(a=a, b_comp=b)
+    return a

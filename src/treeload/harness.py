@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -246,8 +247,9 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         problems.append("network: needs one of topology|file|generate")
 
     task_gbit = doc.get("task_size_gbit", 1.0)
-    if not isinstance(task_gbit, (int, float)) or task_gbit < 0:
-        problems.append("task_size_gbit: must be a number >= 0")
+    # json reads NaN and Infinity as floats
+    if not isinstance(task_gbit, (int, float)) or not 0 <= task_gbit < math.inf:
+        problems.append("task_size_gbit: must be a finite number >= 0")
 
     weights = None
     wdoc = doc.get("weights", {"time": 0.5, "energy": 0.05})
@@ -260,8 +262,8 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
             problems.append(f"weights: {exc}")
 
     b_comp = doc.get("cycles_per_bit", DEFAULT_B)
-    if not isinstance(b_comp, (int, float)) or b_comp <= 0:
-        problems.append("cycles_per_bit: must be a number > 0")
+    if not isinstance(b_comp, (int, float)) or not 0 < b_comp < math.inf:
+        problems.append("cycles_per_bit: must be a finite number > 0")
 
     reps = doc.get("repetitions", 20)
     if not isinstance(reps, int) or reps < 0:

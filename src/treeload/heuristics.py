@@ -218,8 +218,8 @@ def ga(
     re-solve takes the same path.  Each chromosome is still audited into
     a Solution and ranked by that audited cost.
     """
-    if task_size < 0.0:
-        raise ParameterError("task size must be >= 0")
+    if not 0.0 <= task_size < math.inf:
+        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
     rng = random.Random(params.rng_seed)
     groups = [list(tree.subtrees[t]) for t in tree.subtree_roots]
 

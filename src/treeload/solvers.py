@@ -48,9 +48,10 @@ from .costs import (
     CostBreakdown,
     Schedule,
     Weights,
-    _add_waiting,
     _static_matrix,
+    _waiting,
     system_cost,
+    validate_schedule,
 )
 from .errors import InfeasibleError, ParameterError
 from .tree import SinkTree, extract_subtree, tree_fingerprint
@@ -301,8 +302,9 @@ def solve_fixed_order(
     active_rows: tuple[int, ...] | None = None,
 ) -> Solution:
     """Optimal split for one fixed schedule."""
-    if task_size < 0.0:
-        raise ParameterError("task size must be >= 0")
+    if not 0.0 <= task_size < math.inf:
+        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
+    validate_schedule(tree, schedule)
     static = _static_matrix(tree, weights, b)
     _, u, flags, _ = _schedule_split(
         static, tree, schedule, weights.w1, task_size, forced_zero, active_rows
@@ -324,14 +326,14 @@ def _schedule_split(
 ):
     """Unit split for one schedule, starting from a known support.
 
-    Adds the schedule's waiting terms to a copy of the static matrix and
-    solves the min-max split on it (`_minmax_unit`, warm-started from
-    `support`).  Returns (a, u, flags, support): the linear form, the unit
+    Adds w1 times the schedule's waiting terms (a mask over the tree's
+    sharing matrix) to the static matrix and solves the min-max split on
+    it (`_minmax_unit`, warm-started from `support`).  The schedule must
+    be valid.  Returns (a, u, flags, support): the linear form, the unit
     weights, their flags and the certified (S, R) to pass to the next
     schedule.  A zero task solves nothing and passes `support` on.
     """
-    a = static.copy()
-    _add_waiting(a, tree, schedule, w1)
+    a = static + w1 * _waiting(tree, schedule)
     if task_size == 0.0:
         return a, np.zeros(len(tree)), (), support
     u, flags, support = _minmax_unit(a, forced_zero, active_rows, support)
@@ -339,10 +341,17 @@ def _schedule_split(
 
 
 def enumerate_schedules(tree: SinkTree):
-    """Every per-subtree order combination, in deterministic lexicographic order."""
-    pools = [itertools.permutations(tree.subtrees[t]) for t in tree.subtree_roots]
-    for combo in itertools.product(*pools):
-        yield Schedule(orders=tuple(combo))
+    """Every per-subtree order combination, lazily, in lexicographic order."""
+    groups = [tree.subtrees[t] for t in tree.subtree_roots]
+
+    def extend(prefix: tuple[tuple[int, ...], ...]):
+        if len(prefix) == len(groups):
+            yield Schedule(orders=prefix)
+            return
+        for order in itertools.permutations(groups[len(prefix)]):
+            yield from extend(prefix + (order,))
+
+    yield from extend(())
 
 
 def count_schedules(tree: SinkTree) -> int:
@@ -372,8 +381,8 @@ def cmo(
     The result is flagged "uncertified" when any schedule's split was.
     Warns (RuntimeWarning) before enumerating more than 10**6 schedules.
     """
-    if task_size < 0.0:
-        raise ParameterError("task size must be >= 0")
+    if not 0.0 <= task_size < math.inf:
+        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
     total = count_schedules(tree)
     if total > _WARN_SCHEDULES:
         warnings.warn(
@@ -493,8 +502,8 @@ def pmo(
     Matches `cmo` cost while evaluating sum-of-factorials many schedules
     instead of their product.
     """
-    if task_size < 0.0:
-        raise ParameterError("task size must be >= 0")
+    if not 0.0 <= task_size < math.inf:
+        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
     roots = tree.subtree_roots
     probe_size = task_size if task_size > 0.0 else 1.0
     probed = [t for t in roots if any(i not in forced_zero for i in tree.subtrees[t])]
@@ -547,8 +556,8 @@ def pmo(
 
 def scale_solution(base: Solution, new_task_size: float) -> Solution:
     """Rescale a solved split to a new task size; schedule and shape carry over."""
-    if new_task_size < 0.0:
-        raise ParameterError("task size must be >= 0")
+    if not 0.0 <= new_task_size < math.inf:
+        raise ParameterError(f"task size must be finite and >= 0, got {new_task_size}")
     if base.task_size <= 0.0:
         raise ParameterError("base solution must have a positive task size")
     factor = new_task_size / base.task_size

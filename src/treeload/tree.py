@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ParameterError, UnreachableNodeError
 from .network import MASTER_ID, NetworkGraph, ServerParams
 
@@ -110,17 +112,20 @@ class SinkTree:
             acc[i] = acc[self.parent[i]] + 1.0 / self.edge_rate[i]
         return tuple(acc)
 
-    def shared_prefix_inv_rate(self, i: int, j: int) -> float:
-        """Sum of 1/rate over the edges both delivery paths traverse."""
-        # ancestors carry smaller ids, so stepping the larger id up to its
-        # parent until the two meet lands on the deepest common node
-        parent = self.parent
-        while i != j:
-            if i > j:
-                i = parent[i]
-            else:
-                j = parent[j]
-        return self.path_inv_rate[i]
+    @cached_property
+    def shared_inv_rate(self) -> np.ndarray:
+        """Read-only n×n: 1/rate summed over the edges paths i and j share.
+
+        0 across subtrees and on the master's row and column.
+        """
+        n = len(self)
+        w = np.zeros((n, n))
+        for i in range(1, n):
+            # a smaller id meets i where it meets i's parent
+            w[i, :i] = w[:i, i] = w[self.parent[i], :i]
+            w[i, i] = self.path_inv_rate[i]
+        w.flags.writeable = False
+        return w
 
     @property
     def relabel_map(self) -> dict[int, int]:

@@ -167,8 +167,8 @@ def check_solution(sol: Solution) -> list[CheckResult]:
         )
     )
 
-    coeff = cost_coefficients(tree, sched, sol.weights, sol.b_comp)
-    lin = coeff.system_cost(alloc.as_array())
+    a = cost_coefficients(tree, sched, sol.weights, sol.b_comp)
+    lin = float((a @ alloc.as_array()).max())
     rel = abs(lin - bd.j_system) / max(bd.j_system, 1e-300)
     out.append(
         CheckResult(

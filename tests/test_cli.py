@@ -92,6 +92,26 @@ def test_solve_np_needs_threshold(capsys):
     assert "theta-p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "pmo", "--w1", "nan"],
+        ["--method", "pmo", "--w1", "inf"],
+        ["--method", "pmo", "--task-gbit", "inf"],
+        ["--method", "pmo", "--task-gbit", "nan"],
+        ["--method", "pmo", "--cycles-per-gbit", "-1"],
+        ["--method", "pmo", "--cycles-per-gbit", "0"],
+        ["--method", "local", "--w1", "nan"],
+    ],
+)
+def test_solve_rejects_bad_numbers(flags, capsys):
+    rc = main(["solve", "--topology", "mixed", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_solve_reports_the_requested_method(capsys):
     rc = main(
         ["solve", "--topology", "mixed", "--method", "np+pmo",

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -41,6 +42,11 @@ def test_weights_validation():
         Weights(-0.1, 0.5)
     with pytest.raises(ParameterError):
         Weights(0.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            Weights(bad, 0.5)
+        with pytest.raises(ParameterError):
+            Weights(0.5, bad)
 
 
 def test_allocation_validation():
@@ -48,6 +54,11 @@ def test_allocation_validation():
         Allocation(y=(-1.0, 2.0), total=1.0)
     with pytest.raises(ParameterError):
         Allocation(y=(1.0, 1.0), total=5.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            Allocation(y=(1.0, 1.0), total=bad)
+    with pytest.raises(ParameterError):
+        Allocation(y=(math.nan, 1.0), total=1.0)
 
 
 def test_canonical_schedule_sorted_per_subtree():
@@ -163,14 +174,15 @@ def test_linear_form_reproduces_cost(seed):
     rng = random.Random(seed)
     tree = rand_tree(rng, rng.randint(2, 8))
     sched = rand_schedule(tree, rng)
-    coeff = cost_coefficients(tree, sched, W, B_COMP)
+    a = cost_coefficients(tree, sched, W, B_COMP)
+    assert not a.flags.writeable
     for _ in range(3):
         alloc = spread(tree, rng)
         br = system_cost(tree, sched, alloc, W, B_COMP)
         y = np.array(alloc.y)
-        assert coeff.system_cost(y) == pytest.approx(br.j_system, rel=1e-12)
+        assert np.max(a @ y) == pytest.approx(br.j_system, rel=1e-12)
         for i in range(len(tree)):
-            assert coeff.a[i] @ y == pytest.approx(br.j_node[i], rel=1e-12)
+            assert a[i] @ y == pytest.approx(br.j_node[i], rel=1e-12)
 
 
 def test_cost_scales_linearly_with_mass():

@@ -1,4 +1,7 @@
+import csv
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,7 @@ def test_doc_parses_and_defaults():
 def test_doc_error_lists_every_problem_at_once():
     bad = doc(
         task_size_gbit=-1,
+        cycles_per_bit=math.nan,
         repetitions=-3,
         methods=["pmo", "warp", "np+local", "+pmo", {"name": 7},
                  {"name": "pmo", "params": []}],
@@ -61,12 +65,22 @@ def test_doc_error_lists_every_problem_at_once():
         scenario_from_doc(bad)
     msg = str(exc.value)
     assert "task_size_gbit" in msg
+    assert "cycles_per_bit" in msg
     assert "repetitions" in msg
     assert "warp" in msg
     assert "methods[2]: unknown method 'np+local'" in msg
     assert "methods[3]: unknown method '+pmo'" in msg
     assert "methods[4]: unknown method 7" in msg
     assert "methods[5]: params: must be an object" in msg
+
+
+@pytest.mark.parametrize("field", ["task_size_gbit", "cycles_per_bit"])
+@pytest.mark.parametrize("text", ["NaN", "Infinity"])
+def test_doc_rejects_non_finite_numbers(field, text):
+    # json reads NaN and Infinity as floats
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_doc(doc(**{field: json.loads(text)}))
+    assert field in str(exc.value)
 
 
 def test_doc_requires_np_params():
@@ -327,3 +341,22 @@ def test_float_format_uses_12_significant_digits(tmp_path):
     cost_field = row.split(",")[4]
     assert float(cost_field) == pytest.approx(records[0].cost, rel=1e-11)
     assert len(cost_field.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+def _rows_without_timing(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    k = rows[0].index("T_exe_s")
+    return [row[:k] + row[k + 1:] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "scenarios").glob("*.json")), ids=lambda p: p.stem
+)
+def test_scenario_reproduces_committed_results(path, tmp_path):
+    # every committed result file is deterministic apart from its timing
+    s = replace(load_scenario(path), repetitions=0)
+    out = tmp_path / f"{s.scenario_id}.csv"
+    emit_csv(run_scenario(s), out)
+    want = _rows_without_timing(ROOT / "results" / f"{s.scenario_id}.csv")
+    assert _rows_without_timing(out) == want

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from treeload import (
     InfeasibleError,
     NpParams,
     ParameterError,
+    Schedule,
+    ScheduleError,
     Weights,
     baseline_partial,
     build_sink_tree,
@@ -34,7 +37,7 @@ from treeload import (
     scale_solution,
     solve_fixed_order,
 )
-from treeload.costs import _add_waiting, _static_matrix
+from treeload.costs import cost_coefficients
 from treeload.heuristics import partial_offload_cost
 
 W = Weights(0.5, 0.05)
@@ -108,10 +111,39 @@ def test_zero_task_costs_nothing():
 def test_enumeration_matches_reference():
     for seed in range(8):
         tree = rand_tree(random.Random(seed + 50), random.Random(seed).randint(3, 7))
-        mine = {s.orders for s in enumerate_schedules(tree)}
-        ref = set(oracles.all_schedules(tree.parent))
+        # the order decides cmo's ties
+        mine = [s.orders for s in enumerate_schedules(tree)]
+        ref = list(oracles.all_schedules(tree.parent))
         assert mine == ref
         assert count_schedules(tree) == len(ref) == oracles.count_all_schedules(tree.parent)
+
+
+def test_first_schedule_of_a_large_subtree_lists_no_orders():
+    # one 9-node subtree has 362,880 orders; the first must come before
+    # any list of them is built
+    tree = make_tree([-1, 0, 1, 1, 2, 2, 3, 3, 4, 4], [0.0] + [10.0] * 9, [2.0] * 10)
+    tracemalloc.start()
+    try:
+        first = next(enumerate_schedules(tree))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.orders == (tuple(range(1, 10)),)
+    assert peak < 2**20
+
+
+def test_fixed_order_rejects_a_bad_schedule_before_splitting(monkeypatch):
+    def split(*args, **kwargs):
+        raise AssertionError("split solved on an invalid schedule")
+
+    monkeypatch.setattr(solvers, "_minmax_unit", split)
+    tree = rand_tree(random.Random(8), 6)
+    first, *rest = canonical_schedule(tree).orders
+    unknown = Schedule(orders=(first + (len(tree),), *rest))
+    missing = Schedule(orders=(first[:-1], *rest))
+    for bad in (unknown, missing):
+        with pytest.raises(ScheduleError):
+            solve_fixed_order(tree, bad, Y, W, b=B_COMP)
 
 
 def test_cmo_is_min_over_schedules():
@@ -257,8 +289,7 @@ def test_split_is_certified_on_ill_conditioned_instances(seed, log_gamma, w):
     weights = Weights(*w)
     forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
 
-    a = _static_matrix(tree, weights, B_COMP)
-    _add_waiting(a, tree, canonical_schedule(tree), weights.w1)
+    a = cost_coefficients(tree, canonical_schedule(tree), weights, B_COMP)
     u, _, _ = solvers._minmax_unit(a, forced, None)
     assert u.sum() == pytest.approx(1.0, abs=1e-12)
     assert all(u[k] == 0.0 for k in forced)
@@ -334,8 +365,7 @@ def test_two_column_split_spans_26_decades(seed, w):
     weights = Weights(*w)
     sched = canonical_schedule(tree)
 
-    a = _static_matrix(tree, weights, B_COMP)
-    _add_waiting(a, tree, sched, weights.w1)
+    a = cost_coefficients(tree, sched, weights, B_COMP)
     t = np.linspace(0.0, 1.0, 1001)
     for i in range(1, n):
         sol = solve_fixed_order(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_net, make_tree, rand_tree
 from treeload import (
     GenParams,
@@ -135,3 +136,15 @@ def test_paths_lead_to_root_with_positive_rates(seed, n):
         assert tree.path_inv_rate[i] == pytest.approx(
             sum(1.0 / tree.edge_rate[v] for v in path[1:])
         )
+    w = tree.shared_inv_rate
+    assert (w == w.T).all()
+    edges = [set(oracles.path_edges(tree.parent, i)) for i in range(len(tree))]
+    root = [0] + [oracles.subtree_root(tree.parent, i) for i in range(1, len(tree))]
+    for i in range(len(tree)):
+        for j in range(len(tree)):
+            want = sum(1.0 / tree.edge_rate[e] for e in edges[i] & edges[j])
+            assert w[i, j] == pytest.approx(want, rel=1e-12)
+            if 0 in (i, j) or root[i] != root[j]:
+                assert w[i, j] == 0.0
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
