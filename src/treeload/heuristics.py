@@ -212,8 +212,9 @@ def ga(
 
     The static cost matrix is built once per call, and each new
     chromosome's split starts from the (S, R) certified for the previous
-    one (see `solvers._minmax_unit`), so HiGHS runs only as the cold start
-    of the first split and when a carried support fails its certificate.
+    one (see `solvers._minmax_unit`), so a small simplex cold-starts only
+    the first split and those whose carried support fails its
+    certificate; HiGHS runs only as the last resort when that fails too.
     That support and the fitness memo live only inside one call, so a
     re-solve takes the same path.  Each chromosome is still audited into
     a Solution and ranked by that audited cost.

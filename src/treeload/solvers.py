@@ -18,10 +18,12 @@ nonnegative, and the dual bound is within 1e-12 of the primal value
 (weak duality).  (S, R) comes from, in turn: the last certified support
 of an earlier split of the same shape, when the caller carries one; for
 a split between two columns, the lowest point of the rows' upper
-envelope, found in closed form; and otherwise HiGHS (scipy's `linprog`),
-the cold start, whose vertex is polished by the equaliser.  If that
-cannot be certified either, HiGHS's own answer is kept and the Solution
-is flagged "uncertified".
+envelope, found in closed form; and otherwise the final basis of a small
+dense primal simplex, the cold start (a basis of the game's LP is an
+(S, R), Shapley and Snow 1950).  Only when none of these certifies does
+HiGHS (scipy's `linprog`) run, as the last resort, its vertex polished by
+the equaliser.  If that cannot be certified either, HiGHS's own answer is
+kept and the Solution is flagged "uncertified".
 
 `cmo` enumerates every per-subtree transmission order, carrying the last
 certified (S, R) from one schedule to the next, and keeps the best; the
@@ -64,6 +66,9 @@ _LP_OPTIONS = {
 # an equaliser answer may dip this far below zero before clipping, and its
 # primal-dual gap may be at most this fraction of its value
 _CERT_TOL = 1e-12
+# a simplex tableau entry that cancels to within this fraction of the
+# terms that formed it is rounding noise, and is set to zero
+_CANCEL_TOL = 1e-13
 # cmo warns before enumerating more schedules than this
 _WARN_SCHEDULES = 10**6
 
@@ -139,14 +144,18 @@ def _minmax_unit(
     The optimum is the equal-finish point of some support S of columns and
     as many tight rows R, so it is found by `_equalise` and certified by a
     dual vector.  `warm` is the (S, R) of an earlier answer on a matrix of
-    the same shape; when it certifies here, no LP is solved.  Otherwise,
-    when exactly two columns are free, (S, R) is read off the rows' upper
-    envelope in closed form (`_two_column_support`).  Failing both, HiGHS
-    solves the epigraph LP, its basis gives (S, R), and the equaliser
-    polishes that vertex.  When the polish fails too (degenerate or
-    singular), HiGHS's clipped, renormalised answer is returned with the
-    flag "uncertified".  Returns (u, flags, support): support is the
-    certified (S, R) to warm-start the next call, or None.
+    the same shape; when it certifies here, nothing else is solved.
+    Otherwise, when exactly two columns are free, (S, R) is read off the
+    rows' upper envelope in closed form (`_two_column_support`).  Failing
+    both, a dense simplex cold-starts from the origin and its final basis
+    gives (S, R) (`_simplex_support`).  Only if that fails too does HiGHS
+    solve the epigraph LP, as the last resort: its basis gives (S, R) and
+    the equaliser polishes that vertex.  When the polish fails as well
+    (degenerate or singular), HiGHS's clipped, renormalised answer is
+    returned with the flag "uncertified".  Raises ParameterError when the
+    active part of `a` is not finite (an overflowing weight).  Returns
+    (u, flags, support): support is the certified (S, R) to warm-start
+    the next call, or None.
     """
     n = a.shape[1]
     cols = [k for k in range(n) if k not in forced_zero]
@@ -156,6 +165,11 @@ def _minmax_unit(
     u = np.zeros(n)
 
     sub = a[np.ix_(rows, cols)]
+    if not np.isfinite(sub).all():
+        raise ParameterError(
+            "split cost matrix overflows float64: a weight or node parameter "
+            "is too large"
+        )
     col_cost = sub.sum(axis=0)
     free = np.flatnonzero(col_cost == 0.0)
     if free.size or not rows:
@@ -173,6 +187,9 @@ def _minmax_unit(
     if u_cols is None and len(cols) == 2:
         warm = _two_column_support(msc)
         u_cols = _equalise(msc, *warm)
+    if u_cols is None:
+        warm = _simplex_support(msc)
+        u_cols = None if warm is None else _equalise(msc, *warm)
     if u_cols is None:
         res = _epigraph_lp(msc)
         warm = _lp_support(msc, res)
@@ -222,6 +239,55 @@ def _two_column_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.array([0]), np.array([q])
     r = rising[int(np.argmin(cross[:, k]))]
     return np.array([0, 1]), np.array(sorted((int(r), int(falling[k]))))
+
+
+def _simplex_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(S, R) of the split from a dense primal simplex, or None.
+
+    Solves max 1ᵀx s.t. msc x <= 1, x >= 0 (x = u / value) on a tableau
+    with the slacks as the first basis: the origin is feasible and every
+    column has a positive entry, so the LP is bounded and needs no
+    phase 1.  Enters the most negative reduced cost and leaves the lowest
+    row of least ratio, switching for good to Bland's rule (lowest index
+    in and out) after a degenerate step, so it cannot cycle.  Any positive
+    entry may pivot, however small (a row whose own column is 1e21 times
+    its others holds such entries), because entries that cancel to noise
+    are zeroed (_CANCEL_TOL).  The final basis is S, the basic x columns,
+    and R, the rows whose slack left it; |S| = |R| and msc[R, S] is the
+    basis matrix.  None after 50 (rows + cols) pivots or on a numerically
+    unbounded column.
+    """
+    nr, nc = msc.shape
+    t = np.zeros((nr + 1, nc + nr + 1))
+    t[:nr, :nc] = msc
+    t[:nr, nc:-1] = np.eye(nr)
+    t[:nr, -1] = 1.0
+    t[nr, :nc] = -1.0
+    basis = np.arange(nc, nc + nr)
+    bland = False
+    for _ in range(50 * (nr + nc)):
+        entering = np.flatnonzero(t[nr, :-1] < -_CERT_TOL)
+        if not entering.size:
+            s = np.sort(basis[basis < nc])
+            r = np.flatnonzero(~np.isin(np.arange(nc, nc + nr), basis))
+            return s, r
+        j = entering[0] if bland else int(np.argmin(t[nr, :-1]))
+        col = t[:nr, j]
+        rows = np.flatnonzero(col > 0.0)
+        if not rows.size:
+            return None
+        ratio = t[rows, -1] / col[rows]
+        ties = rows[ratio == ratio.min()]
+        i = ties[np.argmin(basis[ties])] if bland else ties[0]
+        bland = bland or not t[i, -1] > _CERT_TOL
+        pivot = t[i] / t[i, j]
+        step = np.outer(t[:, j], pivot)
+        new = t - step
+        new[np.abs(new) <= _CANCEL_TOL * (np.abs(t) + np.abs(step))] = 0.0
+        new[i] = pivot
+        t = new
+        basis[i] = j
+    return None
 
 
 def _epigraph_lp(msc: np.ndarray):
@@ -373,9 +439,10 @@ def cmo(
     """Exhaustive schedule search: one certified split per order combination.
 
     Each schedule's split starts from the support and tight rows certified
-    for the previous schedule, so HiGHS runs only when that guess fails
-    its certificate (see `_minmax_unit`); neighbouring orders usually
-    share their optimal support.  Candidates are scored by the largest
+    for the previous schedule, so the simplex cold start runs only when
+    that guess fails its certificate, and HiGHS only when the simplex
+    fails too (see `_minmax_unit`); neighbouring orders usually share
+    their optimal support.  Candidates are scored by the largest
     active row of the linear form; only the winner is audited into a
     Solution.  Ties go to the earliest schedule in enumeration order.
     The result is flagged "uncertified" when any schedule's split was.

@@ -112,6 +112,17 @@ def test_solve_rejects_bad_numbers(flags, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_names_an_overflowing_weight(capsys):
+    rc = main(
+        ["solve", "--nodes", "6", "--edge-prob", "0.5", "--method", "pmo",
+         "--w2", "1e308"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "overflows" in err
+    assert "Traceback" not in err
+
+
 def test_solve_reports_the_requested_method(capsys):
     rc = main(
         ["solve", "--topology", "mixed", "--method", "np+pmo",

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import treeload.solvers as solvers
 from treeload import (
     ScenarioError,
     Weights,
@@ -353,8 +354,13 @@ def _rows_without_timing(path):
 @pytest.mark.parametrize(
     "path", sorted((ROOT / "scenarios").glob("*.json")), ids=lambda p: p.stem
 )
-def test_scenario_reproduces_committed_results(path, tmp_path):
-    # every committed result file is deterministic apart from its timing
+def test_scenario_reproduces_committed_results(path, tmp_path, monkeypatch):
+    # every committed result file is deterministic apart from its timing,
+    # and no split of a shipped scenario falls back to HiGHS
+    def no_highs(*args, **kwargs):
+        raise AssertionError("a split fell back to HiGHS")
+
+    monkeypatch.setattr(solvers, "linprog", no_highs)
     s = replace(load_scenario(path), repetitions=0)
     out = tmp_path / f"{s.scenario_id}.csv"
     emit_csv(run_scenario(s), out)

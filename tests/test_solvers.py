@@ -207,16 +207,15 @@ def _count_linprog(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
-def test_cmo_solves_one_lp_per_enumeration(name, monkeypatch):
-    # later schedules start from the previous certified support
+def test_exact_solvers_skip_highs(name, monkeypatch):
+    # the first schedule's split is cold-started by the simplex, later
+    # ones start from the previous certified support
     topo = named_topology(name)
     calls = _count_linprog(monkeypatch)
     sol = cmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
     assert sol.schedules_evaluated == count_schedules(topo.tree) > 1
-    assert len(calls) <= 1
-    calls.clear()
     pmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
-    assert len(calls) <= len(topo.tree.subtree_roots) + 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
@@ -227,14 +226,12 @@ def test_heuristic_splits_skip_highs(name, monkeypatch):
     tree, y, w, b = topo.tree, topo.task_size, topo.weights, topo.b_comp
     calls = _count_linprog(monkeypatch)
     for seed in range(3):
-        calls.clear()
         sol = ga(tree, y, w, GaParams(rng_seed=seed), b=b)
         assert sol.schedules_evaluated > 1
-        assert len(calls) <= 1
+        assert calls == []
         # the same bits as a cold solve of the winning schedule
         cold = solve_fixed_order(tree, sol.schedule, y, w, b=b)
         assert sol.allocation == cold.allocation
-    calls.clear()
     for i in range(1, len(tree)):
         partial_offload_cost(tree, i, y, w, b=b)
     node_prune(tree, NpParams(0.1), y, w, b=b)
@@ -306,7 +303,8 @@ def test_certificate_refutes_a_wrong_support():
     assert solvers._equalise(m, np.array([0, 1]), np.array([0, 1])) is None
     right = solvers._equalise(m, np.array([0, 1]), np.array([1, 2]))
     assert right == pytest.approx([0.2, 0.8], abs=1e-15)
-    # a refuted warm guess falls back to HiGHS and still reaches the optimum
+    # a refuted warm guess falls back to a cold start and still reaches
+    # the optimum
     u, flags, support = solvers._minmax_unit(
         m, frozenset(), None, (np.array([0, 1]), np.array([0, 1]))
     )
@@ -379,6 +377,81 @@ def test_two_column_split_spans_26_decades(seed, w):
     node_prune(tree, NpParams(0.1), Y, weights, b=B_COMP)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([(0.5, 0.05), (1.0, 0.0), (0.1, 0.9), (0.0, 1.0)]),
+)
+def test_wider_splits_span_26_decades_without_highs(seed, w):
+    # per-node switched capacitance anywhere in 1e-28..1e-2 on splits of
+    # three to seven free columns: HiGHS failed with "Model error" on many
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    tree = _wide_tree(rng, n, lambda: 10 ** rng.uniform(-28.0, -2.0))
+    weights = Weights(*w)
+    forced = frozenset(rng.sample(range(n), n - rng.randint(3, min(7, n))))
+    canonical = canonical_schedule(tree)
+    shuffled = Schedule(
+        orders=tuple(tuple(rng.sample(o, len(o))) for o in canonical.orders)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_linprog(mp)
+        for sched in (canonical, shuffled):
+            sol = solve_fixed_order(tree, sched, Y, weights, forced, b=B_COMP)
+            assert "uncertified" not in sol.flags
+            # never worse than putting the whole task on one node
+            a = cost_coefficients(tree, sched, weights, B_COMP)
+            for i in set(range(n)) - forced:
+                assert sol.cost <= Y * a[:, i].max() * (1 + 1e-12)
+    assert calls == []
+
+
+# entries span four decades, as HiGHS, the reference, is unreliable on
+# wider spreads (the 26-decade tests cover those); exact repeats make ties
+# and degenerate pivots
+_ENTRIES = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.0, 10.0).map(
+    lambda v: round(v, 3)
+)
+
+
+@st.composite
+def _game_matrices(draw):
+    """Nonnegative matrices up to 40x40 with exact ties, no all-zero column."""
+    nr, nc = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    m = np.array(draw(st.lists(_ENTRIES, min_size=nr * nc, max_size=nr * nc)))
+    m = m.reshape(nr, nc)
+    if draw(st.booleans()):
+        m[:] = m[0]  # all rows equal
+    m[0, m.sum(axis=0) == 0.0] = 1.0
+    return m
+
+
+def _check_simplex_support(m: np.ndarray) -> None:
+    msc = m / m.max(axis=0).min()
+    support = solvers._simplex_support(msc)
+    assert support is not None
+    s, r = support
+    assert len(s) == len(r) > 0
+    u = solvers._equalise(msc, s, r)
+    assert u is not None
+    # HiGHS works to 1e-10 and can miss the certified value by ~1e-12
+    highs = _highs_minmax(m, frozenset())
+    assert highs * (1 - 1e-10) <= (m @ u).max() <= highs * (1 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_game_matrices())
+def test_simplex_support_certifies(m):
+    _check_simplex_support(m)
+
+
+@pytest.mark.parametrize(
+    "m", [[[3.0, 1.0, 2.0, 1.0]], [[1.0], [3.0], [2.0], [3.0]]]
+)
+def test_simplex_support_on_one_row_or_column(m):
+    _check_simplex_support(np.array(m))
+
+
 def test_failed_polish_keeps_highs_answer_and_flags_it(monkeypatch):
     tree = rand_tree(random.Random(12), 5)
     sched = canonical_schedule(tree)
@@ -402,7 +475,7 @@ def test_huge_enumeration_warns_before_solving(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a schedule was solved before the warning")
 
-    monkeypatch.setattr(solvers, "linprog", no_solve)
+    monkeypatch.setattr(solvers, "_minmax_unit", no_solve)
     for solve in (cmo, pmo):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
