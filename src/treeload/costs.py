@@ -12,7 +12,9 @@ compute time, and the energy it spends computing and relaying:
 
 The system objective is max_i J_i.  For a fixed schedule every J_i is a
 nonnegative linear form in y, which `cost_coefficients` materializes as a
-matrix; the solvers work on that form.
+matrix; the solvers work on that form.  `_node_terms` evaluates every
+term of one split, for `system_cost` and GA fitness alike.  Both take a few
+numpy operations on per-tree arrays (`SinkTree.cost_arrays`), no loop.
 """
 
 from __future__ import annotations
@@ -141,31 +143,38 @@ def system_cost(
     n = len(tree)
     if len(alloc.y) != n:
         raise ParameterError(f"allocation has {len(alloc.y)} entries, tree has {n}")
-    y = alloc.as_array()
+    wait, y = _waiting(tree, schedule), alloc.as_array()
+    terms = [tuple(v.tolist()) for v in _node_terms(tree, wait, y, weights, b)]
+    return CostBreakdown(*terms, j_system=max(terms[-1]))
+
+
+def _node_terms(
+    tree: SinkTree, wait: np.ndarray, y: np.ndarray, weights: Weights, b: float
+) -> tuple[np.ndarray, ...]:
+    """Per-node t_tran, t_wait, t_comp, t_total, e_comp, e_relay, e_total, J.
+
+    `wait` is the schedule's unit waiting matrix (`_waiting`) and y the
+    split in bits.  Raises ParameterError when a node cost is not finite.
+    """
     energy = _static_matrix(tree, Weights(0.0, 1.0), b)
     e_comp_rate = np.diag(energy).copy()
     np.fill_diagonal(energy, 0.0)
-    freq = np.array([srv.cpu_freq for srv in tree.servers])
-
-    t_tran = np.array(tree.path_inv_rate) * y
-    t_wait = _waiting(tree, schedule) @ y
-    t_comp = y * b / freq
-    e_comp = e_comp_rate * y
-    e_relay = energy @ y
-    t_total = t_tran + t_wait + t_comp
-    e_total = e_comp + e_relay
-    j_node = tuple((weights.w1 * t_total + weights.w2 * e_total).tolist())
-    return CostBreakdown(
-        t_tran=tuple(t_tran.tolist()),
-        t_wait=tuple(t_wait.tolist()),
-        t_comp=tuple(t_comp.tolist()),
-        t_total=tuple(t_total.tolist()),
-        e_comp=tuple(e_comp.tolist()),
-        e_relay=tuple(e_relay.tolist()),
-        e_total=tuple(e_total.tolist()),
-        j_node=j_node,
-        j_system=max(j_node),
-    )
+    path_inv_rate, freq = tree.cost_arrays[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_tran = path_inv_rate * y
+        t_wait = wait @ y
+        t_comp = y * b / freq
+        e_comp = e_comp_rate * y
+        e_relay = energy @ y
+        t_total = t_tran + t_wait + t_comp
+        e_total = e_comp + e_relay
+        j_node = weights.w1 * t_total + weights.w2 * e_total
+    if not np.isfinite(j_node).all():
+        raise ParameterError(
+            "node cost overflows float64: a weight, task size or node "
+            "parameter is too large"
+        )
+    return t_tran, t_wait, t_comp, t_total, e_comp, e_relay, e_total, j_node
 
 
 # --- linear form ----------------------------------------------------------
@@ -175,25 +184,14 @@ def _static_matrix(tree: SinkTree, weights: Weights, b: float) -> np.ndarray:
     """Schedule-independent part: own time/energy plus ancestors' relay energy."""
     if not 0.0 < b < math.inf:
         raise ParameterError(f"cycles per bit must be finite and > 0, got {b}")
-    n = len(tree)
-    a = np.zeros((n, n))
-    own = list(range(n))
-    a[own, own] += [
-        weights.w1 * (tree.path_inv_rate[i] + b / srv.cpu_freq)
-        for i, srv in enumerate(tree.servers)
-    ]
-    a[own, own] += [
-        weights.w2 * srv.switched_cap * b * srv.cpu_freq**2 for srv in tree.servers
-    ]
-    # every bit destined to i crosses each ancestor's outgoing radio
-    senders, dests, relay = [], [], []
-    for i, path in enumerate(tree.paths):
-        for anc, nxt in zip(path, path[1:]):
-            senders.append(anc)
-            dests.append(i)
-            relay.append(weights.w2 * tree.servers[anc].tx_power / tree.edge_rate[nxt])
-    # (sender, dest) pairs are distinct, so one indexed add books them all
-    a[senders, dests] += relay
+    path_inv_rate, freq, freq_sq, cap, tx, rate, sender, dest, nxt = tree.cost_arrays
+    a = np.zeros((len(tree), len(tree)))
+    # overflow gives inf or nan silently, as Python float arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        own = weights.w1 * (path_inv_rate + b / freq)
+        np.fill_diagonal(a, own + weights.w2 * cap * b * freq_sq)
+        # every bit destined to i crosses each ancestor's outgoing radio
+        a[sender, dest] = weights.w2 * tx[sender] / rate[nxt]
     return a
 
 

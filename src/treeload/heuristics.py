@@ -19,7 +19,9 @@ from .costs import (
     Allocation,
     Schedule,
     Weights,
+    _node_terms,
     _static_matrix,
+    _waiting,
     canonical_schedule,
     system_cost,
 )
@@ -166,11 +168,8 @@ def _ordered_crossover(
         lo, hi = hi, lo
     kept = a[lo : hi + 1]
     taken = set(kept)
-    filler = iter(x for x in bseq if x not in taken)
-    child = [next(filler) for _ in range(lo)]
-    child.extend(kept)
-    child.extend(filler)
-    return tuple(child)
+    rest = tuple([x for x in bseq if x not in taken])
+    return rest[:lo] + kept + rest[lo:]
 
 
 def _mutate(
@@ -216,8 +215,9 @@ def ga(
     the first split and those whose carried support fails its
     certificate; HiGHS runs only as the last resort when that fails too.
     That support and the fitness memo live only inside one call, so a
-    re-solve takes the same path.  Each chromosome is still audited into
-    a Solution and ranked by that audited cost.
+    re-solve takes the same path.  Fitness is the audit's own j_system
+    (`costs._node_terms` on the split just solved), bit for bit, but only
+    the winner is audited into a Solution.
     """
     if not 0.0 <= task_size < math.inf:
         raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
@@ -228,32 +228,30 @@ def ga(
         return tuple(tuple(rng.sample(g, len(g))) for g in groups)
 
     static = _static_matrix(tree, weights, b)
-    memo: dict[tuple[tuple[int, ...], ...], Solution] = {}
+    # chromosome -> (cost, split in bits, split flags)
+    memo: dict[tuple[tuple[int, ...], ...], tuple] = {}
     support = None
 
-    def fitness(chrom: tuple[tuple[int, ...], ...]) -> Solution:
+    def fitness(chrom: tuple[tuple[int, ...], ...]) -> float:
         nonlocal support
-        sol = memo.get(chrom)
-        if sol is None:
-            schedule = Schedule(orders=chrom)
+        if chrom not in memo:
+            wait = _waiting(tree, Schedule(orders=chrom))
             _, u, flags, support = _schedule_split(
-                static, tree, schedule, weights.w1, task_size, forced_zero,
-                None, support,
+                static, wait, weights.w1, task_size, forced_zero, None, support
             )
-            sol = _solution(
-                tree, schedule, u * task_size, task_size, weights, b, "ga", flags
-            )
-            memo[chrom] = sol
-        return sol
+            y = u * task_size
+            j_node = _node_terms(tree, wait, y, weights, b)[-1]
+            memo[chrom] = (max(j_node.tolist()), y, flags)
+        return memo[chrom][0]
 
     population = [random_chromosome() for _ in range(params.population)]
-    best = min((fitness(c) for c in population), key=lambda s: s.cost)
+    best = min(population, key=fitness)
     n_elite = max(1, math.ceil(params.elite_frac * params.population))
 
     for _ in range(params.generations):
-        ranked = sorted(population, key=lambda c: fitness(c).cost)
+        ranked = sorted(population, key=fitness)
         next_pop = ranked[:n_elite]
-        costs = [fitness(c).cost for c in population]
+        costs = [fitness(c) for c in population]
         zero = next((c for c, z in zip(population, costs) if z == 0.0), None)
         while len(next_pop) < params.population:
             if zero is not None:
@@ -269,11 +267,14 @@ def ga(
                 child = _mutate(rng, child, params.mutation_op)
             next_pop.append(child)
         population = next_pop
-        gen_best = min((fitness(c) for c in population), key=lambda s: s.cost)
-        if gen_best.cost < best.cost:
+        gen_best = min(population, key=fitness)
+        if fitness(gen_best) < fitness(best):
             best = gen_best
 
-    return replace(best, schedules_evaluated=len(memo))
+    _, y, flags = memo[best]
+    return _solution(
+        tree, Schedule(orders=best), y, task_size, weights, b, "ga", flags, len(memo)
+    )
 
 
 # ---------------------------------------------------------------------------

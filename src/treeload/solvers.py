@@ -373,7 +373,8 @@ def solve_fixed_order(
     validate_schedule(tree, schedule)
     static = _static_matrix(tree, weights, b)
     _, u, flags, _ = _schedule_split(
-        static, tree, schedule, weights.w1, task_size, forced_zero, active_rows
+        static, _waiting(tree, schedule), weights.w1, task_size, forced_zero,
+        active_rows,
     )
     return _solution(
         tree, schedule, u * task_size, task_size, weights, b, "fixed-order", flags
@@ -382,8 +383,7 @@ def solve_fixed_order(
 
 def _schedule_split(
     static: np.ndarray,
-    tree: SinkTree,
-    schedule: Schedule,
+    wait: np.ndarray,
     w1: float,
     task_size: float,
     forced_zero: frozenset[int],
@@ -392,16 +392,16 @@ def _schedule_split(
 ):
     """Unit split for one schedule, starting from a known support.
 
-    Adds w1 times the schedule's waiting terms (a mask over the tree's
-    sharing matrix) to the static matrix and solves the min-max split on
-    it (`_minmax_unit`, warm-started from `support`).  The schedule must
-    be valid.  Returns (a, u, flags, support): the linear form, the unit
+    Adds w1 times the schedule's unit waiting matrix `wait` (a mask over
+    the tree's sharing matrix, `costs._waiting`) to the static matrix and
+    solves the min-max split on it (`_minmax_unit`, warm-started from
+    `support`).  Returns (a, u, flags, support): the linear form, the unit
     weights, their flags and the certified (S, R) to pass to the next
     schedule.  A zero task solves nothing and passes `support` on.
     """
-    a = static + w1 * _waiting(tree, schedule)
+    a = static + w1 * wait
     if task_size == 0.0:
-        return a, np.zeros(len(tree)), (), support
+        return a, np.zeros(len(a)), (), support
     u, flags, support = _minmax_unit(a, forced_zero, active_rows, support)
     return a, u, flags, support
 
@@ -467,8 +467,8 @@ def cmo(
     for schedule in enumerate_schedules(tree):
         evaluated += 1
         a, u, flags, support = _schedule_split(
-            static, tree, schedule, weights.w1, task_size, forced_zero,
-            active_rows, support,
+            static, _waiting(tree, schedule), weights.w1, task_size,
+            forced_zero, active_rows, support,
         )
         uncertified = uncertified or "uncertified" in flags
         y = u * task_size

@@ -127,6 +127,22 @@ class SinkTree:
         w.flags.writeable = False
         return w
 
+    @cached_property
+    def cost_arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only cost-model arrays.  Per node: path_inv_rate, cpu_freq,
+        cpu_freq**2 (by Python's float power), switched_cap, tx_power and
+        edge_rate.  Per relay hop (an ancestor a of a node i): the sender a,
+        the destination i and a's next hop toward i."""
+        s = self.servers
+        node = np.array([self.path_inv_rate, [v.cpu_freq for v in s],
+                         [v.cpu_freq**2 for v in s], [v.switched_cap for v in s],
+                         [v.tx_power for v in s], self.edge_rate])
+        hops = [(anc, i, nxt) for i, path in enumerate(self.paths)
+                for anc, nxt in zip(path, path[1:])]
+        relay = np.array(hops, dtype=np.intp).reshape(-1, 3).T.copy()
+        node.flags.writeable = relay.flags.writeable = False
+        return (*node, *relay)
+
     @property
     def relabel_map(self) -> dict[int, int]:
         """Original graph id -> tree id."""

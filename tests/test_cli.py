@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -117,6 +118,21 @@ def test_solve_names_an_overflowing_weight(capsys):
         ["solve", "--nodes", "6", "--edge-prob", "0.5", "--method", "pmo",
          "--w2", "1e308"]
     )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "overflows" in err
+    assert "Traceback" not in err
+
+
+def test_local_names_an_overflowing_cost(capsys):
+    # no split runs, so the audit's own check must name the overflow, and
+    # before numpy warns about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            ["solve", "--nodes", "6", "--edge-prob", "0.5", "--method", "local",
+             "--w2", "1e308"]
+        )
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "overflows" in err

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from treeload import (
     canonical_schedule,
     system_cost,
 )
-from treeload.costs import cost_coefficients, validate_schedule
+from treeload.costs import _static_matrix, cost_coefficients, validate_schedule
+from treeload.units import DEFAULT_B
 
 W = Weights(0.5, 0.05)
 
@@ -194,3 +196,83 @@ def test_cost_scales_linearly_with_mass():
     b1 = system_cost(tree, sched, a1, W, B_COMP)
     b2 = system_cost(tree, sched, a2, W, B_COMP)
     assert b2.j_system == pytest.approx(2 * b1.j_system, rel=1e-12)
+
+
+def _static_matrix_loop(tree, weights, b):
+    """The per-pair loop `_static_matrix` replaced, kept as its bitwise reference."""
+    n = len(tree)
+    a = np.zeros((n, n))
+    own = list(range(n))
+    a[own, own] += [
+        weights.w1 * (tree.path_inv_rate[i] + b / srv.cpu_freq)
+        for i, srv in enumerate(tree.servers)
+    ]
+    a[own, own] += [
+        weights.w2 * srv.switched_cap * b * srv.cpu_freq**2 for srv in tree.servers
+    ]
+    senders, dests, relay = [], [], []
+    for i, path in enumerate(tree.paths):
+        for anc, nxt in zip(path, path[1:]):
+            senders.append(anc)
+            dests.append(i)
+            relay.append(weights.w2 * tree.servers[anc].tx_power / tree.edge_rate[nxt])
+    a[senders, dests] += relay
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
+    st.floats(min_value=-28.0, max_value=-2.0),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.05, 1.0]),
+    st.sampled_from([B_COMP, DEFAULT_B]),
+)
+def test_static_matrix_equals_loop_reference_bitwise(seed, chain, log_gamma, w1, w2, b):
+    # random trees and deep chains; γ anywhere in 1e-28..1e-2 (up to ten
+    # decades inside one network), link rates 1..100 Gbps
+    if w1 == w2 == 0.0:
+        w1 = 1.0
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    parent = [-1] + [i - 1 if chain else rng.randrange(i) for i in range(1, n)]
+    rates = [0.0] + [10 ** rng.uniform(0.0, 2.0) for _ in range(n - 1)]
+    freqs = [rng.uniform(0.5, 8.0) for _ in range(n)]
+    caps = [10 ** min(log_gamma + rng.uniform(0.0, 10.0), -2.0) for _ in range(n)]
+    tx = [rng.uniform(0.5, 4.0) for _ in range(n)]
+    tree = make_tree(parent, rates, freqs, caps, tx)
+    weights = Weights(w1, w2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _static_matrix(tree, weights, b)
+    assert got.tobytes() == _static_matrix_loop(tree, weights, b).tobytes()
+
+
+def test_static_matrix_overflows_like_python_floats():
+    # an overflowing weight gives the loop's inf entries, without a warning
+    tree = rand_tree(random.Random(11), 7)
+    weights = Weights(0.5, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _static_matrix(tree, weights, DEFAULT_B)
+    assert not np.isfinite(got).all()
+    assert got.tobytes() == _static_matrix_loop(tree, weights, DEFAULT_B).tobytes()
+
+
+def test_cost_arrays_are_cached_and_read_only():
+    tree = rand_tree(random.Random(12), 6)
+    arrays = tree.cost_arrays
+    assert tree.cost_arrays is arrays
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_system_cost_names_an_overflowing_node_cost():
+    tree = rand_tree(random.Random(13), 5)
+    alloc = spread(tree, random.Random(14), total=1e12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="overflows float64"):
+            system_cost(tree, canonical_schedule(tree), alloc, Weights(1e308, 1e308))

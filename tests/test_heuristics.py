@@ -10,6 +10,7 @@ from treeload import (
     LpParams,
     NpParams,
     ParameterError,
+    Schedule,
     Weights,
     baseline_local,
     baseline_master_worker,
@@ -22,7 +23,8 @@ from treeload import (
     node_prune,
     solve_fixed_order,
 )
-from treeload.costs import validate_schedule
+from treeload import costs, heuristics, solvers
+from treeload.costs import Allocation, system_cost, validate_schedule
 from treeload.heuristics import (
     _mutate,
     _ordered_crossover,
@@ -144,6 +146,38 @@ def test_mutation_yields_permutations(seed, op):
         assert sorted(seq) == sorted(ref)
 
 
+def _ordered_crossover_by_generator(rng, a, bseq):
+    """The generator-fed OX that `_ordered_crossover` replaced."""
+    n = len(a)
+    if n <= 1:
+        return a
+    lo = rng.randrange(n)
+    hi = rng.randrange(n)
+    if lo > hi:
+        lo, hi = hi, lo
+    kept = a[lo : hi + 1]
+    taken = set(kept)
+    filler = iter(x for x in bseq if x not in taken)
+    child = [next(filler) for _ in range(lo)]
+    child.extend(kept)
+    child.extend(filler)
+    return tuple(child)
+
+
+def test_crossover_matches_the_generator_version():
+    # same children and same random draws, so GA takes the same path
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(0, 12)
+        a = tuple(rng.sample(range(n), n))
+        b = tuple(rng.sample(range(n), n))
+        mine, ref = random.Random(seed + 1), random.Random(seed + 1)
+        for _ in range(5):
+            child = _ordered_crossover(mine, a, b)
+            assert child == _ordered_crossover_by_generator(ref, a, b)
+            assert mine.getstate() == ref.getstate()
+
+
 def test_ga_is_deterministic_per_seed():
     tree = rand_tree(random.Random(4), 7)
     p = GaParams(population=6, generations=8, rng_seed=33)
@@ -181,6 +215,64 @@ def test_ga_respects_forced_zero():
     tree = rand_tree(random.Random(8), 6)
     sol = ga(tree, Y, W, GaParams(population=4, generations=3), frozenset({1}), b=B_COMP)
     assert sol.allocation.y[1] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ga_fitness_equals_audited_cost(seed, monkeypatch):
+    # the roulette weights GA draws parents with are 1 / the audit's
+    # j_system, bit for bit, on the schedules and splits GA itself produces
+    rng = random.Random(seed + 700)
+    tree = rand_tree(rng, rng.randint(3, 9))
+    weights = rng.choice([W, Weights(1.0, 0.0), Weights(0.2, 0.8)])
+    schedule_of, split_of, drawn = {}, {}, []
+
+    def waiting(tree_, schedule):
+        wait = costs._waiting(tree_, schedule)
+        schedule_of[id(wait)] = (wait, schedule)
+        return wait
+
+    def node_terms(tree_, wait, y, weights_, b):
+        split_of[schedule_of[id(wait)][1].orders] = y.copy()
+        return costs._node_terms(tree_, wait, y, weights_, b)
+
+    class Recording(random.Random):
+        def choices(self, population, weights=None, **kw):
+            drawn.append((list(population), list(weights)))
+            return super().choices(population, weights=weights, **kw)
+
+    monkeypatch.setattr(heuristics, "_waiting", waiting)
+    monkeypatch.setattr(heuristics, "_node_terms", node_terms)
+    monkeypatch.setattr(heuristics.random, "Random", Recording)
+    params = GaParams(population=5, generations=6, rng_seed=seed)
+    sol = ga(tree, Y, weights, params, b=B_COMP)
+    assert drawn and len(split_of) == sol.schedules_evaluated
+    audited = {}
+    for chrom, y in split_of.items():
+        alloc = Allocation(y=tuple(y.tolist()), total=Y)
+        audited[chrom] = system_cost(tree, Schedule(chrom), alloc, weights, B_COMP)
+    for population, roulette in drawn:
+        assert roulette == [1.0 / audited[c].j_system for c in population]
+    assert sol.cost == min(br.j_system for br in audited.values())
+
+
+def test_ga_audits_only_its_winner(monkeypatch):
+    calls, splits = [], []
+    monkeypatch.setattr(
+        solvers, "system_cost", lambda *a: calls.append(1) or system_cost(*a)
+    )
+    split = heuristics._schedule_split
+    monkeypatch.setattr(
+        heuristics, "_schedule_split", lambda *a: splits.append(1) or split(*a)
+    )
+    for seed in range(4):
+        tree = rand_tree(random.Random(seed + 800), 8)
+        calls.clear()
+        splits.clear()
+        params = GaParams(population=6, generations=10, rng_seed=seed)
+        sol = ga(tree, Y, W, params, b=B_COMP)
+        assert len(calls) == 1
+        # one split per distinct chromosome
+        assert sol.schedules_evaluated == len(splits) > 1
 
 
 def test_local_baseline_piles_on_master():
