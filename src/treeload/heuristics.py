@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .costs import (
-    Allocation,
     Schedule,
     Weights,
     _node_terms,
     _static_matrix,
     _waiting,
     canonical_schedule,
-    system_cost,
 )
 from .errors import ParameterError
 from .solvers import Solution, _schedule_split, _solution, solve_fixed_order
@@ -228,7 +226,7 @@ def ga(
         return tuple(tuple(rng.sample(g, len(g))) for g in groups)
 
     static = _static_matrix(tree, weights, b)
-    # chromosome -> (cost, split in bits, split flags)
+    # chromosome -> (cost, split in bits)
     memo: dict[tuple[tuple[int, ...], ...], tuple] = {}
     support = None
 
@@ -236,12 +234,12 @@ def ga(
         nonlocal support
         if chrom not in memo:
             wait = _waiting(tree, Schedule(orders=chrom))
-            _, u, flags, support = _schedule_split(
+            _, u, support = _schedule_split(
                 static, wait, weights.w1, task_size, forced_zero, None, support
             )
             y = u * task_size
             j_node = _node_terms(tree, wait, y, weights, b)[-1]
-            memo[chrom] = (max(j_node.tolist()), y, flags)
+            memo[chrom] = (max(j_node.tolist()), y)
         return memo[chrom][0]
 
     population = [random_chromosome() for _ in range(params.population)]
@@ -271,9 +269,9 @@ def ga(
         if fitness(gen_best) < fitness(best):
             best = gen_best
 
-    _, y, flags = memo[best]
+    _, y = memo[best]
     return _solution(
-        tree, Schedule(orders=best), y, task_size, weights, b, "ga", flags, len(memo)
+        tree, Schedule(orders=best), y, task_size, weights, b, "ga", len(memo)
     )
 
 
@@ -293,13 +291,12 @@ def baseline_local(
 
 def _time_optimal_subset(
     tree: SinkTree, keep: frozenset[int], task_size: float, b: float
-) -> Allocation:
+) -> Solution:
     """Completion-time-optimal split restricted to `keep` nodes."""
     forced = frozenset(range(len(tree))) - keep
-    sol = solve_fixed_order(
+    return solve_fixed_order(
         tree, canonical_schedule(tree), task_size, Weights(1.0, 0.0), forced, b=b
     )
-    return sol.allocation
 
 
 def baseline_partial(
@@ -309,22 +306,17 @@ def baseline_partial(
 
     The split and the neighbor choice minimize completion time; the
     reported cost re-evaluates that allocation at the given weights.
+    Without a one-hop neighbor the whole task stays on the master.
     """
-    sched = canonical_schedule(tree)
-    best: Solution | None = None
     best_time = math.inf
+    y = (task_size,) + (0.0,) * (len(tree) - 1)
     for j in tree.children[MASTER_ID]:
-        alloc = _time_optimal_subset(tree, frozenset({MASTER_ID, j}), task_size, b)
-        timed = system_cost(tree, sched, alloc, Weights(1.0, 0.0), b)
-        if timed.j_system < best_time:
-            best_time = timed.j_system
-            best = _solution(
-                tree, sched, alloc.y, task_size, weights, b, "baseline-partial"
-            )
-    if best is None:
-        sol = baseline_local(tree, task_size, weights, b=b)
-        return replace(sol, solver_tag="baseline-partial")
-    return best
+        timed = _time_optimal_subset(tree, frozenset({MASTER_ID, j}), task_size, b)
+        if timed.cost < best_time:
+            best_time, y = timed.cost, timed.allocation.y
+    return _solution(
+        tree, canonical_schedule(tree), y, task_size, weights, b, "baseline-partial"
+    )
 
 
 def baseline_master_worker(
@@ -336,7 +328,7 @@ def baseline_master_worker(
     concurrent and nothing waits.  Cost is reported at the given weights.
     """
     keep = frozenset({MASTER_ID}) | frozenset(tree.children[MASTER_ID])
-    alloc = _time_optimal_subset(tree, keep, task_size, b)
+    alloc = _time_optimal_subset(tree, keep, task_size, b).allocation
     return _solution(
         tree,
         canonical_schedule(tree),

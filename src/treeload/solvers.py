@@ -20,10 +20,11 @@ of an earlier split of the same shape, when the caller carries one; for
 a split between two columns, the lowest point of the rows' upper
 envelope, found in closed form; and otherwise the final basis of a small
 dense primal simplex, the cold start (a basis of the game's LP is an
-(S, R), Shapley and Snow 1950).  Only when none of these certifies does
-HiGHS (scipy's `linprog`) run, as the last resort, its vertex polished by
-the equaliser.  If that cannot be certified either, HiGHS's own answer is
-kept and the Solution is flagged "uncertified".
+(S, R), Shapley and Snow 1950); then the pure saddle point.  Only when
+none of these certifies does HiGHS (scipy's `linprog`) run, as the last
+resort, its vertex polished by the equaliser.  A split that cannot be
+certified even then raises InfeasibleError, so every split returned
+carries the certificate.
 
 `cmo` enumerates every per-subtree transmission order, carrying the last
 certified (S, R) from one schedule to the next, and keeps the best; the
@@ -75,7 +76,12 @@ _WARN_SCHEDULES = 10**6
 
 @dataclass(frozen=True)
 class Solution:
-    """A solved instance: the split, the schedule, and its audited cost."""
+    """A solved instance: the split, the schedule, and its audited cost.
+
+    A split solved here (every exact solver's, and GA's) is certified
+    optimal for its schedule; one that cannot be certified raises
+    InfeasibleError instead (see `_minmax_unit`).
+    """
 
     tree: SinkTree
     weights: Weights
@@ -87,7 +93,6 @@ class Solution:
     breakdown: CostBreakdown
     solver_tag: str
     schedules_evaluated: int = 1
-    flags: tuple[str, ...] = ()
 
 
 def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
@@ -135,7 +140,7 @@ def _minmax_unit(
     forced_zero: frozenset[int],
     active_rows: tuple[int, ...] | None,
     warm: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, tuple[str, ...], tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Minimize max over rows of (a u) on the simplex; returns unit weights u.
 
     Columns in forced_zero are pinned to zero.  active_rows restricts which
@@ -148,14 +153,15 @@ def _minmax_unit(
     Otherwise, when exactly two columns are free, (S, R) is read off the
     rows' upper envelope in closed form (`_two_column_support`).  Failing
     both, a dense simplex cold-starts from the origin and its final basis
-    gives (S, R) (`_simplex_support`).  Only if that fails too does HiGHS
-    solve the epigraph LP, as the last resort: its basis gives (S, R) and
-    the equaliser polishes that vertex.  When the polish fails as well
-    (degenerate or singular), HiGHS's clipped, renormalised answer is
-    returned with the flag "uncertified".  Raises ParameterError when the
-    active part of `a` is not finite (an overflowing weight).  Returns
-    (u, flags, support): support is the certified (S, R) to warm-start
-    the next call, or None.
+    gives (S, R) (`_simplex_support`).  When that fails (pivot cap, or a
+    final basis the certificate refutes), the pure saddle point is tried:
+    the column of least maximum against the row of greatest minimum.
+    Only if that fails too does HiGHS solve the epigraph LP, as the last
+    resort: its basis gives (S, R) and the equaliser polishes that vertex.
+    Raises InfeasibleError when even that polish fails its certificate,
+    and ParameterError when the active part of `a` is not finite (an
+    overflowing weight).  Returns (u, support): support is the certified
+    (S, R) to warm-start the next call, or None.
     """
     n = a.shape[1]
     cols = [k for k in range(n) if k not in forced_zero]
@@ -175,7 +181,7 @@ def _minmax_unit(
     if free.size or not rows:
         # a column nobody pays for absorbs everything at zero cost
         u[cols[int(free[0])] if free.size else cols[0]] = 1.0
-        return u, ("free-node-shortcut",), None
+        return u, None
 
     # scale by the smallest per-column maximum: that value bounds the
     # optimum from above (all mass on that column), and the optimum is at
@@ -191,15 +197,16 @@ def _minmax_unit(
         warm = _simplex_support(msc)
         u_cols = None if warm is None else _equalise(msc, *warm)
     if u_cols is None:
-        res = _epigraph_lp(msc)
-        warm = _lp_support(msc, res)
+        pure_col = msc.max(axis=0).argmin()
+        warm = np.array([pure_col]), np.array([msc.min(axis=1).argmax()])
         u_cols = _equalise(msc, *warm)
-        if u_cols is None:
-            vals = np.maximum(res.x[:-1], 0.0)
-            u[cols] = vals / vals.sum()
-            return u, ("uncertified",), None
+    if u_cols is None:
+        warm = _lp_support(msc, _epigraph_lp(msc))
+        u_cols = _equalise(msc, *warm)
+    if u_cols is None:
+        raise InfeasibleError("min-max split could not be certified")
     u[cols] = u_cols
-    return u, (), warm
+    return u, warm
 
 
 def _two_column_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +343,6 @@ def _solution(
     weights: Weights,
     b: float,
     tag: str,
-    flags: tuple[str, ...] = (),
     evaluated: int = 1,
 ) -> Solution:
     """Audit the split y (bits per node) under `schedule` into a Solution."""
@@ -353,7 +359,6 @@ def _solution(
         breakdown=breakdown,
         solver_tag=tag,
         schedules_evaluated=evaluated,
-        flags=flags,
     )
 
 
@@ -365,19 +370,17 @@ def solve_fixed_order(
     forced_zero: frozenset[int] = frozenset(),
     *,
     b: float = DEFAULT_B,
-    active_rows: tuple[int, ...] | None = None,
 ) -> Solution:
     """Optimal split for one fixed schedule."""
     if not 0.0 <= task_size < math.inf:
         raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
     validate_schedule(tree, schedule)
     static = _static_matrix(tree, weights, b)
-    _, u, flags, _ = _schedule_split(
-        static, _waiting(tree, schedule), weights.w1, task_size, forced_zero,
-        active_rows,
+    _, u, _ = _schedule_split(
+        static, _waiting(tree, schedule), weights.w1, task_size, forced_zero, None
     )
     return _solution(
-        tree, schedule, u * task_size, task_size, weights, b, "fixed-order", flags
+        tree, schedule, u * task_size, task_size, weights, b, "fixed-order"
     )
 
 
@@ -395,15 +398,15 @@ def _schedule_split(
     Adds w1 times the schedule's unit waiting matrix `wait` (a mask over
     the tree's sharing matrix, `costs._waiting`) to the static matrix and
     solves the min-max split on it (`_minmax_unit`, warm-started from
-    `support`).  Returns (a, u, flags, support): the linear form, the unit
-    weights, their flags and the certified (S, R) to pass to the next
-    schedule.  A zero task solves nothing and passes `support` on.
+    `support`).  Returns (a, u, support): the linear form, the unit
+    weights and the certified (S, R) to pass to the next schedule.  A zero
+    task solves nothing and passes `support` on.
     """
     a = static + w1 * wait
     if task_size == 0.0:
-        return a, np.zeros(len(a)), (), support
-    u, flags, support = _minmax_unit(a, forced_zero, active_rows, support)
-    return a, u, flags, support
+        return a, np.zeros(len(a)), support
+    u, support = _minmax_unit(a, forced_zero, active_rows, support)
+    return a, u, support
 
 
 def enumerate_schedules(tree: SinkTree):
@@ -445,7 +448,6 @@ def cmo(
     their optimal support.  Candidates are scored by the largest
     active row of the linear form; only the winner is audited into a
     Solution.  Ties go to the earliest schedule in enumeration order.
-    The result is flagged "uncertified" when any schedule's split was.
     Warns (RuntimeWarning) before enumerating more than 10**6 schedules.
     """
     if not 0.0 <= task_size < math.inf:
@@ -463,25 +465,19 @@ def cmo(
     best = None
     evaluated = 0
     support = None
-    uncertified = False
     for schedule in enumerate_schedules(tree):
         evaluated += 1
-        a, u, flags, support = _schedule_split(
+        a, u, support = _schedule_split(
             static, _waiting(tree, schedule), weights.w1, task_size,
             forced_zero, active_rows, support,
         )
-        uncertified = uncertified or "uncertified" in flags
         y = u * task_size
         z = float(np.max(a[rows] @ y, initial=0.0))
         if best is None or z < best[0]:
-            best = (z, schedule, y, flags)
+            best = (z, schedule, y)
     assert best is not None
-    _, schedule, y, flags = best
-    if uncertified and "uncertified" not in flags:
-        flags += ("uncertified",)
-    return _solution(
-        tree, schedule, y, task_size, weights, b, "cmo", flags, evaluated
-    )
+    _, schedule, y = best
+    return _solution(tree, schedule, y, task_size, weights, b, "cmo", evaluated)
 
 
 def _probe_subtree(
@@ -495,7 +491,7 @@ def _probe_subtree(
     """Order one subtree in isolation: full probe load, master excluded.
 
     Returns (order over full-tree ids, per-node unit shares over full-tree
-    ids, probe cost, schedules tried, probe flags).
+    ids, probe cost, schedules tried).
     """
     sub, back = extract_subtree(tree, t)
     sub_forced = frozenset(
@@ -512,28 +508,26 @@ def _probe_subtree(
     )
     order = tuple(back[i] for i in probe.schedule.orders[0])
     shares = {back[i]: probe.allocation.y[i] / task_size for i in worker_rows}
-    return order, shares, probe.cost, probe.schedules_evaluated, probe.flags
+    return order, shares, probe.cost, probe.schedules_evaluated
 
 
 def solve_master_split(
     tree: SinkTree,
-    probe_costs: dict[int, float],
-    probe_totals: dict[int, float],
+    per_bit: dict[int, float],
     task_size: float,
     weights: Weights,
     *,
     b: float = DEFAULT_B,
-    blocked: frozenset[int] = frozenset(),
     master_blocked: bool = False,
-) -> tuple[float, dict[int, float], tuple[str, ...]]:
+) -> tuple[float, dict[int, float]]:
     """Split the task between the master and whole subtrees.
 
-    Each subtree t is summarized by its probe: cost probe_costs[t] when it
-    carries probe_totals[t] bits, scaling linearly in between.  The master
-    pays its own compute plus the relay energy of pushing each subtree's
-    share onto its first hop.  Subtrees in `blocked` are pinned to zero, as
-    is the master's own share when master_blocked is set.  Returns the
-    master's bits, each subtree's bits, and the split's flags.
+    Each probed subtree t is summarized by its probe's cost per bit,
+    per_bit[t]: its cost grows linearly with the bits it carries.  The
+    master pays its own compute plus the relay energy of pushing each
+    subtree's share onto its first hop.  Subtrees missing from per_bit are
+    pinned to zero, as is the master's own share when master_blocked is
+    set.  Returns the master's bits and each subtree's bits.
     """
     roots = tree.subtree_roots
     master = tree.servers[0]
@@ -543,17 +537,15 @@ def solve_master_split(
     a[0, 0] += weights.w2 * master.switched_cap * b * master.cpu_freq**2
     for idx, t in enumerate(roots):
         a[0, 1 + idx] = weights.w2 * master.tx_power / tree.edge_rate[t]
-        if t not in blocked:
-            if not probe_totals[t] > 0.0:
-                raise ParameterError(f"subtree {t}: probe total must be > 0")
-            a[1 + idx, 1 + idx] = probe_costs[t] / probe_totals[t]
-    forced = frozenset(1 + idx for idx, t in enumerate(roots) if t in blocked)
+        if t in per_bit:
+            a[1 + idx, 1 + idx] = per_bit[t]
+    forced = frozenset(1 + idx for idx, t in enumerate(roots) if t not in per_bit)
     if master_blocked:
         forced = forced | {0}
-    u, flags, _ = _minmax_unit(a, forced, None)
+    u, _ = _minmax_unit(a, forced, None)
     y0 = float(u[0] * task_size)
     shares = {t: float(u[1 + idx] * task_size) for idx, t in enumerate(roots)}
-    return y0, shares, flags
+    return y0, shares
 
 
 def pmo(
@@ -574,7 +566,6 @@ def pmo(
     roots = tree.subtree_roots
     probe_size = task_size if task_size > 0.0 else 1.0
     probed = [t for t in roots if any(i not in forced_zero for i in tree.subtrees[t])]
-    blocked = frozenset(t for t in roots if t not in probed)
 
     results = {
         t: _probe_subtree(tree, t, probe_size, weights, forced_zero, b)
@@ -592,19 +583,13 @@ def pmo(
             tree, schedule, np.zeros(len(tree)), task_size, weights, b, "pmo",
             evaluated=max(evaluated, 1),
         )
-    if 0 in forced_zero and not probed:
-        raise InfeasibleError("every node is forced to zero workload")
 
-    probe_costs = {t: results[t][2] for t in probed}
-    probe_totals = {t: probe_size for t in probed}
-    y0, subtree_share, split_flags = solve_master_split(
+    y0, subtree_share = solve_master_split(
         tree,
-        probe_costs,
-        probe_totals,
+        {t: results[t][2] / probe_size for t in probed},
         task_size,
         weights,
         b=b,
-        blocked=blocked,
         master_blocked=0 in forced_zero,
     )
     u = np.zeros(len(tree))
@@ -613,10 +598,8 @@ def pmo(
         # probe shape, rescaled to the subtree's awarded total
         for i, share in results[t][1].items():
             u[i] = share * subtree_share[t] / task_size
-    flags = [f for res in results.values() for f in res[4]] + list(split_flags)
-    uncertified = ("uncertified",) if "uncertified" in flags else ()
     return _solution(
-        tree, schedule, u * task_size, task_size, weights, b, "pmo", uncertified,
+        tree, schedule, u * task_size, task_size, weights, b, "pmo",
         evaluated=max(evaluated, 1),
     )
 
@@ -636,7 +619,6 @@ def scale_solution(base: Solution, new_task_size: float) -> Solution:
         base.weights,
         base.b_comp,
         base.solver_tag + "+scaled",
-        base.flags,
         base.schedules_evaluated,
     )
 
