@@ -65,7 +65,7 @@ from .solvers import (
     solve_fixed_order,
 )
 from .topologies import TOPOLOGIES, NamedTopology, named_topology
-from .tree import SinkTree, build_sink_tree, extract_subtree, prune_tree
+from .tree import SinkTree, build_sink_tree, prune_tree
 from .verification import check_solution, check_tree, simulate_delivery, verify_instance
 
 __version__ = "0.1.0"
@@ -107,7 +107,6 @@ __all__ = [
     "emit_csv",
     "emit_json",
     "enumerate_schedules",
-    "extract_subtree",
     "ga",
     "generate_network",
     "level_prune",

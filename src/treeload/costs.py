@@ -11,10 +11,14 @@ compute time, and the energy it spends computing and relaying:
     J_i      = w1 * time_i + w2 * energy_i
 
 The system objective is max_i J_i.  For a fixed schedule every J_i is a
-nonnegative linear form in y, which `cost_coefficients` materializes as a
-matrix; the solvers work on that form.  `_node_terms` evaluates every
-term of one split, for `system_cost` and GA fitness alike.  Both take a few
-numpy operations on per-tree arrays (`SinkTree.cost_arrays`), no loop.
+nonnegative linear form in y: the schedule-independent `_static_matrix`,
+built once per solve, plus w1 times the schedule's waiting terms
+(`_waiting`, a mask over the tree's sharing matrix).  The solvers add the
+two (pmo on slices of them); `cost_coefficients` returns their sum as one
+read-only matrix, for `verification.check_solution` and tests.
+`_node_terms` evaluates every term of one split, for `system_cost` and GA
+fitness alike.  Both take a few numpy operations on per-tree arrays
+(`SinkTree.cost_arrays`), no loop.
 """
 
 from __future__ import annotations

@@ -235,7 +235,7 @@ def ga(
         if chrom not in memo:
             wait = _waiting(tree, Schedule(orders=chrom))
             _, u, support = _schedule_split(
-                static, wait, weights.w1, task_size, forced_zero, None, support
+                static, wait, weights.w1, task_size, forced_zero, support
             )
             y = u * task_size
             j_node = _node_terms(tree, wait, y, weights, b)[-1]

@@ -24,6 +24,8 @@ from .units import (
 )
 
 MASTER_ID = 0
+# generate_network draws this many networks before giving up
+RETRY_BUDGET = 100
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,6 @@ class GenParams:
     rate_range_gbps: tuple[float, float] = (10.0, 100.0)
     gamma: float = 1e-2
     tx_power_dbm: float = 30.0
-    retry_budget: int = 100
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -129,8 +130,6 @@ class GenParams:
             raise ParameterError("rate_range_gbps must satisfy 0 < lo <= hi")
         if self.gamma < 0.0:
             raise ParameterError("gamma must be >= 0")
-        if self.retry_budget < 1:
-            raise ParameterError("retry_budget must be >= 1")
 
 
 def generate_network(params: GenParams) -> NetworkGraph:
@@ -146,7 +145,7 @@ def generate_network(params: GenParams) -> NetworkGraph:
     r_lo, r_hi = params.rate_range_gbps
     tx = dbm_to_watts(params.tx_power_dbm)
 
-    for _ in range(params.retry_budget):
+    for _ in range(RETRY_BUDGET):
         servers = tuple(
             ServerParams(
                 id=i,
@@ -167,7 +166,7 @@ def generate_network(params: GenParams) -> NetworkGraph:
         if net.master_reaches_all():
             return net
     raise GenerationError(
-        f"no connected network within {params.retry_budget} draws "
+        f"no connected network within {RETRY_BUDGET} draws "
         f"(seed={params.rng_seed}, n={n}, edge_prob={params.edge_prob})"
     )
 

@@ -31,8 +31,10 @@ certified (S, R) from one schedule to the next, and keeps the best; the
 genetic search in `heuristics.ga` carries it the same way from one
 fitness evaluation to the next.
 `pmo` exploits that subtrees only interact through the master: each
-subtree is ordered and probed on its own, then one more small split
-divides the task between the master and the subtrees.
+subtree's orders are enumerated the same way on its slice of the tree's
+matrices, then one more small split divides the task between the master
+and the subtrees.  Both exact solvers build the static matrix once and
+audit only their answer.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .costs import (
     validate_schedule,
 )
 from .errors import InfeasibleError, ParameterError
-from .tree import SinkTree, extract_subtree, tree_fingerprint
+from .tree import SinkTree, tree_fingerprint
 from .units import DEFAULT_B
 
 _LP_OPTIONS = {
@@ -70,7 +72,7 @@ _CERT_TOL = 1e-12
 # a simplex tableau entry that cancels to within this fraction of the
 # terms that formed it is rounding noise, and is set to zero
 _CANCEL_TOL = 1e-13
-# cmo warns before enumerating more schedules than this
+# cmo and pmo warn before enumerating more orders than this
 _WARN_SCHEDULES = 10**6
 
 
@@ -138,13 +140,11 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
 def _minmax_unit(
     a: np.ndarray,
     forced_zero: frozenset[int],
-    active_rows: tuple[int, ...] | None,
     warm: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Minimize max over rows of (a u) on the simplex; returns unit weights u.
 
-    Columns in forced_zero are pinned to zero.  active_rows restricts which
-    rows enter the max (all by default).
+    Columns in forced_zero are pinned to zero.
 
     The optimum is the equal-finish point of some support S of columns and
     as many tight rows R, so it is found by `_equalise` and certified by a
@@ -159,18 +159,17 @@ def _minmax_unit(
     Only if that fails too does HiGHS solve the epigraph LP, as the last
     resort: its basis gives (S, R) and the equaliser polishes that vertex.
     Raises InfeasibleError when even that polish fails its certificate,
-    and ParameterError when the active part of `a` is not finite (an
-    overflowing weight).  Returns (u, support): support is the certified
-    (S, R) to warm-start the next call, or None.
+    and ParameterError when a column that is not pinned holds a value
+    that is not finite (an overflowing weight).  Returns (u, support):
+    support is the certified (S, R) to warm-start the next call, or None.
     """
     n = a.shape[1]
     cols = [k for k in range(n) if k not in forced_zero]
     if not cols:
         raise InfeasibleError("every node is forced to zero workload")
-    rows = list(range(a.shape[0])) if active_rows is None else list(active_rows)
     u = np.zeros(n)
 
-    sub = a[np.ix_(rows, cols)]
+    sub = a.take(cols, axis=1)
     if not np.isfinite(sub).all():
         raise ParameterError(
             "split cost matrix overflows float64: a weight or node parameter "
@@ -178,9 +177,9 @@ def _minmax_unit(
         )
     col_cost = sub.sum(axis=0)
     free = np.flatnonzero(col_cost == 0.0)
-    if free.size or not rows:
+    if free.size:
         # a column nobody pays for absorbs everything at zero cost
-        u[cols[int(free[0])] if free.size else cols[0]] = 1.0
+        u[cols[int(free[0])]] = 1.0
         return u, None
 
     # scale by the smallest per-column maximum: that value bounds the
@@ -377,7 +376,7 @@ def solve_fixed_order(
     validate_schedule(tree, schedule)
     static = _static_matrix(tree, weights, b)
     _, u, _ = _schedule_split(
-        static, _waiting(tree, schedule), weights.w1, task_size, forced_zero, None
+        static, _waiting(tree, schedule), weights.w1, task_size, forced_zero
     )
     return _solution(
         tree, schedule, u * task_size, task_size, weights, b, "fixed-order"
@@ -390,7 +389,6 @@ def _schedule_split(
     w1: float,
     task_size: float,
     forced_zero: frozenset[int],
-    active_rows: tuple[int, ...] | None,
     support: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Unit split for one schedule, starting from a known support.
@@ -405,7 +403,7 @@ def _schedule_split(
     a = static + w1 * wait
     if task_size == 0.0:
         return a, np.zeros(len(a)), support
-    u, support = _minmax_unit(a, forced_zero, active_rows, support)
+    u, support = _minmax_unit(a, forced_zero, support)
     return a, u, support
 
 
@@ -430,6 +428,61 @@ def count_schedules(tree: SinkTree) -> int:
     return out
 
 
+def _best_order(
+    static: np.ndarray,
+    candidates,
+    total: int,
+    w1: float,
+    task_size: float,
+    forced_zero: frozenset[int],
+):
+    """Best of `total` (key, unit waiting matrix) candidates, one split each.
+
+    Each candidate's split starts from the support and tight rows
+    certified for the previous one, so the simplex cold start runs only
+    when that guess fails its certificate, and HiGHS only when the simplex
+    fails too (see `_minmax_unit`); neighbouring orders usually share
+    their optimal support.  A candidate scores the largest row of a @ y,
+    y its split in bits; ties go to the earliest candidate.  Warns
+    (RuntimeWarning) before more than 10**6 candidates.  Returns
+    (score, key, y, candidates tried).
+    """
+    if total > _WARN_SCHEDULES:
+        warnings.warn(
+            f"enumerating {total} transmission orders (more than "
+            f"{_WARN_SCHEDULES}), one split each; this may run for hours",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    best = None
+    support = None
+    for evaluated, (key, wait) in enumerate(candidates, 1):
+        a, u, support = _schedule_split(
+            static, wait, w1, task_size, forced_zero, support
+        )
+        y = u * task_size
+        z = float(np.max(a @ y, initial=0.0))
+        if best is None or z < best[0]:
+            best = (z, key, y)
+    assert best is not None
+    return (*best, evaluated)
+
+
+def _subtree_orders(tree: SinkTree, nodes: tuple[int, ...]):
+    """(order, unit waiting matrix) for every order of one subtree's nodes.
+
+    The matrices are slices of the tree's sharing matrix with rows `nodes`
+    and columns master + `nodes`, in that order.
+    """
+    cols = (0, *nodes)
+    shared = tree.shared_inv_rate[np.ix_(nodes, cols)]
+    col_of = {i: k for k, i in enumerate(cols)}
+    for order in itertools.permutations(nodes):
+        rank = np.zeros(len(cols), dtype=int)
+        rank[[col_of[i] for i in order]] = range(len(order))
+        yield order, shared * (rank[1:, None] > rank[None, :])
+
+
 def cmo(
     tree: SinkTree,
     task_size: float,
@@ -437,112 +490,57 @@ def cmo(
     forced_zero: frozenset[int] = frozenset(),
     *,
     b: float = DEFAULT_B,
-    active_rows: tuple[int, ...] | None = None,
 ) -> Solution:
     """Exhaustive schedule search: one certified split per order combination.
 
-    Each schedule's split starts from the support and tight rows certified
-    for the previous schedule, so the simplex cold start runs only when
-    that guess fails its certificate, and HiGHS only when the simplex
-    fails too (see `_minmax_unit`); neighbouring orders usually share
-    their optimal support.  Candidates are scored by the largest
-    active row of the linear form; only the winner is audited into a
+    Every schedule is split on the one static matrix, each split starting
+    from the previous schedule's certified support, and scored by its
+    largest node cost (`_best_order`); only the winner is audited into a
     Solution.  Ties go to the earliest schedule in enumeration order.
     Warns (RuntimeWarning) before enumerating more than 10**6 schedules.
     """
     if not 0.0 <= task_size < math.inf:
         raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
-    total = count_schedules(tree)
-    if total > _WARN_SCHEDULES:
-        warnings.warn(
-            f"cmo enumerates {total} transmission schedules (more than "
-            f"{_WARN_SCHEDULES}), one split each; this may run for hours",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    static = _static_matrix(tree, weights, b)
-    rows = list(range(len(tree))) if active_rows is None else list(active_rows)
-    best = None
-    evaluated = 0
-    support = None
-    for schedule in enumerate_schedules(tree):
-        evaluated += 1
-        a, u, support = _schedule_split(
-            static, _waiting(tree, schedule), weights.w1, task_size,
-            forced_zero, active_rows, support,
-        )
-        y = u * task_size
-        z = float(np.max(a[rows] @ y, initial=0.0))
-        if best is None or z < best[0]:
-            best = (z, schedule, y)
-    assert best is not None
-    _, schedule, y = best
-    return _solution(tree, schedule, y, task_size, weights, b, "cmo", evaluated)
-
-
-def _probe_subtree(
-    tree: SinkTree,
-    t: int,
-    task_size: float,
-    weights: Weights,
-    forced_zero: frozenset[int],
-    b: float,
-):
-    """Order one subtree in isolation: full probe load, master excluded.
-
-    Returns (order over full-tree ids, per-node unit shares over full-tree
-    ids, probe cost, schedules tried).
-    """
-    sub, back = extract_subtree(tree, t)
-    sub_forced = frozenset(
-        new for new, old in back.items() if old in forced_zero
-    ) | {0}
-    worker_rows = tuple(range(1, len(sub)))
-    probe = cmo(
-        sub,
+    _, schedule, y, evaluated = _best_order(
+        _static_matrix(tree, weights, b),
+        ((s, _waiting(tree, s)) for s in enumerate_schedules(tree)),
+        count_schedules(tree),
+        weights.w1,
         task_size,
-        weights,
-        frozenset(sub_forced),
-        b=b,
-        active_rows=worker_rows,
+        forced_zero,
     )
-    order = tuple(back[i] for i in probe.schedule.orders[0])
-    shares = {back[i]: probe.allocation.y[i] / task_size for i in worker_rows}
-    return order, shares, probe.cost, probe.schedules_evaluated
+    return _solution(tree, schedule, y, task_size, weights, b, "cmo", evaluated)
 
 
 def solve_master_split(
     tree: SinkTree,
+    static: np.ndarray,
     per_bit: dict[int, float],
     task_size: float,
-    weights: Weights,
     *,
-    b: float = DEFAULT_B,
     master_blocked: bool = False,
 ) -> tuple[float, dict[int, float]]:
     """Split the task between the master and whole subtrees.
 
     Each probed subtree t is summarized by its probe's cost per bit,
     per_bit[t]: its cost grows linearly with the bits it carries.  The
-    master pays its own compute plus the relay energy of pushing each
-    subtree's share onto its first hop.  Subtrees missing from per_bit are
-    pinned to zero, as is the master's own share when master_blocked is
-    set.  Returns the master's bits and each subtree's bits.
+    master's row comes from the tree's static matrix `static`: its own
+    compute, static[0, 0], plus the relay energy of pushing each subtree's
+    share onto its first hop, static[0, t] (the same for every node of
+    subtree t).  Subtrees missing from per_bit are pinned to zero, as is
+    the master's own share when master_blocked is set.  Returns the
+    master's bits and each subtree's bits.
     """
     roots = tree.subtree_roots
-    master = tree.servers[0]
-    m = len(roots)
-    a = np.zeros((m + 1, m + 1))
-    a[0, 0] = weights.w1 * b / master.cpu_freq
-    a[0, 0] += weights.w2 * master.switched_cap * b * master.cpu_freq**2
+    a = np.zeros((len(roots) + 1, len(roots) + 1))
+    a[0] = static[0, (0, *roots)]
     for idx, t in enumerate(roots):
-        a[0, 1 + idx] = weights.w2 * master.tx_power / tree.edge_rate[t]
         if t in per_bit:
             a[1 + idx, 1 + idx] = per_bit[t]
     forced = frozenset(1 + idx for idx, t in enumerate(roots) if t not in per_bit)
     if master_blocked:
         forced = forced | {0}
-    u, _ = _minmax_unit(a, forced, None)
+    u, _ = _minmax_unit(a, forced)
     y0 = float(u[0] * task_size)
     shares = {t: float(u[1 + idx] * task_size) for idx, t in enumerate(roots)}
     return y0, shares
@@ -558,49 +556,56 @@ def pmo(
 ) -> Solution:
     """Decomposition: order each subtree independently, then split.
 
+    A subtree's nodes cost nothing to other subtrees, so each subtree with
+    a node that is not forced to zero is probed in place: its orders are
+    enumerated as in `cmo` (`_best_order`) on the slice of the static
+    matrix with its nodes as rows and the master plus its nodes as
+    columns, the master's column pinned to zero.  The probe carries the
+    whole task (1 bit for a zero task); its best score per bit is the
+    subtree's cost per bit in `solve_master_split`, whose master row holds
+    the master's relay energy for the subtree.  Each subtree's split keeps
+    its probe's shape, scaled to its share.  Only the answer is audited.
     Matches `cmo` cost while evaluating sum-of-factorials many schedules
     instead of their product.
     """
     if not 0.0 <= task_size < math.inf:
         raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
-    roots = tree.subtree_roots
+    static = _static_matrix(tree, weights, b)
     probe_size = task_size if task_size > 0.0 else 1.0
-    probed = [t for t in roots if any(i not in forced_zero for i in tree.subtrees[t])]
-
-    results = {
-        t: _probe_subtree(tree, t, probe_size, weights, forced_zero, b)
-        for t in probed
-    }
-
-    evaluated = sum(res[3] for res in results.values())
-    orders = {}
-    for t in roots:
-        orders[t] = results[t][0] if t in results else tree.subtrees[t]
-    schedule = Schedule.from_mapping(tree, orders)
-
-    if task_size == 0.0:
-        return _solution(
-            tree, schedule, np.zeros(len(tree)), task_size, weights, b, "pmo",
-            evaluated=max(evaluated, 1),
+    orders = dict(tree.subtrees)
+    per_bit, shares = {}, {}
+    evaluated = 0
+    for t, nodes in tree.subtrees.items():
+        if all(i in forced_zero for i in nodes):
+            continue
+        forced = frozenset({0}) | {
+            k for k, i in enumerate(nodes, 1) if i in forced_zero
+        }
+        z, orders[t], y, tried = _best_order(
+            static[np.ix_(nodes, (0, *nodes))],
+            _subtree_orders(tree, nodes),
+            math.factorial(len(nodes)),
+            weights.w1,
+            probe_size,
+            forced,
         )
+        per_bit[t] = z / probe_size
+        shares[t] = y[1:] / probe_size
+        evaluated += tried
+    schedule = Schedule.from_mapping(tree, orders)
+    evaluated = max(evaluated, 1)
 
-    y0, subtree_share = solve_master_split(
-        tree,
-        {t: results[t][2] / probe_size for t in probed},
-        task_size,
-        weights,
-        b=b,
-        master_blocked=0 in forced_zero,
-    )
     u = np.zeros(len(tree))
-    u[0] = y0 / task_size
-    for t in probed:
-        # probe shape, rescaled to the subtree's awarded total
-        for i, share in results[t][1].items():
-            u[i] = share * subtree_share[t] / task_size
+    if task_size > 0.0:
+        y0, subtree_share = solve_master_split(
+            tree, static, per_bit, task_size, master_blocked=0 in forced_zero
+        )
+        u[0] = y0 / task_size
+        for t, share in shares.items():
+            # probe shape, rescaled to the subtree's awarded total
+            u[list(tree.subtrees[t])] = share * subtree_share[t] / task_size
     return _solution(
-        tree, schedule, u * task_size, task_size, weights, b, "pmo",
-        evaluated=max(evaluated, 1),
+        tree, schedule, u * task_size, task_size, weights, b, "pmo", evaluated
     )
 
 

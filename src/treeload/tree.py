@@ -250,27 +250,6 @@ def prune_tree(tree: SinkTree, remove) -> tuple[SinkTree, frozenset[int]]:
     return sub, frozenset(new_id[i] for i in relays_old)
 
 
-def extract_subtree(tree: SinkTree, t: int) -> tuple[SinkTree, dict[int, int]]:
-    """Master plus one level-1 subtree as a standalone tree.
-
-    Returns the sub-tree and the map from its node ids back to ids of the
-    full tree.
-    """
-    if t not in tree.subtrees:
-        raise ParameterError(f"node {t} is not a subtree root")
-    keep = (MASTER_ID,) + tree.subtrees[t]
-    new_id = {old: new for new, old in enumerate(keep)}
-    sub = SinkTree(
-        servers=tuple(tree.servers[i] for i in keep),
-        parent=tuple(
-            -1 if i == MASTER_ID else new_id[tree.parent[i]] for i in keep
-        ),
-        edge_rate=tuple(tree.edge_rate[i] for i in keep),
-        to_original=tuple(tree.to_original[i] for i in keep),
-    )
-    return sub, {new: old for old, new in new_id.items()}
-
-
 def tree_fingerprint(tree: SinkTree) -> str:
     """Stable content hash used to key cached baseline solutions."""
     doc = {

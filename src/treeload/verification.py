@@ -42,10 +42,6 @@ class DeliveryTrace:
     t_tran: tuple[float, ...]
     busy: tuple[float, ...]
 
-    @property
-    def arrival(self) -> tuple[float, ...]:
-        return tuple(w + t for w, t in zip(self.t_wait, self.t_tran))
-
 
 def simulate_delivery(
     tree: SinkTree, schedule: Schedule, alloc: Allocation

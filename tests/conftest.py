@@ -52,10 +52,16 @@ def make_tree(parent, rates_gbps, freqs_ghz, caps=None, tx_w=None) -> SinkTree:
     return build_sink_tree(make_net(parent, rates_gbps, freqs_ghz, caps, tx_w))
 
 
-def rand_tree(rng: random.Random, n: int) -> SinkTree:
-    """Random shape and parameters; ids may get relabeled by the builder."""
+def rand_tree(rng: random.Random, n: int, first_hop_gbps=RATE_GBPS) -> SinkTree:
+    """Random shape and parameters; ids may get relabeled by the builder.
+
+    Links out of the master draw their rate from first_hop_gbps.
+    """
     parent = [-1] + [rng.randrange(i) for i in range(1, n)]
-    rates = [0.0] + [rng.uniform(*RATE_GBPS) for _ in range(n - 1)]
+    rates = [0.0] + [
+        rng.uniform(*(first_hop_gbps if parent[i] == 0 else RATE_GBPS))
+        for i in range(1, n)
+    ]
     freqs = [rng.uniform(*FREQ_GHZ) for _ in range(n)]
     caps = [rng.uniform(*CAP_RANGE) for _ in range(n)]
     tx = [rng.uniform(*TX_W) for _ in range(n)]

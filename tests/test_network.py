@@ -73,10 +73,8 @@ def test_generation_links_are_symmetric():
 
 
 def test_generation_gives_up_when_impossible():
-    with pytest.raises(GenerationError):
-        generate_network(
-            GenParams(node_count=6, edge_prob=0.0, rng_seed=0, retry_budget=5)
-        )
+    with pytest.raises(GenerationError, match="within 100 draws"):
+        generate_network(GenParams(node_count=6, edge_prob=0.0, rng_seed=0))
 
 
 def test_tx_power_comes_from_dbm():

@@ -186,6 +186,17 @@ def test_pmo_matches_cmo_on_random_trees():
         assert abs(b.cost - a.cost) <= 1e-12 * a.cost
         assert b.solver_tag == "pmo"
     assert hits >= 5
+    # energy-heavy weights over slow first hops: in more than half of these
+    # probes the master's relay row beats every worker row, so the probe's
+    # per-bit cost (its largest worker row) leaves the relay to the master
+    # row of the split
+    for seed in range(12):
+        rng = random.Random(seed + 900)
+        tree = rand_tree(rng, rng.randint(4, 7), first_hop_gbps=(0.5, 2.0))
+        for w in (Weights(0.0, 1.0), Weights(0.01, 1.0)):
+            a = cmo(tree, Y, w, b=B_COMP)
+            b = pmo(tree, Y, w, b=B_COMP)
+            assert abs(b.cost - a.cost) <= 1e-12 * a.cost
 
 
 def test_pmo_survives_single_subtree():
@@ -216,6 +227,19 @@ def test_exact_solvers_skip_highs(name, monkeypatch):
     assert sol.schedules_evaluated == count_schedules(topo.tree) > 1
     pmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
+def test_pmo_audits_only_its_answer(name, monkeypatch):
+    # subtrees are probed on slices of the tree's matrices, not audited
+    topo = named_topology(name)
+    audits = []
+    audit = solvers.system_cost
+    monkeypatch.setattr(
+        solvers, "system_cost", lambda *args: audits.append(1) or audit(*args)
+    )
+    pmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
+    assert len(audits) == 1
 
 
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
@@ -287,7 +311,7 @@ def test_split_is_certified_on_ill_conditioned_instances(seed, log_gamma, w):
     forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
 
     a = cost_coefficients(tree, canonical_schedule(tree), weights, B_COMP)
-    u, _ = solvers._minmax_unit(a, forced, None)
+    u, _ = solvers._minmax_unit(a, forced)
     assert u.sum() == pytest.approx(1.0, abs=1e-12)
     assert all(u[k] == 0.0 for k in forced)
     assert (a @ u).max() <= _highs_minmax(a, forced) * (1 + 1e-12)
@@ -330,7 +354,7 @@ def test_certificate_refutes_a_wrong_support():
     # a refuted warm guess falls back to a cold start and still reaches
     # the optimum
     u, support = solvers._minmax_unit(
-        m, frozenset(), None, (np.array([0, 1]), np.array([0, 1]))
+        m, frozenset(), (np.array([0, 1]), np.array([0, 1]))
     )
     assert u == pytest.approx([0.2, 0.8], abs=1e-15)
     assert [list(x) for x in support] == [[0, 1], [1, 2]]
@@ -365,7 +389,7 @@ def test_certificate_refutes_a_wrong_support():
 def test_two_column_closed_form_on_degenerate_envelopes(m, monkeypatch):
     m = np.array(m)
     calls = _count_linprog(monkeypatch)
-    u, support = solvers._minmax_unit(m, frozenset(), None)
+    u, support = solvers._minmax_unit(m, frozenset())
     assert calls == []
     assert support is not None
     assert u.min() >= 0.0 and u.sum() == pytest.approx(1.0, abs=1e-15)

@@ -13,7 +13,6 @@ from treeload import (
     NetworkGraph,
     UnreachableNodeError,
     build_sink_tree,
-    extract_subtree,
     generate_network,
     prune_tree,
 )
@@ -105,17 +104,6 @@ def test_prune_to_original_composes():
     for i in range(len(pruned)):
         orig = pruned.to_original[i]
         assert net.servers[orig].cpu_freq == pruned.servers[i].cpu_freq
-
-
-def test_extract_subtree_maps_back():
-    tree = rand_tree(random.Random(11), 9)
-    t = tree.subtree_roots[0]
-    sub, back = extract_subtree(tree, t)
-    assert back[0] == 0
-    for i in range(1, len(sub)):
-        assert sub.servers[i].cpu_freq == tree.servers[back[i]].cpu_freq
-    with pytest.raises(ParameterError):
-        extract_subtree(tree, 0)
 
 
 def test_fingerprint_tracks_content():
