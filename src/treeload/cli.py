@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .harness import (
     SOLVERS,
     MethodSpec,
     _audit_and_record,
+    _mean_solve_seconds,
     emit_csv,
     emit_json,
     load_scenario,
@@ -41,6 +41,7 @@ from .solvers import load_baseline, save_baseline, scale_solution
 from .topologies import TOPOLOGIES, named_topology
 from .tree import SinkTree, build_sink_tree
 from .units import (
+    DEFAULT_B,
     DEFAULT_CYCLES_PER_GBIT,
     bits_to_gbit,
     bps_to_gbps,
@@ -61,6 +62,11 @@ _PARAM_FLAGS = {
     "mutation_op": "--ga-mutation-op",
     "rng_seed": "--seed",
 }
+# a generated network's link probability
+_EDGE_PROB = 0.35
+# an instance that is not a named topology solves 1 Gbit under these weights
+_TASK_GBIT = 1.0
+_W1 = _W2 = 0.5
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -74,7 +80,7 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     src.add_argument(
         "--nodes", type=int, metavar="N", help="generate an N-node random network"
     )
-    src.add_argument("--edge-prob", type=float, default=0.35)
+    src.add_argument("--edge-prob", type=float, default=_EDGE_PROB)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -83,16 +89,14 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    # None means "not given": named topologies then supply their own values
-    p.add_argument("--task-gbit", type=float, default=None, help="task size in Gbit")
-    p.add_argument("--w1", type=float, default=None, help="completion-time weight")
-    p.add_argument("--w2", type=float, default=None, help="energy weight")
-    p.add_argument(
-        "--cycles-per-gbit",
-        type=float,
-        default=None,
-        help="workload density",
-    )
+    # None means "not given": the instance then supplies its own default
+    own = "default: the named topology's, else"
+    p.add_argument("--task-gbit", type=float,
+                   help=f"task size in Gbit ({own} {_TASK_GBIT:g})")
+    p.add_argument("--w1", type=float, help=f"completion-time weight ({own} {_W1:g})")
+    p.add_argument("--w2", type=float, help=f"energy weight ({own} {_W2:g})")
+    p.add_argument("--cycles-per-gbit", type=float,
+                   help=f"workload density ({own} {DEFAULT_CYCLES_PER_GBIT:g})")
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
@@ -122,39 +126,27 @@ def _resolve_instance(args) -> tuple:
         raise ParameterError(
             "pick exactly one instance source: --network, --topology, or --nodes"
         )
-    if args.topology is not None:
-        topo = named_topology(args.topology)
-        task = (
-            gbit_to_bits(args.task_gbit) if args.task_gbit is not None else topo.task_size
-        )
-        weights = Weights(
-            args.w1 if args.w1 is not None else topo.weights.w1,
-            args.w2 if args.w2 is not None else topo.weights.w2,
-        )
-        b = (
-            cycles_per_gbit_to_si(args.cycles_per_gbit)
-            if args.cycles_per_gbit is not None
-            else topo.b_comp
-        )
-        return topo.tree, topo.network, task, weights, b, args.topology
-    task = gbit_to_bits(args.task_gbit if args.task_gbit is not None else 1.0)
+    topo = None if args.topology is None else named_topology(args.topology)
+    if topo is None:
+        task, w1, w2, b = gbit_to_bits(_TASK_GBIT), _W1, _W2, DEFAULT_B
+    else:
+        task, w1, w2, b = topo.task_size, topo.weights.w1, topo.weights.w2, topo.b_comp
+    if args.task_gbit is not None:
+        task = gbit_to_bits(args.task_gbit)
     weights = Weights(
-        args.w1 if args.w1 is not None else 0.5,
-        args.w2 if args.w2 is not None else 0.5,
+        w1 if args.w1 is None else args.w1, w2 if args.w2 is None else args.w2
     )
-    b = (
-        cycles_per_gbit_to_si(args.cycles_per_gbit)
-        if args.cycles_per_gbit is not None
-        else cycles_per_gbit_to_si(DEFAULT_CYCLES_PER_GBIT)
-    )
+    if args.cycles_per_gbit is not None:
+        b = cycles_per_gbit_to_si(args.cycles_per_gbit)
+    if topo is not None:
+        return topo.tree, topo.network, task, weights, b, args.topology
     if args.network is not None:
-        net = load_network(args.network)
-        return build_sink_tree(net), net, task, weights, b, Path(args.network).stem
-    params = GenParams(
-        node_count=args.nodes, edge_prob=args.edge_prob, rng_seed=args.seed
-    )
-    net = generate_network(params)
-    label = f"random-{args.nodes}n-s{args.seed}"
+        net, label = load_network(args.network), Path(args.network).stem
+    else:
+        params = GenParams(
+            node_count=args.nodes, edge_prob=args.edge_prob, rng_seed=args.seed
+        )
+        net, label = generate_network(params), f"random-{args.nodes}n-s{args.seed}"
     return build_sink_tree(net), net, task, weights, b, label
 
 
@@ -271,13 +263,7 @@ def _cmd_solve(args) -> int:
             save_baseline(args.cache, sol)
             print(f"cached plan at {args.cache}")
 
-    t_exe = None
-    if args.reps > 0:
-        t0 = time.perf_counter()
-        for _ in range(args.reps):
-            solve_method(spec, tree, task, weights, b)
-        t_exe = (time.perf_counter() - t0) / args.reps
-
+    t_exe = _mean_solve_seconds(spec, tree, task, weights, b, args.reps)
     record = _audit_and_record(label, spec.name, sol, tree, None, None, t_exe)
     _print_solution(sol, label, shown)
     if t_exe is not None:
@@ -341,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="sample a random network into a JSON file")
     g.add_argument("--nodes", type=int, required=True)
-    g.add_argument("--edge-prob", type=float, default=0.35)
-    g.add_argument("--freq-range", type=float, nargs=2, default=(1.0, 10.0),
+    g.add_argument("--edge-prob", type=float, default=_EDGE_PROB)
+    g.add_argument("--freq-range", type=float, nargs=2, default=GenParams.freq_range_ghz,
                    metavar=("LO", "HI"), help="cpu frequency range, GHz")
-    g.add_argument("--rate-range", type=float, nargs=2, default=(10.0, 100.0),
+    g.add_argument("--rate-range", type=float, nargs=2, default=GenParams.rate_range_gbps,
                    metavar=("LO", "HI"), help="link rate range, Gbps")
-    g.add_argument("--gamma", type=float, default=1e-2)
-    g.add_argument("--tx-power-dbm", type=float, default=30.0)
+    g.add_argument("--gamma", type=float, default=GenParams.gamma)
+    g.add_argument("--tx-power-dbm", type=float, default=GenParams.tx_power_dbm)
     g.add_argument("--name", default="network", help="output file stem")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", metavar="DIR")

@@ -50,6 +50,9 @@ SWEEP_PARAMS = (
     "subtree_count",
 )
 
+# GenParams fields a scenario gives as [lo, hi] lists
+_GEN_RANGES = ("freq_range_ghz", "rate_range_gbps")
+
 # how many consecutive generator seeds to try per subtree-count point
 _SUBTREE_SEARCH_BUDGET = 500
 
@@ -234,10 +237,9 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                     node_count=gen["node_count"],
                     edge_prob=gen["edge_prob"],
                     rng_seed=gen.get("rng_seed", doc.get("rng_seed", 0)),
-                    freq_range_ghz=tuple(gen.get("freq_range_ghz", (1.0, 10.0))),
-                    rate_range_gbps=tuple(gen.get("rate_range_gbps", (10.0, 100.0))),
-                    gamma=gen.get("gamma", 1e-2),
-                    tx_power_dbm=gen.get("tx_power_dbm", 30.0),
+                    # a field left out takes GenParams' own default
+                    **{k: tuple(gen[k]) for k in _GEN_RANGES if k in gen},
+                    **{k: gen[k] for k in ("gamma", "tx_power_dbm") if k in gen},
                 )
             except KeyError as exc:
                 problems.append(f"network.generate: missing field {exc}")
@@ -362,7 +364,10 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     with open(p) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # also undecodable bytes
+            raise ScenarioError((f"{p}: not valid JSON: {exc}",)) from None
     return scenario_from_doc(doc, scenario_id=p.stem)
 
 
@@ -439,30 +444,27 @@ def _audit_and_record(
 ) -> RunRecord:
     """Map a solution back to original network ids and re-verify its cost."""
     work = sol.tree
+    relabel = full_tree.relabel_map
+    to_full = [relabel[orig] for orig in work.to_original]
     n = len(full_tree)
-    y_net = [0.0] * n
-    for i, v in enumerate(sol.allocation.y):
-        y_net[work.to_original[i]] = v
+    y_full = [0.0] * n
+    for i, v in zip(to_full, sol.allocation.y):
+        y_full[i] = v
 
     # full-tree schedule: surviving nodes keep their order, removed nodes
     # go last; zero-load rows never change the system maximum
-    by_root: dict[int, tuple[int, ...]] = {}
-    kept_net = set(work.to_original)
-    for root, nodes in zip(work.subtree_roots, sol.schedule.orders):
-        net_root = work.to_original[root]
-        by_root[net_root] = tuple(work.to_original[i] for i in nodes)
-    full_orders = []
-    for root in full_tree.subtree_roots:
-        net_root_order = by_root.get(full_tree.to_original[root], ())
-        tree_order = [full_tree.relabel_map[v] for v in net_root_order]
-        rest = [
-            i for i in full_tree.subtrees[root] if full_tree.to_original[i] not in kept_net
-        ]
-        full_orders.append(tuple(tree_order) + tuple(sorted(rest)))
-    full_sched = Schedule(orders=tuple(full_orders))
-
-    y_tree = tuple(y_net[full_tree.to_original[i]] for i in range(n))
-    alloc = Allocation(y=y_tree, total=sol.task_size)
+    kept = set(to_full)
+    by_root = {
+        to_full[root]: [to_full[i] for i in order]
+        for root, order in zip(work.subtree_roots, sol.schedule.orders)
+    }
+    full_sched = Schedule(
+        orders=tuple(
+            tuple(by_root.get(root, []) + [i for i in nodes if i not in kept])
+            for root, nodes in full_tree.subtrees.items()
+        )
+    )
+    alloc = Allocation(y=tuple(y_full), total=sol.task_size)
     check = system_cost(full_tree, full_sched, alloc, sol.weights, sol.b_comp)
     drift = abs(check.j_system - sol.cost)
     if drift > 1e-9 * max(1.0, abs(sol.cost)):
@@ -470,9 +472,7 @@ def _audit_and_record(
             f"cost audit failed for {method}: {check.j_system} vs {sol.cost}"
         )
 
-    orders_net = tuple(
-        tuple(full_tree.to_original[i] for i in order) for order in full_sched.orders
-    )
+    net_id = full_tree.to_original
     return RunRecord(
         scenario_id=scenario_id,
         method=method,
@@ -482,22 +482,34 @@ def _audit_and_record(
         max_time=check.max_time,
         max_energy=check.max_energy,
         t_exe=t_exe,
-        allocation=tuple(y_net),
-        orders=orders_net,
+        allocation=tuple(y_full[relabel[k]] for k in range(n)),
+        orders=tuple(tuple(net_id[i] for i in order) for order in full_sched.orders),
         solver_tag=sol.solver_tag,
     )
+
+
+def _mean_solve_seconds(
+    spec: MethodSpec,
+    tree: SinkTree,
+    task_size: float,
+    weights: Weights,
+    b: float,
+    reps: int,
+) -> float | None:
+    """Mean wall seconds of `reps` re-solves of `spec`; None when reps <= 0."""
+    if reps <= 0:
+        return None
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        solve_method(spec, tree, task_size, weights, b)
+    return (time.perf_counter() - t0) / reps
 
 
 def run_scenario(s: Scenario) -> list[RunRecord]:
     """Execute every (sweep point, method) pair in deterministic order."""
     base_net = None if s.source_kind == "generate" and s.sweep and s.sweep.parameter == "subtree_count" else _base_network(s)
 
-    points: list[float | None]
-    if s.sweep is None:
-        points = [None]
-    else:
-        points = list(s.sweep.values)
-
+    points: list[float | None] = [None] if s.sweep is None else list(s.sweep.values)
     records: list[RunRecord] = []
     for value in points:
         net = base_net
@@ -521,14 +533,9 @@ def run_scenario(s: Scenario) -> list[RunRecord]:
         for spec in s.methods:
             spec = _at_point(spec, sweep_param, value)
             sol = solve_method(spec, tree, task_size, s.weights, s.b_comp)
-            t_exe = None
-            if s.repetitions > 0:
-                elapsed = 0.0
-                for _ in range(s.repetitions):
-                    t0 = time.perf_counter()
-                    solve_method(spec, tree, task_size, s.weights, s.b_comp)
-                    elapsed += time.perf_counter() - t0
-                t_exe = elapsed / s.repetitions
+            t_exe = _mean_solve_seconds(
+                spec, tree, task_size, s.weights, s.b_comp, s.repetitions
+            )
             records.append(
                 _audit_and_record(
                     s.scenario_id, spec.name, sol, tree, sweep_param, value, t_exe
@@ -541,54 +548,42 @@ def run_scenario(s: Scenario) -> list[RunRecord]:
 # emission
 
 
-def _fmt(v: float | None) -> str:
+# RunRecord field -> record column, in CSV and JSON order; the allocation,
+# orders and solver tag follow
+_COLUMNS = (
+    ("scenario_id", "scenario_id"),
+    ("method", "method"),
+    ("sweep_param", "sweep_param"),
+    ("sweep_value", "sweep_value"),
+    ("cost", "cost_J"),
+    ("max_time", "max_T_total_s"),
+    ("max_energy", "max_E_total_J"),
+    ("t_exe", "T_exe_s"),
+)
+
+
+def _cell(v: str | float | None) -> str:
     if v is None:
         return ""
-    return "%.12g" % v
+    return v if isinstance(v, str) else "%.12g" % v
 
 
 def emit_csv(records: list[RunRecord], path: str | Path) -> None:
     """Stable-column CSV; float cells carry 12 significant digits."""
     n = max((len(r.allocation) for r in records), default=0)
-    header = [
-        "scenario_id",
-        "method",
-        "sweep_param",
-        "sweep_value",
-        "cost_J",
-        "max_T_total_s",
-        "max_E_total_J",
-        "T_exe_s",
-    ] + [f"y_{i}" for i in range(n)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
+        w.writerow([col for _, col in _COLUMNS] + [f"y_{i}" for i in range(n)])
         for r in records:
-            row = [
-                r.scenario_id,
-                r.method,
-                r.sweep_param or "",
-                _fmt(r.sweep_value),
-                _fmt(r.cost),
-                _fmt(r.max_time),
-                _fmt(r.max_energy),
-                _fmt(r.t_exe),
-            ]
-            row.extend(_fmt(v) for v in r.allocation)
+            row = [_cell(getattr(r, f)) for f, _ in _COLUMNS]
+            row.extend(_cell(v) for v in r.allocation)
             row.extend("" for _ in range(n - len(r.allocation)))
             w.writerow(row)
 
 
 def record_to_doc(r: RunRecord) -> dict:
     return {
-        "scenario_id": r.scenario_id,
-        "method": r.method,
-        "sweep_param": r.sweep_param,
-        "sweep_value": r.sweep_value,
-        "cost_J": r.cost,
-        "max_T_total_s": r.max_time,
-        "max_E_total_J": r.max_energy,
-        "T_exe_s": r.t_exe,
+        **{col: getattr(r, f) for f, col in _COLUMNS},
         "allocation": list(r.allocation),
         "orders": [list(o) for o in r.orders],
         "solver_tag": r.solver_tag,
@@ -597,14 +592,7 @@ def record_to_doc(r: RunRecord) -> dict:
 
 def record_from_doc(doc: dict) -> RunRecord:
     return RunRecord(
-        scenario_id=doc["scenario_id"],
-        method=doc["method"],
-        sweep_param=doc["sweep_param"],
-        sweep_value=doc["sweep_value"],
-        cost=doc["cost_J"],
-        max_time=doc["max_T_total_s"],
-        max_energy=doc["max_E_total_J"],
-        t_exe=doc["T_exe_s"],
+        **{f: doc[col] for f, col in _COLUMNS},
         allocation=tuple(doc["allocation"]),
         orders=tuple(tuple(o) for o in doc["orders"]),
         solver_tag=doc["solver_tag"],

@@ -91,9 +91,8 @@ def partial_offload_cost(
     """Best achievable cost when only the master and node i may compute.
 
     Every other node is forced to zero but still relays (and pays relay
-    energy) if it sits on the path to i.  The split has two free columns,
-    so its support comes in closed form from the rows' upper envelope and
-    no LP is solved (see `solvers._minmax_unit`).
+    energy) if it sits on the path to i.  The split has two free columns
+    (see `solvers._minmax_unit` for how such a split is solved).
     """
     if i == MASTER_ID:
         raise ParameterError("partial offloading needs a non-master node")
@@ -208,14 +207,12 @@ def ga(
     across all generations.
 
     The static cost matrix is built once per call, and each new
-    chromosome's split starts from the (S, R) certified for the previous
-    one (see `solvers._minmax_unit`), so a small simplex cold-starts only
-    the first split and those whose carried support fails its
-    certificate; HiGHS runs only as the last resort when that fails too.
-    That support and the fitness memo live only inside one call, so a
-    re-solve takes the same path.  Fitness is the audit's own j_system
-    (`costs._node_terms` on the split just solved), bit for bit, but only
-    the winner is audited into a Solution.
+    chromosome's split carries the (S, R) certified for the previous one
+    into `solvers._minmax_unit`'s cascade.  That support and the fitness
+    memo live only inside one call, so a re-solve takes the same path.
+    Fitness is the audit's own j_system (`costs._node_terms` on the split
+    just solved), bit for bit, but only the winner is audited into a
+    Solution.
     """
     if not 0.0 <= task_size < math.inf:
         raise ParameterError(f"task size must be finite and >= 0, got {task_size}")

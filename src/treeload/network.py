@@ -211,23 +211,21 @@ def network_from_doc(doc: dict) -> NetworkGraph:
         if declared != expected:
             raise ParameterError(f"unsupported unit for {key}: {declared!r}")
     try:
-        raw_servers = doc["servers"]
-        raw_links = doc["links"]
+        servers = tuple(
+            ServerParams(
+                id=int(s["id"]),
+                cpu_freq=ghz_to_hz(float(s["cpu_freq_ghz"])),
+                tx_power=dbm_to_watts(float(s["tx_power_dbm"])),
+                switched_cap=float(s["gamma"]),
+            )
+            for s in sorted(doc["servers"], key=lambda s: int(s["id"]))
+        )
+        links = {
+            (int(e["i"]), int(e["j"])): gbps_to_bps(float(e["rate_gbps"]))
+            for e in doc["links"]
+        }
     except KeyError as missing:
         raise ParameterError(f"network document missing key {missing}") from None
-    servers = tuple(
-        ServerParams(
-            id=int(s["id"]),
-            cpu_freq=ghz_to_hz(float(s["cpu_freq_ghz"])),
-            tx_power=dbm_to_watts(float(s["tx_power_dbm"])),
-            switched_cap=float(s["gamma"]),
-        )
-        for s in sorted(raw_servers, key=lambda s: int(s["id"]))
-    )
-    links = {
-        (int(e["i"]), int(e["j"])): gbps_to_bps(float(e["rate_gbps"]))
-        for e in raw_links
-    }
     return NetworkGraph(servers=servers, links=links)
 
 
@@ -238,5 +236,9 @@ def save_network(net: NetworkGraph, path) -> None:
 
 
 def load_network(path) -> NetworkGraph:
+    """Read a network file; malformed content raises ParameterError naming it."""
     with open(path) as fh:
-        return network_from_doc(json.load(fh))
+        try:
+            return network_from_doc(json.load(fh))
+        except ValueError as exc:  # bad JSON, undecodable bytes, ParameterError
+            raise ParameterError(f"{path}: not a network file: {exc}") from None

@@ -15,16 +15,9 @@ finish together, so the split is one small linear solve on (S, R): the
 equaliser.  Its answer is accepted only with a certificate: the primal
 weights and the dual row weights from the transposed solve are
 nonnegative, and the dual bound is within 1e-12 of the primal value
-(weak duality).  (S, R) comes from, in turn: the last certified support
-of an earlier split of the same shape, when the caller carries one; for
-a split between two columns, the lowest point of the rows' upper
-envelope, found in closed form; and otherwise the final basis of a small
-dense primal simplex, the cold start (a basis of the game's LP is an
-(S, R), Shapley and Snow 1950); then the pure saddle point.  Only when
-none of these certifies does HiGHS (scipy's `linprog`) run, as the last
-resort, its vertex polished by the equaliser.  A split that cannot be
-certified even then raises InfeasibleError, so every split returned
-carries the certificate.
+(weak duality).  `_minmax_unit` describes the cascade that finds
+(S, R).  A split that no step of it certifies raises InfeasibleError,
+so every split returned carries the certificate.
 
 `cmo` enumerates every per-subtree transmission order, carrying the last
 certified (S, R) from one schedule to the next, and keeps the best; the
@@ -148,16 +141,21 @@ def _minmax_unit(
 
     The optimum is the equal-finish point of some support S of columns and
     as many tight rows R, so it is found by `_equalise` and certified by a
-    dual vector.  `warm` is the (S, R) of an earlier answer on a matrix of
-    the same shape; when it certifies here, nothing else is solved.
-    Otherwise, when exactly two columns are free, (S, R) is read off the
-    rows' upper envelope in closed form (`_two_column_support`).  Failing
-    both, a dense simplex cold-starts from the origin and its final basis
-    gives (S, R) (`_simplex_support`).  When that fails (pivot cap, or a
-    final basis the certificate refutes), the pure saddle point is tried:
-    the column of least maximum against the row of greatest minimum.
-    Only if that fails too does HiGHS solve the epigraph LP, as the last
-    resort: its basis gives (S, R) and the equaliser polishes that vertex.
+    dual vector.  This is the one place the split cascade lives; each step
+    runs only when every earlier one failed its certificate:
+
+    1. carried support: `warm`, the (S, R) of an earlier answer on a
+       matrix of the same shape;
+    2. two-column closed form: with exactly two free columns, (S, R) is
+       read off the rows' upper envelope (`_two_column_support`);
+    3. simplex: a dense simplex cold-starts from the origin and its final
+       basis gives (S, R) (`_simplex_support`; a basis of the game's LP
+       is an (S, R), Shapley and Snow 1950), unless it hits its pivot cap;
+    4. saddle point: the column of least maximum against the row of
+       greatest minimum;
+    5. HiGHS (scipy's `linprog`) solves the epigraph LP, the last resort:
+       its basis gives (S, R) and the equaliser polishes that vertex.
+
     Raises InfeasibleError when even that polish fails its certificate,
     and ParameterError when a column that is not pinned holds a value
     that is not finite (an overflowing weight).  Returns (u, support):
@@ -438,14 +436,12 @@ def _best_order(
 ):
     """Best of `total` (key, unit waiting matrix) candidates, one split each.
 
-    Each candidate's split starts from the support and tight rows
-    certified for the previous one, so the simplex cold start runs only
-    when that guess fails its certificate, and HiGHS only when the simplex
-    fails too (see `_minmax_unit`); neighbouring orders usually share
-    their optimal support.  A candidate scores the largest row of a @ y,
-    y its split in bits; ties go to the earliest candidate.  Warns
-    (RuntimeWarning) before more than 10**6 candidates.  Returns
-    (score, key, y, candidates tried).
+    Each candidate's split carries the support and tight rows certified
+    for the previous one into `_minmax_unit`'s cascade; neighbouring
+    orders usually share their optimal support.  A candidate scores the
+    largest row of a @ y, y its split in bits; ties go to the earliest
+    candidate.  Warns (RuntimeWarning) before more than 10**6
+    candidates.  Returns (score, key, y, candidates tried).
     """
     if total > _WARN_SCHEDULES:
         warnings.warn(
@@ -651,24 +647,33 @@ def save_baseline(path, sol: Solution) -> None:
 def load_baseline(
     path, tree: SinkTree, weights: Weights, b: float = DEFAULT_B
 ) -> Solution | None:
-    """Recover a cached baseline; None when the tree or settings changed."""
+    """Recover a cached baseline; None when the tree or settings changed.
+
+    A file that is not a cached plan raises ParameterError naming it.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         return None
+    except ValueError as exc:  # also undecodable bytes
+        raise ParameterError(f"{path}: not a cached plan: {exc}") from None
     if doc.get("tree_sha") != tree_fingerprint(tree):
         return None
     if list(doc.get("weights", [])) != [weights.w1, weights.w2]:
         return None
     if doc.get("b_comp") != b:
         return None
-    schedule = Schedule(orders=tuple(tuple(seq) for seq in doc["orders"]))
+    try:
+        orders, y, task_size = doc["orders"], doc["y"], doc["task_size"]
+    except KeyError as missing:
+        raise ParameterError(f"{path}: cached plan missing key {missing}") from None
+    schedule = Schedule(orders=tuple(tuple(seq) for seq in orders))
     return _solution(
         tree,
         schedule,
-        doc["y"],
-        float(doc["task_size"]),
+        y,
+        float(task_size),
         weights,
         b,
         str(doc.get("solver_tag", "cached")),

@@ -4,6 +4,8 @@ import warnings
 import pytest
 
 from treeload.cli import main
+from treeload.topologies import named_topology
+from treeload.tree import tree_fingerprint
 
 SCENARIO = {
     "scenario_id": "cli_case",
@@ -271,3 +273,43 @@ def test_verify_solo_generated_network(capsys):
     rc = main(["verify", "--nodes", "5", "--seed", "2", "--method", "pmo"])
     assert rc == 0
     assert "checks passed" in capsys.readouterr().out
+
+
+def _plan_without_orders() -> str:
+    top = named_topology("mixed")
+    return json.dumps({
+        "tree_sha": tree_fingerprint(top.tree),
+        "weights": [top.weights.w1, top.weights.w2],
+        "b_comp": top.b_comp,
+        "task_size": top.task_size,
+        "y": [top.task_size] + [0.0] * (len(top.tree) - 1),
+    })
+
+
+SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
+
+
+@pytest.mark.parametrize(
+    "verb, content",
+    [
+        (["tree", "--network"], "{not json"),
+        (["tree", "--network"], json.dumps(
+            {"servers": [{"id": 0, "tx_power_dbm": 30.0, "gamma": 1e-2}], "links": []}
+        )),
+        (["compare", "--scenario"], "{not json"),
+        (SOLVE_MIXED, "{not json"),
+        (SOLVE_MIXED, _plan_without_orders()),
+    ],
+    ids=["network-not-json", "network-no-clock", "scenario-not-json",
+         "cache-not-json", "cache-without-plan"],
+)
+def test_malformed_files_fail_with_a_named_error(verb, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    rc = main([*verb, str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(path) in err
+    assert "Traceback" not in err
+    # a file the user passed is never overwritten
+    assert path.read_text() == content

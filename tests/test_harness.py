@@ -10,8 +10,10 @@ import treeload.solvers as solvers
 from treeload import (
     ScenarioError,
     Weights,
+    build_sink_tree,
     emit_csv,
     emit_json,
+    generate_network,
     load_records,
     load_scenario,
     run_scenario,
@@ -23,6 +25,7 @@ from treeload.harness import (
     Scenario,
     method_params,
     scenario_from_doc,
+    solve_method,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -236,6 +239,40 @@ def test_run_scenario_records_full_length_rows_after_pruning():
     assert sorted(flat) == list(range(1, 8))
 
 
+def test_pruned_record_maps_the_solution_to_network_ids():
+    # np+ keeps three helpers and node 1 as a zero-load relay, and removes
+    # network nodes 3 and 5; the builder relabels the network's ids
+    s = scenario_from_doc(
+        doc(
+            network={"generate": {"node_count": 7, "edge_prob": 0.4, "rng_seed": 7}},
+            methods=[{"name": "np+pmo", "params": {"theta_p": 0.3}}],
+        )
+    )
+    (r,) = run_scenario(s)
+    tree = build_sink_tree(generate_network(s.source))
+    sol = solve_method(s.methods[0], tree, s.task_size, s.weights, s.b_comp)
+    work, net_id = sol.tree, tree.to_original
+    assert list(net_id) != sorted(net_id)
+    removed = set(net_id) - set(work.to_original)
+    assert removed == {3, 5}
+    assert 0 < sum(v > 0 for v in sol.allocation.y[1:]) < len(work) - 1
+
+    want_orders = []
+    for root, nodes in tree.subtrees.items():
+        (order,) = [
+            o for t, o in zip(work.subtree_roots, sol.schedule.orders)
+            if work.to_original[t] == net_id[root]
+        ]
+        rest = [net_id[i] for i in nodes if net_id[i] in removed]  # ascending tree id
+        want_orders.append(tuple(work.to_original[i] for i in order) + tuple(rest))
+    assert r.orders == tuple(want_orders)
+    assert r.orders[1][-2:] == (3, 5)
+
+    by_net = dict(zip(work.to_original, sol.allocation.y))
+    assert r.allocation == tuple(by_net.get(k, 0.0) for k in range(len(tree)))
+    assert r.allocation[1] == 0.0 and 1 in work.to_original
+
+
 def test_task_size_sweep_scales_costs_proportionally():
     s = scenario_from_doc(
         doc(sweep={"parameter": "task_size", "values_gbit": [1, 2, 4]})
@@ -332,6 +369,11 @@ def test_json_roundtrip(tmp_path):
     emit_json(records, p)
     back = load_records(p)
     assert back == records
+    assert list(json.loads(p.read_text())[0]) == [
+        "scenario_id", "method", "sweep_param", "sweep_value", "cost_J",
+        "max_T_total_s", "max_E_total_J", "T_exe_s", "allocation", "orders",
+        "solver_tag",
+    ]
 
 
 def test_float_format_uses_12_significant_digits(tmp_path):
