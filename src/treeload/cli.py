@@ -83,6 +83,13 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     src.add_argument("--edge-prob", type=float, default=_EDGE_PROB)
 
 
+def _reps(text: str) -> int:
+    """A --reps value: a count of timed re-solves, at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR", help="directory for result files")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method_flags(so)
     _add_output_flags(so)
     so.add_argument("--seed", type=int, default=0)
-    so.add_argument("--reps", type=int, default=0,
+    so.add_argument("--reps", type=_reps, default=0,
                     help="extra timed re-solves for T_exe")
     so.add_argument("--cache", metavar="FILE",
                     help="baseline cache; matching entries are rescaled, not re-solved")
@@ -358,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compare", help="run a scenario's methods at the base point")
     c.add_argument("--scenario", required=True, metavar="FILE")
-    c.add_argument("--reps", type=int, default=None)
+    c.add_argument("--reps", type=_reps, default=None)
     _add_output_flags(c)
     c.set_defaults(fn=_cmd_compare)
 
     sw = sub.add_parser("sweep", help="run a scenario's parameter sweep")
     sw.add_argument("--scenario", required=True, metavar="FILE")
-    sw.add_argument("--reps", type=int, default=None)
+    sw.add_argument("--reps", type=_reps, default=None)
     _add_output_flags(sw)
     sw.set_defaults(fn=_cmd_sweep)
 

@@ -15,7 +15,8 @@ nonnegative linear form in y: the schedule-independent `_static_matrix`,
 built once per solve, plus w1 times the schedule's waiting terms
 (`_waiting`, a mask over the tree's sharing matrix).  The solvers add the
 two (pmo on slices of them); `cost_coefficients` returns their sum as one
-read-only matrix, for `verification.check_solution` and tests.
+read-only matrix, for `solvers.solve_fixed_order`,
+`verification.check_solution` and tests.
 `_node_terms` evaluates every term of one split, for `system_cost` and GA
 fitness alike.  Both take a few numpy operations on per-tree arrays
 (`SinkTree.cost_arrays`), no loop.

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .costs import Allocation, Schedule, Weights, system_cost
-from .errors import GenerationError, ScenarioError
+from .errors import GenerationError, ParameterError, ScenarioError
 from .heuristics import (
     GaParams,
     LpParams,
@@ -41,14 +41,15 @@ from .tree import SinkTree, build_sink_tree
 from .units import DEFAULT_B, gbit_to_bits, gbps_to_bps, ghz_to_hz
 
 EXACT = ("cmo", "pmo")
-SWEEP_PARAMS = (
-    "task_size",
-    "theta_p",
-    "xi",
-    "link_rate",
-    "cpu_freq",
-    "subtree_count",
-)
+# sweepable parameter -> the key of its value list
+SWEEP_PARAMS = {
+    "task_size": "values_gbit",
+    "theta_p": "values",
+    "xi": "values",
+    "link_rate": "values_gbps",
+    "cpu_freq": "values_ghz",
+    "subtree_count": "values",
+}
 
 # GenParams fields a scenario gives as [lo, hi] lists
 _GEN_RANGES = ("freq_range_ghz", "rate_range_gbps")
@@ -113,16 +114,20 @@ class RunRecord:
 
 
 class Solver(NamedTuple):
-    # (tree, task_size, weights, forced relays, b, params it reads) -> Solution
+    # (tree, task_size, weights, forced relays, b, params object) -> Solution
     solve: Callable[..., Solution]
-    params: tuple[str, ...] = ()  # parameter names it reads
+    params: type | None = None  # dataclass of the parameters it reads
     prunable: bool = False  # takes an np+ or lp+ prefix
 
 
 class Pruner(NamedTuple):
-    param: str  # the one parameter it requires
-    # (tree, param value, task_size, weights, b) -> (working tree, forced relays)
+    params: type  # dataclass of the one parameter it requires
+    # (tree, params object, task_size, weights, b) -> (working tree, forced relays)
     prune: Callable[..., tuple[SinkTree, frozenset[int]]]
+
+    @property
+    def param(self) -> str:
+        return fields(self.params)[0].name
 
 
 # the entries name their functions inside lambdas, so a function replaced
@@ -130,11 +135,7 @@ class Pruner(NamedTuple):
 SOLVERS: dict[str, Solver] = {
     "cmo": Solver(lambda t, y, w, f, b, p: cmo(t, y, w, f, b=b), prunable=True),
     "pmo": Solver(lambda t, y, w, f, b, p: pmo(t, y, w, f, b=b), prunable=True),
-    "ga": Solver(
-        lambda t, y, w, f, b, p: ga(t, y, w, GaParams(**p), f, b=b),
-        tuple(field.name for field in fields(GaParams)),
-        prunable=True,
-    ),
+    "ga": Solver(lambda t, y, w, f, b, p: ga(t, y, w, p, f, b=b), GaParams, True),
     "local": Solver(lambda t, y, w, f, b, p: baseline_local(t, y, w, b=b)),
     "partial": Solver(lambda t, y, w, f, b, p: baseline_partial(t, y, w, b=b)),
     "master_worker": Solver(
@@ -143,22 +144,25 @@ SOLVERS: dict[str, Solver] = {
     "multi_hop": Solver(lambda t, y, w, f, b, p: baseline_multi_hop(t, y, w, b=b)),
 }
 PRUNERS: dict[str, Pruner] = {
-    "np": Pruner(
-        "theta_p", lambda t, v, y, w, b: node_prune(t, NpParams(float(v)), y, w, b=b)
-    ),
-    "lp": Pruner(
-        "xi", lambda t, v, y, w, b: (level_prune(t, LpParams(int(v))), frozenset())
-    ),
+    "np": Pruner(NpParams, lambda t, p, y, w, b: node_prune(t, p, y, w, b=b)),
+    "lp": Pruner(LpParams, lambda t, p, y, w, b: (level_prune(t, p), frozenset())),
 }
 
 
-def method_params(name: str) -> tuple[str, ...] | None:
-    """Parameter names method `name` reads, its pruner's first; None if unknown."""
+def method_params(name: str) -> dict[str, type] | None:
+    """Each parameter method `name` reads -> the dataclass that checks and
+    holds it, its pruner's first; None when `name` is no method."""
     pruner, plus, solver = name.rpartition("+")
     entry = SOLVERS.get(solver)
     if entry is None or (plus and (pruner not in PRUNERS or not entry.prunable)):
         return None
-    return ((PRUNERS[pruner].param,) if pruner else ()) + entry.params
+    kinds = ((PRUNERS[pruner].params,) if pruner else ()) + (entry.params,)
+    return {f.name: kind for kind in kinds if kind for f in fields(kind)}
+
+
+def _build(kind: type, params: dict[str, Any]):
+    """`kind`'s dataclass from the entries of `params` it holds."""
+    return kind(**{f.name: params[f.name] for f in fields(kind) if f.name in params})
 
 
 def method_problems(
@@ -166,10 +170,11 @@ def method_problems(
 ) -> list[str]:
     """Everything wrong with running method `name` on `params`; [] when valid.
 
-    `spell` renders a parameter name the way the caller's user wrote it.
+    Each value is checked by the dataclass that holds it.  `spell` renders
+    a parameter name the way the caller's user wrote it.
     """
-    reads = method_params(name) if isinstance(name, str) else None
-    if reads is None:
+    types = method_params(name) if isinstance(name, str) else None
+    if types is None:
         return [f"unknown method {name!r}"]
     if not isinstance(params, dict):
         return ["params: must be an object"]
@@ -177,7 +182,14 @@ def method_problems(
     problems = []
     if pruner and PRUNERS[pruner].param not in params:
         problems.append(f"{pruner}+ needs {spell(PRUNERS[pruner].param)}")
-    problems += [f"{spell(k)}: not read by {name}" for k in params if k not in reads]
+    for k, v in params.items():
+        if k not in types:
+            problems.append(f"{spell(k)}: not read by {name}")
+            continue
+        try:
+            types[k](**{k: v})
+        except ParameterError as exc:
+            problems.append(f"{spell(k)}: {exc}")
     return problems
 
 
@@ -189,11 +201,11 @@ def solve_method(
     if spec.pruner:
         pruner = PRUNERS[spec.pruner]
         work, forced = pruner.prune(
-            tree, spec.params[pruner.param], task_size, weights, b
+            tree, _build(pruner.params, spec.params), task_size, weights, b
         )
     solver = SOLVERS[spec.solver]
-    read = {k: spec.params[k] for k in solver.params if k in spec.params}
-    return solver.solve(work, task_size, weights, forced, b, read)
+    params = solver.params and _build(solver.params, spec.params)
+    return solver.solve(work, task_size, weights, forced, b, params)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +309,10 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
             param = sdoc["parameter"]
             if param not in SWEEP_PARAMS:
                 problems.append(
-                    f"sweep.parameter: unknown {param!r}, choices {SWEEP_PARAMS}"
+                    f"sweep.parameter: unknown {param!r}, choices {tuple(SWEEP_PARAMS)}"
                 )
             else:
-                key = {
-                    "task_size": "values_gbit",
-                    "link_rate": "values_gbps",
-                    "cpu_freq": "values_ghz",
-                }.get(param, "values")
+                key = SWEEP_PARAMS[param]
                 raw = sdoc.get(key, sdoc.get("values"))
                 if not isinstance(raw, list) or not raw:
                     problems.append(f"sweep.{key}: required non-empty list")
@@ -340,6 +348,12 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                 except (TypeError, ValueError):
                     problems.append(f"sweep.{key}: values must be numbers")
                     values = ()
+                if param in ("xi", "subtree_count"):
+                    problems += [
+                        f"sweep.{key}: {param} must be an integer, got {v!r}"
+                        for v in values
+                        if v % 1
+                    ]
                 if values:
                     sweep = SweepSpec(
                         parameter=param, values=values, edge=edge, node=node

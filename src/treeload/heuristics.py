@@ -12,6 +12,7 @@ offload.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 
@@ -24,9 +25,25 @@ from .costs import (
     canonical_schedule,
 )
 from .errors import ParameterError
-from .solvers import Solution, _schedule_split, _solution, solve_fixed_order
+from .solvers import Solution, _minmax_unit, _solution, solve_fixed_order
 from .tree import MASTER_ID, SinkTree, prune_tree
 from .units import DEFAULT_B
+
+
+def _store_checked(params, kind: type, **bounds: tuple[float, float]) -> None:
+    """Store each field named in `bounds` of frozen `params` as a `kind`.
+
+    A value that is not a real number (an integral one for int) in its
+    [lo, hi] raises ParameterError.  Integral floats such as 2.0 count as
+    integers, because sweep values are parsed as floats.
+    """
+    what = "an integer" if kind is int else "a number"
+    for name, (lo, hi) in bounds.items():
+        v = getattr(params, name)
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not real or (kind is int and v % 1) or not lo <= v <= hi:
+            raise ParameterError(f"{name} must be {what} in [{lo}, {hi}], got {v!r}")
+        object.__setattr__(params, name, kind(v))
 
 
 @dataclass(frozen=True)
@@ -36,8 +53,7 @@ class NpParams:
     theta_p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta_p <= 1.0:
-            raise ParameterError(f"theta_p must be in [0, 1], got {self.theta_p}")
+        _store_checked(self, float, theta_p=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -47,8 +63,7 @@ class LpParams:
     xi: int
 
     def __post_init__(self):
-        if self.xi < 0:
-            raise ParameterError(f"xi must be >= 0, got {self.xi}")
+        _store_checked(self, int, xi=(0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -61,14 +76,11 @@ class GaParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ParameterError("population must be >= 2")
-        if self.generations < 1:
-            raise ParameterError("generations must be >= 1")
-        if not 0.0 <= self.elite_frac <= 1.0:
-            raise ParameterError("elite_frac must be in [0, 1]")
-        if not 0.0 <= self.mutation_prob <= 1.0:
-            raise ParameterError("mutation_prob must be in [0, 1]")
+        _store_checked(
+            self, int, population=(2, math.inf), generations=(1, math.inf),
+            rng_seed=(-math.inf, math.inf),
+        )
+        _store_checked(self, float, elite_frac=(0, 1), mutation_prob=(0, 1))
         if self.mutation_op not in ("swap", "shuffle"):
             raise ParameterError(f"unknown mutation_op {self.mutation_op!r}")
 
@@ -78,6 +90,20 @@ def local_cost(
 ) -> float:
     """Cost of keeping the whole task on the master."""
     return baseline_local(tree, task_size, weights, b=b).cost
+
+
+def _split_over(
+    tree: SinkTree, keep: set[int], task_size: float, weights: Weights, b: float
+) -> Solution:
+    """Optimal split over the `keep` nodes under the canonical schedule.
+
+    Every other node is forced to zero but still relays (and pays relay
+    energy) if it sits on the path to a kept node.
+    """
+    forced = frozenset(range(len(tree))) - keep
+    return solve_fixed_order(
+        tree, canonical_schedule(tree), task_size, weights, forced, b=b
+    )
 
 
 def partial_offload_cost(
@@ -90,19 +116,14 @@ def partial_offload_cost(
 ) -> float:
     """Best achievable cost when only the master and node i may compute.
 
-    Every other node is forced to zero but still relays (and pays relay
-    energy) if it sits on the path to i.  The split has two free columns
-    (see `solvers._minmax_unit` for how such a split is solved).
+    The split (`_split_over`) has two free columns; see
+    `solvers._minmax_unit` for how such a split is solved.
     """
     if i == MASTER_ID:
         raise ParameterError("partial offloading needs a non-master node")
     if not 0 <= i < len(tree):
         raise ParameterError(f"node {i} not in tree")
-    forced = frozenset(range(len(tree))) - {MASTER_ID, i}
-    sol = solve_fixed_order(
-        tree, canonical_schedule(tree), task_size, weights, forced, b=b
-    )
-    return sol.cost
+    return _split_over(tree, {MASTER_ID, i}, task_size, weights, b).cost
 
 
 def node_prune(
@@ -206,13 +227,13 @@ def ga(
     Deterministic for a given rng_seed.  Returns the best solution seen
     across all generations.
 
-    The static cost matrix is built once per call, and each new
-    chromosome's split carries the (S, R) certified for the previous one
-    into `solvers._minmax_unit`'s cascade.  That support and the fitness
-    memo live only inside one call, so a re-solve takes the same path.
-    Fitness is the audit's own j_system (`costs._node_terms` on the split
-    just solved), bit for bit, but only the winner is audited into a
-    Solution.
+    The static cost matrix is built once per call; a chromosome's linear
+    form adds w1 times its waiting matrix, and its split carries the
+    (S, R) certified for the previous one into `solvers._minmax_unit`'s
+    cascade.  That support and the fitness memo live only inside one
+    call, so a re-solve takes the same path.  Fitness is the audit's own
+    j_system (`costs._node_terms` on the split just solved), bit for bit,
+    but only the winner is audited into a Solution.
     """
     if not 0.0 <= task_size < math.inf:
         raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
@@ -231,9 +252,8 @@ def ga(
         nonlocal support
         if chrom not in memo:
             wait = _waiting(tree, Schedule(orders=chrom))
-            _, u, support = _schedule_split(
-                static, wait, weights.w1, task_size, forced_zero, support
-            )
+            a = static + weights.w1 * wait
+            u, support = _minmax_unit(a, forced_zero, support)
             y = u * task_size
             j_node = _node_terms(tree, wait, y, weights, b)[-1]
             memo[chrom] = (max(j_node.tolist()), y)
@@ -286,16 +306,6 @@ def baseline_local(
     )
 
 
-def _time_optimal_subset(
-    tree: SinkTree, keep: frozenset[int], task_size: float, b: float
-) -> Solution:
-    """Completion-time-optimal split restricted to `keep` nodes."""
-    forced = frozenset(range(len(tree))) - keep
-    return solve_fixed_order(
-        tree, canonical_schedule(tree), task_size, Weights(1.0, 0.0), forced, b=b
-    )
-
-
 def baseline_partial(
     tree: SinkTree, task_size: float, weights: Weights, *, b: float = DEFAULT_B
 ) -> Solution:
@@ -308,7 +318,7 @@ def baseline_partial(
     best_time = math.inf
     y = (task_size,) + (0.0,) * (len(tree) - 1)
     for j in tree.children[MASTER_ID]:
-        timed = _time_optimal_subset(tree, frozenset({MASTER_ID, j}), task_size, b)
+        timed = _split_over(tree, {MASTER_ID, j}, task_size, Weights(1.0, 0.0), b)
         if timed.cost < best_time:
             best_time, y = timed.cost, timed.allocation.y
     return _solution(
@@ -324,17 +334,10 @@ def baseline_master_worker(
     One-hop nodes root their own subtrees, so transmissions are
     concurrent and nothing waits.  Cost is reported at the given weights.
     """
-    keep = frozenset({MASTER_ID}) | frozenset(tree.children[MASTER_ID])
-    alloc = _time_optimal_subset(tree, keep, task_size, b).allocation
-    return _solution(
-        tree,
-        canonical_schedule(tree),
-        alloc.y,
-        task_size,
-        weights,
-        b,
-        "baseline-master-worker",
-    )
+    keep = {MASTER_ID, *tree.children[MASTER_ID]}
+    y = _split_over(tree, keep, task_size, Weights(1.0, 0.0), b).allocation.y
+    tag = "baseline-master-worker"
+    return _solution(tree, canonical_schedule(tree), y, task_size, weights, b, tag)
 
 
 def baseline_multi_hop(

@@ -205,12 +205,13 @@ def network_to_doc(net: NetworkGraph) -> dict:
 
 
 def network_from_doc(doc: dict) -> NetworkGraph:
-    units = doc.get("units", {})
-    for key, expected in _EXPECTED_UNITS.items():
-        declared = units.get(key, expected)
-        if declared != expected:
-            raise ParameterError(f"unsupported unit for {key}: {declared!r}")
+    """Parse the document form; one of the wrong shape raises ParameterError."""
     try:
+        units = doc.get("units", {})
+        for key, expected in _EXPECTED_UNITS.items():
+            declared = units.get(key, expected)
+            if declared != expected:
+                raise ParameterError(f"unsupported unit for {key}: {declared!r}")
         servers = tuple(
             ServerParams(
                 id=int(s["id"]),
@@ -226,6 +227,8 @@ def network_from_doc(doc: dict) -> NetworkGraph:
         }
     except KeyError as missing:
         raise ParameterError(f"network document missing key {missing}") from None
+    except (AttributeError, TypeError) as exc:  # a part of the wrong type
+        raise ParameterError(f"network document: wrong type: {exc}") from None
     return NetworkGraph(servers=servers, links=links)
 
 

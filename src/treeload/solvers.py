@@ -48,8 +48,8 @@ from .costs import (
     Weights,
     _static_matrix,
     _waiting,
+    cost_coefficients,
     system_cost,
-    validate_schedule,
 )
 from .errors import InfeasibleError, ParameterError
 from .tree import SinkTree, tree_fingerprint
@@ -371,38 +371,9 @@ def solve_fixed_order(
     """Optimal split for one fixed schedule."""
     if not 0.0 <= task_size < math.inf:
         raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
-    validate_schedule(tree, schedule)
-    static = _static_matrix(tree, weights, b)
-    _, u, _ = _schedule_split(
-        static, _waiting(tree, schedule), weights.w1, task_size, forced_zero
-    )
-    return _solution(
-        tree, schedule, u * task_size, task_size, weights, b, "fixed-order"
-    )
-
-
-def _schedule_split(
-    static: np.ndarray,
-    wait: np.ndarray,
-    w1: float,
-    task_size: float,
-    forced_zero: frozenset[int],
-    support: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """Unit split for one schedule, starting from a known support.
-
-    Adds w1 times the schedule's unit waiting matrix `wait` (a mask over
-    the tree's sharing matrix, `costs._waiting`) to the static matrix and
-    solves the min-max split on it (`_minmax_unit`, warm-started from
-    `support`).  Returns (a, u, support): the linear form, the unit
-    weights and the certified (S, R) to pass to the next schedule.  A zero
-    task solves nothing and passes `support` on.
-    """
-    a = static + w1 * wait
-    if task_size == 0.0:
-        return a, np.zeros(len(a)), support
-    u, support = _minmax_unit(a, forced_zero, support)
-    return a, u, support
+    a = cost_coefficients(tree, schedule, weights, b)
+    y = _minmax_unit(a, forced_zero)[0] * task_size
+    return _solution(tree, schedule, y, task_size, weights, b, "fixed-order")
 
 
 def enumerate_schedules(tree: SinkTree):
@@ -436,12 +407,14 @@ def _best_order(
 ):
     """Best of `total` (key, unit waiting matrix) candidates, one split each.
 
-    Each candidate's split carries the support and tight rows certified
-    for the previous one into `_minmax_unit`'s cascade; neighbouring
-    orders usually share their optimal support.  A candidate scores the
-    largest row of a @ y, y its split in bits; ties go to the earliest
-    candidate.  Warns (RuntimeWarning) before more than 10**6
-    candidates.  Returns (score, key, y, candidates tried).
+    A candidate's linear form a is `static` plus w1 times its waiting
+    matrix (a mask over the tree's sharing matrix, `costs._waiting`).  Its
+    split (`_minmax_unit`) starts from the support and tight rows certified
+    for the previous candidate; neighbouring orders usually share their
+    optimal support.  A candidate scores the largest row of a @ y, y its
+    split in bits; ties go to the earliest candidate.  Warns
+    (RuntimeWarning) before more than 10**6 candidates.  Returns (score,
+    key, y, candidates tried).
     """
     if total > _WARN_SCHEDULES:
         warnings.warn(
@@ -453,9 +426,8 @@ def _best_order(
     best = None
     support = None
     for evaluated, (key, wait) in enumerate(candidates, 1):
-        a, u, support = _schedule_split(
-            static, wait, w1, task_size, forced_zero, support
-        )
+        a = static + w1 * wait
+        u, support = _minmax_unit(a, forced_zero, support)
         y = u * task_size
         z = float(np.max(a @ y, initial=0.0))
         if best is None or z < best[0]:
@@ -557,12 +529,12 @@ def pmo(
     enumerated as in `cmo` (`_best_order`) on the slice of the static
     matrix with its nodes as rows and the master plus its nodes as
     columns, the master's column pinned to zero.  The probe carries the
-    whole task (1 bit for a zero task); its best score per bit is the
-    subtree's cost per bit in `solve_master_split`, whose master row holds
-    the master's relay energy for the subtree.  Each subtree's split keeps
-    its probe's shape, scaled to its share.  Only the answer is audited.
-    Matches `cmo` cost while evaluating sum-of-factorials many schedules
-    instead of their product.
+    whole task (1 bit for a zero task, as does the master split); its best
+    score per bit is the subtree's cost per bit in `solve_master_split`,
+    whose master row holds the master's relay energy for the subtree.
+    Each subtree's split keeps its probe's shape, scaled to its share.
+    Only the answer is audited.  Matches `cmo` cost while evaluating
+    sum-of-factorials many schedules instead of their product.
     """
     if not 0.0 <= task_size < math.inf:
         raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
@@ -591,15 +563,14 @@ def pmo(
     schedule = Schedule.from_mapping(tree, orders)
     evaluated = max(evaluated, 1)
 
+    y0, subtree_share = solve_master_split(
+        tree, static, per_bit, probe_size, master_blocked=0 in forced_zero
+    )
     u = np.zeros(len(tree))
-    if task_size > 0.0:
-        y0, subtree_share = solve_master_split(
-            tree, static, per_bit, task_size, master_blocked=0 in forced_zero
-        )
-        u[0] = y0 / task_size
-        for t, share in shares.items():
-            # probe shape, rescaled to the subtree's awarded total
-            u[list(tree.subtrees[t])] = share * subtree_share[t] / task_size
+    u[0] = y0 / probe_size
+    for t, share in shares.items():
+        # probe shape, rescaled to the subtree's awarded total
+        u[list(tree.subtrees[t])] = share * subtree_share[t] / probe_size
     return _solution(
         tree, schedule, u * task_size, task_size, weights, b, "pmo", evaluated
     )
@@ -658,23 +629,20 @@ def load_baseline(
         return None
     except ValueError as exc:  # also undecodable bytes
         raise ParameterError(f"{path}: not a cached plan: {exc}") from None
-    if doc.get("tree_sha") != tree_fingerprint(tree):
-        return None
-    if list(doc.get("weights", [])) != [weights.w1, weights.w2]:
-        return None
-    if doc.get("b_comp") != b:
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: not a cached plan: not a JSON object")
+    if (
+        doc.get("tree_sha") != tree_fingerprint(tree)
+        or doc.get("weights") != [weights.w1, weights.w2]
+        or doc.get("b_comp") != b
+    ):
         return None
     try:
-        orders, y, task_size = doc["orders"], doc["y"], doc["task_size"]
+        schedule = Schedule(orders=tuple(tuple(seq) for seq in doc["orders"]))
+        y, task_size = doc["y"], float(doc["task_size"])
+        tag = str(doc.get("solver_tag", "cached"))
+        return _solution(tree, schedule, y, task_size, weights, b, tag)
     except KeyError as missing:
         raise ParameterError(f"{path}: cached plan missing key {missing}") from None
-    schedule = Schedule(orders=tuple(tuple(seq) for seq in orders))
-    return _solution(
-        tree,
-        schedule,
-        y,
-        float(task_size),
-        weights,
-        b,
-        str(doc.get("solver_tag", "cached")),
-    )
+    except (TypeError, ValueError) as exc:  # also ParameterError, ScheduleError
+        raise ParameterError(f"{path}: not a usable cached plan: {exc}") from None

@@ -250,6 +250,22 @@ def test_sweep_rejects_sweepless_scenario(tmp_path, capsys):
     assert "no sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["solve", "compare", "sweep"])
+def test_negative_reps_fails_before_solving(verb, tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with a negative --reps")
+
+    monkeypatch.setattr("treeload.cli.solve_method", no_solve)
+    monkeypatch.setattr("treeload.cli.run_scenario", no_solve)
+    scen = tmp_path / "case.json"
+    scen.write_text(json.dumps(SCENARIO))
+    source = ["--topology", "mixed"] if verb == "solve" else ["--scenario", str(scen)]
+    with pytest.raises(SystemExit) as exc:
+        main([verb, *source, "--reps", "-2"])
+    assert exc.value.code == 2
+    assert "--reps: must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_bad_scenario_reports_fields(tmp_path, capsys):
     scen = tmp_path / "bad.json"
     scen.write_text(json.dumps({"network": {}, "methods": ["warp"]}))
@@ -275,7 +291,8 @@ def test_verify_solo_generated_network(capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
-def _plan_without_orders() -> str:
+def _mixed_plan(**fields) -> str:
+    """A cache entry matching `mixed` that holds no orders, plus `fields`."""
     top = named_topology("mixed")
     return json.dumps({
         "tree_sha": tree_fingerprint(top.tree),
@@ -283,6 +300,7 @@ def _plan_without_orders() -> str:
         "b_comp": top.b_comp,
         "task_size": top.task_size,
         "y": [top.task_size] + [0.0] * (len(top.tree) - 1),
+        **fields,
     })
 
 
@@ -296,12 +314,20 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
         (["tree", "--network"], json.dumps(
             {"servers": [{"id": 0, "tx_power_dbm": 30.0, "gamma": 1e-2}], "links": []}
         )),
+        (["tree", "--network"], "[]"),
+        (["tree", "--network"], json.dumps({"servers": 5, "links": []})),
+        (["tree", "--network"], json.dumps({"units": [], "servers": [], "links": []})),
         (["compare", "--scenario"], "{not json"),
         (SOLVE_MIXED, "{not json"),
-        (SOLVE_MIXED, _plan_without_orders()),
+        (SOLVE_MIXED, _mixed_plan()),
+        (SOLVE_MIXED, "[]"),
+        (SOLVE_MIXED, _mixed_plan(orders=5, solver_tag="pmo")),
+        (SOLVE_MIXED, _mixed_plan(orders=[[99]], solver_tag="pmo")),
     ],
-    ids=["network-not-json", "network-no-clock", "scenario-not-json",
-         "cache-not-json", "cache-without-plan"],
+    ids=["network-not-json", "network-no-clock", "network-list",
+         "network-servers-int", "network-units-list", "scenario-not-json",
+         "cache-not-json", "cache-without-plan", "cache-list",
+         "cache-orders-int", "cache-orders-unknown-node"],
 )
 def test_malformed_files_fail_with_a_named_error(verb, content, tmp_path, capsys):
     path = tmp_path / "input.json"

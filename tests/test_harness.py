@@ -181,6 +181,51 @@ def test_doc_sweep_validation():
     assert "humidity" in str(exc.value)
 
 
+def _method(name, **params):
+    return {"methods": [{"name": name, "params": params}]}
+
+
+GENERATED = {"network": {"generate": {"node_count": 6, "edge_prob": 0.5}}}
+
+
+@pytest.mark.parametrize(
+    "over, problem",
+    [
+        (_method("ga", population=2.5),
+         "methods[0]: params.population: population must be an integer"),
+        (_method("ga", generations="3"),
+         "methods[0]: params.generations: generations must be an integer"),
+        (_method("np+pmo", theta_p="x"),
+         "methods[0]: params.theta_p: theta_p must be a number"),
+        (_method("lp+pmo", xi=1.5),
+         "methods[0]: params.xi: xi must be an integer"),
+        (_method("ga", rng_seed=1.5),
+         "methods[0]: params.rng_seed: rng_seed must be an integer"),
+        ({**_method("lp+pmo", xi=1),
+          "sweep": {"parameter": "xi", "values": [1.5, 2.7]}},
+         "sweep.values: xi must be an integer, got 1.5"),
+        ({**GENERATED, **_method("pmo"),
+          "sweep": {"parameter": "subtree_count", "values": [2, 2.5]}},
+         "sweep.values: subtree_count must be an integer, got 2.5"),
+        # integral floats are integers: sweep values are parsed as floats
+        (_method("ga", population=4.0, generations=2.0, rng_seed=3.0), None),
+        ({**_method("lp+pmo", xi=1.0),
+          "sweep": {"parameter": "xi", "values": [1.0, 2]}}, None),
+    ],
+    ids=["population-2.5", "generations-str", "theta_p-str", "xi-1.5",
+         "rng_seed-1.5", "xi-sweep-1.5", "subtree_count-sweep-2.5",
+         "ga-integral-floats", "xi-sweep-integral-floats"],
+)
+def test_doc_checks_method_parameter_types(over, problem):
+    if problem is None:
+        s = scenario_from_doc(doc(**over))
+        assert run_scenario(s)
+        return
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_doc(doc(**over))
+    assert any(p.startswith(problem) for p in exc.value.problems)
+
+
 def test_doc_network_variants():
     s = scenario_from_doc(doc(network={"file": "somewhere.json"}))
     assert s.source_kind == "file"

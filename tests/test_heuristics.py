@@ -260,9 +260,9 @@ def test_ga_audits_only_its_winner(monkeypatch):
     monkeypatch.setattr(
         solvers, "system_cost", lambda *a: calls.append(1) or system_cost(*a)
     )
-    split = heuristics._schedule_split
+    split = heuristics._minmax_unit
     monkeypatch.setattr(
-        heuristics, "_schedule_split", lambda *a: splits.append(1) or split(*a)
+        heuristics, "_minmax_unit", lambda *a: splits.append(1) or split(*a)
     )
     for seed in range(4):
         tree = rand_tree(random.Random(seed + 800), 8)

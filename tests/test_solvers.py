@@ -108,6 +108,33 @@ def test_zero_task_costs_nothing():
     assert all(v == 0.0 for v in sol.allocation.y)
 
 
+@pytest.mark.parametrize(
+    "name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"]
+)
+def test_zero_task_splits_like_any_task(name):
+    top = named_topology(name)
+    tree, w, b = top.tree, top.weights, top.b_comp
+    for sol in (
+        cmo(tree, 0.0, w, b=b),
+        pmo(tree, 0.0, w, b=b),
+        ga(tree, 0.0, w, GaParams(population=4, generations=3), b=b),
+    ):
+        assert sol.cost == 0.0
+        assert sol.allocation.y == (0.0,) * len(tree)
+    assert cmo(tree, 0.0, w, b=b).schedule == next(enumerate_schedules(tree))
+    # forcing every node to zero fails the same way at any task size
+    every = frozenset(range(len(tree)))
+    sched = canonical_schedule(tree)
+    for task in (0.0, top.task_size):
+        for solve in (
+            lambda: solve_fixed_order(tree, sched, task, w, every, b=b),
+            lambda: cmo(tree, task, w, every, b=b),
+            lambda: pmo(tree, task, w, every, b=b),
+        ):
+            with pytest.raises(InfeasibleError, match="forced to zero"):
+                solve()
+
+
 def test_enumeration_matches_reference():
     for seed in range(8):
         tree = rand_tree(random.Random(seed + 50), random.Random(seed).randint(3, 7))
