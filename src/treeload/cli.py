@@ -57,9 +57,6 @@ _PARAM_FLAGS = {
     "xi": "--xi",
     "population": "--ga-population",
     "generations": "--ga-generations",
-    "elite_frac": "--ga-elite-frac",
-    "mutation_prob": "--ga-mutation-prob",
-    "mutation_op": "--ga-mutation-op",
     "rng_seed": "--seed",
 }
 # a generated network's link probability
@@ -119,9 +116,6 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     # None means "not given": GaParams then supplies its own default
     p.add_argument("--ga-population", type=int)
     p.add_argument("--ga-generations", type=int)
-    p.add_argument("--ga-elite-frac", type=float)
-    p.add_argument("--ga-mutation-prob", type=float)
-    p.add_argument("--ga-mutation-op", choices=("swap", "shuffle"))
 
 
 def _resolve_instance(args) -> tuple:
@@ -209,7 +203,6 @@ def _cmd_generate(args) -> int:
         freq_range_ghz=tuple(args.freq_range),
         rate_range_gbps=tuple(args.rate_range),
         gamma=args.gamma,
-        tx_power_dbm=args.tx_power_dbm,
     )
     net = generate_network(params)
     out_dir = Path(args.out or ".")
@@ -340,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rate-range", type=float, nargs=2, default=GenParams.rate_range_gbps,
                    metavar=("LO", "HI"), help="link rate range, Gbps")
     g.add_argument("--gamma", type=float, default=GenParams.gamma)
-    g.add_argument("--tx-power-dbm", type=float, default=GenParams.tx_power_dbm)
     g.add_argument("--name", default="network", help="output file stem")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", metavar="DIR")

@@ -83,10 +83,6 @@ class Schedule:
 
     orders: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_mapping(cls, tree: SinkTree, by_root: dict[int, tuple[int, ...]]) -> "Schedule":
-        return cls(orders=tuple(tuple(by_root[t]) for t in tree.subtree_roots))
-
 
 def canonical_schedule(tree: SinkTree) -> Schedule:
     """Ascending-id order inside every subtree."""

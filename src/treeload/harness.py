@@ -35,7 +35,7 @@ from .heuristics import (
     node_prune,
 )
 from .network import GenParams, NetworkGraph, generate_network, load_network
-from .solvers import Solution, cmo, pmo
+from .solvers import Solution, check_task_size, cmo, pmo
 from .topologies import TOPOLOGIES, named_topology
 from .tree import SinkTree, build_sink_tree
 from .units import DEFAULT_B, gbit_to_bits, gbps_to_bps, ghz_to_hz
@@ -244,6 +244,8 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         if not isinstance(gen, dict):
             problems.append("network.generate: must be an object")
         else:
+            for k in sorted(set(gen) - {f.name for f in fields(GenParams)}):
+                problems.append(f"network.generate: unknown field {k!r}")
             try:
                 source = GenParams(
                     node_count=gen["node_count"],
@@ -251,7 +253,7 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                     rng_seed=gen.get("rng_seed", doc.get("rng_seed", 0)),
                     # a field left out takes GenParams' own default
                     **{k: tuple(gen[k]) for k in _GEN_RANGES if k in gen},
-                    **{k: gen[k] for k in ("gamma", "tx_power_dbm") if k in gen},
+                    **{k: gen[k] for k in ("gamma",) if k in gen},
                 )
             except KeyError as exc:
                 problems.append(f"network.generate: missing field {exc}")
@@ -280,7 +282,7 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         problems.append("cycles_per_bit: must be a finite number > 0")
 
     reps = doc.get("repetitions", 20)
-    if not isinstance(reps, int) or reps < 0:
+    if type(reps) is not int or reps < 0:  # also refuses true and false
         problems.append("repetitions: must be an integer >= 0")
 
     methods: list[MethodSpec] = []
@@ -313,7 +315,7 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                 )
             else:
                 key = SWEEP_PARAMS[param]
-                raw = sdoc.get(key, sdoc.get("values"))
+                raw = sdoc.get(key)
                 if not isinstance(raw, list) or not raw:
                     problems.append(f"sweep.{key}: required non-empty list")
                     raw = []
@@ -323,14 +325,14 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                     if (
                         not isinstance(e, list)
                         or len(e) != 2
-                        or not all(isinstance(v, int) for v in e)
+                        or not all(type(v) is int for v in e)
                     ):
                         problems.append("sweep.edge: required [i, j] for link_rate")
                     else:
                         edge = (e[0], e[1])
                 if param == "cpu_freq":
                     n = sdoc.get("node")
-                    if not isinstance(n, int):
+                    if type(n) is not int:
                         problems.append("sweep.node: required node id for cpu_freq")
                     else:
                         node = n
@@ -343,18 +345,10 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                     problems.append(
                         "sweep subtree_count: needs a generated network source"
                     )
-                try:
+                bad = [_sweep_value_problem(param, v, source) for v in raw]
+                problems += [f"sweep.{key}: {p}" for p in bad if p]
+                if raw and not any(bad):
                     values = tuple(float(v) for v in raw)
-                except (TypeError, ValueError):
-                    problems.append(f"sweep.{key}: values must be numbers")
-                    values = ()
-                if param in ("xi", "subtree_count"):
-                    problems += [
-                        f"sweep.{key}: {param} must be an integer, got {v!r}"
-                        for v in values
-                        if v % 1
-                    ]
-                if values:
                     sweep = SweepSpec(
                         parameter=param, values=values, edge=edge, node=node
                     )
@@ -373,6 +367,29 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         sweep=sweep,
         repetitions=reps,
     )
+
+
+def _sweep_value_problem(param: str, v: Any, source: Any) -> str | None:
+    """What is wrong with `v` as a value of sweep `param`, or None."""
+    if type(v) not in (int, float):  # also refuses true and false
+        return f"values must be numbers, got {v!r}"
+    if param in ("xi", "subtree_count") and v % 1:
+        return f"{param} must be an integer, got {v!r}"
+    try:
+        if param == "task_size":
+            check_task_size(v)
+        for pruner in PRUNERS.values():
+            if pruner.param == param:
+                pruner.params(**{param: v})
+    except ParameterError as exc:
+        return str(exc)
+    if param in ("link_rate", "cpu_freq") and not 0 < v < math.inf:
+        return f"{param} must be finite and > 0, got {v!r}"
+    if param == "subtree_count" and isinstance(source, GenParams):
+        hi = source.node_count - 1  # the generated network's helpers
+        if not min(1, hi) <= v <= hi:
+            return f"subtree_count must be in [{min(1, hi)}, {hi}], got {v!r}"
+    return None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -400,7 +417,7 @@ def _base_network(s: Scenario) -> NetworkGraph:
 
 def _with_link_rate(net: NetworkGraph, edge: tuple[int, int], gbps: float) -> NetworkGraph:
     i, j = edge
-    if not net.has_link(i, j):
+    if (i, j) not in net.links:
         raise ScenarioError((f"sweep.edge: network has no link {i}-{j}",))
     links = dict(net.links)
     links[(i, j)] = gbps_to_bps(gbps)

@@ -25,7 +25,9 @@ from .costs import (
     canonical_schedule,
 )
 from .errors import ParameterError
-from .solvers import Solution, _minmax_unit, _solution, solve_fixed_order
+from .solvers import (
+    Solution, _minmax_unit, _solution, check_task_size, solve_fixed_order
+)
 from .tree import MASTER_ID, SinkTree, prune_tree
 from .units import DEFAULT_B
 
@@ -66,13 +68,17 @@ class LpParams:
         _store_checked(self, int, xi=(0, math.inf))
 
 
+# GA's elite share of each generation and mutation rate of each child
+ELITE_FRAC = 0.2
+MUTATION_PROB = 0.05
+
+
 @dataclass(frozen=True)
 class GaParams:
+    """GA budget and seed; ELITE_FRAC and MUTATION_PROB are constants."""
+
     population: int = 4
     generations: int = 100
-    elite_frac: float = 0.2
-    mutation_prob: float = 0.05
-    mutation_op: str = "swap"
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -80,9 +86,6 @@ class GaParams:
             self, int, population=(2, math.inf), generations=(1, math.inf),
             rng_seed=(-math.inf, math.inf),
         )
-        _store_checked(self, float, elite_frac=(0, 1), mutation_prob=(0, 1))
-        if self.mutation_op not in ("swap", "shuffle"):
-            raise ParameterError(f"unknown mutation_op {self.mutation_op!r}")
 
 
 def local_cost(
@@ -191,18 +194,15 @@ def _ordered_crossover(
 
 
 def _mutate(
-    rng: random.Random, chrom: tuple[tuple[int, ...], ...], op: str
+    rng: random.Random, chrom: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
     mutable = [k for k, seq in enumerate(chrom) if len(seq) >= 2]
     if not mutable:
         return chrom
     k = mutable[rng.randrange(len(mutable))]
     seq = list(chrom[k])
-    if op == "swap":
-        p, q = rng.sample(range(len(seq)), 2)
-        seq[p], seq[q] = seq[q], seq[p]
-    else:
-        rng.shuffle(seq)
+    p, q = rng.sample(range(len(seq)), 2)
+    seq[p], seq[q] = seq[q], seq[p]
     out = list(chrom)
     out[k] = tuple(seq)
     return tuple(out)
@@ -221,9 +221,9 @@ def ga(
 
     A chromosome is one permutation per subtree; fitness is the optimal
     split cost for that fixed schedule.  Each generation carries
-    ceil(elite_frac * population) elites (at least one), fills the rest
+    ceil(ELITE_FRAC * population) elites (at least one), fills the rest
     by fitness-proportional selection on 1/cost with per-subtree ordered
-    crossover, and mutates offspring with probability mutation_prob.
+    crossover, and swap-mutates offspring with probability MUTATION_PROB.
     Deterministic for a given rng_seed.  Returns the best solution seen
     across all generations.
 
@@ -235,8 +235,7 @@ def ga(
     j_system (`costs._node_terms` on the split just solved), bit for bit,
     but only the winner is audited into a Solution.
     """
-    if not 0.0 <= task_size < math.inf:
-        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
+    check_task_size(task_size)
     rng = random.Random(params.rng_seed)
     groups = [list(tree.subtrees[t]) for t in tree.subtree_roots]
 
@@ -261,7 +260,7 @@ def ga(
 
     population = [random_chromosome() for _ in range(params.population)]
     best = min(population, key=fitness)
-    n_elite = max(1, math.ceil(params.elite_frac * params.population))
+    n_elite = max(1, math.ceil(ELITE_FRAC * params.population))
 
     for _ in range(params.generations):
         ranked = sorted(population, key=fitness)
@@ -278,8 +277,8 @@ def ga(
             child = tuple(
                 _ordered_crossover(rng, sa, sb) for sa, sb in zip(pa, pb)
             )
-            if rng.random() < params.mutation_prob:
-                child = _mutate(rng, child, params.mutation_op)
+            if rng.random() < MUTATION_PROB:
+                child = _mutate(rng, child)
             next_pop.append(child)
         population = next_pop
         gen_best = min(population, key=fitness)

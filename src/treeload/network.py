@@ -26,6 +26,8 @@ from .units import (
 MASTER_ID = 0
 # generate_network draws this many networks before giving up
 RETRY_BUDGET = 100
+# every generated server's radio transmit power, W (30 dBm)
+GEN_TX_POWER = 1.0
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class ServerParams:
     switched_cap: float
 
     def __post_init__(self):
-        if self.id < 0:
-            raise ParameterError(f"server id must be >= 0, got {self.id}")
+        if type(self.id) is not int or self.id < 0:  # also refuses true and false
+            raise ParameterError(f"server id must be an integer >= 0, got {self.id!r}")
         if not self.cpu_freq > 0.0:
             raise ParameterError(f"server {self.id}: cpu_freq must be > 0")
         if self.tx_power < 0.0:
@@ -67,11 +69,12 @@ class NetworkGraph:
             raise ParameterError(f"server ids must be 0..N, got {ids}")
         if not ids:
             raise ParameterError("network needs at least the master server")
+        n = len(ids)
         for (i, j), rate in self.links.items():
+            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise ParameterError(f"link ({i!r}, {j!r}): i and j must be server ids")
             if i == j:
                 raise ParameterError(f"self-link on node {i}")
-            if i not in range(len(ids)) or j not in range(len(ids)):
-                raise ParameterError(f"link ({i}, {j}) references unknown server")
             if not rate > 0.0:
                 raise ParameterError(f"link ({i}, {j}): rate must be > 0, got {rate}")
 
@@ -84,30 +87,22 @@ class NetworkGraph:
         except KeyError:
             raise ParameterError(f"no link ({i}, {j}) in network") from None
 
-    def has_link(self, i: int, j: int) -> bool:
-        return (i, j) in self.links
-
-    def neighbors_out(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.links if a == i)
-
     def master_reaches_all(self) -> bool:
-        return not self.unreachable_from_master()
-
-    def unreachable_from_master(self) -> set[int]:
         seen = {MASTER_ID}
         frontier = [MASTER_ID]
         while frontier:
             u = frontier.pop()
-            for v in self.neighbors_out(u):
-                if v not in seen:
+            for a, v in self.links:
+                if a == u and v not in seen:
                     seen.add(v)
                     frontier.append(v)
-        return set(range(len(self))) - seen
+        return len(seen) == len(self)
 
 
 @dataclass(frozen=True)
 class GenParams:
-    """Random-network recipe (Erdos-Renyi links, uniform parameter draws)."""
+    """Random-network recipe (Erdos-Renyi links, uniform parameter draws);
+    every generated server transmits at GEN_TX_POWER."""
 
     node_count: int
     edge_prob: float
@@ -115,7 +110,6 @@ class GenParams:
     freq_range_ghz: tuple[float, float] = (1.0, 10.0)
     rate_range_gbps: tuple[float, float] = (10.0, 100.0)
     gamma: float = 1e-2
-    tx_power_dbm: float = 30.0
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -143,14 +137,13 @@ def generate_network(params: GenParams) -> NetworkGraph:
     n = params.node_count
     f_lo, f_hi = params.freq_range_ghz
     r_lo, r_hi = params.rate_range_gbps
-    tx = dbm_to_watts(params.tx_power_dbm)
 
     for _ in range(RETRY_BUDGET):
         servers = tuple(
             ServerParams(
                 id=i,
                 cpu_freq=ghz_to_hz(float(rng.uniform(f_lo, f_hi))),
-                tx_power=tx,
+                tx_power=GEN_TX_POWER,
                 switched_cap=params.gamma,
             )
             for i in range(n)
@@ -214,15 +207,15 @@ def network_from_doc(doc: dict) -> NetworkGraph:
                 raise ParameterError(f"unsupported unit for {key}: {declared!r}")
         servers = tuple(
             ServerParams(
-                id=int(s["id"]),
+                id=s["id"],
                 cpu_freq=ghz_to_hz(float(s["cpu_freq_ghz"])),
                 tx_power=dbm_to_watts(float(s["tx_power_dbm"])),
                 switched_cap=float(s["gamma"]),
             )
-            for s in sorted(doc["servers"], key=lambda s: int(s["id"]))
+            for s in sorted(doc["servers"], key=lambda s: s["id"])
         )
         links = {
-            (int(e["i"]), int(e["j"])): gbps_to_bps(float(e["rate_gbps"]))
+            (e["i"], e["j"]): gbps_to_bps(float(e["rate_gbps"]))
             for e in doc["links"]
         }
     except KeyError as missing:

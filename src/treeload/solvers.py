@@ -332,6 +332,12 @@ def _lp_support(msc: np.ndarray, res) -> tuple[np.ndarray, np.ndarray]:
     return np.array(sorted(s), dtype=int), np.array(sorted(r), dtype=int)
 
 
+def check_task_size(task_size: float) -> None:
+    """Raise ParameterError unless task_size is finite and >= 0."""
+    if not 0.0 <= task_size < math.inf:
+        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
+
+
 def _solution(
     tree: SinkTree,
     schedule: Schedule,
@@ -369,8 +375,7 @@ def solve_fixed_order(
     b: float = DEFAULT_B,
 ) -> Solution:
     """Optimal split for one fixed schedule."""
-    if not 0.0 <= task_size < math.inf:
-        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
+    check_task_size(task_size)
     a = cost_coefficients(tree, schedule, weights, b)
     y = _minmax_unit(a, forced_zero)[0] * task_size
     return _solution(tree, schedule, y, task_size, weights, b, "fixed-order")
@@ -467,8 +472,7 @@ def cmo(
     Solution.  Ties go to the earliest schedule in enumeration order.
     Warns (RuntimeWarning) before enumerating more than 10**6 schedules.
     """
-    if not 0.0 <= task_size < math.inf:
-        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
+    check_task_size(task_size)
     _, schedule, y, evaluated = _best_order(
         _static_matrix(tree, weights, b),
         ((s, _waiting(tree, s)) for s in enumerate_schedules(tree)),
@@ -536,8 +540,7 @@ def pmo(
     Only the answer is audited.  Matches `cmo` cost while evaluating
     sum-of-factorials many schedules instead of their product.
     """
-    if not 0.0 <= task_size < math.inf:
-        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
+    check_task_size(task_size)
     static = _static_matrix(tree, weights, b)
     probe_size = task_size if task_size > 0.0 else 1.0
     orders = dict(tree.subtrees)
@@ -560,7 +563,7 @@ def pmo(
         per_bit[t] = z / probe_size
         shares[t] = y[1:] / probe_size
         evaluated += tried
-    schedule = Schedule.from_mapping(tree, orders)
+    schedule = Schedule(orders=tuple(orders[t] for t in tree.subtree_roots))
     evaluated = max(evaluated, 1)
 
     y0, subtree_share = solve_master_split(
@@ -578,8 +581,7 @@ def pmo(
 
 def scale_solution(base: Solution, new_task_size: float) -> Solution:
     """Rescale a solved split to a new task size; schedule and shape carry over."""
-    if not 0.0 <= new_task_size < math.inf:
-        raise ParameterError(f"task size must be finite and >= 0, got {new_task_size}")
+    check_task_size(new_task_size)
     if base.task_size <= 0.0:
         raise ParameterError("base solution must have a positive task size")
     factor = new_task_size / base.task_size

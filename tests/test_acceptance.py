@@ -240,13 +240,7 @@ def test_criterion_6_ga_finds_small_optima():
         ref = cmo(t.tree, t.task_size, t.weights, b=t.b_comp).cost
         hits = 0
         for seed in range(5):
-            params = GaParams(
-                population=4,
-                generations=5,
-                elite_frac=0.2,
-                mutation_prob=0.05,
-                rng_seed=seed,
-            )
+            params = GaParams(population=4, generations=5, rng_seed=seed)
             g = ga(t.tree, t.task_size, t.weights, params, b=t.b_comp)
             if abs(g.cost - ref) <= 1e-6 * ref:
                 hits += 1

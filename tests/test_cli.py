@@ -1,9 +1,11 @@
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from treeload.cli import main
+from treeload.cli import build_parser, main
 from treeload.topologies import named_topology
 from treeload.tree import tree_fingerprint
 
@@ -304,6 +306,15 @@ def _mixed_plan(**fields) -> str:
     })
 
 
+def _two_servers(ids=(0, 1), link=(0, 1)) -> str:
+    """A network file of two servers with `ids` and one link `link`."""
+    server = {"cpu_freq_ghz": 2.0, "tx_power_dbm": 30.0, "gamma": 1e-2}
+    return json.dumps({
+        "servers": [{"id": i, **server} for i in ids],
+        "links": [{"i": link[0], "j": link[1], "rate_gbps": 10.0}],
+    })
+
+
 SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
 
 
@@ -317,6 +328,10 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
         (["tree", "--network"], "[]"),
         (["tree", "--network"], json.dumps({"servers": 5, "links": []})),
         (["tree", "--network"], json.dumps({"units": [], "servers": [], "links": []})),
+        (["tree", "--network"], _two_servers(ids=(0, 1.7))),
+        (["tree", "--network"], _two_servers(link=(0, 1.9))),
+        (["tree", "--network"], _two_servers(ids=(False, True))),
+        (["tree", "--network"], _two_servers(link=(0, True))),
         (["compare", "--scenario"], "{not json"),
         (SOLVE_MIXED, "{not json"),
         (SOLVE_MIXED, _mixed_plan()),
@@ -325,7 +340,9 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
         (SOLVE_MIXED, _mixed_plan(orders=[[99]], solver_tag="pmo")),
     ],
     ids=["network-not-json", "network-no-clock", "network-list",
-         "network-servers-int", "network-units-list", "scenario-not-json",
+         "network-servers-int", "network-units-list", "network-id-fraction",
+         "network-link-j-fraction", "network-id-bool", "network-link-j-bool",
+         "scenario-not-json",
          "cache-not-json", "cache-without-plan", "cache-list",
          "cache-orders-int", "cache-orders-unknown-node"],
 )
@@ -339,3 +356,17 @@ def test_malformed_files_fail_with_a_named_error(verb, content, tmp_path, capsys
     assert "Traceback" not in err
     # a file the user passed is never overwritten
     assert path.read_text() == content
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("treeload ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: treeload {shlex.join(argv)}")

@@ -1,13 +1,14 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import treeload.solvers as solvers
 from treeload import (
+    GenParams,
     ScenarioError,
     Weights,
     build_sink_tree,
@@ -21,6 +22,7 @@ from treeload import (
 from treeload.harness import (
     PRUNERS,
     SOLVERS,
+    SWEEP_PARAMS,
     RunRecord,
     Scenario,
     method_params,
@@ -105,6 +107,7 @@ def test_doc_rejects_params_the_method_does_not_read():
                     {"name": "pmo", "params": {"theta_p": 0.9}},
                     {"name": "np+ga", "params": {"theta_p": 0.1, "xi": 2}},
                     {"name": "lp+pmo", "params": {"xi": 1, "rng_seed": 3}},
+                    {"name": "ga", "params": {"elite_frac": 0.2}},
                 ]
             )
         )
@@ -114,16 +117,14 @@ def test_doc_rejects_params_the_method_does_not_read():
         "methods[1]: params.theta_p: not read by pmo",
         "methods[2]: params.xi: not read by np+ga",
         "methods[3]: params.rng_seed: not read by lp+pmo",
+        "methods[4]: params.elite_frac: not read by ga",
     )
     # every key a method does read is accepted
     s = scenario_from_doc(
         doc(
             methods=[
                 {"name": "np+ga", "params": {"theta_p": 0.1, "population": 6,
-                                             "generations": 2, "elite_frac": 0.5,
-                                             "mutation_prob": 0.1,
-                                             "mutation_op": "shuffle",
-                                             "rng_seed": 3}},
+                                             "generations": 2, "rng_seed": 3}},
                 {"name": "lp+cmo", "params": {"xi": 1}},
             ]
         )
@@ -155,6 +156,21 @@ def test_schema_agrees_with_the_method_table():
     in_schema = set(items["properties"]["params"]["properties"])
     read = {k for n in names if method_params(n) for k in method_params(n)}
     assert read == in_schema
+
+
+def test_schema_agrees_with_the_sweep_and_generate_tables():
+    schema = json.loads((ROOT / "schemas" / "scenario.schema.json").read_text())
+    sweep = schema["properties"]["sweep"]["properties"]
+    assert sweep["parameter"]["enum"] == list(SWEEP_PARAMS)
+    assert set(sweep) == {"parameter", "edge", "node", *SWEEP_PARAMS.values()}
+
+    (gen_source,) = [
+        s for s in schema["properties"]["network"]["oneOf"]
+        if s["required"] == ["generate"]
+    ]
+    gen = gen_source["properties"]["generate"]
+    assert set(gen["properties"]) == {f.name for f in fields(GenParams)}
+    assert gen["additionalProperties"] is False
 
 
 def test_doc_sweep_validation():
@@ -224,6 +240,65 @@ def test_doc_checks_method_parameter_types(over, problem):
     with pytest.raises(ScenarioError) as exc:
         scenario_from_doc(doc(**over))
     assert any(p.startswith(problem) for p in exc.value.problems)
+
+
+GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
+
+
+@pytest.mark.parametrize(
+    "over, problem",
+    [
+        ({"sweep": {"parameter": "task_size", "values_gbit": [1, -1]}},
+         "sweep.values_gbit: task size must be finite and >= 0, got -1"),
+        ({"sweep": {"parameter": "task_size", "values_gbit": [1, math.nan]}},
+         "sweep.values_gbit: task size must be finite and >= 0, got nan"),
+        ({"sweep": {"parameter": "cpu_freq", "node": 1, "values_ghz": [2, 0]}},
+         "sweep.values_ghz: cpu_freq must be finite and > 0, got 0"),
+        ({"sweep": {"parameter": "link_rate", "edge": [0, 1],
+                    "values_gbps": [1, -2]}},
+         "sweep.values_gbps: link_rate must be finite and > 0, got -2"),
+        ({**_method("np+pmo", theta_p=0.1),
+          "sweep": {"parameter": "theta_p", "values": [0.1, 1.5]}},
+         "sweep.values: theta_p must be a number in [0, 1], got 1.5"),
+        ({**_method("lp+pmo", xi=1),
+          "sweep": {"parameter": "xi", "values": [1, -3]}},
+         "sweep.values: xi must be an integer in [0, inf], got -3"),
+        ({**GENERATED_7, **_method("pmo"),
+          "sweep": {"parameter": "subtree_count", "values": [2, 0]}},
+         "sweep.values: subtree_count must be in [1, 6], got 0"),
+        ({**GENERATED_7, **_method("pmo"),
+          "sweep": {"parameter": "subtree_count", "values": [7]}},
+         "sweep.values: subtree_count must be in [1, 6], got 7"),
+        ({"sweep": {"parameter": "task_size", "values_gbit": ["1.5", 2]}},
+         "sweep.values_gbit: values must be numbers, got '1.5'"),
+        ({"sweep": {"parameter": "task_size", "values_gbit": [True]}},
+         "sweep.values_gbit: values must be numbers, got True"),
+        # each value list has one spelling
+        ({"sweep": {"parameter": "task_size", "values": [1, 2]}},
+         "sweep.values_gbit: required non-empty list"),
+        ({"repetitions": True}, "repetitions: must be an integer >= 0"),
+        ({"sweep": {"parameter": "link_rate", "edge": [False, True],
+                    "values_gbps": [1]}},
+         "sweep.edge: required [i, j] for link_rate"),
+        ({"sweep": {"parameter": "cpu_freq", "node": True, "values_ghz": [1]}},
+         "sweep.node: required node id for cpu_freq"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
+                                   "tx_power_dbm": 20.0}}},
+         "network.generate: unknown field 'tx_power_dbm'"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
+                                   "gama": 2e-28}}},
+         "network.generate: unknown field 'gama'"),
+    ],
+    ids=["task_size-negative", "task_size-nan", "cpu_freq-zero",
+         "link_rate-negative", "theta_p-1.5", "xi-negative",
+         "subtree_count-zero", "subtree_count-above-helpers", "value-str",
+         "value-bool", "values-spelling", "repetitions-bool", "edge-bool",
+         "node-bool", "generate-tx_power_dbm", "generate-typo"],
+)
+def test_doc_refuses_a_bad_value_before_running(over, problem):
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_doc(doc(**over))
+    assert problem in exc.value.problems
 
 
 def test_doc_network_variants():

@@ -11,6 +11,8 @@ from treeload import (
     NetworkGraph,
     ParameterError,
     ServerParams,
+    UnreachableNodeError,
+    build_sink_tree,
     generate_network,
     load_network,
     save_network,
@@ -78,9 +80,7 @@ def test_generation_gives_up_when_impossible():
 
 
 def test_tx_power_comes_from_dbm():
-    net = generate_network(
-        GenParams(node_count=3, edge_prob=1.0, rng_seed=0, tx_power_dbm=30.0)
-    )
+    net = generate_network(GenParams(node_count=3, edge_prob=1.0, rng_seed=0))
     assert all(s.tx_power == pytest.approx(1.0) for s in net.servers)
 
 
@@ -125,4 +125,7 @@ def test_unreachable_report_names_the_cut_nodes(seed):
             continue
         links[(0, i)] = links[(i, 0)] = 1e9
     net = NetworkGraph(servers=servers, links=links)
-    assert net.unreachable_from_master() == {island}
+    assert not net.master_reaches_all()
+    with pytest.raises(UnreachableNodeError) as exc:
+        build_sink_tree(net)
+    assert exc.value.unreachable == (island,)
