@@ -18,7 +18,8 @@ two (pmo on slices of them); `cost_coefficients` returns their sum as one
 read-only matrix, for `solvers.solve_fixed_order`,
 `verification.check_solution` and tests.
 `_node_terms` evaluates every term of one split, for `system_cost` and GA
-fitness alike.  Both take a few numpy operations on per-tree arrays
+fitness alike, from energy rates (`_energy_rates`) each caller builds
+once.  Both take a few numpy operations on per-tree arrays
 (`SinkTree.cost_arrays`), no loop.
 """
 
@@ -145,28 +146,43 @@ def system_cost(
     if len(alloc.y) != n:
         raise ParameterError(f"allocation has {len(alloc.y)} entries, tree has {n}")
     wait, y = _waiting(tree, schedule), alloc.as_array()
-    terms = [tuple(v.tolist()) for v in _node_terms(tree, wait, y, weights, b)]
+    terms = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)
+    terms = [tuple(v.tolist()) for v in terms]
     return CostBreakdown(*terms, j_system=max(terms[-1]))
 
 
+def _energy_rates(tree: SinkTree, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Joules per bit, from the energy-only static matrix: each node's
+    compute energy (its diagonal) and ancestors' relay energy (the rest,
+    with a zero diagonal)."""
+    relay = _static_matrix(tree, Weights(0.0, 1.0), b)
+    e_comp_rate = np.diag(relay).copy()
+    np.fill_diagonal(relay, 0.0)
+    return e_comp_rate, relay
+
+
 def _node_terms(
-    tree: SinkTree, wait: np.ndarray, y: np.ndarray, weights: Weights, b: float
+    tree: SinkTree,
+    energy: tuple[np.ndarray, np.ndarray],
+    wait: np.ndarray,
+    y: np.ndarray,
+    weights: Weights,
+    b: float,
 ) -> tuple[np.ndarray, ...]:
     """Per-node t_tran, t_wait, t_comp, t_total, e_comp, e_relay, e_total, J.
 
-    `wait` is the schedule's unit waiting matrix (`_waiting`) and y the
-    split in bits.  Raises ParameterError when a node cost is not finite.
+    `energy` is the tree's `_energy_rates`, built once per caller, `wait`
+    the schedule's unit waiting matrix (`_waiting`) and y the split in
+    bits.  Raises ParameterError when a node cost is not finite.
     """
-    energy = _static_matrix(tree, Weights(0.0, 1.0), b)
-    e_comp_rate = np.diag(energy).copy()
-    np.fill_diagonal(energy, 0.0)
+    e_comp_rate, relay = energy
     path_inv_rate, freq = tree.cost_arrays[:2]
     with np.errstate(over="ignore", invalid="ignore"):
         t_tran = path_inv_rate * y
         t_wait = wait @ y
         t_comp = y * b / freq
         e_comp = e_comp_rate * y
-        e_relay = energy @ y
+        e_relay = relay @ y
         t_total = t_tran + t_wait + t_comp
         e_total = e_comp + e_relay
         j_node = weights.w1 * t_total + weights.w2 * e_total

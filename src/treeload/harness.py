@@ -263,14 +263,16 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         problems.append("network: needs one of topology|file|generate")
 
     task_gbit = doc.get("task_size_gbit", 1.0)
-    # json reads NaN and Infinity as floats
-    if not isinstance(task_gbit, (int, float)) or not 0 <= task_gbit < math.inf:
+    # json reads NaN and Infinity as floats; `type` also refuses true and false
+    if type(task_gbit) not in (int, float) or not 0 <= task_gbit < math.inf:
         problems.append("task_size_gbit: must be a finite number >= 0")
 
     weights = None
     wdoc = doc.get("weights", {"time": 0.5, "energy": 0.05})
     if not isinstance(wdoc, dict) or "time" not in wdoc or "energy" not in wdoc:
         problems.append("weights: needs {time, energy}")
+    elif any(type(wdoc[k]) not in (int, float) for k in ("time", "energy")):
+        problems.append("weights: time and energy must be numbers")
     else:
         try:
             weights = Weights(float(wdoc["time"]), float(wdoc["energy"]))
@@ -278,7 +280,7 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
             problems.append(f"weights: {exc}")
 
     b_comp = doc.get("cycles_per_bit", DEFAULT_B)
-    if not isinstance(b_comp, (int, float)) or not 0 < b_comp < math.inf:
+    if type(b_comp) not in (int, float) or not 0 < b_comp < math.inf:
         problems.append("cycles_per_bit: must be a finite number > 0")
 
     reps = doc.get("repetitions", 20)

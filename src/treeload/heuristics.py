@@ -12,40 +12,24 @@ offload.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 
 from .costs import (
     Schedule,
     Weights,
+    _energy_rates,
     _node_terms,
     _static_matrix,
     _waiting,
     canonical_schedule,
 )
-from .errors import ParameterError
+from .errors import ParameterError, _store_checked
 from .solvers import (
     Solution, _minmax_unit, _solution, check_task_size, solve_fixed_order
 )
 from .tree import MASTER_ID, SinkTree, prune_tree
 from .units import DEFAULT_B
-
-
-def _store_checked(params, kind: type, **bounds: tuple[float, float]) -> None:
-    """Store each field named in `bounds` of frozen `params` as a `kind`.
-
-    A value that is not a real number (an integral one for int) in its
-    [lo, hi] raises ParameterError.  Integral floats such as 2.0 count as
-    integers, because sweep values are parsed as floats.
-    """
-    what = "an integer" if kind is int else "a number"
-    for name, (lo, hi) in bounds.items():
-        v = getattr(params, name)
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if not real or (kind is int and v % 1) or not lo <= v <= hi:
-            raise ParameterError(f"{name} must be {what} in [{lo}, {hi}], got {v!r}")
-        object.__setattr__(params, name, kind(v))
 
 
 @dataclass(frozen=True)
@@ -227,13 +211,14 @@ def ga(
     Deterministic for a given rng_seed.  Returns the best solution seen
     across all generations.
 
-    The static cost matrix is built once per call; a chromosome's linear
-    form adds w1 times its waiting matrix, and its split carries the
-    (S, R) certified for the previous one into `solvers._minmax_unit`'s
-    cascade.  That support and the fitness memo live only inside one
-    call, so a re-solve takes the same path.  Fitness is the audit's own
-    j_system (`costs._node_terms` on the split just solved), bit for bit,
-    but only the winner is audited into a Solution.
+    The static cost matrix and the energy rates are built once per call;
+    a chromosome's linear form adds w1 times its waiting matrix, and its
+    split carries the (S, R) certified for the previous one into
+    `solvers._minmax_unit`'s cascade.  That support and the fitness memo
+    live only inside one call, so a re-solve takes the same path.
+    Fitness is the audit's own j_system (`costs._node_terms` on the split
+    just solved), bit for bit, but only the winner is audited into a
+    Solution.
     """
     check_task_size(task_size)
     rng = random.Random(params.rng_seed)
@@ -243,6 +228,7 @@ def ga(
         return tuple(tuple(rng.sample(g, len(g))) for g in groups)
 
     static = _static_matrix(tree, weights, b)
+    energy = _energy_rates(tree, b)
     # chromosome -> (cost, split in bits)
     memo: dict[tuple[tuple[int, ...], ...], tuple] = {}
     support = None
@@ -254,7 +240,7 @@ def ga(
             a = static + weights.w1 * wait
             u, support = _minmax_unit(a, forced_zero, support)
             y = u * task_size
-            j_node = _node_terms(tree, wait, y, weights, b)[-1]
+            j_node = _node_terms(tree, energy, wait, y, weights, b)[-1]
             memo[chrom] = (max(j_node.tolist()), y)
         return memo[chrom][0]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError
+from .errors import GenerationError, ParameterError, _store_checked
 from .units import (
     bps_to_gbps,
     dbm_to_watts,
@@ -112,8 +112,7 @@ class GenParams:
     gamma: float = 1e-2
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ParameterError("node_count must be >= 1")
+        _store_checked(self, int, node_count=(1, math.inf), rng_seed=(0, math.inf))
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ParameterError("edge_prob must be in [0, 1]")
         lo, hi = self.freq_range_ghz
@@ -197,6 +196,14 @@ def network_to_doc(net: NetworkGraph) -> dict:
     }
 
 
+def _number(entry: dict, key: str) -> float:
+    """entry[key] as a float; strings, true and false are refused."""
+    v = entry[key]
+    if type(v) not in (int, float):
+        raise ParameterError(f"network document: {key} must be a number, got {v!r}")
+    return float(v)
+
+
 def network_from_doc(doc: dict) -> NetworkGraph:
     """Parse the document form; one of the wrong shape raises ParameterError."""
     try:
@@ -208,14 +215,14 @@ def network_from_doc(doc: dict) -> NetworkGraph:
         servers = tuple(
             ServerParams(
                 id=s["id"],
-                cpu_freq=ghz_to_hz(float(s["cpu_freq_ghz"])),
-                tx_power=dbm_to_watts(float(s["tx_power_dbm"])),
-                switched_cap=float(s["gamma"]),
+                cpu_freq=ghz_to_hz(_number(s, "cpu_freq_ghz")),
+                tx_power=dbm_to_watts(_number(s, "tx_power_dbm")),
+                switched_cap=_number(s, "gamma"),
             )
             for s in sorted(doc["servers"], key=lambda s: s["id"])
         )
         links = {
-            (e["i"], e["j"]): gbps_to_bps(float(e["rate_gbps"]))
+            (e["i"], e["j"]): gbps_to_bps(_number(e, "rate_gbps"))
             for e in doc["links"]
         }
     except KeyError as missing:

@@ -19,10 +19,14 @@ nonnegative, and the dual bound is within 1e-12 of the primal value
 (S, R).  A split that no step of it certifies raises InfeasibleError,
 so every split returned carries the certificate.
 
-`cmo` enumerates every per-subtree transmission order, carrying the last
-certified (S, R) from one schedule to the next, and keeps the best; the
-genetic search in `heuristics.ga` carries it the same way from one
-fitness evaluation to the next.
+`cmo` enumerates every per-subtree transmission order and keeps the
+best.  `_best_order` takes the orders in lexicographic blocks: one stack
+of linear forms per block, the last certified (S, R) carried from one
+order to the next and tried on many orders in one stacked equaliser
+solve, and one stacked matmul to score them.  Every order's split has the
+bits a one-order-at-a-time loop would give it.  The genetic search in
+`heuristics.ga` carries (S, R) the same way from one fitness evaluation
+to the next, a stack of one at a time.
 `pmo` exploits that subtrees only interact through the master: each
 subtree's orders are enumerated the same way on its slice of the tree's
 matrices, then one more small split divides the task between the master
@@ -47,7 +51,6 @@ from .costs import (
     Schedule,
     Weights,
     _static_matrix,
-    _waiting,
     cost_coefficients,
     system_cost,
 )
@@ -67,6 +70,10 @@ _CERT_TOL = 1e-12
 _CANCEL_TOL = 1e-13
 # cmo and pmo warn before enumerating more orders than this
 _WARN_SCHEDULES = 10**6
+# _best_order stacks at most this many orders at once, and first tries a
+# carried support on this many of them
+_BLOCK = 2048
+_SWEEP = 8
 
 
 @dataclass(frozen=True)
@@ -91,43 +98,96 @@ class Solution:
 
 
 def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
-    """Equal-finish weights on support s and tight rows r, if provably optimal.
+    """Equal-finish weights on support s and tight rows r, where provably optimal.
 
-    Solves [m_rs  -1; 1ᵀ 0] [u_s; z] = [0; 1] for the primal and the
-    transposed system for the duals p_r.  The answer passes only when u and
-    p are nonnegative (to _CERT_TOL before clipping) and the primal value
-    zp = max(m u) exceeds the dual bound zd = min over columns of pᵀm by at
-    most _CERT_TOL * zp: every simplex point costs at least zd (weak
-    duality), so a passing u is optimal to that tolerance.  Returns u over
-    all columns of m, or None when the system is singular or the
-    certificate fails.
+    m is a (B, rows, cols) stack of matrices; a single split is a stack of
+    one.  For each matrix, solves [m_rs  -1; 1ᵀ 0] [u_s; z] = [0; 1] for
+    the primal and the transposed system for the duals p_r.  An answer
+    passes only when u and p are nonnegative (to _CERT_TOL before
+    clipping) and the primal value zp = max(m u) exceeds the dual bound
+    zd = min over columns of pᵀm by at most _CERT_TOL * zp: every simplex
+    point costs at least zd (weak duality), so a passing u is optimal to
+    that tolerance.  Each matrix gets the bits it would get alone.
+    Returns u, shape (B, cols), with a row of NaN for each matrix whose
+    system is singular or whose certificate fails; None when none passes.
     """
     k = len(s)
     if k == 0 or k != len(r):
         return None
-    kkt = np.zeros((2, k + 1, k + 1))
-    kkt[0, :k, :k] = m[np.ix_(r, s)]
-    kkt[1, :k, :k] = kkt[0, :k, :k].T
-    kkt[:, :k, k] = -1.0
-    kkt[:, k, :k] = 1.0
-    rhs = np.zeros((2, k + 1, 1))
-    rhs[:, k] = 1.0
+    nb, nr, nc = m.shape
+    kkt = np.zeros((nb, 2, k + 1, k + 1))
+    m_rs = m[:, r[:, None], s]
+    kkt[:, 0, :k, :k] = m_rs
+    kkt[:, 1, :k, :k] = m_rs.transpose(0, 2, 1)
+    kkt[:, :, :k, k] = -1.0
+    kkt[:, :, k, :k] = 1.0
+    rhs = np.zeros((nb, 2, k + 1, 1))
+    rhs[:, :, k] = 1.0
     try:
-        sol = np.linalg.solve(kkt, rhs)[:, :k, 0]
+        sol = np.linalg.solve(kkt, rhs)[:, :, :k, 0]
     except np.linalg.LinAlgError:
+        # one singular system fails the whole stack: solve each alone
+        sol = np.full((nb, 2, k), np.nan)
+        for i in range(nb):
+            try:
+                sol[i] = np.linalg.solve(kkt[i], rhs[i])[:, :k, 0]
+            except np.linalg.LinAlgError:
+                pass
+    # a NaN minimum compares false, so it fails too
+    ok = sol.min(axis=(1, 2)) >= -_CERT_TOL
+    if not ok.all():
+        if not ok.any():
+            return None
+        m, sol = m[ok], sol[ok]
+    u = np.zeros((len(m), nc))
+    u[:, s] = np.maximum(sol[:, 0], 0.0)
+    u /= u.sum(axis=1, keepdims=True)
+    p = np.zeros((len(m), nr))
+    p[:, r] = np.maximum(sol[:, 1], 0.0)
+    p /= p.sum(axis=1, keepdims=True)
+    zp = (m @ u[:, :, None]).max(axis=1)[:, 0]
+    zd = (p[:, None, :] @ m).min(axis=2)[:, 0]
+    passed = zp - zd <= _CERT_TOL * zp
+    if passed.all() and len(m) == nb:
+        return u
+    if not passed.any():
         return None
-    # `not >=` also rejects NaN
-    if not sol.min() >= -_CERT_TOL:
-        return None
-    u = np.zeros(m.shape[1])
-    u[s] = np.maximum(sol[0], 0.0)
-    u /= u.sum()
-    p = np.zeros(m.shape[0])
-    p[r] = np.maximum(sol[1], 0.0)
-    p /= p.sum()
-    zp = float((m @ u).max())
-    zd = float((p @ m).min())
-    return u if zp - zd <= _CERT_TOL * zp else None
+    out = np.full((nb, nc), np.nan)
+    out[np.flatnonzero(ok)[passed]] = u[passed]
+    return out
+
+
+def _scaled(
+    a: np.ndarray, forced_zero: frozenset[int]
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The checks and scaling `_minmax_unit` applies, on a (B, rows, n) stack.
+
+    Returns (cols, free, msc): the columns not in forced_zero, a (B,
+    len(cols)) mask of those columns no row pays for, and each matrix's
+    `cols` divided by its scale.  Raises InfeasibleError when every column
+    is pinned, and ParameterError when an entry of an unpinned column is
+    not finite (an overflowing weight).
+    """
+    cols = [k for k in range(a.shape[2]) if k not in forced_zero]
+    if not cols:
+        raise InfeasibleError("every node is forced to zero workload")
+    sub = a[:, :, cols]
+    if not np.isfinite(sub).all():
+        raise ParameterError(
+            "split cost matrix overflows float64: a weight or node parameter "
+            "is too large"
+        )
+    free = sub.sum(axis=1) == 0.0
+    # scale by the smallest per-column maximum: that value bounds the
+    # optimum from above (all mass on that column), and the optimum is at
+    # least it divided by the column count, so the scaled solution sits in
+    # [1/m, 1] even when entries span many orders of magnitude; a matrix
+    # with a free column scales by zero into NaN and infinities, which fail
+    # every certificate
+    scale = sub.max(axis=1).min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        msc = sub / scale[:, None, None]
+    return cols, free, msc
 
 
 def _minmax_unit(
@@ -161,48 +221,31 @@ def _minmax_unit(
     that is not finite (an overflowing weight).  Returns (u, support):
     support is the certified (S, R) to warm-start the next call, or None.
     """
-    n = a.shape[1]
-    cols = [k for k in range(n) if k not in forced_zero]
-    if not cols:
-        raise InfeasibleError("every node is forced to zero workload")
-    u = np.zeros(n)
-
-    sub = a.take(cols, axis=1)
-    if not np.isfinite(sub).all():
-        raise ParameterError(
-            "split cost matrix overflows float64: a weight or node parameter "
-            "is too large"
-        )
-    col_cost = sub.sum(axis=0)
-    free = np.flatnonzero(col_cost == 0.0)
-    if free.size:
+    cols, free, stack = _scaled(a[None], forced_zero)
+    u = np.zeros(a.shape[1])
+    if free.any():
         # a column nobody pays for absorbs everything at zero cost
-        u[cols[int(free[0])]] = 1.0
+        u[cols[int(free[0].argmax())]] = 1.0
         return u, None
 
-    # scale by the smallest per-column maximum: that value bounds the
-    # optimum from above (all mass on that column), and the optimum is at
-    # least it divided by the column count, so the scaled solution sits in
-    # [1/m, 1] even when entries span many orders of magnitude
-    scale = float(sub.max(axis=0).min())
-    msc = sub / scale
-    u_cols = None if warm is None else _equalise(msc, *warm)
+    msc = stack[0]
+    u_cols = None if warm is None else _equalise(stack, *warm)
     if u_cols is None and len(cols) == 2:
         warm = _two_column_support(msc)
-        u_cols = _equalise(msc, *warm)
+        u_cols = _equalise(stack, *warm)
     if u_cols is None:
         warm = _simplex_support(msc)
-        u_cols = None if warm is None else _equalise(msc, *warm)
+        u_cols = None if warm is None else _equalise(stack, *warm)
     if u_cols is None:
         pure_col = msc.max(axis=0).argmin()
         warm = np.array([pure_col]), np.array([msc.min(axis=1).argmax()])
-        u_cols = _equalise(msc, *warm)
+        u_cols = _equalise(stack, *warm)
     if u_cols is None:
         warm = _lp_support(msc, _epigraph_lp(msc))
-        u_cols = _equalise(msc, *warm)
+        u_cols = _equalise(stack, *warm)
     if u_cols is None:
         raise InfeasibleError("min-max split could not be certified")
-    u[cols] = u_cols
+    u[cols] = u_cols[0]
     return u, warm
 
 
@@ -381,18 +424,21 @@ def solve_fixed_order(
     return _solution(tree, schedule, y, task_size, weights, b, "fixed-order")
 
 
+def _orders(groups):
+    """One permutation of each group, every combination, lazily and in
+    lexicographic order (the first group's order varies slowest)."""
+    if not groups:
+        yield ()
+        return
+    for first in itertools.permutations(groups[0]):
+        for rest in _orders(groups[1:]):
+            yield (first, *rest)
+
+
 def enumerate_schedules(tree: SinkTree):
     """Every per-subtree order combination, lazily, in lexicographic order."""
     groups = [tree.subtrees[t] for t in tree.subtree_roots]
-
-    def extend(prefix: tuple[tuple[int, ...], ...]):
-        if len(prefix) == len(groups):
-            yield Schedule(orders=prefix)
-            return
-        for order in itertools.permutations(groups[len(prefix)]):
-            yield from extend(prefix + (order,))
-
-    yield from extend(())
+    return (Schedule(orders=orders) for orders in _orders(groups))
 
 
 def count_schedules(tree: SinkTree) -> int:
@@ -404,23 +450,37 @@ def count_schedules(tree: SinkTree) -> int:
 
 def _best_order(
     static: np.ndarray,
-    candidates,
-    total: int,
+    shared: np.ndarray,
+    groups,
     w1: float,
     task_size: float,
     forced_zero: frozenset[int],
 ):
-    """Best of `total` (key, unit waiting matrix) candidates, one split each.
+    """Best transmission order, splitting the orders a block at a time.
 
-    A candidate's linear form a is `static` plus w1 times its waiting
-    matrix (a mask over the tree's sharing matrix, `costs._waiting`).  Its
-    split (`_minmax_unit`) starts from the support and tight rows certified
-    for the previous candidate; neighbouring orders usually share their
-    optimal support.  A candidate scores the largest row of a @ y, y its
-    split in bits; ties go to the earliest candidate.  Warns
-    (RuntimeWarning) before more than 10**6 candidates.  Returns (score,
-    key, y, candidates tried).
+    `static` and `shared` (a slice of the tree's sharing matrix) have a
+    column per node and a row per node of their trailing columns: every
+    node in `cmo`, every node but the master in a `pmo` probe.  An order
+    takes one permutation of each of `groups`' columns and ranks each
+    column by its place in its group (0 outside every group).  As in
+    `costs._waiting`, row i waits on every column ranked before it, so an
+    order's linear form a is static + w1 * shared * (rank_i > rank_j).
+
+    Orders come in lexicographic blocks of at most _BLOCK, and each block
+    is one (B, rows, cols) stack of those forms.  Every order gets the
+    split `_minmax_unit` gives it with the previous order's certified
+    support carried in, bit for bit.  The carried support is tried on the
+    pending orders with one stacked `_equalise`, over a window of
+    _SWEEP orders that doubles while every order in it passes.  The
+    first order it fails (every order with a free column fails) goes
+    through `_minmax_unit`'s cascade, and the support that order
+    certifies is swept over the orders after it.  An order scores the largest row of
+    a @ y, y its split in bits, from one stacked matmul; ties go to the
+    earliest order.  Warns (RuntimeWarning) before more than 10**6
+    orders.  Returns (score, order, y, orders tried), the order as one
+    tuple of columns per group.
     """
+    total = math.prod(math.factorial(len(g)) for g in groups)
     if total > _WARN_SCHEDULES:
         warnings.warn(
             f"enumerating {total} transmission orders (more than "
@@ -428,32 +488,45 @@ def _best_order(
             RuntimeWarning,
             stacklevel=3,
         )
-    best = None
-    support = None
-    for evaluated, (key, wait) in enumerate(candidates, 1):
-        a = static + w1 * wait
-        u, support = _minmax_unit(a, forced_zero, support)
+    nr, n = static.shape
+    place = np.array([k for g in groups for k in range(len(g))], dtype=int)
+    orders = _orders(groups)
+    best, support = None, None
+    while block := list(itertools.islice(orders, _BLOCK)):
+        nb = len(block)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(block)),
+            dtype=int,
+            count=nb * place.size,
+        ).reshape(nb, place.size)
+        rank = np.zeros((nb, n), dtype=int)
+        rank[np.arange(nb)[:, None], flat] = place
+        a = static + w1 * (shared * (rank[:, n - nr :, None] > rank[:, None, :]))
+        cols, _, msc = _scaled(a, forced_zero)
+        u = np.zeros((nb, n))
+        i = 0
+        while i < nb:
+            width = _SWEEP
+            while support is not None and i < nb:
+                window = min(width, nb - i)
+                got = _equalise(msc[i : i + window], *support)
+                ok = [False] if got is None else ~np.isnan(got[:, 0])
+                passed = window if np.all(ok) else int(np.argmin(ok))
+                if passed:
+                    u[i : i + passed, cols] = got[:passed]
+                i += passed
+                if passed < width:
+                    break
+                width *= 2
+            if i < nb:
+                u[i], support = _minmax_unit(a[i], forced_zero)
+                i += 1
         y = u * task_size
-        z = float(np.max(a @ y, initial=0.0))
-        if best is None or z < best[0]:
-            best = (z, key, y)
-    assert best is not None
-    return (*best, evaluated)
-
-
-def _subtree_orders(tree: SinkTree, nodes: tuple[int, ...]):
-    """(order, unit waiting matrix) for every order of one subtree's nodes.
-
-    The matrices are slices of the tree's sharing matrix with rows `nodes`
-    and columns master + `nodes`, in that order.
-    """
-    cols = (0, *nodes)
-    shared = tree.shared_inv_rate[np.ix_(nodes, cols)]
-    col_of = {i: k for k, i in enumerate(cols)}
-    for order in itertools.permutations(nodes):
-        rank = np.zeros(len(cols), dtype=int)
-        rank[[col_of[i] for i in order]] = range(len(order))
-        yield order, shared * (rank[1:, None] > rank[None, :])
+        z = (a @ y[:, :, None]).max(axis=(1, 2), initial=0.0)
+        k = int(z.argmin())
+        if best is None or z[k] < best[0]:
+            best = (float(z[k]), block[k], y[k])
+    return (*best, total)
 
 
 def cmo(
@@ -468,19 +541,21 @@ def cmo(
 
     Every schedule is split on the one static matrix, each split starting
     from the previous schedule's certified support, and scored by its
-    largest node cost (`_best_order`); only the winner is audited into a
+    largest node cost (`_best_order`, a block of schedules per stacked
+    solve); only the winner becomes a Schedule and is audited into a
     Solution.  Ties go to the earliest schedule in enumeration order.
     Warns (RuntimeWarning) before enumerating more than 10**6 schedules.
     """
     check_task_size(task_size)
-    _, schedule, y, evaluated = _best_order(
+    _, orders, y, evaluated = _best_order(
         _static_matrix(tree, weights, b),
-        ((s, _waiting(tree, s)) for s in enumerate_schedules(tree)),
-        count_schedules(tree),
+        tree.shared_inv_rate,
+        [tree.subtrees[t] for t in tree.subtree_roots],
         weights.w1,
         task_size,
         forced_zero,
     )
+    schedule = Schedule(orders=orders)
     return _solution(tree, schedule, y, task_size, weights, b, "cmo", evaluated)
 
 
@@ -530,9 +605,9 @@ def pmo(
 
     A subtree's nodes cost nothing to other subtrees, so each subtree with
     a node that is not forced to zero is probed in place: its orders are
-    enumerated as in `cmo` (`_best_order`) on the slice of the static
-    matrix with its nodes as rows and the master plus its nodes as
-    columns, the master's column pinned to zero.  The probe carries the
+    enumerated as in `cmo` (`_best_order`, in blocks) on the slices of the
+    static and sharing matrices with its nodes as rows and the master plus
+    its nodes as columns, the master's column pinned to zero.  The probe carries the
     whole task (1 bit for a zero task, as does the master split); its best
     score per bit is the subtree's cost per bit in `solve_master_split`,
     whose master row holds the master's relay energy for the subtree.
@@ -552,14 +627,16 @@ def pmo(
         forced = frozenset({0}) | {
             k for k, i in enumerate(nodes, 1) if i in forced_zero
         }
-        z, orders[t], y, tried = _best_order(
-            static[np.ix_(nodes, (0, *nodes))],
-            _subtree_orders(tree, nodes),
-            math.factorial(len(nodes)),
+        cols = (0, *nodes)
+        z, (order,), y, tried = _best_order(
+            static[np.ix_(nodes, cols)],
+            tree.shared_inv_rate[np.ix_(nodes, cols)],
+            [range(1, len(cols))],
             weights.w1,
             probe_size,
             forced,
         )
+        orders[t] = tuple(cols[k] for k in order)
         per_bit[t] = z / probe_size
         shares[t] = y[1:] / probe_size
         evaluated += tried

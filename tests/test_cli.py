@@ -306,12 +306,13 @@ def _mixed_plan(**fields) -> str:
     })
 
 
-def _two_servers(ids=(0, 1), link=(0, 1)) -> str:
-    """A network file of two servers with `ids` and one link `link`."""
-    server = {"cpu_freq_ghz": 2.0, "tx_power_dbm": 30.0, "gamma": 1e-2}
+def _two_servers(ids=(0, 1), link=(0, 1), rate_gbps=10.0, **server) -> str:
+    """A network file of two servers with `ids` and one link `link`;
+    `server` overrides fields of both servers."""
+    server = {"cpu_freq_ghz": 2.0, "tx_power_dbm": 30.0, "gamma": 1e-2, **server}
     return json.dumps({
         "servers": [{"id": i, **server} for i in ids],
-        "links": [{"i": link[0], "j": link[1], "rate_gbps": 10.0}],
+        "links": [{"i": link[0], "j": link[1], "rate_gbps": rate_gbps}],
     })
 
 
@@ -332,6 +333,11 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
         (["tree", "--network"], _two_servers(link=(0, 1.9))),
         (["tree", "--network"], _two_servers(ids=(False, True))),
         (["tree", "--network"], _two_servers(link=(0, True))),
+        (["tree", "--network"], _two_servers(cpu_freq_ghz=True)),
+        (["tree", "--network"], _two_servers(tx_power_dbm=False)),
+        (["tree", "--network"], _two_servers(gamma=True)),
+        (["tree", "--network"], _two_servers(rate_gbps=True)),
+        (["tree", "--network"], _two_servers(cpu_freq_ghz="3")),
         (["compare", "--scenario"], "{not json"),
         (SOLVE_MIXED, "{not json"),
         (SOLVE_MIXED, _mixed_plan()),
@@ -342,6 +348,8 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
     ids=["network-not-json", "network-no-clock", "network-list",
          "network-servers-int", "network-units-list", "network-id-fraction",
          "network-link-j-fraction", "network-id-bool", "network-link-j-bool",
+         "network-clock-bool", "network-power-bool", "network-gamma-bool",
+         "network-rate-bool", "network-clock-str",
          "scenario-not-json",
          "cache-not-json", "cache-without-plan", "cache-list",
          "cache-orders-int", "cache-orders-unknown-node"],

@@ -288,12 +288,31 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
         ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
                                    "gama": 2e-28}}},
          "network.generate: unknown field 'gama'"),
+        ({"network": {"generate": {"node_count": 4.5, "edge_prob": 0.5}}},
+         "network.generate: node_count must be an integer in [1, inf], got 4.5"),
+        ({"network": {"generate": {"node_count": True, "edge_prob": 0.5}}},
+         "network.generate: node_count must be an integer in [1, inf], got True"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
+                                   "rng_seed": 1.5}}},
+         "network.generate: rng_seed must be an integer in [0, inf], got 1.5"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
+                                   "rng_seed": False}}},
+         "network.generate: rng_seed must be an integer in [0, inf], got False"),
+        ({"task_size_gbit": True}, "task_size_gbit: must be a finite number >= 0"),
+        ({"cycles_per_bit": True}, "cycles_per_bit: must be a finite number > 0"),
+        ({"weights": {"time": True, "energy": 0.05}},
+         "weights: time and energy must be numbers"),
+        ({"weights": {"time": 0.5, "energy": False}},
+         "weights: time and energy must be numbers"),
     ],
     ids=["task_size-negative", "task_size-nan", "cpu_freq-zero",
          "link_rate-negative", "theta_p-1.5", "xi-negative",
          "subtree_count-zero", "subtree_count-above-helpers", "value-str",
          "value-bool", "values-spelling", "repetitions-bool", "edge-bool",
-         "node-bool", "generate-tx_power_dbm", "generate-typo"],
+         "node-bool", "generate-tx_power_dbm", "generate-typo",
+         "node_count-4.5", "node_count-bool", "generate-rng_seed-1.5",
+         "generate-rng_seed-bool", "task_size-bool", "cycles_per_bit-bool",
+         "weights-time-bool", "weights-energy-bool"],
 )
 def test_doc_refuses_a_bad_value_before_running(over, problem):
     with pytest.raises(ScenarioError) as exc:

@@ -227,9 +227,9 @@ def test_ga_fitness_equals_audited_cost(seed, monkeypatch):
         schedule_of[id(wait)] = (wait, schedule)
         return wait
 
-    def node_terms(tree_, wait, y, weights_, b):
+    def node_terms(tree_, energy, wait, y, weights_, b):
         split_of[schedule_of[id(wait)][1].orders] = y.copy()
-        return costs._node_terms(tree_, wait, y, weights_, b)
+        return costs._node_terms(tree_, energy, wait, y, weights_, b)
 
     class Recording(random.Random):
         def choices(self, population, weights=None, **kw):

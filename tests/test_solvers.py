@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 import warnings
@@ -37,7 +38,7 @@ from treeload import (
     scale_solution,
     solve_fixed_order,
 )
-from treeload.costs import cost_coefficients
+from treeload.costs import _static_matrix, cost_coefficients
 from treeload.heuristics import partial_offload_cost
 
 W = Weights(0.5, 0.05)
@@ -375,9 +376,9 @@ def test_exact_solvers_agree_across_26_decades(seed, w):
 def test_certificate_refutes_a_wrong_support():
     # row 2 overshoots the equal-finish point of rows 0 and 1
     m = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 0.0]])
-    assert solvers._equalise(m, np.array([0, 1]), np.array([0, 1])) is None
-    right = solvers._equalise(m, np.array([0, 1]), np.array([1, 2]))
-    assert right == pytest.approx([0.2, 0.8], abs=1e-15)
+    assert solvers._equalise(m[None], np.array([0, 1]), np.array([0, 1])) is None
+    right = solvers._equalise(m[None], np.array([0, 1]), np.array([1, 2]))
+    assert right[0] == pytest.approx([0.2, 0.8], abs=1e-15)
     # a refuted warm guess falls back to a cold start and still reaches
     # the optimum
     u, support = solvers._minmax_unit(
@@ -387,7 +388,7 @@ def test_certificate_refutes_a_wrong_support():
     assert [list(x) for x in support] == [[0, 1], [1, 2]]
     # against the duals of support {0}, column 1 is cheaper
     m = np.array([[1.0, 0.5], [1.0, 0.5]])
-    assert solvers._equalise(m, np.array([0]), np.array([0])) is None
+    assert solvers._equalise(m[None], np.array([0]), np.array([0])) is None
 
 
 @pytest.mark.parametrize(
@@ -504,8 +505,9 @@ def _check_simplex_support(m: np.ndarray) -> None:
     assert support is not None
     s, r = support
     assert len(s) == len(r) > 0
-    u = solvers._equalise(msc, s, r)
+    u = solvers._equalise(msc[None], s, r)
     assert u is not None
+    u = u[0]
     # HiGHS works to 1e-10 and can miss the certified value by ~1e-12
     highs = _highs_minmax(m, frozenset())
     assert highs * (1 - 1e-10) <= (m @ u).max() <= highs * (1 + 1e-12)
@@ -522,6 +524,153 @@ def test_simplex_support_certifies(m):
 )
 def test_simplex_support_on_one_row_or_column(m):
     _check_simplex_support(np.array(m))
+
+
+def test_stacked_equalise_matches_one_at_a_time():
+    # every matrix of a stack gets the bits it gets as a stack of one,
+    # whether it passes, fails its certificate or is singular
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        nr, nc = rng.integers(2, 9, size=2)
+        k = int(rng.integers(1, min(nr, nc) + 1))
+        stack = rng.uniform(0.0, 1.0, (12, nr, nc)) ** 3
+        s = np.sort(rng.choice(nc, k, replace=False))
+        r = np.sort(rng.choice(nr, k, replace=False))
+        # near one another, so some certify and some do not
+        stack[1:] = stack[0] * rng.uniform(0.9, 1.1, (11, nr, nc))
+        if trial % 4 == 0:
+            stack[3][np.ix_(r, s)] = 0.0  # singular when k > 1
+        got = solvers._equalise(stack, s, r)
+        alone = [solvers._equalise(stack[i : i + 1], s, r) for i in range(12)]
+        if got is None:
+            assert all(u is None for u in alone)
+            continue
+        for row, u in zip(got, alone):
+            if u is None:
+                assert np.isnan(row).all()
+            else:
+                assert row.tobytes() == u[0].tobytes()
+
+
+def _sequential_best_order(static, shared, groups, w1, task_size, forced_zero):
+    """The one-split-per-order loop `_best_order` replaced, kept as its
+    bitwise reference: each order's split starts from the support the
+    previous order certified.  Also counts the orders that support did
+    not certify, which go through the cascade."""
+    nr, n = static.shape
+    best, support, tried, cold = None, None, 0, 0
+    for orders in itertools.product(*(itertools.permutations(g) for g in groups)):
+        rank = np.zeros(n, dtype=int)
+        for order in orders:
+            rank[list(order)] = range(len(order))
+        a = static + w1 * (shared * (rank[n - nr :, None] > rank[None, :]))
+        u, certified = solvers._minmax_unit(a, forced_zero, support)
+        # a support that certifies comes back as the same object
+        cold += support is None or certified is not support
+        support = certified
+        y = u * task_size
+        z = float(np.max(a @ y, initial=0.0))
+        tried += 1
+        if best is None or z < best[0]:
+            best = (z, orders, y)
+    return (*best, tried, cold)
+
+
+def _cmo_form(rng, tree, weights, task_size=Y):
+    """`cmo`'s arguments to `_best_order` on `tree`, some nodes forced."""
+    n = len(tree)
+    forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
+    groups = [tree.subtrees[t] for t in tree.subtree_roots]
+    static = _static_matrix(tree, weights, B_COMP)
+    return static, tree.shared_inv_rate, groups, weights.w1, task_size, forced
+
+
+def _probe_form(rng, k, weights, task_size=Y, cap=lambda: 2e-28):
+    """A `pmo` probe's arguments on one k-node subtree, some nodes forced;
+    each node's switched capacitance is a cap() draw."""
+    parent = [-1, 0] + [rng.randrange(1, i) for i in range(2, k + 1)]
+    tree = make_tree(
+        parent,
+        [0.0] + [rng.uniform(0.5, 20.0) for _ in range(k)],
+        [rng.uniform(0.5, 8.0) for _ in range(k + 1)],
+        [cap() for _ in range(k + 1)],
+    )
+    cols = (0, *tree.subtrees[1])
+    forced = {0} | set(rng.sample(range(1, k + 1), rng.randint(0, k - 1)))
+    ix = np.ix_(cols[1:], cols)
+    static = _static_matrix(tree, weights, B_COMP)[ix]
+    shared = tree.shared_inv_rate[ix]
+    return static, shared, [range(1, k + 1)], weights.w1, task_size, frozenset(forced)
+
+
+def _free_column_form(rng, k):
+    """A probe-shaped form whose column 2 no row pays for exactly when
+    column 2 is sent last, so some orders have a free column."""
+    static = _uniform_matrix(rng, k, k + 1)
+    static[:, 2] = 0.0
+    shared = _uniform_matrix(rng, k, k + 1)
+    return static, shared, [range(1, k + 1)], 0.5, Y, frozenset({0})
+
+
+def _uniform_matrix(rng, nr, nc):
+    return np.array([[rng.uniform(0.1, 2.0) for _ in range(nc)] for _ in range(nr)])
+
+
+_WEIGHT_PAIRS = [W, Weights(1.0, 0.0), Weights(0.1, 0.9), Weights(0.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cmo", "26-decades", "probe", "zero-task", "free-column", "ties", "blocks"],
+)
+def test_best_order_matches_the_sequential_loop(case, monkeypatch):
+    forms = []
+    for seed in range(12):
+        rng = random.Random(seed + 9000)
+        w = _WEIGHT_PAIRS[seed % 4]
+        if case == "cmo":
+            forms.append(_cmo_form(rng, rand_tree(rng, rng.randint(2, 7)), w))
+        elif case == "26-decades":
+            # per-node switched capacitance anywhere in 1e-28..1e-2
+            cap = lambda: 10 ** rng.uniform(-28.0, -2.0)  # noqa: E731
+            forms.append(_cmo_form(rng, _wide_tree(rng, rng.randint(3, 7), cap), w))
+            forms.append(_probe_form(rng, 5, w, cap=cap))
+        elif case == "probe":
+            forms.append(_probe_form(rng, rng.randint(1, 5), w))
+        elif case == "zero-task":
+            forms.append(
+                _cmo_form(rng, rand_tree(rng, rng.randint(2, 6)), w, task_size=0.0)
+            )
+            forms.append(_probe_form(rng, rng.randint(1, 4), w, task_size=0.0))
+        elif case == "free-column":
+            forms.append(_free_column_form(rng, rng.randint(3, 5)))
+        elif case == "ties":
+            # no waiting: every order has the same form, the first wins
+            static, shared, *rest = _probe_form(rng, rng.randint(2, 5), w)
+            forms.append((static, np.zeros_like(shared), *rest))
+        else:
+            # blocks of 7 and sweeps from 2 orders: the carried support
+            # crosses block boundaries and windows of every width
+            monkeypatch.setattr(solvers, "_BLOCK", 7)
+            monkeypatch.setattr(solvers, "_SWEEP", 2)
+            forms.append(_probe_form(rng, 5, w))
+            forms.append(_cmo_form(rng, rand_tree(rng, 7), w))
+    split = solvers._minmax_unit
+    for static, shared, groups, *rest in forms:
+        ref = _sequential_best_order(static, shared, groups, *rest)
+        cold = []
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "_minmax_unit", lambda *a: cold.append(1) or split(*a))
+            got = solvers._best_order(static, shared, groups, *rest)
+        assert got[0] == ref[0]
+        assert got[1] == ref[1]
+        assert got[2].tobytes() == ref[2].tobytes()
+        assert got[3] == ref[3]
+        # the cascade runs on exactly the orders the loop's carried
+        # support failed on; the stacked sweeps split the rest
+        assert len(cold) == ref[4]
+        if case == "ties":
+            assert got[1] == tuple(tuple(g) for g in groups)
 
 
 def test_failed_polish_raises_infeasible(monkeypatch):
