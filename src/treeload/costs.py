@@ -173,16 +173,19 @@ def _node_terms(
 
     `energy` is the tree's `_energy_rates`, built once per caller, `wait`
     the schedule's unit waiting matrix (`_waiting`) and y the split in
-    bits.  Raises ParameterError when a node cost is not finite.
+    bits, or a (B, n) stack of splits, one row of terms each.  A stacked
+    split gets the bits it gets alone: its matrix products are one
+    matrix-vector product per row.  Raises ParameterError when a node
+    cost is not finite.
     """
     e_comp_rate, relay = energy
     path_inv_rate, freq = tree.cost_arrays[:2]
     with np.errstate(over="ignore", invalid="ignore"):
         t_tran = path_inv_rate * y
-        t_wait = wait @ y
+        t_wait = (wait @ y[..., None])[..., 0]
         t_comp = y * b / freq
         e_comp = e_comp_rate * y
-        e_relay = relay @ y
+        e_relay = (relay @ y[..., None])[..., 0]
         t_total = t_tran + t_wait + t_comp
         e_total = e_comp + e_relay
         j_node = weights.w1 * t_total + weights.w2 * e_total

@@ -2,18 +2,25 @@
 
 Two pruning passes shrink the tree before an exact solve: node pruning
 drops servers whose solo offloading benefit is below a threshold, level
-pruning cuts everything deeper than a fixed depth.  A small genetic
-algorithm searches the schedule space directly when enumeration is too
-expensive.  The four baselines at the bottom are the usual strawmen:
-local-only, one-neighbor split, master-worker, and single-node full
-offload.
+pruning cuts everything deeper than a fixed depth.  Every solo split of a
+tree (the master and one node i) comes from one stack (`_solo_splits`),
+bit for bit as one split at a time, and is priced by the audit's own
+cost terms.  A small genetic algorithm searches the schedule space
+directly when enumeration is too expensive.  The four baselines at the
+bottom are the usual strawmen: local-only, one-neighbor split (the
+master's children as one stack of solo splits), master-worker, and
+single-node full offload (every node priced in one call of the cost
+terms).  Each baseline, like GA, audits only its answer.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .costs import (
     Schedule,
@@ -26,7 +33,14 @@ from .costs import (
 )
 from .errors import ParameterError, _store_checked
 from .solvers import (
-    Solution, _minmax_unit, _solution, check_task_size, solve_fixed_order
+    Solution,
+    _equalise,
+    _minmax_unit,
+    _scaled,
+    _solution,
+    _two_column_support,
+    check_task_size,
+    solve_fixed_order,
 )
 from .tree import MASTER_ID, SinkTree, prune_tree
 from .units import DEFAULT_B
@@ -79,18 +93,45 @@ def local_cost(
     return baseline_local(tree, task_size, weights, b=b).cost
 
 
-def _split_over(
-    tree: SinkTree, keep: set[int], task_size: float, weights: Weights, b: float
-) -> Solution:
-    """Optimal split over the `keep` nodes under the canonical schedule.
+def _solo_splits(
+    tree: SinkTree, nodes, task_size: float, weights: Weights, b: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best split over the master and node i alone, for every i in `nodes`.
 
-    Every other node is forced to zero but still relays (and pays relay
-    energy) if it sits on the path to a kept node.
+    Each split is `solvers._minmax_unit` under the canonical schedule with
+    every node but the master and i forced to zero (those still relay and
+    pay relay energy on the path to i), bit for bit, but all of them come
+    from one (B, n, 2) stack of the linear form's column pairs [0, i]:
+    one `_scaled`, one `_two_column_support` and one `_equalise` per
+    support size.  A split that no closed-form support certifies goes
+    through `_minmax_unit` alone.  Each cost is the audit's own j_system
+    (`costs._node_terms` on the stacked splits).  Returns (cost, y): a
+    (B,) array of costs and the (B, n) splits in bits.
     """
-    forced = frozenset(range(len(tree))) - keep
-    return solve_fixed_order(
-        tree, canonical_schedule(tree), task_size, weights, forced, b=b
-    )
+    wait = _waiting(tree, canonical_schedule(tree))
+    a = _static_matrix(tree, weights, b) + weights.w1 * wait
+    pair = np.zeros((len(nodes), 2), dtype=int)
+    pair[:, 1] = nodes
+    _, free, msc = _scaled(a[:, pair].transpose(1, 0, 2).copy(), frozenset())
+    u = np.zeros((len(pair), len(tree)))
+    loose = free.any(axis=1)
+    # a column nobody pays for absorbs everything at zero cost
+    u[loose, pair[loose, free[loose].argmax(axis=1)]] = 1.0
+    tight = np.flatnonzero(~loose)
+    both, s, r = _two_column_support(msc[tight])
+    certified = loose.copy()
+    for k, group in ((1, ~both), (2, both)):
+        at = tight[group]
+        got = _equalise(msc[at], s[group, :k], r[group, :k]) if at.size else None
+        if got is not None:
+            u[at[:, None], pair[at]] = got
+            certified[at] = ~np.isnan(got[:, 0])
+    for j in np.flatnonzero(~certified):
+        forced = frozenset(range(len(tree))) - {MASTER_ID, int(pair[j, 1])}
+        u[j] = _minmax_unit(a, forced)[0]
+    y = u * task_size
+    j_node = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)[-1]
+    return j_node.max(axis=1), y
 
 
 def partial_offload_cost(
@@ -103,14 +144,18 @@ def partial_offload_cost(
 ) -> float:
     """Best achievable cost when only the master and node i may compute.
 
-    The split (`_split_over`) has two free columns; see
-    `solvers._minmax_unit` for how such a split is solved.
+    A stack of one solo split (`_solo_splits`): two free columns, which
+    `solvers._two_column_support` reads off in closed form.  i must be
+    an integer id (not a bool) of a node other than the master.
     """
+    check_task_size(task_size)
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ParameterError(f"node id must be an integer, got {i!r}")
     if i == MASTER_ID:
         raise ParameterError("partial offloading needs a non-master node")
     if not 0 <= i < len(tree):
         raise ParameterError(f"node {i} not in tree")
-    return _split_over(tree, {MASTER_ID, i}, task_size, weights, b).cost
+    return float(_solo_splits(tree, [i], task_size, weights, b)[0][0])
 
 
 def node_prune(
@@ -126,20 +171,21 @@ def node_prune(
     A node is selected when (z0 - zp_i)/z0 > theta_p, z0 being the
     all-local cost and zp_i the best master+node-i split.  Unselected
     nodes are removed outright, except those still needed to reach a
-    selected descendant: they stay as zero-load relays.
+    selected descendant: they stay as zero-load relays.  Every zp_i comes
+    from one stack of solo splits (`_solo_splits`), with the bits of
+    `partial_offload_cost`; with z0 = 0 (a zero task) no node is selected.
 
     Returns the pruned tree (new ids) and the relay-only id set in it.
     """
     z0 = local_cost(tree, task_size, weights, b=b)
-    unselected = set()
-    for i in range(1, len(tree)):
-        if z0 > 0.0:
-            zp = partial_offload_cost(tree, i, task_size, weights, b=b)
-            benefit = (z0 - zp) / z0
-        else:
-            benefit = 0.0
-        if benefit <= params.theta_p:
-            unselected.add(i)
+    unselected = set(range(1, len(tree)))
+    if z0 > 0.0:
+        zp, _ = _solo_splits(tree, range(1, len(tree)), task_size, weights, b)
+        unselected = {
+            i
+            for i, z in enumerate(zp.tolist(), 1)
+            if (z0 - z) / z0 <= params.theta_p
+        }
     return prune_tree(tree, unselected)
 
 
@@ -163,12 +209,18 @@ def level_prune(tree: SinkTree, params: LpParams) -> SinkTree:
 def _ordered_crossover(
     rng: random.Random, a: tuple[int, ...], bseq: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Classic OX: keep a random slice of `a`, fill the rest in `bseq` order."""
+    """Classic OX: keep a random slice of `a`, fill the rest in `bseq` order.
+
+    Equal parents give `a` back after the same two draws: the child would
+    equal it, and the random stream stays the same.
+    """
     n = len(a)
     if n <= 1:
         return a
     lo = rng.randrange(n)
     hi = rng.randrange(n)
+    if a == bseq:
+        return a
     if lo > hi:
         lo, hi = hi, lo
     kept = a[lo : hi + 1]
@@ -285,6 +337,7 @@ def baseline_local(
     tree: SinkTree, task_size: float, weights: Weights, *, b: float = DEFAULT_B
 ) -> Solution:
     """Everything stays on the master."""
+    check_task_size(task_size)
     y = (task_size,) + (0.0,) * (len(tree) - 1)
     return _solution(
         tree, canonical_schedule(tree), y, task_size, weights, b, "baseline-local"
@@ -296,16 +349,18 @@ def baseline_partial(
 ) -> Solution:
     """Split between the master and its single best one-hop neighbor.
 
-    The split and the neighbor choice minimize completion time; the
-    reported cost re-evaluates that allocation at the given weights.
-    Without a one-hop neighbor the whole task stays on the master.
+    The split and the neighbor choice minimize completion time: the
+    master's children are priced as one stack of solo splits at
+    time-only weights (`_solo_splits`), ties going to the first child.
+    Only the winner is audited, at the given weights.  Without a one-hop
+    neighbor the whole task stays on the master.
     """
-    best_time = math.inf
+    check_task_size(task_size)
     y = (task_size,) + (0.0,) * (len(tree) - 1)
-    for j in tree.children[MASTER_ID]:
-        timed = _split_over(tree, {MASTER_ID, j}, task_size, Weights(1.0, 0.0), b)
-        if timed.cost < best_time:
-            best_time, y = timed.cost, timed.allocation.y
+    hops = tree.children[MASTER_ID]
+    if hops:
+        times, splits = _solo_splits(tree, hops, task_size, Weights(1.0, 0.0), b)
+        y = splits[int(times.argmin())]
     return _solution(
         tree, canonical_schedule(tree), y, task_size, weights, b, "baseline-partial"
     )
@@ -319,10 +374,12 @@ def baseline_master_worker(
     One-hop nodes root their own subtrees, so transmissions are
     concurrent and nothing waits.  Cost is reported at the given weights.
     """
-    keep = {MASTER_ID, *tree.children[MASTER_ID]}
-    y = _split_over(tree, keep, task_size, Weights(1.0, 0.0), b).allocation.y
+    check_task_size(task_size)
+    sched = canonical_schedule(tree)
+    forced = frozenset(range(len(tree))) - {MASTER_ID, *tree.children[MASTER_ID]}
+    timed = solve_fixed_order(tree, sched, task_size, Weights(1.0, 0.0), forced, b=b)
     tag = "baseline-master-worker"
-    return _solution(tree, canonical_schedule(tree), y, task_size, weights, b, tag)
+    return _solution(tree, sched, timed.allocation.y, task_size, weights, b, tag)
 
 
 def baseline_multi_hop(
@@ -331,16 +388,15 @@ def baseline_multi_hop(
     """Ship the whole task to the one node where it costs least.
 
     Every node, master included, is tried as the sole computer; path
-    nodes relay.  Ties go to the smallest id.
+    nodes relay.  All n one-hot splits are priced in one call of
+    `costs._node_terms`, the audit's own arithmetic, on the canonical
+    schedule's waiting matrix; only the winner is audited.  Ties go to
+    the smallest id.
     """
+    check_task_size(task_size)
     sched = canonical_schedule(tree)
-    best: Solution | None = None
-    for i in range(len(tree)):
-        y = tuple(task_size if k == i else 0.0 for k in range(len(tree)))
-        cand = _solution(
-            tree, sched, y, task_size, weights, b, "baseline-multi-hop"
-        )
-        if best is None or cand.cost < best.cost:
-            best = cand
-    assert best is not None
-    return best
+    y = np.eye(len(tree)) * task_size
+    wait = _waiting(tree, sched)
+    j_node = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)[-1]
+    best = int(j_node.max(axis=1).argmin())
+    return _solution(tree, sched, y[best], task_size, weights, b, "baseline-multi-hop")

@@ -74,6 +74,8 @@ _WARN_SCHEDULES = 10**6
 # carried support on this many of them
 _BLOCK = 2048
 _SWEEP = 8
+# _two_column_support forms at most this many crossings at once
+_CROSSINGS = 4096
 
 
 @dataclass(frozen=True)
@@ -101,22 +103,28 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     """Equal-finish weights on support s and tight rows r, where provably optimal.
 
     m is a (B, rows, cols) stack of matrices; a single split is a stack of
-    one.  For each matrix, solves [m_rs  -1; 1ᵀ 0] [u_s; z] = [0; 1] for
-    the primal and the transposed system for the duals p_r.  An answer
-    passes only when u and p are nonnegative (to _CERT_TOL before
-    clipping) and the primal value zp = max(m u) exceeds the dual bound
-    zd = min over columns of pᵀm by at most _CERT_TOL * zp: every simplex
-    point costs at least zd (weak duality), so a passing u is optimal to
-    that tolerance.  Each matrix gets the bits it would get alone.
-    Returns u, shape (B, cols), with a row of NaN for each matrix whose
-    system is singular or whose certificate fails; None when none passes.
+    one.  s and r are either one (k,) support shared by every matrix or
+    both (B, k), a support per matrix.  For each matrix, solves
+    [m_rs  -1; 1ᵀ 0] [u_s; z] = [0; 1] for the primal and the transposed
+    system for the duals p_r.  An answer passes only when u and p are
+    nonnegative (to _CERT_TOL before clipping) and the primal value
+    zp = max(m u) exceeds the dual bound zd = min over columns of pᵀm by
+    at most _CERT_TOL * zp: every simplex point costs at least zd (weak
+    duality), so a passing u is optimal to that tolerance.  Each matrix
+    gets the bits it would get alone.  Returns u, shape (B, cols), with a
+    row of NaN for each matrix whose system is singular or whose
+    certificate fails; None when none passes.
     """
-    k = len(s)
-    if k == 0 or k != len(r):
+    k = s.shape[-1]
+    if k == 0 or k != r.shape[-1]:
         return None
     nb, nr, nc = m.shape
+    shared = s.ndim == 1
+    if shared:
+        m_rs = m[:, r[:, None], s]
+    else:
+        m_rs = m[np.arange(nb)[:, None, None], r[:, :, None], s[:, None, :]]
     kkt = np.zeros((nb, 2, k + 1, k + 1))
-    m_rs = m[:, r[:, None], s]
     kkt[:, 0, :k, :k] = m_rs
     kkt[:, 1, :k, :k] = m_rs.transpose(0, 2, 1)
     kkt[:, :, :k, k] = -1.0
@@ -139,11 +147,18 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
         if not ok.any():
             return None
         m, sol = m[ok], sol[ok]
+        if not shared:
+            s, r = s[ok], r[ok]
     u = np.zeros((len(m), nc))
-    u[:, s] = np.maximum(sol[:, 0], 0.0)
-    u /= u.sum(axis=1, keepdims=True)
     p = np.zeros((len(m), nr))
-    p[:, r] = np.maximum(sol[:, 1], 0.0)
+    if shared:
+        u[:, s] = np.maximum(sol[:, 0], 0.0)
+        p[:, r] = np.maximum(sol[:, 1], 0.0)
+    else:
+        at = np.arange(len(m))[:, None]
+        u[at, s] = np.maximum(sol[:, 0], 0.0)
+        p[at, r] = np.maximum(sol[:, 1], 0.0)
+    u /= u.sum(axis=1, keepdims=True)
     p /= p.sum(axis=1, keepdims=True)
     zp = (m @ u[:, :, None]).max(axis=1)[:, 0]
     zd = (p[:, None, :] @ m).min(axis=2)[:, 0]
@@ -231,7 +246,9 @@ def _minmax_unit(
     msc = stack[0]
     u_cols = None if warm is None else _equalise(stack, *warm)
     if u_cols is None and len(cols) == 2:
-        warm = _two_column_support(msc)
+        both, s, r = _two_column_support(stack)
+        k = 2 if both[0] else 1
+        warm = s[0, :k], r[0, :k]
         u_cols = _equalise(stack, *warm)
     if u_cols is None:
         warm = _simplex_support(msc)
@@ -249,10 +266,13 @@ def _minmax_unit(
     return u, warm
 
 
-def _two_column_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, R) of a two-column split, read off the rows' upper envelope.
+def _two_column_support(
+    msc: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, R) of two-column splits, read off each matrix's upper envelope.
 
-    With weight t on column 0, row r costs the line
+    msc is a (B, rows, 2) stack; a single split is a stack of one.  With
+    weight t on column 0, row r costs the line
     f_r(t) = msc[r, 1] + s_r t, s_r = msc[r, 0] - msc[r, 1], and the split
     is the lowest point of max_r f_r on [0, 1].  Each falling line
     (s_q < 0) drops below the rising and flat ones (s_r >= 0) at the
@@ -261,31 +281,46 @@ def _two_column_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     optimum is all weight on column 1 with the top rising row tight, for
     t_c > 1 all weight on column 0 with the top falling row tight, and
     otherwise it is the crossing itself, with both of its rows tight (a
-    crossing that rounds onto an end may sit an ulp inside it).
+    crossing that rounds onto an end may sit an ulp inside it).  Ties go
+    to the lowest row.  The crossings of every pair of rows are formed
+    for as many matrices at a time as keep them within _CROSSINGS.
+    Returns (both, s, r), s and r of shape (B, 2): matrix b's support is
+    (s[b], r[b]) where both[b], else (s[b, :1], r[b, :1]).
     """
-    slope = msc[:, 0] - msc[:, 1]
-    rising = np.flatnonzero(slope >= 0.0)
-    falling = np.flatnonzero(slope < 0.0)
-    if falling.size == 0:
-        t_c = -math.inf
-    elif rising.size == 0:
-        t_c = math.inf
-    else:
-        # cross[i, k]: where rising line i meets falling line k
-        cross = (msc[falling, 1] - msc[rising, 1][:, None]) / (
-            slope[rising][:, None] - slope[falling]
+    nb, nr, _ = msc.shape
+    step = max(1, _CROSSINGS // (nr * nr))
+    if nb > step:
+        parts = zip(
+            *(_two_column_support(msc[lo : lo + step]) for lo in range(0, nb, step))
         )
-        drop = cross.min(axis=0)
-        k = int(np.argmax(drop))
-        t_c = float(drop[k])
-    if t_c < 0.0:
-        r = rising[int(np.argmax(msc[rising, 1]))]
-        return np.array([1]), np.array([r])
-    if t_c > 1.0:
-        q = falling[int(np.argmax(msc[falling, 0]))]
-        return np.array([0]), np.array([q])
-    r = rising[int(np.argmin(cross[:, k]))]
-    return np.array([0, 1]), np.array(sorted((int(r), int(falling[k]))))
+        return tuple(np.concatenate(part) for part in parts)
+    line = msc[:, :, 1]
+    slope = msc[:, :, 0] - line
+    # no column is free, so one column's entries are finite, no slope is
+    # NaN, and every row rises or falls
+    rising = slope >= 0.0
+    falling = ~rising
+    # cross[b, i, q]: where row i meets row q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = line[:, None, :] - line[:, :, None]
+        cross /= slope[:, :, None] - slope[:, None, :]
+    # only rising rows i and falling rows q count: a matrix without
+    # falling rows gets t_c = -inf, and one without rising rows +inf
+    np.copyto(cross, np.inf, where=falling[:, :, None])
+    drop = cross.min(axis=1)
+    np.copyto(drop, -np.inf, where=rising)
+    k = drop.argmax(axis=1)
+    at = np.arange(nb)
+    t_c = drop[at, k]
+    low, high = t_c < 0.0, t_c > 1.0
+    one = low | high
+    s = np.ones((nb, 2), dtype=int)
+    s[:, 0] = low
+    r = np.sort([cross[at, :, k].argmin(axis=1), k], axis=0).T
+    if one.any():
+        r[low, 0] = np.where(rising, line, -np.inf).argmax(axis=1)[low]
+        r[high, 0] = np.where(falling, msc[:, :, 0], -np.inf).argmax(axis=1)[high]
+    return ~one, s, r
 
 
 def _simplex_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -52,10 +52,13 @@ def make_tree(parent, rates_gbps, freqs_ghz, caps=None, tx_w=None) -> SinkTree:
     return build_sink_tree(make_net(parent, rates_gbps, freqs_ghz, caps, tx_w))
 
 
-def rand_tree(rng: random.Random, n: int, first_hop_gbps=RATE_GBPS) -> SinkTree:
+def rand_tree(
+    rng: random.Random, n: int, first_hop_gbps=RATE_GBPS, draw_cap=None
+) -> SinkTree:
     """Random shape and parameters; ids may get relabeled by the builder.
 
-    Links out of the master draw their rate from first_hop_gbps.
+    Links out of the master draw their rate from first_hop_gbps, and each
+    node's switched capacitance comes from draw_cap() when it is given.
     """
     parent = [-1] + [rng.randrange(i) for i in range(1, n)]
     rates = [0.0] + [
@@ -63,7 +66,7 @@ def rand_tree(rng: random.Random, n: int, first_hop_gbps=RATE_GBPS) -> SinkTree:
         for i in range(1, n)
     ]
     freqs = [rng.uniform(*FREQ_GHZ) for _ in range(n)]
-    caps = [rng.uniform(*CAP_RANGE) for _ in range(n)]
+    caps = [draw_cap() if draw_cap else rng.uniform(*CAP_RANGE) for _ in range(n)]
     tx = [rng.uniform(*TX_W) for _ in range(n)]
     return make_tree(parent, rates, freqs, caps, tx)
 

@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,27 @@ def test_param_validation():
         LpParams(xi=-1)
     with pytest.raises(ParameterError):
         GaParams(population=1)
+    # a bad task size fails with the solvers' message, not Allocation's
+    tree = rand_tree(random.Random(0), 4)
+    for task in (math.nan, -1.0, math.inf):
+        for entry in (
+            lambda: node_prune(tree, NpParams(theta_p=0.1), task, W, b=B_COMP),
+            lambda: local_cost(tree, task, W, b=B_COMP),
+            lambda: partial_offload_cost(tree, 1, task, W, b=B_COMP),
+            lambda: baseline_local(tree, task, W, b=B_COMP),
+            lambda: baseline_partial(tree, task, W, b=B_COMP),
+            lambda: baseline_master_worker(tree, task, W, b=B_COMP),
+            lambda: baseline_multi_hop(tree, task, W, b=B_COMP),
+        ):
+            with pytest.raises(ParameterError, match="task size must be finite"):
+                entry()
+    # node ids are integers, never booleans or floats
+    for i in (True, 1.0, "1"):
+        with pytest.raises(ParameterError, match="node id must be an integer"):
+            partial_offload_cost(tree, i, Y, W, b=B_COMP)
+    assert partial_offload_cost(tree, np.int64(1), Y, W, b=B_COMP) == (
+        partial_offload_cost(tree, 1, Y, W, b=B_COMP)
+    )
 
 
 def test_partial_offload_rejects_master():
@@ -61,6 +84,91 @@ def test_partial_offload_no_worse_than_local():
         for i in range(1, len(tree)):
             zp = partial_offload_cost(tree, i, Y, W, b=B_COMP)
             assert zp <= z0 * (1 + 1e-9)
+
+
+def _solo_by_node(tree, nodes, task_size, weights):
+    """The per-node loop `_solo_splits` replaced, kept as its bitwise
+    reference: one fixed-order split and one full audit per node."""
+    sched = canonical_schedule(tree)
+    costs, splits = [], []
+    for i in nodes:
+        forced = frozenset(range(len(tree))) - {0, i}
+        sol = solve_fixed_order(tree, sched, task_size, weights, forced, b=B_COMP)
+        costs.append(sol.cost)
+        splits.append(sol.allocation.y)
+    return costs, splits
+
+
+def _check_solo_splits(tree, weights, task_size=Y):
+    nodes = range(1, len(tree))
+    costs, y = heuristics._solo_splits(tree, nodes, task_size, weights, B_COMP)
+    ref_costs, ref_y = _solo_by_node(tree, nodes, task_size, weights)
+    assert np.array(ref_costs).tobytes() == costs.tobytes()
+    assert np.array(ref_y).reshape(y.shape).tobytes() == y.tobytes()
+    for i, z in zip(nodes, ref_costs):
+        assert partial_offload_cost(tree, i, task_size, weights, b=B_COMP) == z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([(0.5, 0.05), (1.0, 0.0), (0.0, 1.0)]),
+)
+def test_solo_splits_match_the_per_node_loop(seed, w):
+    # γ anywhere in 1e-28..1e-2, per node
+    rng = random.Random(seed)
+    draw_cap = lambda: 10 ** rng.uniform(-28.0, -2.0)  # noqa: E731
+    tree = rand_tree(rng, rng.randint(2, 14), draw_cap=draw_cap)
+    _check_solo_splits(tree, Weights(*w))
+
+
+def test_solo_splits_on_free_columns_and_the_master_alone():
+    # energy only: a node that neither computes at a cost nor has a paying
+    # radio on its path takes the whole task for nothing, and so does a
+    # master that computes for free; a master that computes for less than
+    # its radio spends keeps the whole task (every row falls)
+    parent, rates, freqs = [-1, 0, 1, 0], [0.0, 5.0, 5.0, 5.0], [2.0, 3.0, 3.0, 3.0]
+    costly = make_tree(parent, rates, freqs, caps=[2e-28, 0.0, 2e-28, 2e-28],
+                       tx_w=[0.0, 0.0, 1.0, 1.0])
+    free_master = make_tree(parent, rates, freqs, caps=[0.0, 2e-28, 2e-28, 0.0],
+                            tx_w=[0.0, 1.0, 1.0, 1.0])
+    thrifty = make_tree([-1, 0], [0.0, 0.5], [0.5, 3.0], caps=[1e-30, 1e-2],
+                        tx_w=[4.0, 1.0])
+    for tree in (costly, free_master, thrifty):
+        _check_solo_splits(tree, Weights(0.0, 1.0))
+    costs, y = heuristics._solo_splits(costly, [1, 2], Y, Weights(0.0, 1.0), B_COMP)
+    assert costs[0] == 0.0 and y[0].tolist() == [0.0, Y, 0.0, 0.0]
+    _, y = heuristics._solo_splits(thrifty, [1], Y, Weights(0.0, 1.0), B_COMP)
+    assert y.tolist() == [[Y, 0.0]]
+
+
+def test_solo_splits_that_fail_the_closed_form_take_the_cascade(monkeypatch):
+    # the closed-form support fails wherever the last node's row pays for
+    # column 1 (node i itself, or a node sent after i on i's channel):
+    # those splits, and only those, go through `_minmax_unit` alone, in
+    # the stack as in the per-node loop
+    closed_form = solvers._two_column_support
+
+    def flaky(msc):
+        both, s, r = closed_form(msc)
+        bad = msc[:, -1, 1] > 0.0
+        both, s, r = both.copy(), np.array(s), np.array(r)
+        both[bad], s[bad], r[bad] = True, [0, 1], [0, 0]  # singular
+        return both, s, r
+
+    monkeypatch.setattr(solvers, "_two_column_support", flaky)
+    monkeypatch.setattr(heuristics, "_two_column_support", flaky)
+    cascade = []
+    split = heuristics._minmax_unit
+    monkeypatch.setattr(
+        heuristics, "_minmax_unit", lambda *a: cascade.append(1) or split(*a)
+    )
+    for seed in range(6):
+        tree = rand_tree(random.Random(seed + 900), 9)
+        cascade.clear()
+        heuristics._solo_splits(tree, range(1, len(tree)), Y, W, B_COMP)
+        assert 1 <= len(cascade) < len(tree) - 1
+        _check_solo_splits(tree, W)
 
 
 def test_node_prune_theta_one_keeps_master_only():
@@ -166,12 +274,13 @@ def test_crossover_matches_the_generator_version():
         rng = random.Random(seed)
         n = rng.randint(0, 12)
         a = tuple(rng.sample(range(n), n))
-        b = tuple(rng.sample(range(n), n))
-        mine, ref = random.Random(seed + 1), random.Random(seed + 1)
-        for _ in range(5):
-            child = _ordered_crossover(mine, a, b)
-            assert child == _ordered_crossover_by_generator(ref, a, b)
-            assert mine.getstate() == ref.getstate()
+        # equal parents return early, after the same draws
+        for b in (tuple(rng.sample(range(n), n)), a):
+            mine, ref = random.Random(seed + 1), random.Random(seed + 1)
+            for _ in range(5):
+                child = _ordered_crossover(mine, a, b)
+                assert child == _ordered_crossover_by_generator(ref, a, b)
+                assert mine.getstate() == ref.getstate()
 
 
 def test_ga_is_deterministic_per_seed():
@@ -302,21 +411,52 @@ def test_master_worker_baseline_stays_one_hop():
     assert support <= set(tree.children[0]) | {0}
 
 
-def test_multi_hop_baseline_uses_single_node():
-    tree = rand_tree(random.Random(12), 7)
-    sol = baseline_multi_hop(tree, Y, W, b=B_COMP)
-    support = [i for i, v in enumerate(sol.allocation.y) if v > 0.0]
-    assert len(support) == 1
-    # it picked the cheapest single host
-    i = support[0]
-    for j in range(len(tree)):
-        y = tuple(Y if k == j else 0.0 for k in range(len(tree)))
-        from treeload import Allocation, system_cost
+def _multi_hop_by_node(tree, task_size, weights):
+    """The audit-every-candidate loop `baseline_multi_hop` replaced: the
+    first node of least audited cost."""
+    costs = []
+    for i in range(len(tree)):
+        y = tuple(task_size if k == i else 0.0 for k in range(len(tree)))
+        alloc = Allocation(y=y, total=task_size)
+        costs.append(system_cost(tree, canonical_schedule(tree), alloc, weights,
+                                 B_COMP).j_system)
+    return costs.index(min(costs)), min(costs)
 
-        other = system_cost(
-            tree, canonical_schedule(tree), Allocation(y=y, total=Y), W, B_COMP
-        ).j_system
-        assert sol.cost <= other * (1 + 1e-12)
+
+def test_multi_hop_baseline_uses_single_node():
+    # one-hot splits priced in one stack pick the winner the
+    # audit-every-candidate loop picks, bit for bit
+    twins = make_tree([-1, 0, 0], [0.0, 5.0, 5.0], [0.5, 4.0, 4.0])
+    for tree, task, w in [
+        (twins, Y, W),  # nodes 1 and 2 tie: the smaller id wins
+        (twins, 0.0, W),  # every node costs 0: the master wins
+        *[(rand_tree(random.Random(s + 12), 7), Y, w)
+          for s in range(6) for w in (W, Weights(1.0, 0.0), Weights(0.0, 1.0))],
+    ]:
+        sol = baseline_multi_hop(tree, task, w, b=B_COMP)
+        winner, cost = _multi_hop_by_node(tree, task, w)
+        assert sol.cost == cost
+        assert sol.allocation.y == tuple(
+            task if k == winner else 0.0 for k in range(len(tree))
+        )
+    assert baseline_multi_hop(twins, Y, W, b=B_COMP).allocation.y == (0.0, Y, 0.0)
+
+
+def test_baselines_and_pruning_audit_only_their_answer(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        solvers, "system_cost", lambda *a: calls.append(1) or system_cost(*a)
+    )
+    tree = rand_tree(random.Random(13), 9)
+    for run in (
+        lambda: baseline_partial(tree, Y, W, b=B_COMP),
+        lambda: baseline_multi_hop(tree, Y, W, b=B_COMP),
+        # the all-local cost is the one audit
+        lambda: node_prune(tree, NpParams(theta_p=0.1), Y, W, b=B_COMP),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 def test_exact_solver_dominates_every_baseline():

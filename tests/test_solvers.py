@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 import warnings
@@ -550,6 +551,60 @@ def test_stacked_equalise_matches_one_at_a_time():
                 assert np.isnan(row).all()
             else:
                 assert row.tobytes() == u[0].tobytes()
+
+
+def _two_column_support_alone(msc):
+    """The one-matrix `_two_column_support` the stacked one replaced, kept
+    as its reference: (S, R) from the rising and falling rows' indices."""
+    slope = msc[:, 0] - msc[:, 1]
+    rising = np.flatnonzero(slope >= 0.0)
+    falling = np.flatnonzero(slope < 0.0)
+    if falling.size == 0:
+        t_c = -math.inf
+    elif rising.size == 0:
+        t_c = math.inf
+    else:
+        cross = (msc[falling, 1] - msc[rising, 1][:, None]) / (
+            slope[rising][:, None] - slope[falling]
+        )
+        drop = cross.min(axis=0)
+        k = int(np.argmax(drop))
+        t_c = float(drop[k])
+    if t_c < 0.0:
+        return [1], [int(rising[np.argmax(msc[rising, 1])])]
+    if t_c > 1.0:
+        return [0], [int(falling[np.argmax(msc[falling, 0])])]
+    r = rising[int(np.argmin(cross[:, k]))]
+    return [0, 1], sorted((int(r), int(falling[k])))
+
+
+@pytest.mark.parametrize("crossings", [solvers._CROSSINGS, 20])
+def test_stacked_two_column_support_matches_one_at_a_time(crossings, monkeypatch):
+    # stacks of scaled two-column matrices (no free column), with ties,
+    # 30 decades, and entries that overflow when scaled; at 20 crossings
+    # most stacks are taken a matrix or two at a time
+    monkeypatch.setattr(solvers, "_CROSSINGS", crossings)
+    rng = np.random.default_rng(11)
+    kinds = [
+        lambda shape: rng.uniform(0.0, 1.0, shape),
+        lambda shape: rng.integers(0, 4, shape).astype(float),
+        lambda shape: 10 ** rng.uniform(-28.0, 2.0, shape),
+        lambda shape: rng.integers(0, 3, shape) * 10 ** rng.uniform(-300, 300, shape),
+    ]
+    seen = set()
+    for trial in range(800):
+        m = kinds[trial % 4]((int(rng.integers(1, 6)), int(rng.integers(1, 12)), 2))
+        m = m[(m.sum(axis=1) > 0.0).all(axis=1)]
+        with np.errstate(over="ignore"):
+            msc = m / m.max(axis=1).min(axis=1)[:, None, None]
+        both, s, r = solvers._two_column_support(msc)
+        for b in range(len(msc)):
+            k = 2 if both[b] else 1
+            got = (s[b, :k].tolist(), r[b, :k].tolist())
+            with np.errstate(invalid="ignore"):  # inf / inf crossings
+                assert got == _two_column_support_alone(msc[b])
+            seen.add(tuple(got[0]))
+    assert seen == {(0,), (1,), (0, 1)}
 
 
 def _sequential_best_order(static, shared, groups, w1, task_size, forced_zero):
