@@ -6,9 +6,10 @@ capacitance and transmit power are drawn from the ranges the test suite's
 random trees use, seeded with 1000*k + s, under weights (0.5, 0.05), one
 cycle per bit and a 1 Gbit task.  `pmo` then tries all k! transmission
 orders of that subtree.  For k = 7, 8, 9 and s = 1, 2 this prints the
-solve's seconds, its cost, its schedule, and how many splits went
-through `solvers._minmax_unit` (every order's split that the carried
-support did not certify, plus the master split):
+solve's seconds, its cost, its schedule, how many splits went through
+`solvers._minmax_unit` (every order's split that the carried support did
+not certify, plus the master split), and how many of those the cascade
+cold-started with `solvers._simplex_support`:
 
     python3 scripts/probe_timing.py
 """
@@ -57,25 +58,35 @@ def probe_tree(k: int, seed: int):
     return build_sink_tree(NetworkGraph(servers=servers, links=links))
 
 
+def counted(name: str, calls: dict) -> None:
+    """Count the calls of solvers.<name> into calls[name]."""
+    f = getattr(solvers, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+
+    setattr(solvers, name, wrapper)
+
+
 def main() -> None:
-    split = solvers._minmax_unit
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return split(*args, **kwargs)
-
-    solvers._minmax_unit = counted
-    print(f"{'k':>2} {'seed':>4} {'seconds':>9} {'splits':>7} {'cost':>22}  schedule")
+    calls = dict.fromkeys(("_minmax_unit", "_simplex_support"), 0)
+    for name in calls:
+        counted(name, calls)
+    print(
+        f"{'k':>2} {'seed':>4} {'seconds':>9} {'splits':>7} {'simplex':>7} "
+        f"{'cost':>22}  schedule"
+    )
     for k in SIZES:
         for seed in SEEDS:
             tree = probe_tree(k, seed)
-            calls[0] = 0
+            calls.update(dict.fromkeys(calls, 0))
             t0 = time.perf_counter()
             sol = pmo(tree, TASK_BITS, WEIGHTS, b=1.0)
             dt = time.perf_counter() - t0
             print(
-                f"{k:>2} {seed:>4} {dt:>9.2f} {calls[0]:>7} {sol.cost!r:>22}  "
+                f"{k:>2} {seed:>4} {dt:>9.2f} {calls['_minmax_unit']:>7} "
+                f"{calls['_simplex_support']:>7} {sol.cost!r:>22}  "
                 f"{sol.schedule.orders}",
                 flush=True,
             )

@@ -16,7 +16,9 @@ equaliser.  Its answer is accepted only with a certificate: the primal
 weights and the dual row weights from the transposed solve are
 nonnegative, and the dual bound is within 1e-12 of the primal value
 (weak duality).  `_minmax_unit` describes the cascade that finds
-(S, R).  A split that no step of it certifies raises InfeasibleError,
+(S, R): a cold split first guesses that every node free to work does
+work, and a dense simplex runs only when the certificate refutes that
+guess.  A split that no step of it certifies raises InfeasibleError,
 so every split returned carries the certificate.
 
 `cmo` enumerates every per-subtree transmission order and keeps the
@@ -223,12 +225,15 @@ def _minmax_unit(
        matrix of the same shape;
     2. two-column closed form: with exactly two free columns, (S, R) is
        read off the rows' upper envelope (`_two_column_support`);
-    3. simplex: a dense simplex cold-starts from the origin and its final
+    3. every node works, the usual optimum: S is every free column and R
+       those nodes' own rows (row i is the node of column i + cols - rows,
+       as in `_best_order`), unless a free column has no row;
+    4. simplex: a dense simplex cold-starts from the origin and its final
        basis gives (S, R) (`_simplex_support`; a basis of the game's LP
        is an (S, R), Shapley and Snow 1950), unless it hits its pivot cap;
-    4. saddle point: the column of least maximum against the row of
+    5. saddle point: the column of least maximum against the row of
        greatest minimum;
-    5. HiGHS (scipy's `linprog`) solves the epigraph LP, the last resort:
+    6. HiGHS (scipy's `linprog`) solves the epigraph LP, the last resort:
        its basis gives (S, R) and the equaliser polishes that vertex.
 
     Raises InfeasibleError when even that polish fails its certificate,
@@ -249,6 +254,11 @@ def _minmax_unit(
         both, s, r = _two_column_support(stack)
         k = 2 if both[0] else 1
         warm = s[0, :k], r[0, :k]
+        u_cols = _equalise(stack, *warm)
+    # row i is the node of column i + lag, as in `_best_order`
+    lag = a.shape[1] - a.shape[0]
+    if u_cols is None and cols[0] >= lag:
+        warm = np.arange(len(cols)), np.array(cols) - lag
         u_cols = _equalise(stack, *warm)
     if u_cols is None:
         warm = _simplex_support(msc)

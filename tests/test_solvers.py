@@ -246,16 +246,27 @@ def _count_linprog(monkeypatch) -> list:
     return calls
 
 
+def _count_simplex(monkeypatch) -> list:
+    calls = []
+    simplex = solvers._simplex_support
+    monkeypatch.setattr(
+        solvers, "_simplex_support", lambda msc: calls.append(1) or simplex(msc)
+    )
+    return calls
+
+
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
 def test_exact_solvers_skip_highs(name, monkeypatch):
-    # the first schedule's split is cold-started by the simplex, later
-    # ones start from the previous certified support
+    # the first schedule's split, each probe's and the master split are
+    # certified by the every-node-works guess, later schedules' by the
+    # previous certified support: neither the simplex nor HiGHS runs
     topo = named_topology(name)
     calls = _count_linprog(monkeypatch)
+    simplex = _count_simplex(monkeypatch)
     sol = cmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
     assert sol.schedules_evaluated == count_schedules(topo.tree) > 1
     pmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
-    assert calls == []
+    assert calls == [] and simplex == []
 
 
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
@@ -273,15 +284,17 @@ def test_pmo_audits_only_its_answer(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
 def test_heuristic_splits_skip_highs(name, monkeypatch):
-    # ga carries the last certified support from one chromosome to the
-    # next; master-plus-one splits are solved in closed form
+    # ga's first split is certified by the every-node-works guess, and ga
+    # carries the last certified support from one chromosome to the next;
+    # master-plus-one splits are solved in closed form
     topo = named_topology(name)
     tree, y, w, b = topo.tree, topo.task_size, topo.weights, topo.b_comp
     calls = _count_linprog(monkeypatch)
+    simplex = _count_simplex(monkeypatch)
     for seed in range(3):
         sol = ga(tree, y, w, GaParams(rng_seed=seed), b=b)
         assert sol.schedules_evaluated > 1
-        assert calls == []
+        assert calls == [] and simplex == []
         # the same bits as a cold solve of the winning schedule
         cold = solve_fixed_order(tree, sol.schedule, y, w, b=b)
         assert sol.allocation == cold.allocation
@@ -289,7 +302,7 @@ def test_heuristic_splits_skip_highs(name, monkeypatch):
         partial_offload_cost(tree, i, y, w, b=b)
     node_prune(tree, NpParams(0.1), y, w, b=b)
     baseline_partial(tree, y, w, b=b)
-    assert calls == []
+    assert calls == [] and simplex == []
 
 
 def _highs_minmax(a: np.ndarray, forced: frozenset[int]) -> float:
@@ -355,9 +368,8 @@ def test_split_is_certified_on_ill_conditioned_instances(seed, log_gamma, w):
     st.integers(min_value=0, max_value=10**6),
     st.sampled_from([(0.5, 0.05), (1.0, 0.0), (0.1, 0.9), (0.0, 1.0)]),
 )
-# the simplex's final basis for pmo's master split fails the certificate
-# here, and HiGHS fails on that split with "Model error"; the pure saddle
-# point certifies
+# HiGHS fails on pmo's master split here with "Model error"; its optimum
+# is a pure saddle point (test_saddle_point_certifies_a_master_split)
 @example(564, (0.1, 0.9))
 def test_exact_solvers_agree_across_26_decades(seed, w):
     # per-node switched capacitance anywhere in 1e-28..1e-2, so pmo's
@@ -372,6 +384,47 @@ def test_exact_solvers_agree_across_26_decades(seed, w):
         zb = pmo(tree, Y, weights, b=B_COMP).cost
     assert calls == []
     assert abs(za - zb) <= 1e-12 * za
+
+
+def test_saddle_point_certifies_a_master_split(monkeypatch):
+    # @example(564, (0.1, 0.9)) above: the every-node-works guess is
+    # refuted on pmo's master split; with the simplex stopped, as at its
+    # pivot cap, the saddle point certifies, and HiGHS does not run
+    rng = random.Random(564)
+    n = rng.randint(2, 7)
+    tree = _wide_tree(rng, n, lambda: 10 ** rng.uniform(-28.0, -2.0))
+    weights = Weights(0.1, 0.9)
+    want = pmo(tree, Y, weights, b=B_COMP)
+    calls = _count_linprog(monkeypatch)
+    monkeypatch.setattr(solvers, "_simplex_support", lambda msc: None)
+    tries = []
+    equalise = solvers._equalise
+    monkeypatch.setattr(
+        solvers,
+        "_equalise",
+        lambda m, s, r: tries.append((s.tolist(), r.tolist())) or equalise(m, s, r),
+    )
+    got = pmo(tree, Y, weights, b=B_COMP)
+    assert calls == []
+    # the master split is pmo's last: the guess on all three columns, then
+    # the saddle point
+    assert tries[-2:] == [([0, 1, 2], [0, 1, 2]), ([1], [0])]
+    assert got.allocation == want.allocation
+
+
+def test_refuted_guess_falls_back_to_the_simplex(monkeypatch):
+    # column 2 costs more than column 0 on every row, so not every node
+    # works: the guess on all three columns is refuted, and the simplex's
+    # support reaches HiGHS's optimum
+    m = np.array([[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+    every = np.arange(3)
+    assert solvers._equalise(m[None], every, every) is None
+    calls = _count_linprog(monkeypatch)
+    simplex = _count_simplex(monkeypatch)
+    u, support = solvers._minmax_unit(m, frozenset())
+    assert calls == [] and len(simplex) == 1
+    assert [list(x) for x in support] == [[0, 1], [0, 1]]
+    assert (m @ u).max() == pytest.approx(_highs_minmax(m, frozenset()), rel=1e-12)
 
 
 def test_certificate_refutes_a_wrong_support():
@@ -525,6 +578,62 @@ def test_simplex_support_certifies(m):
 )
 def test_simplex_support_on_one_row_or_column(m):
     _check_simplex_support(np.array(m))
+
+
+def _split_and_simplex_split(a: np.ndarray, forced: frozenset[int]):
+    """`_minmax_unit`'s u on its free columns, and `_equalise` on
+    `_simplex_support`'s (S, R) (None where that does not certify)."""
+    cols, free, stack = solvers._scaled(a[None], forced)
+    u, _ = solvers._minmax_unit(a, forced)
+    support = None if free.any() else solvers._simplex_support(stack[0])
+    ref = None if support is None else solvers._equalise(stack, *support)
+    return u[cols], None if ref is None else ref[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([(0.5, 0.05), (1.0, 0.0), (0.1, 0.9), (0.0, 1.0)]),
+)
+def test_cold_split_has_the_simplex_bits(seed, w):
+    # a cold split (the every-node-works guess, or the simplex after it)
+    # has the bits of the simplex's support wherever that certifies: on
+    # cmo's square forms and on pmo's probes, the master pinned, with
+    # random nodes pinned to zero (a pinned node still relays)
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    tree = rand_tree(rng, n, draw_cap=lambda: 10 ** rng.uniform(-28.0, -2.0))
+    weights = Weights(*w)
+    forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
+    sched = Schedule(
+        orders=tuple(
+            tuple(rng.sample(o, len(o))) for o in canonical_schedule(tree).orders
+        )
+    )
+    a = cost_coefficients(tree, sched, weights, B_COMP)
+    forms = [(a, forced)]
+    for nodes in tree.subtrees.values():
+        cols = (0, *nodes)
+        pinned = {0} | {k for k, i in enumerate(nodes, 1) if i in forced}
+        if len(pinned) < len(cols):
+            forms.append((a[np.ix_(nodes, cols)], frozenset(pinned)))
+    for form, pinned in forms:
+        u, ref = _split_and_simplex_split(form, pinned)
+        if ref is not None:
+            assert u.tobytes() == ref.tobytes()
+
+
+def test_cold_split_has_the_simplex_value_on_integer_ties():
+    # entries 1-3, up to 29x29: ties make these degenerate, so a few cold
+    # splits take another optimal split than the simplex's
+    rng = np.random.default_rng(7)
+    for _ in range(1500):
+        nr, nc = rng.integers(1, 30), rng.integers(2, 30)
+        m = rng.integers(1, 4, (nr, nc)).astype(float)
+        u, ref = _split_and_simplex_split(m, frozenset())
+        if ref is not None:
+            z = (m @ ref).max()
+            assert abs((m @ u).max() - z) <= 1e-12 * z
 
 
 def test_stacked_equalise_matches_one_at_a_time():
