@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .costs import Weights
-from .errors import ParameterError, TreeloadError
+from .errors import ParameterError, TreeloadError, checked
 from .harness import (
     EXACT,
     PRUNERS,
@@ -82,9 +82,10 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 def _reps(text: str) -> int:
     """A --reps value: a count of timed re-solves, at least 0."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+    try:
+        return checked("--reps", int(text), int)
+    except ValueError as exc:  # not an integer, or a ParameterError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -200,8 +201,8 @@ def _cmd_generate(args) -> int:
         node_count=args.nodes,
         edge_prob=args.edge_prob,
         rng_seed=args.seed,
-        freq_range_ghz=tuple(args.freq_range),
-        rate_range_gbps=tuple(args.rate_range),
+        freq_range_ghz=args.freq_range,
+        rate_range_gbps=args.rate_range,
         gamma=args.gamma,
     )
     net = generate_network(params)

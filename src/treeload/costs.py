@@ -25,12 +25,11 @@ once.  Both take a few numpy operations on per-tree arrays
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleError
+from .errors import ParameterError, ScheduleError, checked
 from .tree import SinkTree
 from .units import DEFAULT_B
 
@@ -43,10 +42,8 @@ class Weights:
     w2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
-            raise ParameterError("weights must be finite")
-        if self.w1 < 0.0 or self.w2 < 0.0:
-            raise ParameterError("weights must be nonnegative")
+        for name in ("w1", "w2"):
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
         if self.w1 == 0.0 and self.w2 == 0.0:
             raise ParameterError("at least one weight must be positive")
 
@@ -59,8 +56,7 @@ class Allocation:
     total: float
 
     def __post_init__(self):
-        if not 0.0 <= self.total < math.inf:
-            raise ParameterError(f"total workload must be finite and >= 0, got {self.total}")
+        checked("total workload", self.total)
         for i, v in enumerate(self.y):
             if not v >= 0.0:
                 raise ParameterError(f"y[{i}] must be >= 0, got {v}")
@@ -202,8 +198,7 @@ def _node_terms(
 
 def _static_matrix(tree: SinkTree, weights: Weights, b: float) -> np.ndarray:
     """Schedule-independent part: own time/energy plus ancestors' relay energy."""
-    if not 0.0 < b < math.inf:
-        raise ParameterError(f"cycles per bit must be finite and > 0, got {b}")
+    checked("cycles per bit", b, open_lo=True)
     path_inv_rate, freq, freq_sq, cap, tx, rate, sender, dest, nxt = tree.cost_arrays
     a = np.zeros((len(tree), len(tree)))
     # overflow gives inf or nan silently, as Python float arithmetic does

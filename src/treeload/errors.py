@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the field check that
-raises ParameterError for parameter dataclasses."""
+"""Exception types shared across the package, and `checked`, the one check
+of a number or id field, which raises ParameterError."""
 
+import math
 import numbers
+import sys
 
 
 class TreeloadError(Exception):
@@ -40,17 +42,29 @@ class ScenarioError(TreeloadError, ValueError):
         super().__init__("invalid scenario: " + "; ".join(self.problems))
 
 
-def _store_checked(params, kind: type, **bounds: tuple[float, float]) -> None:
-    """Store each field named in `bounds` of frozen `params` as a `kind`.
+_MAX = sys.float_info.max
 
-    A value that is not a real number (an integral one for int) in its
-    [lo, hi] raises ParameterError.  Integral floats such as 2.0 count as
-    integers, because sweep values are parsed as floats.
+
+def checked(name: str, v, kind: type = float, lo=0, hi=math.inf, open_lo=False):
+    """`v` as a `kind` (float or int) when it lies in [lo, hi], or in
+    (lo, hi] with `open_lo`; anything else raises ParameterError.
+
+    Booleans, strings, NaN and infinities are always refused.  Integral
+    floats such as 2.0 count as integers, because sweep values are parsed
+    as floats.  A number is never infinite, so its infinite bounds print
+    open; an integer's print closed.
     """
+    t = type(v)
+    if (
+        # the type tests first: they are much cheaper than the ABC's
+        (t is float or t is int or isinstance(v, numbers.Real) and t is not bool)
+        # a number must fit a float; json reads a 400-digit integer as an int
+        and (v % 1 == 0 if kind is int else -_MAX <= v <= _MAX)
+        and (lo < v if open_lo else lo <= v)
+        and v <= hi
+    ):
+        return v if t is kind else kind(v)
     what = "an integer" if kind is int else "a number"
-    for name, (lo, hi) in bounds.items():
-        v = getattr(params, name)
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if not real or (kind is int and v % 1) or not lo <= v <= hi:
-            raise ParameterError(f"{name} must be {what} in [{lo}, {hi}], got {v!r}")
-        object.__setattr__(params, name, kind(v))
+    left = "(" if open_lo or (kind is float and lo == -math.inf) else "["
+    right = ")" if kind is float and hi == math.inf else "]"
+    raise ParameterError(f"{name} must be {what} in {left}{lo}, {hi}{right}, got {v!r}")

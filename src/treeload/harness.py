@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .costs import Allocation, Schedule, Weights, system_cost
-from .errors import GenerationError, ParameterError, ScenarioError
+from .errors import GenerationError, ParameterError, ScenarioError, checked
 from .heuristics import (
     GaParams,
     LpParams,
@@ -51,8 +51,12 @@ SWEEP_PARAMS = {
     "subtree_count": "values",
 }
 
-# GenParams fields a scenario gives as [lo, hi] lists
-_GEN_RANGES = ("freq_range_ghz", "rate_range_gbps")
+# top-level scalar -> (default, kind, lo, hi, open_lo), as `checked` takes them
+_SCALARS = {
+    "task_size_gbit": (1.0, float, 0, math.inf, False),
+    "cycles_per_bit": (DEFAULT_B, float, 0, math.inf, True),
+    "repetitions": (20, int, 0, math.inf, False),
+}
 
 # how many consecutive generator seeds to try per subtree-count point
 _SUBTREE_SEARCH_BUDGET = 500
@@ -222,6 +226,13 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(("document must be a JSON object",))
 
+    def check(where: str, build: Callable, *args, **kwargs):
+        """build(...), or None with its ParameterError noted at `where`."""
+        try:
+            return build(*args, **kwargs)
+        except ParameterError as exc:
+            problems.append(f"{where}{exc}")
+
     sid = doc.get("scenario_id", scenario_id)
     if not isinstance(sid, str) or not sid:
         problems.append("scenario_id: must be a non-empty string")
@@ -232,60 +243,44 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         problems.append("network: required object")
     elif "topology" in net:
         source_kind, source = "topology", net["topology"]
-        if source not in TOPOLOGIES:
+        if not isinstance(source, str) or source not in TOPOLOGIES:
             problems.append(
                 f"network.topology: unknown {source!r}, choices {sorted(TOPOLOGIES)}"
             )
     elif "file" in net:
-        source_kind, source = "file", str(net["file"])
+        source_kind, source = "file", net["file"]
+        if not isinstance(source, str):
+            problems.append(f"network.file: must be a path string, got {source!r}")
     elif "generate" in net:
         source_kind = "generate"
         gen = net["generate"]
         if not isinstance(gen, dict):
             problems.append("network.generate: must be an object")
         else:
-            for k in sorted(set(gen) - {f.name for f in fields(GenParams)}):
+            known = {f.name for f in fields(GenParams)}
+            for k in sorted(set(gen) - known):
                 problems.append(f"network.generate: unknown field {k!r}")
-            try:
-                source = GenParams(
-                    node_count=gen["node_count"],
-                    edge_prob=gen["edge_prob"],
-                    rng_seed=gen.get("rng_seed", doc.get("rng_seed", 0)),
-                    # a field left out takes GenParams' own default
-                    **{k: tuple(gen[k]) for k in _GEN_RANGES if k in gen},
-                    **{k: gen[k] for k in ("gamma",) if k in gen},
-                )
-            except KeyError as exc:
-                problems.append(f"network.generate: missing field {exc}")
-            except Exception as exc:
-                problems.append(f"network.generate: {exc}")
+            given = {k: v for k, v in gen.items() if k in known}
+            # a required field left out reads as null; any other takes
+            # GenParams' own default
+            source = check("network.generate: ", GenParams, **{
+                "node_count": None, "edge_prob": None,
+                "rng_seed": doc.get("rng_seed", 0), **given,
+            })
     else:
         problems.append("network: needs one of topology|file|generate")
 
-    task_gbit = doc.get("task_size_gbit", 1.0)
-    # json reads NaN and Infinity as floats; `type` also refuses true and false
-    if type(task_gbit) not in (int, float) or not 0 <= task_gbit < math.inf:
-        problems.append("task_size_gbit: must be a finite number >= 0")
+    scalar = {
+        key: check("", checked, key, doc.get(key, default), *bounds)
+        for key, (default, *bounds) in _SCALARS.items()
+    }
 
     weights = None
     wdoc = doc.get("weights", {"time": 0.5, "energy": 0.05})
     if not isinstance(wdoc, dict) or "time" not in wdoc or "energy" not in wdoc:
         problems.append("weights: needs {time, energy}")
-    elif any(type(wdoc[k]) not in (int, float) for k in ("time", "energy")):
-        problems.append("weights: time and energy must be numbers")
     else:
-        try:
-            weights = Weights(float(wdoc["time"]), float(wdoc["energy"]))
-        except Exception as exc:
-            problems.append(f"weights: {exc}")
-
-    b_comp = doc.get("cycles_per_bit", DEFAULT_B)
-    if type(b_comp) not in (int, float) or not 0 < b_comp < math.inf:
-        problems.append("cycles_per_bit: must be a finite number > 0")
-
-    reps = doc.get("repetitions", 20)
-    if type(reps) is not int or reps < 0:  # also refuses true and false
-        problems.append("repetitions: must be an integer >= 0")
+        weights = check("weights: ", Weights, wdoc["time"], wdoc["energy"])
 
     methods: list[MethodSpec] = []
     mdoc = doc.get("methods")
@@ -324,20 +319,14 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                 edge = node = None
                 if param == "link_rate":
                     e = sdoc.get("edge")
-                    if (
-                        not isinstance(e, list)
-                        or len(e) != 2
-                        or not all(type(v) is int for v in e)
-                    ):
+                    if not isinstance(e, list) or len(e) != 2:
                         problems.append("sweep.edge: required [i, j] for link_rate")
                     else:
-                        edge = (e[0], e[1])
+                        edge = tuple(
+                            check("", checked, "sweep.edge", v, int) for v in e
+                        )
                 if param == "cpu_freq":
-                    n = sdoc.get("node")
-                    if type(n) is not int:
-                        problems.append("sweep.node: required node id for cpu_freq")
-                    else:
-                        node = n
+                    node = check("", checked, "sweep.node", sdoc.get("node"), int)
                 for prefix, pruner in PRUNERS.items():
                     if param == pruner.param and not any(
                         m.pruner == prefix for m in methods
@@ -347,13 +336,11 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                     problems.append(
                         "sweep subtree_count: needs a generated network source"
                     )
-                bad = [_sweep_value_problem(param, v, source) for v in raw]
-                problems += [f"sweep.{key}: {p}" for p in bad if p]
-                if raw and not any(bad):
-                    values = tuple(float(v) for v in raw)
-                    sweep = SweepSpec(
-                        parameter=param, values=values, edge=edge, node=node
-                    )
+                values = tuple(
+                    check(f"sweep.{key}: ", _check_sweep_value, param, v, source)
+                    for v in raw
+                )
+                sweep = SweepSpec(parameter=param, values=values, edge=edge, node=node)
 
     if problems:
         raise ScenarioError(tuple(problems))
@@ -362,36 +349,28 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         scenario_id=sid,
         source_kind=source_kind,
         source=source,
-        task_size=gbit_to_bits(float(task_gbit)),
+        task_size=gbit_to_bits(scalar["task_size_gbit"]),
         weights=weights,
-        b_comp=float(b_comp),
+        b_comp=scalar["cycles_per_bit"],
         methods=tuple(methods),
         sweep=sweep,
-        repetitions=reps,
+        repetitions=scalar["repetitions"],
     )
 
 
-def _sweep_value_problem(param: str, v: Any, source: Any) -> str | None:
-    """What is wrong with `v` as a value of sweep `param`, or None."""
-    if type(v) not in (int, float):  # also refuses true and false
-        return f"values must be numbers, got {v!r}"
-    if param in ("xi", "subtree_count") and v % 1:
-        return f"{param} must be an integer, got {v!r}"
-    try:
-        if param == "task_size":
-            check_task_size(v)
-        for pruner in PRUNERS.values():
-            if pruner.param == param:
-                pruner.params(**{param: v})
-    except ParameterError as exc:
-        return str(exc)
-    if param in ("link_rate", "cpu_freq") and not 0 < v < math.inf:
-        return f"{param} must be finite and > 0, got {v!r}"
-    if param == "subtree_count" and isinstance(source, GenParams):
-        hi = source.node_count - 1  # the generated network's helpers
-        if not min(1, hi) <= v <= hi:
-            return f"subtree_count must be in [{min(1, hi)}, {hi}], got {v!r}"
-    return None
+def _check_sweep_value(param: str, v: Any, source: Any) -> float:
+    """`v` as a float; ParameterError unless it is a value of sweep `param`."""
+    if param == "task_size":
+        check_task_size(v)
+    elif param in ("link_rate", "cpu_freq"):
+        checked(param, v, open_lo=True)
+    elif param == "subtree_count":
+        # at most the generated network's helpers
+        hi = source.node_count - 1 if isinstance(source, GenParams) else math.inf
+        checked(param, v, int, min(1, hi), hi)
+    else:  # a pruner's parameter, checked by its dataclass
+        next(p.params for p in PRUNERS.values() if p.param == param)(**{param: v})
+    return float(v)
 
 
 def load_scenario(path: str | Path) -> Scenario:

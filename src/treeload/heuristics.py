@@ -16,7 +16,6 @@ terms).  Each baseline, like GA, audits only its answer.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ from .costs import (
     _waiting,
     canonical_schedule,
 )
-from .errors import ParameterError, _store_checked
+from .errors import ParameterError, checked
 from .solvers import (
     Solution,
     _equalise,
@@ -53,7 +52,8 @@ class NpParams:
     theta_p: float
 
     def __post_init__(self):
-        _store_checked(self, float, theta_p=(0, 1))
+        theta_p = checked("theta_p", self.theta_p, float, 0, 1)
+        object.__setattr__(self, "theta_p", theta_p)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class LpParams:
     xi: int
 
     def __post_init__(self):
-        _store_checked(self, int, xi=(0, math.inf))
+        object.__setattr__(self, "xi", checked("xi", self.xi, int))
 
 
 # GA's elite share of each generation and mutation rate of each child
@@ -80,10 +80,8 @@ class GaParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        _store_checked(
-            self, int, population=(2, math.inf), generations=(1, math.inf),
-            rng_seed=(-math.inf, math.inf),
-        )
+        for name, lo in ("population", 2), ("generations", 1), ("rng_seed", -math.inf):
+            object.__setattr__(self, name, checked(name, getattr(self, name), int, lo))
 
 
 def local_cost(
@@ -149,12 +147,7 @@ def partial_offload_cost(
     an integer id (not a bool) of a node other than the master.
     """
     check_task_size(task_size)
-    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-        raise ParameterError(f"node id must be an integer, got {i!r}")
-    if i == MASTER_ID:
-        raise ParameterError("partial offloading needs a non-master node")
-    if not 0 <= i < len(tree):
-        raise ParameterError(f"node {i} not in tree")
+    i = checked("node id", i, int, MASTER_ID + 1, len(tree) - 1)
     return float(_solo_splits(tree, [i], task_size, weights, b)[0][0])
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, ParameterError, _store_checked
+from .errors import GenerationError, ParameterError, checked
 from .units import (
     bps_to_gbps,
     dbm_to_watts,
@@ -46,14 +46,10 @@ class ServerParams:
     switched_cap: float
 
     def __post_init__(self):
-        if type(self.id) is not int or self.id < 0:  # also refuses true and false
-            raise ParameterError(f"server id must be an integer >= 0, got {self.id!r}")
-        if not self.cpu_freq > 0.0:
-            raise ParameterError(f"server {self.id}: cpu_freq must be > 0")
-        if self.tx_power < 0.0:
-            raise ParameterError(f"server {self.id}: tx_power must be >= 0")
-        if self.switched_cap < 0.0:
-            raise ParameterError(f"server {self.id}: switched_cap must be >= 0")
+        object.__setattr__(self, "id", checked("server id", self.id, int))
+        checked("cpu_freq", self.cpu_freq, open_lo=True)
+        checked("tx_power", self.tx_power)
+        checked("switched_cap", self.switched_cap)
 
 
 @dataclass(frozen=True)
@@ -69,14 +65,17 @@ class NetworkGraph:
             raise ParameterError(f"server ids must be 0..N, got {ids}")
         if not ids:
             raise ParameterError("network needs at least the master server")
-        n = len(ids)
+        top = len(ids) - 1
+        links = {}
         for (i, j), rate in self.links.items():
-            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
-                raise ParameterError(f"link ({i!r}, {j!r}): i and j must be server ids")
+            try:  # the link is named only when it fails
+                key = checked("end", i, int, 0, top), checked("end", j, int, 0, top)
+                links[key] = checked("rate", rate, open_lo=True)
+            except ParameterError as exc:
+                raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
             if i == j:
                 raise ParameterError(f"self-link on node {i}")
-            if not rate > 0.0:
-                raise ParameterError(f"link ({i}, {j}): rate must be > 0, got {rate}")
+        object.__setattr__(self, "links", links)
 
     def __len__(self) -> int:
         return len(self.servers)
@@ -112,17 +111,19 @@ class GenParams:
     gamma: float = 1e-2
 
     def __post_init__(self):
-        _store_checked(self, int, node_count=(1, math.inf), rng_seed=(0, math.inf))
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ParameterError("edge_prob must be in [0, 1]")
-        lo, hi = self.freq_range_ghz
-        if not (0.0 < lo <= hi):
-            raise ParameterError("freq_range_ghz must satisfy 0 < lo <= hi")
-        lo, hi = self.rate_range_gbps
-        if not (0.0 < lo <= hi):
-            raise ParameterError("rate_range_gbps must satisfy 0 < lo <= hi")
-        if self.gamma < 0.0:
-            raise ParameterError("gamma must be >= 0")
+        for name, kind, lo, hi in (
+            ("node_count", int, 1, math.inf), ("edge_prob", float, 0, 1),
+            ("rng_seed", int, 0, math.inf), ("gamma", float, 0, math.inf),
+        ):
+            v = checked(name, getattr(self, name), kind, lo, hi)
+            object.__setattr__(self, name, v)
+        for name in ("freq_range_ghz", "rate_range_gbps"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ParameterError(f"{name} must be [lo, hi], got {pair!r}")
+            lo = checked(f"{name} lo", pair[0], open_lo=True)
+            hi = checked(f"{name} hi", pair[1], float, lo)
+            object.__setattr__(self, name, (lo, hi))
 
 
 def generate_network(params: GenParams) -> NetworkGraph:
@@ -196,12 +197,12 @@ def network_to_doc(net: NetworkGraph) -> dict:
     }
 
 
-def _number(entry: dict, key: str) -> float:
-    """entry[key] as a float; strings, true and false are refused."""
-    v = entry[key]
-    if type(v) not in (int, float):
-        raise ParameterError(f"network document: {key} must be a number, got {v!r}")
-    return float(v)
+def _dbm_watts(dbm) -> float:
+    """A tx_power_dbm entry in watts; -Infinity, which network_to_doc writes
+    for a silent radio, is 0 W."""
+    if dbm == -math.inf:
+        return 0.0
+    return dbm_to_watts(checked("tx_power_dbm", dbm, float, -math.inf))
 
 
 def network_from_doc(doc: dict) -> NetworkGraph:
@@ -215,14 +216,18 @@ def network_from_doc(doc: dict) -> NetworkGraph:
         servers = tuple(
             ServerParams(
                 id=s["id"],
-                cpu_freq=ghz_to_hz(_number(s, "cpu_freq_ghz")),
-                tx_power=dbm_to_watts(_number(s, "tx_power_dbm")),
-                switched_cap=_number(s, "gamma"),
+                cpu_freq=ghz_to_hz(
+                    checked("cpu_freq_ghz", s["cpu_freq_ghz"], open_lo=True)
+                ),
+                tx_power=_dbm_watts(s["tx_power_dbm"]),
+                switched_cap=checked("gamma", s["gamma"]),
             )
             for s in sorted(doc["servers"], key=lambda s: s["id"])
         )
         links = {
-            (e["i"], e["j"]): gbps_to_bps(_number(e, "rate_gbps"))
+            (e["i"], e["j"]): gbps_to_bps(
+                checked("rate_gbps", e["rate_gbps"], open_lo=True)
+            )
             for e in doc["links"]
         }
     except KeyError as missing:

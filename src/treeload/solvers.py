@@ -56,7 +56,7 @@ from .costs import (
     cost_coefficients,
     system_cost,
 )
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError, checked
 from .tree import SinkTree, tree_fingerprint
 from .units import DEFAULT_B
 
@@ -421,9 +421,8 @@ def _lp_support(msc: np.ndarray, res) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_task_size(task_size: float) -> None:
-    """Raise ParameterError unless task_size is finite and >= 0."""
-    if not 0.0 <= task_size < math.inf:
-        raise ParameterError(f"task size must be finite and >= 0, got {task_size}")
+    """Raise ParameterError unless task_size is a finite number >= 0."""
+    checked("task_size", task_size)
 
 
 def _solution(

@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 import warnings
 from pathlib import Path
@@ -38,6 +39,24 @@ def test_generate_then_tree(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(master)" in out
     assert "subtrees rooted at" in out
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--gamma", "nan"], "gamma"),
+        (["--gamma", "inf"], "gamma"),
+        (["--freq-range", "1", "inf"], "freq_range_ghz hi"),
+        (["--rate-range", "0", "10"], "rate_range_gbps lo"),
+        (["--edge-prob", "nan"], "edge_prob"),
+    ],
+)
+def test_generate_refuses_a_bad_number(flags, field, tmp_path, capsys):
+    rc = main(["generate", "--nodes", "3", "--out", str(tmp_path), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be a number" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_tree_from_named_topology(capsys):
@@ -265,7 +284,7 @@ def test_negative_reps_fails_before_solving(verb, tmp_path, monkeypatch, capsys)
     with pytest.raises(SystemExit) as exc:
         main([verb, *source, "--reps", "-2"])
     assert exc.value.code == 2
-    assert "--reps: must be an integer >= 0" in capsys.readouterr().err
+    assert "--reps must be an integer in [0, inf], got -2" in capsys.readouterr().err
 
 
 def test_bad_scenario_reports_fields(tmp_path, capsys):
@@ -338,6 +357,13 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
         (["tree", "--network"], _two_servers(gamma=True)),
         (["tree", "--network"], _two_servers(rate_gbps=True)),
         (["tree", "--network"], _two_servers(cpu_freq_ghz="3")),
+        (["tree", "--network"], _two_servers(cpu_freq_ghz=math.inf)),
+        (["tree", "--network"], _two_servers(cpu_freq_ghz=math.nan)),
+        (["tree", "--network"], _two_servers(gamma=math.inf)),
+        (["tree", "--network"], _two_servers(gamma=math.nan)),
+        (["tree", "--network"], _two_servers(rate_gbps=math.inf)),
+        (["tree", "--network"], _two_servers(rate_gbps=math.nan)),
+        (["tree", "--network"], _two_servers(tx_power_dbm=math.inf)),
         (["compare", "--scenario"], "{not json"),
         (SOLVE_MIXED, "{not json"),
         (SOLVE_MIXED, _mixed_plan()),
@@ -349,7 +375,9 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
          "network-servers-int", "network-units-list", "network-id-fraction",
          "network-link-j-fraction", "network-id-bool", "network-link-j-bool",
          "network-clock-bool", "network-power-bool", "network-gamma-bool",
-         "network-rate-bool", "network-clock-str",
+         "network-rate-bool", "network-clock-str", "network-clock-inf",
+         "network-clock-nan", "network-gamma-inf", "network-gamma-nan",
+         "network-rate-inf", "network-rate-nan", "network-power-inf",
          "scenario-not-json",
          "cache-not-json", "cache-without-plan", "cache-list",
          "cache-orders-int", "cache-orders-unknown-node"],

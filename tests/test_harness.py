@@ -219,10 +219,10 @@ GENERATED = {"network": {"generate": {"node_count": 6, "edge_prob": 0.5}}}
          "methods[0]: params.rng_seed: rng_seed must be an integer"),
         ({**_method("lp+pmo", xi=1),
           "sweep": {"parameter": "xi", "values": [1.5, 2.7]}},
-         "sweep.values: xi must be an integer, got 1.5"),
+         "sweep.values: xi must be an integer in [0, inf], got 1.5"),
         ({**GENERATED, **_method("pmo"),
           "sweep": {"parameter": "subtree_count", "values": [2, 2.5]}},
-         "sweep.values: subtree_count must be an integer, got 2.5"),
+         "sweep.values: subtree_count must be an integer in [1, 5], got 2.5"),
         # integral floats are integers: sweep values are parsed as floats
         (_method("ga", population=4.0, generations=2.0, rng_seed=3.0), None),
         ({**_method("lp+pmo", xi=1.0),
@@ -249,14 +249,14 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
     "over, problem",
     [
         ({"sweep": {"parameter": "task_size", "values_gbit": [1, -1]}},
-         "sweep.values_gbit: task size must be finite and >= 0, got -1"),
+         "sweep.values_gbit: task_size must be a number in [0, inf), got -1"),
         ({"sweep": {"parameter": "task_size", "values_gbit": [1, math.nan]}},
-         "sweep.values_gbit: task size must be finite and >= 0, got nan"),
+         "sweep.values_gbit: task_size must be a number in [0, inf), got nan"),
         ({"sweep": {"parameter": "cpu_freq", "node": 1, "values_ghz": [2, 0]}},
-         "sweep.values_ghz: cpu_freq must be finite and > 0, got 0"),
+         "sweep.values_ghz: cpu_freq must be a number in (0, inf), got 0"),
         ({"sweep": {"parameter": "link_rate", "edge": [0, 1],
                     "values_gbps": [1, -2]}},
-         "sweep.values_gbps: link_rate must be finite and > 0, got -2"),
+         "sweep.values_gbps: link_rate must be a number in (0, inf), got -2"),
         ({**_method("np+pmo", theta_p=0.1),
           "sweep": {"parameter": "theta_p", "values": [0.1, 1.5]}},
          "sweep.values: theta_p must be a number in [0, 1], got 1.5"),
@@ -265,23 +265,24 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
          "sweep.values: xi must be an integer in [0, inf], got -3"),
         ({**GENERATED_7, **_method("pmo"),
           "sweep": {"parameter": "subtree_count", "values": [2, 0]}},
-         "sweep.values: subtree_count must be in [1, 6], got 0"),
+         "sweep.values: subtree_count must be an integer in [1, 6], got 0"),
         ({**GENERATED_7, **_method("pmo"),
           "sweep": {"parameter": "subtree_count", "values": [7]}},
-         "sweep.values: subtree_count must be in [1, 6], got 7"),
+         "sweep.values: subtree_count must be an integer in [1, 6], got 7"),
         ({"sweep": {"parameter": "task_size", "values_gbit": ["1.5", 2]}},
-         "sweep.values_gbit: values must be numbers, got '1.5'"),
+         "sweep.values_gbit: task_size must be a number in [0, inf), got '1.5'"),
         ({"sweep": {"parameter": "task_size", "values_gbit": [True]}},
-         "sweep.values_gbit: values must be numbers, got True"),
+         "sweep.values_gbit: task_size must be a number in [0, inf), got True"),
         # each value list has one spelling
         ({"sweep": {"parameter": "task_size", "values": [1, 2]}},
          "sweep.values_gbit: required non-empty list"),
-        ({"repetitions": True}, "repetitions: must be an integer >= 0"),
+        ({"repetitions": True},
+         "repetitions must be an integer in [0, inf], got True"),
         ({"sweep": {"parameter": "link_rate", "edge": [False, True],
                     "values_gbps": [1]}},
-         "sweep.edge: required [i, j] for link_rate"),
+         "sweep.edge must be an integer in [0, inf], got False"),
         ({"sweep": {"parameter": "cpu_freq", "node": True, "values_ghz": [1]}},
-         "sweep.node: required node id for cpu_freq"),
+         "sweep.node must be an integer in [0, inf], got True"),
         ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
                                    "tx_power_dbm": 20.0}}},
          "network.generate: unknown field 'tx_power_dbm'"),
@@ -298,12 +299,35 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
         ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
                                    "rng_seed": False}}},
          "network.generate: rng_seed must be an integer in [0, inf], got False"),
-        ({"task_size_gbit": True}, "task_size_gbit: must be a finite number >= 0"),
-        ({"cycles_per_bit": True}, "cycles_per_bit: must be a finite number > 0"),
+        ({"task_size_gbit": True},
+         "task_size_gbit must be a number in [0, inf), got True"),
+        ({"cycles_per_bit": True},
+         "cycles_per_bit must be a number in (0, inf), got True"),
         ({"weights": {"time": True, "energy": 0.05}},
-         "weights: time and energy must be numbers"),
+         "weights: w1 must be a number in [0, inf), got True"),
         ({"weights": {"time": 0.5, "energy": False}},
-         "weights: time and energy must be numbers"),
+         "weights: w2 must be a number in [0, inf), got False"),
+        ({"network": {"topology": ["mixed"]}},
+         "network.topology: unknown ['mixed'], choices "
+         "['deep_chain', 'mixed', 'two_subtree', 'wide_shallow']"),
+        ({"network": {"file": 5}}, "network.file: must be a path string, got 5"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": True}}},
+         "network.generate: edge_prob must be a number in [0, 1], got True"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": "0.3"}}},
+         "network.generate: edge_prob must be a number in [0, 1], got '0.3'"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
+                                   "gamma": math.nan}}},
+         "network.generate: gamma must be a number in [0, inf), got nan"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
+                                   "gamma": True}}},
+         "network.generate: gamma must be a number in [0, inf), got True"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
+                                   "freq_range_ghz": [1.0]}}},
+         "network.generate: freq_range_ghz must be [lo, hi], got [1.0]"),
+        ({"network": {"generate": {"node_count": 4, "edge_prob": 0.5,
+                                   "rate_range_gbps": [10, math.inf]}}},
+         "network.generate: rate_range_gbps hi must be a number in [10.0, inf), "
+         "got inf"),
     ],
     ids=["task_size-negative", "task_size-nan", "cpu_freq-zero",
          "link_rate-negative", "theta_p-1.5", "xi-negative",
@@ -312,7 +336,9 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
          "node-bool", "generate-tx_power_dbm", "generate-typo",
          "node_count-4.5", "node_count-bool", "generate-rng_seed-1.5",
          "generate-rng_seed-bool", "task_size-bool", "cycles_per_bit-bool",
-         "weights-time-bool", "weights-energy-bool"],
+         "weights-time-bool", "weights-energy-bool", "topology-list",
+         "file-int", "edge_prob-bool", "edge_prob-str", "gamma-nan", "gamma-bool",
+         "freq_range-one-value", "rate_range-inf"],
 )
 def test_doc_refuses_a_bad_value_before_running(over, problem):
     with pytest.raises(ScenarioError) as exc:

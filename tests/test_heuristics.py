@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -59,15 +60,21 @@ def test_param_validation():
             lambda: baseline_master_worker(tree, task, W, b=B_COMP),
             lambda: baseline_multi_hop(tree, task, W, b=B_COMP),
         ):
-            with pytest.raises(ParameterError, match="task size must be finite"):
+            with pytest.raises(ParameterError, match=re.escape(
+                f"task_size must be a number in [0, inf), got {task}"
+            )):
                 entry()
-    # node ids are integers, never booleans or floats
-    for i in (True, 1.0, "1"):
-        with pytest.raises(ParameterError, match="node id must be an integer"):
+    # node ids are integers, never booleans, strings or fractions; an
+    # integral float counts as an integer, as it does for every field
+    for i in (True, "1", 1.5):
+        with pytest.raises(ParameterError, match=re.escape(
+            f"node id must be an integer in [1, 3], got {i!r}"
+        )):
             partial_offload_cost(tree, i, Y, W, b=B_COMP)
-    assert partial_offload_cost(tree, np.int64(1), Y, W, b=B_COMP) == (
-        partial_offload_cost(tree, 1, Y, W, b=B_COMP)
-    )
+    for i in (np.int64(1), 1.0):
+        assert partial_offload_cost(tree, i, Y, W, b=B_COMP) == (
+            partial_offload_cost(tree, 1, Y, W, b=B_COMP)
+        )
 
 
 def test_partial_offload_rejects_master():

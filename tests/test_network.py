@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,19 @@ def test_doc_roundtrip(tmp_path):
     # the file is plain JSON with unit-suffixed field names
     doc = json.loads(path.read_text())
     assert "cpu_freq_ghz" in doc["servers"][0]
+
+
+def test_doc_roundtrip_keeps_a_silent_radio(tmp_path):
+    # a zero-power server is written as -Infinity dBm and read back as 0 W
+    net = generate_network(GenParams(node_count=3, edge_prob=1.0, rng_seed=0))
+    servers = (net.servers[0], replace(net.servers[1], tx_power=0.0), net.servers[2])
+    net = NetworkGraph(servers, net.links)
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    assert '"tx_power_dbm": -Infinity' in path.read_text()
+    back = load_network(path)
+    assert back.servers[1].tx_power == 0.0
+    assert network_to_doc(back) == network_to_doc(net)
 
 
 def test_doc_rejects_unit_mismatch():
