@@ -7,9 +7,9 @@ random trees use, seeded with 1000*k + s, under weights (0.5, 0.05), one
 cycle per bit and a 1 Gbit task.  `pmo` then tries all k! transmission
 orders of that subtree.  For k = 7, 8, 9 and s = 1, 2 this prints the
 solve's seconds, its cost, its schedule, how many splits went through
-`solvers._minmax_unit` (every order's split that the carried support did
-not certify, plus the master split), and how many of those the cascade
-cold-started with `solvers._simplex_support`:
+the split cascade `solvers._cascade` (every order's split that the
+carried support did not certify, plus the master split), and how many of
+those the cascade cold-started with `solvers._simplex_support`:
 
     python3 scripts/probe_timing.py
 """
@@ -70,7 +70,7 @@ def counted(name: str, calls: dict) -> None:
 
 
 def main() -> None:
-    calls = dict.fromkeys(("_minmax_unit", "_simplex_support"), 0)
+    calls = dict.fromkeys(("_cascade", "_simplex_support"), 0)
     for name in calls:
         counted(name, calls)
     print(
@@ -85,7 +85,7 @@ def main() -> None:
             sol = pmo(tree, TASK_BITS, WEIGHTS, b=1.0)
             dt = time.perf_counter() - t0
             print(
-                f"{k:>2} {seed:>4} {dt:>9.2f} {calls['_minmax_unit']:>7} "
+                f"{k:>2} {seed:>4} {dt:>9.2f} {calls['_cascade']:>7} "
                 f"{calls['_simplex_support']:>7} {sol.cost!r:>22}  "
                 f"{sol.schedule.orders}",
                 flush=True,

@@ -3,36 +3,62 @@
 Runs every request of the `exact` and `approx_large` benchmark workloads
 (perfbench/workloads.py, seeds 1 and 1000003) through `scenario_from_doc`
 and `run_scenario`, and every scenarios/*.json with repetitions 0, so no
-record holds a timing.  Writes all records to one JSON file and prints one
-sha256 per workload and seed and per scenario.  Two checkouts whose
-answers are bit-identical print the same digests:
+record holds a timing.  One more group, `random`, holds answers off the
+benchmark's regime, where corner optima and ties are common: on seeded
+`tests/conftest.rand_tree` trees of 2-8 nodes, each node's switched
+capacitance drawn as 10**U(-28, -2), and five weight pairs, it records
+`pmo`, `cmo` (at most 720 schedules), a 15-generation `ga`,
+`baseline_partial`, `baseline_master_worker`, every solo split and
+`node_prune`'s tree.  Writes all records to one JSON file and prints one
+sha256 per workload and seed, per scenario and for the random group.  Two
+checkouts whose answers are bit-identical print the same digests:
 
     python3 scripts/record_digest.py --out records.json
 
-With --compare OLD.json (the --out file of another checkout) it also
-checks every record against OLD.json and exits 1 naming the first one
-that differs: its workload and seed or scenario, index and field.
+With --compare OLD.json (the --out file of another checkout, made by this
+version of the script) it also checks every record against OLD.json and
+exits 1 naming the first one that differs: its group, index and field.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
+import random
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import conftest  # noqa: E402
 import workloads  # noqa: E402
 
-from treeload import load_scenario, run_scenario  # noqa: E402
+from treeload import (  # noqa: E402
+    GaParams,
+    NpParams,
+    Weights,
+    baseline_master_worker,
+    baseline_partial,
+    cmo,
+    count_schedules,
+    ga,
+    heuristics,
+    load_scenario,
+    node_prune,
+    pmo,
+    run_scenario,
+)
 from treeload.harness import record_to_doc, scenario_from_doc  # noqa: E402
+from treeload.tree import tree_fingerprint  # noqa: E402
 
 WORKLOADS = ("exact", "approx_large")
 SEEDS = (1, 1000003)
+RANDOM_TREES = 80
+RANDOM_WEIGHTS = ((0.5, 0.05), (1.0, 0.0), (0.0, 1.0), (0.9, 0.3), (0.1, 0.9))
+TASK_BITS = 1e9
 
 
 def workload_records(name: str, seed: int, workdir: Path) -> list[dict]:
@@ -47,6 +73,45 @@ def workload_records(name: str, seed: int, workdir: Path) -> list[dict]:
 def scenario_records(path: Path) -> list[dict]:
     s = dataclasses.replace(load_scenario(path), repetitions=0)
     return [record_to_doc(r) for r in run_scenario(s)]
+
+
+def random_records() -> list[dict]:
+    """The random group's answers, one record each."""
+    b = conftest.B_COMP
+    docs = []
+    for seed in range(RANDOM_TREES):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        tree = conftest.rand_tree(
+            rng, n, draw_cap=lambda: 10 ** rng.uniform(-28.0, -2.0)
+        )
+        for w1, w2 in RANDOM_WEIGHTS:
+            w = Weights(w1, w2)
+            at = {"tree": seed, "weights": [w1, w2]}
+            sols = {"pmo": pmo(tree, TASK_BITS, w, b=b)}
+            if count_schedules(tree) <= 720:
+                sols["cmo"] = cmo(tree, TASK_BITS, w, b=b)
+            params = GaParams(generations=15, rng_seed=seed)
+            sols["ga"] = ga(tree, TASK_BITS, w, params, b=b)
+            sols["baseline_partial"] = baseline_partial(tree, TASK_BITS, w, b=b)
+            sols["baseline_master_worker"] = baseline_master_worker(
+                tree, TASK_BITS, w, b=b
+            )
+            for name, sol in sols.items():
+                docs.append({
+                    **at, "answer": name, "cost": sol.cost,
+                    "y": list(sol.allocation.y),
+                    "orders": [list(o) for o in sol.schedule.orders],
+                })
+            costs, y = heuristics._solo_splits(tree, range(1, n), TASK_BITS, w, b)
+            for i, (cost, split) in enumerate(zip(costs.tolist(), y.tolist()), 1):
+                docs.append({**at, "answer": f"solo {i}", "cost": cost, "y": split})
+            pruned, relays = node_prune(tree, NpParams(0.1), TASK_BITS, w, b=b)
+            docs.append({
+                **at, "answer": "node_prune", "tree_sha": tree_fingerprint(pruned),
+                "relays": sorted(relays),
+            })
+    return docs
 
 
 def first_difference(old: dict, new: dict) -> str | None:
@@ -81,6 +146,7 @@ def main() -> None:
                 )
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         groups[f"scenario/{path.stem}"] = scenario_records(path)
+    groups["random"] = random_records()
 
     args.out.write_text(json.dumps(groups, indent=1) + "\n")
     for key, docs in groups.items():

@@ -83,9 +83,14 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 def _reps(text: str) -> int:
     """A --reps value: a count of timed re-solves, at least 0."""
     try:
-        return checked("--reps", int(text), int)
-    except ValueError as exc:  # not an integer, or a ParameterError
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        value = int(text)
+    except ValueError:
+        value = text  # refused below, quoted
+    try:
+        return checked("--reps", value, int)
+    except ParameterError as exc:
+        # argparse names the flag itself, before the message
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("--reps ")) from None
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

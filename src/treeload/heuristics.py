@@ -3,14 +3,15 @@
 Two pruning passes shrink the tree before an exact solve: node pruning
 drops servers whose solo offloading benefit is below a threshold, level
 pruning cuts everything deeper than a fixed depth.  Every solo split of a
-tree (the master and one node i) comes from one stack (`_solo_splits`),
-bit for bit as one split at a time, and is priced by the audit's own
-cost terms.  A small genetic algorithm searches the schedule space
-directly when enumeration is too expensive.  The four baselines at the
-bottom are the usual strawmen: local-only, one-neighbor split (the
-master's children as one stack of solo splits), master-worker, and
-single-node full offload (every node priced in one call of the cost
-terms).  Each baseline, like GA, audits only its answer.
+tree (the master and one node i) comes from one stack (`_solo_splits`: a
+saddle-point test, then one stacked equaliser solve), bit for bit as one
+split at a time, priced by the audit's own cost terms.  A small genetic
+algorithm searches the schedule space directly when enumeration is too
+expensive.  The four baselines at the bottom are the usual strawmen:
+local-only, one-neighbor split (the master's children as one stack of
+solo splits), master-worker, and single-node full offload (every node
+priced in one call of the cost terms).  Each baseline, like GA, audits
+only its answer.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .solvers import (
     Solution,
     _equalise,
     _minmax_unit,
+    _saddle,
     _scaled,
     _solution,
-    _two_column_support,
     check_task_size,
     solve_fixed_order,
 )
@@ -100,11 +101,12 @@ def _solo_splits(
     every node but the master and i forced to zero (those still relay and
     pay relay energy on the path to i), bit for bit, but all of them come
     from one (B, n, 2) stack of the linear form's column pairs [0, i]:
-    one `_scaled`, one `_two_column_support` and one `_equalise` per
-    support size.  A split that no closed-form support certifies goes
-    through `_minmax_unit` alone.  Each cost is the audit's own j_system
-    (`costs._node_terms` on the stacked splits).  Returns (cost, y): a
-    (B,) array of costs and the (B, n) splits in bits.
+    one `_scaled`, the pure-strategy test (`_saddle`), and one stacked
+    `_equalise` of the every-node-works guess S = [0, 1], R = [0, i].  A
+    split that none of those certifies goes through `_minmax_unit` alone.
+    Each cost is the audit's own j_system (`costs._node_terms` on the
+    stacked splits).  Returns (cost, y): a (B,) array of costs and the
+    (B, n) splits in bits.
     """
     wait = _waiting(tree, canonical_schedule(tree))
     a = _static_matrix(tree, weights, b) + weights.w1 * wait
@@ -113,17 +115,17 @@ def _solo_splits(
     _, free, msc = _scaled(a[:, pair].transpose(1, 0, 2).copy(), frozenset())
     u = np.zeros((len(pair), len(tree)))
     loose = free.any(axis=1)
-    # a column nobody pays for absorbs everything at zero cost
-    u[loose, pair[loose, free[loose].argmax(axis=1)]] = 1.0
-    tight = np.flatnonzero(~loose)
-    both, s, r = _two_column_support(msc[tight])
-    certified = loose.copy()
-    for k, group in ((1, ~both), (2, both)):
-        at = tight[group]
-        got = _equalise(msc[at], s[group, :k], r[group, :k]) if at.size else None
-        if got is not None:
-            u[at[:, None], pair[at]] = got
-            certified[at] = ~np.isnan(got[:, 0])
+    c, _, pure = _saddle(msc)
+    # a column nobody pays for takes everything at zero cost, and so does
+    # a pure saddle point's column at the least cost
+    certified = loose | pure
+    one = np.where(loose, free.argmax(axis=1), c)[certified]
+    u[certified, pair[certified, one]] = 1.0
+    at = np.flatnonzero(~certified)
+    got = _equalise(msc[at], np.tile((0, 1), (at.size, 1)), pair[at])
+    if got is not None:
+        u[at[:, None], pair[at]] = got
+        certified[at] = ~np.isnan(got[:, 0])
     for j in np.flatnonzero(~certified):
         forced = frozenset(range(len(tree))) - {MASTER_ID, int(pair[j, 1])}
         u[j] = _minmax_unit(a, forced)[0]
@@ -142,9 +144,8 @@ def partial_offload_cost(
 ) -> float:
     """Best achievable cost when only the master and node i may compute.
 
-    A stack of one solo split (`_solo_splits`): two free columns, which
-    `solvers._two_column_support` reads off in closed form.  i must be
-    an integer id (not a bool) of a node other than the master.
+    A stack of one solo split (`_solo_splits`).  i must be an integer id
+    (not a bool) of a node other than the master.
     """
     check_task_size(task_size)
     i = checked("node id", i, int, MASTER_ID + 1, len(tree) - 1)

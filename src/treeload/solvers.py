@@ -16,10 +16,10 @@ equaliser.  Its answer is accepted only with a certificate: the primal
 weights and the dual row weights from the transposed solve are
 nonnegative, and the dual bound is within 1e-12 of the primal value
 (weak duality).  `_minmax_unit` describes the cascade that finds
-(S, R): a cold split first guesses that every node free to work does
-work, and a dense simplex runs only when the certificate refutes that
-guess.  A split that no step of it certifies raises InfeasibleError,
-so every split returned carries the certificate.
+(S, R): a cold split first tries a pure saddle point, then guesses that
+every node free to work does work, and a dense simplex runs only when
+the certificate refutes both.  A split that no step of it certifies
+raises InfeasibleError, so every split returned carries the certificate.
 
 `cmo` enumerates every per-subtree transmission order and keeps the
 best.  `_best_order` takes the orders in lexicographic blocks: one stack
@@ -76,8 +76,6 @@ _WARN_SCHEDULES = 10**6
 # carried support on this many of them
 _BLOCK = 2048
 _SWEEP = 8
-# _two_column_support forms at most this many crossings at once
-_CROSSINGS = 4096
 
 
 @dataclass(frozen=True)
@@ -218,22 +216,21 @@ def _minmax_unit(
 
     The optimum is the equal-finish point of some support S of columns and
     as many tight rows R, so it is found by `_equalise` and certified by a
-    dual vector.  This is the one place the split cascade lives; each step
-    runs only when every earlier one failed its certificate:
+    dual vector.  After `_scaled`, `_cascade` runs the one split cascade;
+    each step runs only when every earlier one failed its certificate:
 
     1. carried support: `warm`, the (S, R) of an earlier answer on a
        matrix of the same shape;
-    2. two-column closed form: with exactly two free columns, (S, R) is
-       read off the rows' upper envelope (`_two_column_support`);
+    2. saddle point: the column of least maximum against the row of
+       greatest minimum, tried only when the pure-strategy test of
+       `_saddle` passes;
     3. every node works, the usual optimum: S is every free column and R
        those nodes' own rows (row i is the node of column i + cols - rows,
        as in `_best_order`), unless a free column has no row;
     4. simplex: a dense simplex cold-starts from the origin and its final
        basis gives (S, R) (`_simplex_support`; a basis of the game's LP
        is an (S, R), Shapley and Snow 1950), unless it hits its pivot cap;
-    5. saddle point: the column of least maximum against the row of
-       greatest minimum;
-    6. HiGHS (scipy's `linprog`) solves the epigraph LP, the last resort:
+    5. HiGHS (scipy's `linprog`) solves the epigraph LP, the last resort:
        its basis gives (S, R) and the equaliser polishes that vertex.
 
     Raises InfeasibleError when even that polish fails its certificate,
@@ -241,96 +238,62 @@ def _minmax_unit(
     that is not finite (an overflowing weight).  Returns (u, support):
     support is the certified (S, R) to warm-start the next call, or None.
     """
-    cols, free, stack = _scaled(a[None], forced_zero)
+    cols, free, msc = _scaled(a[None], forced_zero)
     u = np.zeros(a.shape[1])
+    own_row = np.array(cols) - (a.shape[1] - a.shape[0])
+    u[cols], support = _cascade(msc, free[0], own_row, warm)
+    return u, support
+
+
+def _cascade(
+    msc: np.ndarray,
+    free: np.ndarray,
+    own_row: np.ndarray,
+    warm: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """`_minmax_unit`'s cascade on a matrix `_scaled` has already scaled.
+
+    msc is a (1, rows, cols) stack of one and free its mask of the columns
+    no row pays for.  own_row[k] is the row of column k's node, negative
+    when that node has no row.  Returns (u, support), u over msc's columns.
+    """
     if free.any():
         # a column nobody pays for absorbs everything at zero cost
-        u[cols[int(free[0].argmax())]] = 1.0
+        u = np.zeros(len(free))
+        u[free.argmax()] = 1.0
         return u, None
-
-    msc = stack[0]
-    u_cols = None if warm is None else _equalise(stack, *warm)
-    if u_cols is None and len(cols) == 2:
-        both, s, r = _two_column_support(stack)
-        k = 2 if both[0] else 1
-        warm = s[0, :k], r[0, :k]
-        u_cols = _equalise(stack, *warm)
-    # row i is the node of column i + lag, as in `_best_order`
-    lag = a.shape[1] - a.shape[0]
-    if u_cols is None and cols[0] >= lag:
-        warm = np.arange(len(cols)), np.array(cols) - lag
-        u_cols = _equalise(stack, *warm)
-    if u_cols is None:
-        warm = _simplex_support(msc)
-        u_cols = None if warm is None else _equalise(stack, *warm)
-    if u_cols is None:
-        pure_col = msc.max(axis=0).argmin()
-        warm = np.array([pure_col]), np.array([msc.min(axis=1).argmax()])
-        u_cols = _equalise(stack, *warm)
-    if u_cols is None:
-        warm = _lp_support(msc, _epigraph_lp(msc))
-        u_cols = _equalise(stack, *warm)
-    if u_cols is None:
+    u = None if warm is None else _equalise(msc, *warm)
+    if u is None:
+        c, r, pure = _saddle(msc)
+        if pure[0]:
+            warm = c, r
+            u = _equalise(msc, *warm)
+    if u is None and own_row[0] >= 0:
+        warm = np.arange(len(own_row)), own_row
+        u = _equalise(msc, *warm)
+    if u is None:
+        warm = _simplex_support(msc[0])
+        u = None if warm is None else _equalise(msc, *warm)
+    if u is None:
+        warm = _lp_support(msc[0], _epigraph_lp(msc[0]))
+        u = _equalise(msc, *warm)
+    if u is None:
         raise InfeasibleError("min-max split could not be certified")
-    u[cols] = u_cols[0]
-    return u, warm
+    return u[0], warm
 
 
-def _two_column_support(
-    msc: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, R) of two-column splits, read off each matrix's upper envelope.
+def _saddle(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pure-strategy saddle points of a (B, rows, cols) stack.
 
-    msc is a (B, rows, 2) stack; a single split is a stack of one.  With
-    weight t on column 0, row r costs the line
-    f_r(t) = msc[r, 1] + s_r t, s_r = msc[r, 0] - msc[r, 1], and the split
-    is the lowest point of max_r f_r on [0, 1].  Each falling line
-    (s_q < 0) drops below the rising and flat ones (s_r >= 0) at the
-    earliest of its crossings with them; the latest such drop, t_c, is
-    where the falling and the rising envelopes meet.  For t_c < 0 the
-    optimum is all weight on column 1 with the top rising row tight, for
-    t_c > 1 all weight on column 0 with the top falling row tight, and
-    otherwise it is the crossing itself, with both of its rows tight (a
-    crossing that rounds onto an end may sit an ulp inside it).  Ties go
-    to the lowest row.  The crossings of every pair of rows are formed
-    for as many matrices at a time as keep them within _CROSSINGS.
-    Returns (both, s, r), s and r of shape (B, 2): matrix b's support is
-    (s[b], r[b]) where both[b], else (s[b, :1], r[b, :1]).
+    c is each matrix's column of least maximum and r its row of greatest
+    minimum, the first on ties.  All weight on c is optimal when
+    colmax[c] - rowmin[r] <= _CERT_TOL * colmax[c]: the weak-duality check
+    `_equalise` applies to ([c], [r]).  Returns (c, r, pure), each (B,).
     """
-    nb, nr, _ = msc.shape
-    step = max(1, _CROSSINGS // (nr * nr))
-    if nb > step:
-        parts = zip(
-            *(_two_column_support(msc[lo : lo + step]) for lo in range(0, nb, step))
-        )
-        return tuple(np.concatenate(part) for part in parts)
-    line = msc[:, :, 1]
-    slope = msc[:, :, 0] - line
-    # no column is free, so one column's entries are finite, no slope is
-    # NaN, and every row rises or falls
-    rising = slope >= 0.0
-    falling = ~rising
-    # cross[b, i, q]: where row i meets row q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = line[:, None, :] - line[:, :, None]
-        cross /= slope[:, :, None] - slope[:, None, :]
-    # only rising rows i and falling rows q count: a matrix without
-    # falling rows gets t_c = -inf, and one without rising rows +inf
-    np.copyto(cross, np.inf, where=falling[:, :, None])
-    drop = cross.min(axis=1)
-    np.copyto(drop, -np.inf, where=rising)
-    k = drop.argmax(axis=1)
-    at = np.arange(nb)
-    t_c = drop[at, k]
-    low, high = t_c < 0.0, t_c > 1.0
-    one = low | high
-    s = np.ones((nb, 2), dtype=int)
-    s[:, 0] = low
-    r = np.sort([cross[at, :, k].argmin(axis=1), k], axis=0).T
-    if one.any():
-        r[low, 0] = np.where(rising, line, -np.inf).argmax(axis=1)[low]
-        r[high, 0] = np.where(falling, msc[:, :, 0], -np.inf).argmax(axis=1)[high]
-    return ~one, s, r
+    colmax, rowmin = msc.max(axis=1), msc.min(axis=2)
+    top = colmax.min(axis=1)
+    pure = top - rowmin.max(axis=1) <= _CERT_TOL * top
+    return colmax.argmin(axis=1), rowmin.argmax(axis=1), pure
 
 
 def _simplex_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -517,12 +480,12 @@ def _best_order(
     pending orders with one stacked `_equalise`, over a window of
     _SWEEP orders that doubles while every order in it passes.  The
     first order it fails (every order with a free column fails) goes
-    through `_minmax_unit`'s cascade, and the support that order
-    certifies is swept over the orders after it.  An order scores the largest row of
-    a @ y, y its split in bits, from one stacked matmul; ties go to the
-    earliest order.  Warns (RuntimeWarning) before more than 10**6
-    orders.  Returns (score, order, y, orders tried), the order as one
-    tuple of columns per group.
+    through `_cascade` on its scaled matrix, and the support that order
+    certifies is swept over the orders after it.  An order scores the
+    largest row of a @ y, y its split in bits, from one stacked matmul;
+    ties go to the earliest order.  Warns (RuntimeWarning) before more
+    than 10**6 orders.  Returns (score, order, y, orders tried), the order
+    as one tuple of columns per group.
     """
     total = math.prod(math.factorial(len(g)) for g in groups)
     if total > _WARN_SCHEDULES:
@@ -546,7 +509,8 @@ def _best_order(
         rank = np.zeros((nb, n), dtype=int)
         rank[np.arange(nb)[:, None], flat] = place
         a = static + w1 * (shared * (rank[:, n - nr :, None] > rank[:, None, :]))
-        cols, _, msc = _scaled(a, forced_zero)
+        cols, free, msc = _scaled(a, forced_zero)
+        own_row = np.array(cols) - (n - nr)
         u = np.zeros((nb, n))
         i = 0
         while i < nb:
@@ -563,7 +527,7 @@ def _best_order(
                     break
                 width *= 2
             if i < nb:
-                u[i], support = _minmax_unit(a[i], forced_zero)
+                u[i, cols], support = _cascade(msc[i : i + 1], free[i], own_row)
                 i += 1
         y = u * task_size
         z = (a @ y[:, :, None]).max(axis=(1, 2), initial=0.0)

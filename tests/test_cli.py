@@ -274,17 +274,21 @@ def test_sweep_rejects_sweepless_scenario(tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["solve", "compare", "sweep"])
 def test_negative_reps_fails_before_solving(verb, tmp_path, monkeypatch, capsys):
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved with a negative --reps")
+        raise AssertionError("solved with a bad --reps")
 
     monkeypatch.setattr("treeload.cli.solve_method", no_solve)
     monkeypatch.setattr("treeload.cli.run_scenario", no_solve)
     scen = tmp_path / "case.json"
     scen.write_text(json.dumps(SCENARIO))
     source = ["--topology", "mixed"] if verb == "solve" else ["--scenario", str(scen)]
-    with pytest.raises(SystemExit) as exc:
-        main([verb, *source, "--reps", "-2"])
-    assert exc.value.code == 2
-    assert "--reps must be an integer in [0, inf], got -2" in capsys.readouterr().err
+    for reps, shown in ("-2", "-2"), ("abc", "'abc'"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *source, "--reps", reps])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"treeload {verb}: error: argument --reps: "
+            f"must be an integer in [0, inf], got {shown}"
+        )
 
 
 def test_bad_scenario_reports_fields(tmp_path, capsys):

@@ -149,32 +149,34 @@ def test_solo_splits_on_free_columns_and_the_master_alone():
     assert y.tolist() == [[Y, 0.0]]
 
 
-def test_solo_splits_that_fail_the_closed_form_take_the_cascade(monkeypatch):
-    # the closed-form support fails wherever the last node's row pays for
-    # column 1 (node i itself, or a node sent after i on i's channel):
-    # those splits, and only those, go through `_minmax_unit` alone, in
-    # the stack as in the per-node loop
-    closed_form = solvers._two_column_support
+def test_solo_splits_that_fail_the_guess_take_the_cascade(monkeypatch):
+    # the stacked every-node-works guess is refuted wherever the last
+    # node's row pays for column 1 (node i itself, or a node sent after i
+    # on i's channel): those splits, and only those, go through
+    # `_minmax_unit` alone, with the per-node loop's bits
+    equalise = solvers._equalise
+    refuted, cascade = [], []
 
-    def flaky(msc):
-        both, s, r = closed_form(msc)
-        bad = msc[:, -1, 1] > 0.0
-        both, s, r = both.copy(), np.array(s), np.array(r)
-        both[bad], s[bad], r[bad] = True, [0, 1], [0, 0]  # singular
-        return both, s, r
+    def flaky(m, s, r):
+        got = equalise(m, s, r)
+        got = np.full((len(m), m.shape[2]), np.nan) if got is None else got
+        got[m[:, -1, 1] > 0.0] = np.nan
+        refuted.extend(r[np.isnan(got[:, 0]), 1].tolist())
+        return got
 
-    monkeypatch.setattr(solvers, "_two_column_support", flaky)
-    monkeypatch.setattr(heuristics, "_two_column_support", flaky)
-    cascade = []
-    split = heuristics._minmax_unit
-    monkeypatch.setattr(
-        heuristics, "_minmax_unit", lambda *a: cascade.append(1) or split(*a)
-    )
+    def split(a, forced):
+        cascade.extend(set(range(len(a))) - forced - {0})
+        return solvers._minmax_unit(a, forced)
+
+    monkeypatch.setattr(heuristics, "_equalise", flaky)
+    monkeypatch.setattr(heuristics, "_minmax_unit", split)
     for seed in range(6):
         tree = rand_tree(random.Random(seed + 900), 9)
+        refuted.clear()
         cascade.clear()
         heuristics._solo_splits(tree, range(1, len(tree)), Y, W, B_COMP)
         assert 1 <= len(cascade) < len(tree) - 1
+        assert cascade == refuted
         _check_solo_splits(tree, W)
 
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 import tracemalloc
 import warnings
@@ -286,7 +285,7 @@ def test_pmo_audits_only_its_answer(name, monkeypatch):
 def test_heuristic_splits_skip_highs(name, monkeypatch):
     # ga's first split is certified by the every-node-works guess, and ga
     # carries the last certified support from one chromosome to the next;
-    # master-plus-one splits are solved in closed form
+    # master-plus-one splits are certified by a saddle point or the guess
     topo = named_topology(name)
     tree, y, w, b = topo.tree, topo.task_size, topo.weights, topo.b_comp
     calls = _count_linprog(monkeypatch)
@@ -387,16 +386,15 @@ def test_exact_solvers_agree_across_26_decades(seed, w):
 
 
 def test_saddle_point_certifies_a_master_split(monkeypatch):
-    # @example(564, (0.1, 0.9)) above: the every-node-works guess is
-    # refuted on pmo's master split; with the simplex stopped, as at its
-    # pivot cap, the saddle point certifies, and HiGHS does not run
+    # @example(564, (0.1, 0.9)) above: pmo's master split is a pure saddle
+    # point, which the pure-strategy test finds before the every-node-works
+    # guess, so neither the simplex nor HiGHS runs
     rng = random.Random(564)
     n = rng.randint(2, 7)
     tree = _wide_tree(rng, n, lambda: 10 ** rng.uniform(-28.0, -2.0))
     weights = Weights(0.1, 0.9)
-    want = pmo(tree, Y, weights, b=B_COMP)
     calls = _count_linprog(monkeypatch)
-    monkeypatch.setattr(solvers, "_simplex_support", lambda msc: None)
+    simplex = _count_simplex(monkeypatch)
     tries = []
     equalise = solvers._equalise
     monkeypatch.setattr(
@@ -405,11 +403,38 @@ def test_saddle_point_certifies_a_master_split(monkeypatch):
         lambda m, s, r: tries.append((s.tolist(), r.tolist())) or equalise(m, s, r),
     )
     got = pmo(tree, Y, weights, b=B_COMP)
-    assert calls == []
-    # the master split is pmo's last: the guess on all three columns, then
-    # the saddle point
+    assert calls == [] and simplex == []
+    # a two-node subtree's two orders (the guess, then carried), a
+    # one-node subtree's saddle point, and last the master split's
+    assert tries == [([0, 1], [0, 1]), ([0, 1], [0, 1]), ([0], [0]), ([1], [0])]
+    # without the saddle step the guess is refuted on the master split,
+    # and the simplex's support gives the same allocation
+    monkeypatch.setattr(
+        solvers,
+        "_saddle",
+        lambda msc: (np.zeros(1, int), np.zeros(1, int), np.zeros(1, bool)),
+    )
+    want = pmo(tree, Y, weights, b=B_COMP)
     assert tries[-2:] == [([0, 1, 2], [0, 1, 2]), ([1], [0])]
+    assert len(simplex) == 1 and calls == []
     assert got.allocation == want.allocation
+
+
+def test_pure_saddle_point_has_exact_zeros():
+    # all weight on column 2 is optimal: its largest entry, row 1's
+    # 2.5e-19, is also row 1's smallest.  The every-node-works guess
+    # passes the certificate too, with slivers of about 1e-17 on columns 0
+    # and 1; the saddle step comes first and gives exact zeros
+    m = np.array(
+        [[0.02, 7e-19, 3e-21], [5e-18, 1e-16, 2.5e-19], [7e-12, 0.03, 1e-21]]
+    )
+    _, _, msc = solvers._scaled(m[None], frozenset())
+    every = np.arange(3)
+    guess = solvers._equalise(msc, every, every)
+    assert guess is not None and (guess[0] > 0.0).all()
+    u, support = solvers._minmax_unit(m, frozenset())
+    assert u.tolist() == [0.0, 0.0, 1.0]
+    assert [list(x) for x in support] == [[2], [1]]
 
 
 def test_refuted_guess_falls_back_to_the_simplex(monkeypatch):
@@ -469,6 +494,8 @@ def test_certificate_refutes_a_wrong_support():
     ],
 )
 def test_two_column_closed_form_on_degenerate_envelopes(m, monkeypatch):
+    # two-column splits whose rows' upper envelope has ties, parallel
+    # lines or a flat top, through the cascade
     m = np.array(m)
     calls = _count_linprog(monkeypatch)
     u, support = solvers._minmax_unit(m, frozenset())
@@ -662,60 +689,6 @@ def test_stacked_equalise_matches_one_at_a_time():
                 assert row.tobytes() == u[0].tobytes()
 
 
-def _two_column_support_alone(msc):
-    """The one-matrix `_two_column_support` the stacked one replaced, kept
-    as its reference: (S, R) from the rising and falling rows' indices."""
-    slope = msc[:, 0] - msc[:, 1]
-    rising = np.flatnonzero(slope >= 0.0)
-    falling = np.flatnonzero(slope < 0.0)
-    if falling.size == 0:
-        t_c = -math.inf
-    elif rising.size == 0:
-        t_c = math.inf
-    else:
-        cross = (msc[falling, 1] - msc[rising, 1][:, None]) / (
-            slope[rising][:, None] - slope[falling]
-        )
-        drop = cross.min(axis=0)
-        k = int(np.argmax(drop))
-        t_c = float(drop[k])
-    if t_c < 0.0:
-        return [1], [int(rising[np.argmax(msc[rising, 1])])]
-    if t_c > 1.0:
-        return [0], [int(falling[np.argmax(msc[falling, 0])])]
-    r = rising[int(np.argmin(cross[:, k]))]
-    return [0, 1], sorted((int(r), int(falling[k])))
-
-
-@pytest.mark.parametrize("crossings", [solvers._CROSSINGS, 20])
-def test_stacked_two_column_support_matches_one_at_a_time(crossings, monkeypatch):
-    # stacks of scaled two-column matrices (no free column), with ties,
-    # 30 decades, and entries that overflow when scaled; at 20 crossings
-    # most stacks are taken a matrix or two at a time
-    monkeypatch.setattr(solvers, "_CROSSINGS", crossings)
-    rng = np.random.default_rng(11)
-    kinds = [
-        lambda shape: rng.uniform(0.0, 1.0, shape),
-        lambda shape: rng.integers(0, 4, shape).astype(float),
-        lambda shape: 10 ** rng.uniform(-28.0, 2.0, shape),
-        lambda shape: rng.integers(0, 3, shape) * 10 ** rng.uniform(-300, 300, shape),
-    ]
-    seen = set()
-    for trial in range(800):
-        m = kinds[trial % 4]((int(rng.integers(1, 6)), int(rng.integers(1, 12)), 2))
-        m = m[(m.sum(axis=1) > 0.0).all(axis=1)]
-        with np.errstate(over="ignore"):
-            msc = m / m.max(axis=1).min(axis=1)[:, None, None]
-        both, s, r = solvers._two_column_support(msc)
-        for b in range(len(msc)):
-            k = 2 if both[b] else 1
-            got = (s[b, :k].tolist(), r[b, :k].tolist())
-            with np.errstate(invalid="ignore"):  # inf / inf crossings
-                assert got == _two_column_support_alone(msc[b])
-            seen.add(tuple(got[0]))
-    assert seen == {(0,), (1,), (0, 1)}
-
-
 def _sequential_best_order(static, shared, groups, w1, task_size, forced_zero):
     """The one-split-per-order loop `_best_order` replaced, kept as its
     bitwise reference: each order's split starts from the support the
@@ -819,12 +792,12 @@ def test_best_order_matches_the_sequential_loop(case, monkeypatch):
             monkeypatch.setattr(solvers, "_SWEEP", 2)
             forms.append(_probe_form(rng, 5, w))
             forms.append(_cmo_form(rng, rand_tree(rng, 7), w))
-    split = solvers._minmax_unit
+    cascade = solvers._cascade
     for static, shared, groups, *rest in forms:
         ref = _sequential_best_order(static, shared, groups, *rest)
         cold = []
         with monkeypatch.context() as mp:
-            mp.setattr(solvers, "_minmax_unit", lambda *a: cold.append(1) or split(*a))
+            mp.setattr(solvers, "_cascade", lambda *a: cold.append(1) or cascade(*a))
             got = solvers._best_order(static, shared, groups, *rest)
         assert got[0] == ref[0]
         assert got[1] == ref[1]
