@@ -8,8 +8,10 @@ cycle per bit and a 1 Gbit task.  `pmo` then tries all k! transmission
 orders of that subtree.  For k = 7, 8, 9 and s = 1, 2 this prints the
 solve's seconds, its cost, its schedule, how many splits went through
 the split cascade `solvers._cascade` (every order's split that the
-carried support did not certify, plus the master split), and how many of
-those the cascade cold-started with `solvers._simplex_support`:
+carried support did not certify, plus the master split), how many of
+those the cascade cold-started with `solvers._simplex_support`, how many
+refuted simplex bases it reinverted, and how many splits reached HiGHS
+(`solvers.linprog`):
 
     python3 scripts/probe_timing.py
 """
@@ -59,23 +61,26 @@ def probe_tree(k: int, seed: int):
 
 
 def counted(name: str, calls: dict) -> None:
-    """Count the calls of solvers.<name> into calls[name]."""
+    """Count the calls of solvers.<name> into calls[name]; a simplex run
+    from a refuted basis counts into calls["reinversions"] instead."""
     f = getattr(solvers, name)
 
     def wrapper(*args, **kwargs):
-        calls[name] += 1
+        start = args[1] if name == "_simplex_support" and len(args) > 1 else None
+        calls[name if start is None else "reinversions"] += 1
         return f(*args, **kwargs)
 
     setattr(solvers, name, wrapper)
 
 
 def main() -> None:
-    calls = dict.fromkeys(("_cascade", "_simplex_support"), 0)
-    for name in calls:
+    names = ("_cascade", "_simplex_support", "linprog")
+    calls = dict.fromkeys((*names, "reinversions"), 0)
+    for name in names:
         counted(name, calls)
     print(
         f"{'k':>2} {'seed':>4} {'seconds':>9} {'splits':>7} {'simplex':>7} "
-        f"{'cost':>22}  schedule"
+        f"{'reinv':>5} {'highs':>5} {'cost':>22}  schedule"
     )
     for k in SIZES:
         for seed in SEEDS:
@@ -86,8 +91,8 @@ def main() -> None:
             dt = time.perf_counter() - t0
             print(
                 f"{k:>2} {seed:>4} {dt:>9.2f} {calls['_cascade']:>7} "
-                f"{calls['_simplex_support']:>7} {sol.cost!r:>22}  "
-                f"{sol.schedule.orders}",
+                f"{calls['_simplex_support']:>7} {calls['reinversions']:>5} "
+                f"{calls['linprog']:>5} {sol.cost!r:>22}  {sol.schedule.orders}",
                 flush=True,
             )
 

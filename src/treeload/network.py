@@ -7,9 +7,11 @@ rates; the random generator emits symmetric ones.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -44,12 +46,15 @@ class ServerParams:
     cpu_freq: float
     tx_power: float
     switched_cap: float
+    # set by network_from_doc, which has checked the numbers in file units
+    numbers_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, numbers_checked):
         object.__setattr__(self, "id", checked("server id", self.id, int))
-        checked("cpu_freq", self.cpu_freq, open_lo=True)
-        checked("tx_power", self.tx_power)
-        checked("switched_cap", self.switched_cap)
+        if not numbers_checked:
+            checked("cpu_freq", self.cpu_freq, open_lo=True)
+            checked("tx_power", self.tx_power)
+            checked("switched_cap", self.switched_cap)
 
 
 @dataclass(frozen=True)
@@ -58,23 +63,41 @@ class NetworkGraph:
 
     servers: tuple[ServerParams, ...]
     links: dict[tuple[int, int], float]
+    # set by network_from_doc, which has checked the rates in file units
+    numbers_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, numbers_checked):
         ids = [s.id for s in self.servers]
         if ids != list(range(len(ids))):
             raise ParameterError(f"server ids must be 0..N, got {ids}")
         if not ids:
             raise ParameterError("network needs at least the master server")
         top = len(ids) - 1
-        links = {}
-        for (i, j), rate in self.links.items():
-            try:  # the link is named only when it fails
-                key = checked("end", i, int, 0, top), checked("end", j, int, 0, top)
-                links[key] = checked("rate", rate, open_lo=True)
+        # each distinct end is checked once, keyed by its type and value
+        # unless every end is a plain int: True == 1, but only 1 is an id
+        flat = list(itertools.chain.from_iterable(self.links))
+        plain = set(map(type, flat)) == {int}
+        keys = flat if plain else list(zip(map(type, flat), flat))
+        ends = dict.fromkeys(keys)
+        for end in ends:
+            try:
+                ends[end] = checked("end", end if plain else end[1], int, 0, top)
             except ParameterError as exc:
+                i, j = list(self.links)[keys.index(end) // 2]
                 raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
+        links = dict(self.links)
+        if not plain:
+            # an end such as 1.0 or numpy's 1 becomes the plain int 1
+            pairs = zip(keys[::2], keys[1::2])
+            links = {(ends[a], ends[b]): r for (a, b), r in zip(pairs, links.values())}
+        for (i, j), rate in links.items():
             if i == j:
                 raise ParameterError(f"self-link on node {i}")
+            if not numbers_checked:
+                try:
+                    checked("rate", rate, open_lo=True)
+                except ParameterError as exc:
+                    raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
         object.__setattr__(self, "links", links)
 
     def __len__(self) -> int:
@@ -176,6 +199,9 @@ def generate_network(params: GenParams) -> NetworkGraph:
 # units and are the only accepted spelling.
 
 _EXPECTED_UNITS = {"cpu_freq": "ghz", "rate": "gbps", "tx_power": "dbm"}
+# the largest file values whose SI values are finite
+_GIGA_MAX = hz_to_ghz(sys.float_info.max)
+_DBM_MAX = math.floor(watts_to_dbm(sys.float_info.max))
 
 
 def network_to_doc(net: NetworkGraph) -> dict:
@@ -202,11 +228,15 @@ def _dbm_watts(dbm) -> float:
     for a silent radio, is 0 W."""
     if dbm == -math.inf:
         return 0.0
-    return dbm_to_watts(checked("tx_power_dbm", dbm, float, -math.inf))
+    return dbm_to_watts(checked("tx_power_dbm", dbm, float, -math.inf, _DBM_MAX))
 
 
 def network_from_doc(doc: dict) -> NetworkGraph:
-    """Parse the document form; one of the wrong shape raises ParameterError."""
+    """Parse the document form; one of the wrong shape raises ParameterError.
+
+    Each number is checked once, in the file's units, with bounds that
+    keep its SI value finite.
+    """
     try:
         units = doc.get("units", {})
         for key, expected in _EXPECTED_UNITS.items():
@@ -217,16 +247,17 @@ def network_from_doc(doc: dict) -> NetworkGraph:
             ServerParams(
                 id=s["id"],
                 cpu_freq=ghz_to_hz(
-                    checked("cpu_freq_ghz", s["cpu_freq_ghz"], open_lo=True)
+                    checked("cpu_freq_ghz", s["cpu_freq_ghz"], float, 0, _GIGA_MAX, True)
                 ),
                 tx_power=_dbm_watts(s["tx_power_dbm"]),
                 switched_cap=checked("gamma", s["gamma"]),
+                numbers_checked=True,
             )
             for s in sorted(doc["servers"], key=lambda s: s["id"])
         )
         links = {
             (e["i"], e["j"]): gbps_to_bps(
-                checked("rate_gbps", e["rate_gbps"], open_lo=True)
+                checked("rate_gbps", e["rate_gbps"], float, 0, _GIGA_MAX, True)
             )
             for e in doc["links"]
         }
@@ -234,7 +265,7 @@ def network_from_doc(doc: dict) -> NetworkGraph:
         raise ParameterError(f"network document missing key {missing}") from None
     except (AttributeError, TypeError) as exc:  # a part of the wrong type
         raise ParameterError(f"network document: wrong type: {exc}") from None
-    return NetworkGraph(servers=servers, links=links)
+    return NetworkGraph(servers=servers, links=links, numbers_checked=True)
 
 
 def save_network(net: NetworkGraph, path) -> None:

@@ -18,8 +18,11 @@ nonnegative, and the dual bound is within 1e-12 of the primal value
 (weak duality).  `_minmax_unit` describes the cascade that finds
 (S, R): a cold split first tries a pure saddle point, then guesses that
 every node free to work does work, and a dense simplex runs only when
-the certificate refutes both.  A split that no step of it certifies
-raises InfeasibleError, so every split returned carries the certificate.
+the certificate refutes both; a simplex basis the certificate refutes is
+rebuilt from the matrix and pivoted on again.  HiGHS is the last resort,
+and scipy is imported only when a split reaches it.  A split that no
+step of the cascade certifies raises InfeasibleError, so every split
+returned carries the certificate.
 
 `cmo` enumerates every per-subtree transmission order and keeps the
 best.  `_best_order` takes the orders in lexicographic blocks: one stack
@@ -45,7 +48,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .costs import (
     Allocation,
@@ -70,6 +72,9 @@ _CERT_TOL = 1e-12
 # a simplex tableau entry that cancels to within this fraction of the
 # terms that formed it is rounding noise, and is set to zero
 _CANCEL_TOL = 1e-13
+# a simplex basis the certificate refutes is reinverted and pivoted on
+# again at most this many times before HiGHS runs
+_REINVERT = 3
 # cmo and pmo warn before enumerating more orders than this
 _WARN_SCHEDULES = 10**6
 # _best_order stacks at most this many orders at once, and first tries a
@@ -221,17 +226,22 @@ def _minmax_unit(
 
     1. carried support: `warm`, the (S, R) of an earlier answer on a
        matrix of the same shape;
-    2. saddle point: the column of least maximum against the row of
-       greatest minimum, tried only when the pure-strategy test of
-       `_saddle` passes;
+    2. saddle point: all weight on the column of least maximum, with
+       the row of greatest minimum as R, when the pure-strategy test of
+       `_saddle` passes (that test is `_equalise`'s certificate on this
+       support);
     3. every node works, the usual optimum: S is every free column and R
        those nodes' own rows (row i is the node of column i + cols - rows,
        as in `_best_order`), unless a free column has no row;
     4. simplex: a dense simplex cold-starts from the origin and its final
        basis gives (S, R) (`_simplex_support`; a basis of the game's LP
        is an (S, R), Shapley and Snow 1950), unless it hits its pivot cap;
-    5. HiGHS (scipy's `linprog`) solves the epigraph LP, the last resort:
-       its basis gives (S, R) and the equaliser polishes that vertex.
+       a basis the certificate refutes is reinverted, rebuilt from msc
+       with fresh reduced costs, and pivoted on again, at most _REINVERT
+       times;
+    5. HiGHS (scipy's `linprog`, imported on the first call) solves the
+       epigraph LP, the last resort: its basis gives (S, R) and the
+       equaliser polishes that vertex.
 
     Raises InfeasibleError when even that polish fails its certificate,
     and ParameterError when a column that is not pinned holds a value
@@ -266,14 +276,19 @@ def _cascade(
     if u is None:
         c, r, pure = _saddle(msc)
         if pure[0]:
+            # the pure test is _equalise's own check on ([c], [r])
             warm = c, r
-            u = _equalise(msc, *warm)
+            u = np.eye(msc.shape[2])[c]
     if u is None and own_row[0] >= 0:
         warm = np.arange(len(own_row)), own_row
         u = _equalise(msc, *warm)
     if u is None:
-        warm = _simplex_support(msc[0])
-        u = None if warm is None else _equalise(msc, *warm)
+        warm = None
+        for _ in range(1 + _REINVERT):
+            warm = _simplex_support(msc[0], warm)
+            u = None if warm is None else _equalise(msc, *warm)
+            if u is not None or warm is None:
+                break
     if u is None:
         warm = _lp_support(msc[0], _epigraph_lp(msc[0]))
         u = _equalise(msc, *warm)
@@ -296,7 +311,9 @@ def _saddle(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return colmax.argmin(axis=1), rowmin.argmax(axis=1), pure
 
 
-def _simplex_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _simplex_support(
+    msc: np.ndarray, start: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
     """(S, R) of the split from a dense primal simplex, or None.
 
     Solves max 1ᵀx s.t. msc x <= 1, x >= 0 (x = u / value) on a tableau
@@ -311,6 +328,15 @@ def _simplex_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     and R, the rows whose slack left it; |S| = |R| and msc[R, S] is the
     basis matrix.  None after 50 (rows + cols) pivots or on a numerically
     unbounded column.
+
+    Pivots accumulate rounding, and a pivot on an entry that is only
+    rounding noise breaks the tableau's link to its basis, so a final
+    tableau can call a basis optimal that is not.  `start`, the (S, R) of
+    such a basis, reinverts it: the tableau is rebuilt as B⁻¹[msc I | 1],
+    B the columns of S and the slacks of the rows outside R, with fresh
+    reduced costs, and pivoting resumes from there.  That basis need not
+    be feasible; pivoting only searches for an (S, R), and the
+    certificate judges it.  None also when B is numerically singular.
     """
     nr, nc = msc.shape
     t = np.zeros((nr + 1, nc + nr + 1))
@@ -319,6 +345,18 @@ def _simplex_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     t[:nr, -1] = 1.0
     t[nr, :nc] = -1.0
     basis = np.arange(nc, nc + nr)
+    if start is not None:
+        s, r = start
+        basis = np.concatenate([s, nc + np.setdiff1d(np.arange(nr), r)])
+        try:
+            t[:nr] = np.linalg.solve(t[:nr, basis], t[:nr])
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(t).all():
+            return None
+        t[:nr, basis] = np.eye(nr)
+        t[nr] -= t[nr, basis] @ t[:nr]
+        t[nr, basis] = 0.0
     bland = False
     for _ in range(50 * (nr + nc)):
         entering = np.flatnonzero(t[nr, :-1] < -_CERT_TOL)
@@ -343,6 +381,14 @@ def _simplex_support(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         t = new
         basis[i] = j
     return None
+
+
+def linprog(*args, **kwargs):
+    """scipy's `linprog`, imported on the first call: only a split that
+    reaches the HiGHS last resort pays for importing scipy.optimize."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def _epigraph_lp(msc: np.ndarray):

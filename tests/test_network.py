@@ -1,7 +1,9 @@
 import json
 import random
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from treeload import (
     load_network,
     save_network,
 )
+from treeload import network
 from treeload.network import network_from_doc, network_to_doc
 from treeload.units import dbm_to_watts, watts_to_dbm
 
@@ -115,6 +118,55 @@ def test_doc_rejects_unit_mismatch():
     doc["units"]["rate"] = "mbps"
     with pytest.raises(ParameterError):
         network_from_doc(doc)
+
+
+def test_doc_checks_each_number_once(monkeypatch):
+    # one check per number of the file, per server id and per distinct
+    # link end; none again in SI units
+    net = generate_network(GenParams(node_count=12, edge_prob=0.4, rng_seed=5))
+    doc = network_to_doc(net)
+    calls = []
+    check = network.checked
+    monkeypatch.setattr(
+        network, "checked", lambda name, *a: calls.append(name) or check(name, *a)
+    )
+    back = network_from_doc(doc)
+    assert network_to_doc(back) == doc
+    ends = {k for link in net.links for k in link}
+    assert sorted(set(calls)) == [
+        "cpu_freq_ghz", "end", "gamma", "rate_gbps", "server id", "tx_power_dbm"
+    ]
+    assert len(calls) == 4 * len(net) + len(net.links) + len(ends)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cpu_freq_ghz", 1e300, "cpu_freq_ghz must be a number in (0, 1.79"),
+        ("tx_power_dbm", 4000.0, "tx_power_dbm must be a number in (-inf, 3112]"),
+        ("rate_gbps", 1e300, "rate_gbps must be a number in (0, 1.79"),
+    ],
+)
+def test_doc_refuses_a_number_whose_si_value_overflows(field, value, message):
+    doc = network_to_doc(generate_network(GenParams(3, 1.0, 0)))
+    entry = doc["links"][0] if field == "rate_gbps" else doc["servers"][1]
+    entry[field] = value
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        network_from_doc(doc)
+
+
+def test_graph_checks_link_ends_by_type():
+    servers = tuple(
+        ServerParams(id=i, cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28)
+        for i in range(3)
+    )
+    # 1.0 and numpy's 2 become plain ints
+    net = NetworkGraph(servers, {(0, 1.0): 1e9, (np.int64(2), 0): 2e9})
+    assert [type(k) for link in net.links for k in link] == [int] * 4
+    assert net.links == {(0, 1): 1e9, (2, 0): 2e9}
+    # True == 1, and 1 is an end already, but True is still refused
+    with pytest.raises(ParameterError, match=r"link \(2, True\) end must be"):
+        NetworkGraph(servers, {(0, 1): 1e9, (2, True): 1e9})
 
 
 @given(st.floats(min_value=-30.0, max_value=50.0))

@@ -1,7 +1,10 @@
 import itertools
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,7 @@ from treeload.heuristics import partial_offload_cost
 
 W = Weights(0.5, 0.05)
 Y = 1e9
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_two_node_split_matches_closed_form():
@@ -249,7 +253,7 @@ def _count_simplex(monkeypatch) -> list:
     calls = []
     simplex = solvers._simplex_support
     monkeypatch.setattr(
-        solvers, "_simplex_support", lambda msc: calls.append(1) or simplex(msc)
+        solvers, "_simplex_support", lambda *a: calls.append(1) or simplex(*a)
     )
     return calls
 
@@ -402,11 +406,23 @@ def test_saddle_point_certifies_a_master_split(monkeypatch):
         "_equalise",
         lambda m, s, r: tries.append((s.tolist(), r.tolist())) or equalise(m, s, r),
     )
+    pure = []
+    saddle = solvers._saddle
+
+    def recording_saddle(msc):
+        c, r, ok = saddle(msc)
+        if ok[0]:
+            pure.append((c.tolist(), r.tolist()))
+        return c, r, ok
+
+    monkeypatch.setattr(solvers, "_saddle", recording_saddle)
     got = pmo(tree, Y, weights, b=B_COMP)
     assert calls == [] and simplex == []
-    # a two-node subtree's two orders (the guess, then carried), a
-    # one-node subtree's saddle point, and last the master split's
-    assert tries == [([0, 1], [0, 1]), ([0, 1], [0, 1]), ([0], [0]), ([1], [0])]
+    # a two-node subtree's two orders take the guess, then carry it; a
+    # one-node subtree's split and last the master split are saddle
+    # points, which need no _equalise
+    assert tries == [([0, 1], [0, 1]), ([0, 1], [0, 1])]
+    assert pure == [([0], [0]), ([1], [0])]
     # without the saddle step the guess is refuted on the master split,
     # and the simplex's support gives the same allocation
     monkeypatch.setattr(
@@ -605,6 +621,154 @@ def test_simplex_support_certifies(m):
 )
 def test_simplex_support_on_one_row_or_column(m):
     _check_simplex_support(np.array(m))
+
+
+def _stress_set():
+    """The split stress set: (kind, index, matrix) for 1,500 matrices of
+    each of five kinds, drawn in this order from one seeded generator."""
+    rng = np.random.default_rng(7)
+
+    def sparse(nr, nc):
+        m = rng.random((nr, nc)) * (rng.random((nr, nc)) < 0.3)
+        for j in np.flatnonzero(m.sum(axis=0) == 0.0):
+            m[0, j] = rng.random()
+        return m
+
+    def diagonal(nr, nc):
+        m = 1e-12 * rng.random((nr, nc))
+        k = min(nr, nc)
+        m[np.arange(k), np.arange(k)] = 1.0 + rng.random(k)
+        return m
+
+    kinds = {
+        # 28-30 decades inside one matrix
+        "log-uniform": lambda nr, nc: 10 ** rng.uniform(-28, 2, (nr, nc)),
+        "integers": lambda nr, nc: rng.integers(1, 4, (nr, nc)).astype(float),
+        "rank-2": lambda nr, nc: rng.random((nr, 2)) @ rng.random((2, nc)),
+        "sparse": sparse,
+        "diagonal": diagonal,
+    }
+    for kind, draw in kinds.items():
+        for i in range(1500):
+            nr, nc = rng.integers(1, 30), rng.integers(2, 30)
+            yield kind, i, draw(nr, nc)
+
+
+def _no_highs(*args, **kwargs):
+    raise AssertionError("a split fell back to HiGHS")
+
+
+def _dual_gap(m: np.ndarray, u: np.ndarray, support) -> float:
+    """max(m u) less the dual bound of the row weights on support's rows
+    R that make every column of S cost the same, relative to max(m u)."""
+    m = m / m.max(axis=0).min()  # as `_scaled` does
+    s, r = support
+    k = len(s)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = m[np.ix_(r, s)].T
+    kkt[:k, k] = -1.0
+    kkt[k, :k] = 1.0
+    p = np.linalg.solve(kkt, np.r_[np.zeros(k), 1.0])[:k]
+    assert p.min() >= -1e-12
+    zp = (m @ u).max()
+    return (zp - (np.maximum(p, 0.0) @ m[r]).min() / np.maximum(p, 0.0).sum()) / zp
+
+
+# the splits of the stress set whose simplex basis the certificate refutes:
+# before reinversion, HiGHS certified the two integer ones and failed on
+# the log-uniform ones
+_REFUTED = [
+    ("log-uniform", 1116),
+    ("log-uniform", 1423),
+    ("log-uniform", 1492),
+    ("integers", 184),
+    ("integers", 1238),
+]
+
+
+def test_reinversion_certifies_refuted_simplex_bases(monkeypatch):
+    picked = {(k, i): m for k, i, m in _stress_set() if (k, i) in _REFUTED}
+    reinverted = []
+    simplex = solvers._simplex_support
+    monkeypatch.setattr(
+        solvers,
+        "_simplex_support",
+        lambda msc, start=None: reinverted.append(start is not None)
+        or simplex(msc, start),
+    )
+    monkeypatch.setattr(solvers, "linprog", _no_highs)
+    for key in _REFUTED:
+        m = picked[key]
+        reinverted.clear()
+        u, support = solvers._minmax_unit(m, frozenset())
+        # one cold run, refuted, and one reinversion
+        assert reinverted == [False, True], key
+        assert u.min() >= 0.0 and u.sum() == pytest.approx(1.0, abs=1e-12)
+        assert _dual_gap(m, u, support) <= 1e-12
+        if key[0] == "integers":
+            highs = _highs_minmax(m, frozenset())
+            assert highs * (1 - 1e-10) <= (m @ u).max() <= highs * (1 + 1e-12)
+
+
+def test_stress_set_needs_no_highs(monkeypatch):
+    monkeypatch.setattr(solvers, "linprog", _no_highs)
+    for kind, i, m in _stress_set():
+        u, support = solvers._minmax_unit(m, frozenset())
+        assert u.sum() == pytest.approx(1.0, abs=1e-12), (kind, i)
+
+
+@st.composite
+def _integer_ties(draw):
+    """Matrices up to 30x30 of integers 1-3: ties make the simplex degenerate."""
+    nr, nc = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    cells = st.lists(st.integers(1, 3), min_size=nr * nc, max_size=nr * nc)
+    return np.array(draw(cells), dtype=float).reshape(nr, nc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_ties())
+def test_cold_split_on_integer_ties_reaches_highs_value(m):
+    u, _ = solvers._minmax_unit(m, frozenset())
+    highs = _highs_minmax(m, frozenset())
+    assert highs * (1 - 1e-10) <= (m @ u).max() <= highs * (1 + 1e-12)
+
+
+def _fresh_python(code: str) -> list[str]:
+    """The output lines of `code` run in a fresh interpreter on src/."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, 'src'); {code}"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import treeload",
+        "from treeload.cli import main; main(['solve', '--topology', 'mixed'])",
+    ],
+    ids=["import", "solve"],
+)
+def test_scipy_is_not_imported_until_a_split_reaches_highs(code):
+    out = _fresh_python(f"{code}; print('scipy.optimize' in sys.modules)")
+    assert out[-1] == "False"
+
+
+def test_split_forced_to_highs_imports_it_and_certifies():
+    # without the simplex, the refuted guess goes to HiGHS, which a fresh
+    # interpreter imports only then
+    out = _fresh_python(
+        "import numpy as np; import treeload.solvers as solvers; "
+        "solvers._simplex_support = lambda *a: None; "
+        "m = np.array([[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 1.0]]); "
+        "print('scipy.optimize' in sys.modules); "
+        "u, support = solvers._minmax_unit(m, frozenset()); "
+        "print(u.tolist(), [x.tolist() for x in support]); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    assert out == ["False", "[0.5, 0.5, 0.0] [[0, 1], [0, 1]]", "True"]
 
 
 def _split_and_simplex_split(a: np.ndarray, forced: frozenset[int]):
