@@ -9,9 +9,8 @@ orders of that subtree.  For k = 7, 8, 9 and s = 1, 2 this prints the
 solve's seconds, its cost, its schedule, how many splits went through
 the split cascade `solvers._cascade` (every order's split that the
 carried support did not certify, plus the master split), how many of
-those the cascade cold-started with `solvers._simplex_support`, how many
-refuted simplex bases it reinverted, and how many splits reached HiGHS
-(`solvers.linprog`):
+those the cascade cold-started with `solvers._simplex_support`, and how
+many simplex bases it reinverted:
 
     python3 scripts/probe_timing.py
 """
@@ -62,7 +61,7 @@ def probe_tree(k: int, seed: int):
 
 def counted(name: str, calls: dict) -> None:
     """Count the calls of solvers.<name> into calls[name]; a simplex run
-    from a refuted basis counts into calls["reinversions"] instead."""
+    from an earlier basis counts into calls["reinversions"] instead."""
     f = getattr(solvers, name)
 
     def wrapper(*args, **kwargs):
@@ -74,13 +73,13 @@ def counted(name: str, calls: dict) -> None:
 
 
 def main() -> None:
-    names = ("_cascade", "_simplex_support", "linprog")
+    names = ("_cascade", "_simplex_support")
     calls = dict.fromkeys((*names, "reinversions"), 0)
     for name in names:
         counted(name, calls)
     print(
         f"{'k':>2} {'seed':>4} {'seconds':>9} {'splits':>7} {'simplex':>7} "
-        f"{'reinv':>5} {'highs':>5} {'cost':>22}  schedule"
+        f"{'reinv':>5} {'cost':>22}  schedule"
     )
     for k in SIZES:
         for seed in SEEDS:
@@ -92,7 +91,7 @@ def main() -> None:
             print(
                 f"{k:>2} {seed:>4} {dt:>9.2f} {calls['_cascade']:>7} "
                 f"{calls['_simplex_support']:>7} {calls['reinversions']:>5} "
-                f"{calls['linprog']:>5} {sol.cost!r:>22}  {sol.schedule.orders}",
+                f"{sol.cost!r:>22}  {sol.schedule.orders}",
                 flush=True,
             )
 

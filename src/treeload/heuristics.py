@@ -30,6 +30,7 @@ from .costs import (
     _static_matrix,
     _waiting,
     canonical_schedule,
+    cost_coefficients,
 )
 from .errors import ParameterError, checked
 from .solvers import (
@@ -40,7 +41,6 @@ from .solvers import (
     _scaled,
     _solution,
     check_task_size,
-    solve_fixed_order,
 )
 from .tree import MASTER_ID, SinkTree, prune_tree
 from .units import DEFAULT_B
@@ -366,14 +366,16 @@ def baseline_master_worker(
     """Time-optimal split over the master and all one-hop neighbors.
 
     One-hop nodes root their own subtrees, so transmissions are
-    concurrent and nothing waits.  Cost is reported at the given weights.
+    concurrent and nothing waits.  The split is certified for weights
+    (1, 0); only the answer is audited, at the given weights.
     """
     check_task_size(task_size)
     sched = canonical_schedule(tree)
     forced = frozenset(range(len(tree))) - {MASTER_ID, *tree.children[MASTER_ID]}
-    timed = solve_fixed_order(tree, sched, task_size, Weights(1.0, 0.0), forced, b=b)
+    a = cost_coefficients(tree, sched, Weights(1.0, 0.0), b)
+    y = _minmax_unit(a, forced)[0] * task_size
     tag = "baseline-master-worker"
-    return _solution(tree, sched, timed.allocation.y, task_size, weights, b, tag)
+    return _solution(tree, sched, y, task_size, weights, b, tag)
 
 
 def baseline_multi_hop(

@@ -18,11 +18,10 @@ nonnegative, and the dual bound is within 1e-12 of the primal value
 (weak duality).  `_minmax_unit` describes the cascade that finds
 (S, R): a cold split first tries a pure saddle point, then guesses that
 every node free to work does work, and a dense simplex runs only when
-the certificate refutes both; a simplex basis the certificate refutes is
-rebuilt from the matrix and pivoted on again.  HiGHS is the last resort,
-and scipy is imported only when a split reaches it.  A split that no
-step of the cascade certifies raises InfeasibleError, so every split
-returned carries the certificate.
+the certificate refutes both; a simplex basis the certificate refutes,
+or the one it holds when it gives up, is rebuilt from the matrix and
+pivoted on again.  A split that no step of the cascade certifies raises
+InfeasibleError, so every split returned carries the certificate.
 
 `cmo` enumerates every per-subtree transmission order and keeps the
 best.  `_best_order` takes the orders in lexicographic blocks: one stack
@@ -62,10 +61,6 @@ from .errors import InfeasibleError, ParameterError, checked
 from .tree import SinkTree, tree_fingerprint
 from .units import DEFAULT_B
 
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
 # an equaliser answer may dip this far below zero before clipping, and its
 # primal-dual gap may be at most this fraction of its value
 _CERT_TOL = 1e-12
@@ -73,7 +68,7 @@ _CERT_TOL = 1e-12
 # terms that formed it is rounding noise, and is set to zero
 _CANCEL_TOL = 1e-13
 # a simplex basis the certificate refutes is reinverted and pivoted on
-# again at most this many times before HiGHS runs
+# again at most this many times before the split raises InfeasibleError
 _REINVERT = 3
 # cmo and pmo warn before enumerating more orders than this
 _WARN_SCHEDULES = 10**6
@@ -233,18 +228,14 @@ def _minmax_unit(
     3. every node works, the usual optimum: S is every free column and R
        those nodes' own rows (row i is the node of column i + cols - rows,
        as in `_best_order`), unless a free column has no row;
-    4. simplex: a dense simplex cold-starts from the origin and its final
-       basis gives (S, R) (`_simplex_support`; a basis of the game's LP
-       is an (S, R), Shapley and Snow 1950), unless it hits its pivot cap;
-       a basis the certificate refutes is reinverted, rebuilt from msc
-       with fresh reduced costs, and pivoted on again, at most _REINVERT
-       times;
-    5. HiGHS (scipy's `linprog`, imported on the first call) solves the
-       epigraph LP, the last resort: its basis gives (S, R) and the
-       equaliser polishes that vertex.
+    4. simplex: a dense simplex cold-starts from the origin and the basis
+       it stops on gives (S, R) (`_simplex_support`; a basis of the game's
+       LP is an (S, R), Shapley and Snow 1950); a basis the certificate
+       refutes is reinverted, rebuilt from msc with fresh reduced costs,
+       and pivoted on again, at most _REINVERT times.
 
-    Raises InfeasibleError when even that polish fails its certificate,
-    and ParameterError when a column that is not pinned holds a value
+    Raises InfeasibleError when no step certifies the split, and
+    ParameterError when a column that is not pinned holds a value
     that is not finite (an overflowing weight).  Returns (u, support):
     support is the certified (S, R) to warm-start the next call, or None.
     """
@@ -290,9 +281,6 @@ def _cascade(
             if u is not None or warm is None:
                 break
     if u is None:
-        warm = _lp_support(msc[0], _epigraph_lp(msc[0]))
-        u = _equalise(msc, *warm)
-    if u is None:
         raise InfeasibleError("min-max split could not be certified")
     return u[0], warm
 
@@ -324,10 +312,12 @@ def _simplex_support(
     in and out) after a degenerate step, so it cannot cycle.  Any positive
     entry may pivot, however small (a row whose own column is 1e21 times
     its others holds such entries), because entries that cancel to noise
-    are zeroed (_CANCEL_TOL).  The final basis is S, the basic x columns,
-    and R, the rows whose slack left it; |S| = |R| and msc[R, S] is the
-    basis matrix.  None after 50 (rows + cols) pivots or on a numerically
-    unbounded column.
+    are zeroed (_CANCEL_TOL).  Pivoting stops at optimality, on a column
+    with no positive entry, or after 50 (rows + cols) pivots, and returns
+    the basis it holds: S, the basic x columns, and R, the rows whose
+    slack left it; |S| = |R| and msc[R, S] is the basis matrix.  In exact
+    arithmetic the LP is bounded, so a column with no positive entry is
+    rounding noise, and the certificate judges that basis like any other.
 
     Pivots accumulate rounding, and a pivot on an entry that is only
     rounding noise breaks the tableau's link to its basis, so a final
@@ -336,7 +326,7 @@ def _simplex_support(
     B the columns of S and the slacks of the rows outside R, with fresh
     reduced costs, and pivoting resumes from there.  That basis need not
     be feasible; pivoting only searches for an (S, R), and the
-    certificate judges it.  None also when B is numerically singular.
+    certificate judges it.  None only when B is numerically singular.
     """
     nr, nc = msc.shape
     t = np.zeros((nr + 1, nc + nr + 1))
@@ -361,14 +351,12 @@ def _simplex_support(
     for _ in range(50 * (nr + nc)):
         entering = np.flatnonzero(t[nr, :-1] < -_CERT_TOL)
         if not entering.size:
-            s = np.sort(basis[basis < nc])
-            r = np.flatnonzero(~np.isin(np.arange(nc, nc + nr), basis))
-            return s, r
+            break
         j = entering[0] if bland else int(np.argmin(t[nr, :-1]))
         col = t[:nr, j]
         rows = np.flatnonzero(col > 0.0)
         if not rows.size:
-            return None
+            break
         ratio = t[rows, -1] / col[rows]
         ties = rows[ratio == ratio.min()]
         i = ties[np.argmin(basis[ties])] if bland else ties[0]
@@ -380,53 +368,17 @@ def _simplex_support(
         new[i] = pivot
         t = new
         basis[i] = j
-    return None
+    s = np.sort(basis[basis < nc])
+    r = np.flatnonzero(~np.isin(np.arange(nc, nc + nr), basis))
+    return s, r
 
 
+# unused: kept only because perfbench/tracing.py wraps this name (--trace 1)
 def linprog(*args, **kwargs):
-    """scipy's `linprog`, imported on the first call: only a split that
-    reaches the HiGHS last resort pays for importing scipy.optimize."""
+    """scipy's `linprog`, imported on the first call."""
     from scipy.optimize import linprog as highs
 
     return highs(*args, **kwargs)
-
-
-def _epigraph_lp(msc: np.ndarray):
-    """HiGHS on min z s.t. msc u <= z, sum(u) = 1, u >= 0."""
-    nr, m = msc.shape
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    res = linprog(
-        c,
-        A_ub=np.hstack([msc, -np.ones((nr, 1))]),
-        b_ub=np.zeros(nr),
-        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * (m + 1),
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status != 0:
-        raise InfeasibleError(f"fixed-order split LP failed: {res.message}")
-    return res
-
-
-def _lp_support(msc: np.ndarray, res) -> tuple[np.ndarray, np.ndarray]:
-    """(S, R) of a HiGHS answer: columns carrying weight, rows with a dual.
-
-    A degenerate vertex can leave |S| != |R|; the shorter side is padded
-    with the rows of least slack or the columns of least reduced cost.
-    """
-    x = res.x[:-1]
-    s = list(np.flatnonzero(x > 0.0))
-    r = list(np.flatnonzero(res.ineqlin.marginals < 0.0))
-    if len(r) < len(s):
-        by_slack = np.argsort(res.x[-1] - msc @ x, kind="stable")
-        r += [i for i in by_slack if i not in r][: len(s) - len(r)]
-    elif len(s) < len(r):
-        by_reduced_cost = np.argsort(res.lower.marginals[:-1], kind="stable")
-        s += [j for j in by_reduced_cost if j not in s][: len(r) - len(s)]
-    return np.array(sorted(s), dtype=int), np.array(sorted(r), dtype=int)
 
 
 def check_task_size(task_size: float) -> None:
