@@ -8,9 +8,10 @@ cycle per bit and a 1 Gbit task.  `pmo` then tries all k! transmission
 orders of that subtree.  For k = 7, 8, 9 and s = 1, 2 this prints the
 solve's seconds, its cost, its schedule, how many splits went through
 the split cascade `solvers._cascade` (every order's split that the
-carried support did not certify, plus the master split), how many of
-those the cascade cold-started with `solvers._simplex_support`, and how
-many simplex bases it reinverted:
+carried support did not certify, plus the master split; a call counts
+each matrix of its stack), how many of those the cascade cold-started
+with `solvers._simplex_support`, and how many simplex bases it
+reinverted:
 
     python3 scripts/probe_timing.py
 """
@@ -60,13 +61,18 @@ def probe_tree(k: int, seed: int):
 
 
 def counted(name: str, calls: dict) -> None:
-    """Count the calls of solvers.<name> into calls[name]; a simplex run
-    from an earlier basis counts into calls["reinversions"] instead."""
+    """Count the matrices solvers.<name> is called on into calls[name]: a
+    `_cascade` call counts its stack's size, a `_simplex_support` call one,
+    or one into calls["reinversions"] when it starts from an earlier
+    basis."""
     f = getattr(solvers, name)
 
     def wrapper(*args, **kwargs):
-        start = args[1] if name == "_simplex_support" and len(args) > 1 else None
-        calls[name if start is None else "reinversions"] += 1
+        if name == "_cascade":
+            calls[name] += len(args[0])
+        else:
+            start = args[1] if len(args) > 1 else None
+            calls[name if start is None else "reinversions"] += 1
         return f(*args, **kwargs)
 
     setattr(solvers, name, wrapper)

@@ -1,20 +1,23 @@
 """Count how the split cascade fares on hard matrices and on random trees.
 
 Every split goes through `solvers._cascade` when no carried support
-certifies it.  For each family below this prints how many cascade runs
-(splits) it made, a histogram of their reinversion rounds (simplex runs
-restarted from the basis an earlier run stopped on), and how many raised
-InfeasibleError because no round was certified:
+certifies it; one call splits a stack of matrices (all of a tree's solo
+splits, or one matrix).  For each family below this prints how many
+matrices the cascade split, a histogram of their reinversion rounds
+(simplex runs restarted from the basis an earlier run stopped on), and
+how many cascade calls raised InfeasibleError because no round was
+certified:
 
 - stress: the split stress set, `tests/test_solvers._stress_set` (7,500
   matrices of five kinds);
 - ties-11, ties-12, ties-13: the first 20,000 matrices of
   `tests/test_solvers._tie_draws(seed)`, integers 1-3 or picks from
   {0, 0.5, 1, 2, 3}, up to 30x30;
-- log-uniform: 20,000 matrices of entries 10**U(-28, 2), nr in 1..30 and
-  nc in 2..30, from `default_rng(21)`;
-- log-sparse: the same entries kept at 40% density, and each empty column
-  given one more entry in a random row, from `default_rng(22)`;
+- log-uniform: the first 20,000 matrices of
+  `tests/test_solvers._log_uniform(21)`, entries 10**U(-28, 2), nr in
+  1..30 and nc in 2..30;
+- log-sparse: the same from `_log_uniform(22, 0.4)`, entries kept at 40%
+  density and each empty column given one more entry in a random row;
 - domain: every answer on 60 random trees of 2-9 nodes shaped like
   `tests/test_solvers._wide_tree` (links 1-100 Gbps, each node's switched
   capacitance 10**U(-28, -2)) under seven weight pairs: `solve_fixed_order`
@@ -24,7 +27,7 @@ InfeasibleError because no round was certified:
 
 The matrix families split each matrix cold with `_minmax_unit`.  Families
 run in two worker processes; the whole campaign takes about a minute on
-two cores:
+two cores.  Exits 1 when any family raised:
 
     python3 scripts/split_campaign.py
 """
@@ -36,13 +39,16 @@ from collections import Counter
 from multiprocessing import Pool
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import B_COMP  # noqa: E402
-from test_solvers import _stress_set, _tie_draws, _wide_tree  # noqa: E402
+from test_solvers import (  # noqa: E402
+    _log_uniform,
+    _stress_set,
+    _tie_draws,
+    _wide_tree,
+)
 
 from treeload import (  # noqa: E402
     GaParams,
@@ -69,20 +75,6 @@ WEIGHTS = (
     (1.0, 0.01),
 )
 TASK_BITS = 1e9
-
-
-def log_uniform(seed: int, density: float = 1.0):
-    """DRAWS matrices of entries 10**U(-28, 2), each kept with probability
-    `density`; an empty column gets one more entry in a random row."""
-    rng = np.random.default_rng(seed)
-    for _ in range(DRAWS):
-        nr, nc = rng.integers(1, 31), rng.integers(2, 31)
-        m = 10 ** rng.uniform(-28, 2, (nr, nc))
-        if density < 1.0:
-            m *= rng.random((nr, nc)) < density
-            for j in np.flatnonzero(m.sum(axis=0) == 0.0):
-                m[rng.integers(nr), j] = 10 ** rng.uniform(-28, 2)
-        yield m
 
 
 def domain_answers():
@@ -120,32 +112,44 @@ def families():
         "ties-11": lambda: cold(itertools.islice(_tie_draws(11), DRAWS)),
         "ties-12": lambda: cold(itertools.islice(_tie_draws(12), DRAWS)),
         "ties-13": lambda: cold(itertools.islice(_tie_draws(13), DRAWS)),
-        "log-uniform": lambda: cold(log_uniform(21)),
-        "log-sparse": lambda: cold(log_uniform(22, density=0.4)),
+        "log-uniform": lambda: cold(itertools.islice(_log_uniform(21), DRAWS)),
+        "log-sparse": lambda: cold(itertools.islice(_log_uniform(22, 0.4), DRAWS)),
         "domain": domain_answers,
     }
 
 
 def run(name: str) -> tuple[str, int, Counter, int]:
-    """Run one family with `_cascade` and `_simplex_support` counted."""
-    rounds, infeasible, current = Counter(), [0], [0]
+    """Run one family with `_cascade` and `_simplex_support` counted.
+
+    A `_cascade` call splits a stack of matrices, so each call adds its
+    stack's size to the splits.  A matrix's reinversion rounds are the
+    simplex runs after its cold `_simplex_support` run; a matrix that never
+    reaches the simplex has none.
+    """
+    rounds, infeasible, current = Counter(), [0], []
     cascade, simplex = solvers._cascade, solvers._simplex_support
 
     def counting_simplex(msc, start=None):
-        current[0] += start is not None
+        if start is None:
+            current.append(0)
+        else:
+            current[-1] += 1
         return simplex(msc, start)
 
-    def counting_cascade(*args):
-        current[0] = 0
+    def counting_cascade(msc, *args):
+        current.clear()
         try:
-            return cascade(*args)
+            return cascade(msc, *args)
         except InfeasibleError:
             infeasible[0] += 1
             raise
         finally:
-            rounds[current[0]] += 1
+            rounds[0] += len(msc) - len(current)
+            rounds.update(current)
 
-    solvers._cascade, solvers._simplex_support = counting_cascade, counting_simplex
+    # heuristics holds its own reference to _cascade for the solo splits
+    solvers._cascade = heuristics._cascade = counting_cascade
+    solvers._simplex_support = counting_simplex
     try:
         for answer in families()[name]():
             try:
@@ -153,17 +157,22 @@ def run(name: str) -> tuple[str, int, Counter, int]:
             except InfeasibleError:
                 pass
     finally:
-        solvers._cascade, solvers._simplex_support = cascade, simplex
+        solvers._cascade = heuristics._cascade = cascade
+        solvers._simplex_support = simplex
     return name, sum(rounds.values()), rounds, infeasible[0]
 
 
 def main() -> None:
     head = f"{'family':<12} {'splits':>7}  {'infeasible':>10}"
     print(f"{head}  reinversion rounds: splits")
+    raised = False
     with Pool(2) as pool:
         for name, splits, rounds, infeasible in pool.imap(run, families()):
             hist = ", ".join(f"{k}: {rounds[k]}" for k in sorted(rounds))
             print(f"{name:<12} {splits:>7}  {infeasible:>10}  {hist}", flush=True)
+            raised = raised or infeasible > 0
+    if raised:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

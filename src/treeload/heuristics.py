@@ -3,8 +3,8 @@
 Two pruning passes shrink the tree before an exact solve: node pruning
 drops servers whose solo offloading benefit is below a threshold, level
 pruning cuts everything deeper than a fixed depth.  Every solo split of a
-tree (the master and one node i) comes from one stack (`_solo_splits`: a
-saddle-point test, then one stacked equaliser solve), bit for bit as one
+tree (the master and one node i) comes from one call of the exact
+solvers' split cascade on a stack (`_solo_splits`), bit for bit as one
 split at a time, priced by the audit's own cost terms.  A small genetic
 algorithm searches the schedule space directly when enumeration is too
 expensive.  The four baselines at the bottom are the usual strawmen:
@@ -35,9 +35,8 @@ from .costs import (
 from .errors import ParameterError, checked
 from .solvers import (
     Solution,
-    _equalise,
+    _cascade,
     _minmax_unit,
-    _saddle,
     _scaled,
     _solution,
     check_task_size,
@@ -100,10 +99,8 @@ def _solo_splits(
     Each split is `solvers._minmax_unit` under the canonical schedule with
     every node but the master and i forced to zero (those still relay and
     pay relay energy on the path to i), bit for bit, but all of them come
-    from one (B, n, 2) stack of the linear form's column pairs [0, i]:
-    one `_scaled`, the pure-strategy test (`_saddle`), and one stacked
-    `_equalise` of the every-node-works guess S = [0, 1], R = [0, i].  A
-    split that none of those certifies goes through `_minmax_unit` alone.
+    from one `solvers._cascade` on the (B, n, 2) stack of the linear
+    form's column pairs [0, i], whose own rows are the pairs themselves.
     Each cost is the audit's own j_system (`costs._node_terms` on the
     stacked splits).  Returns (cost, y): a (B,) array of costs and the
     (B, n) splits in bits.
@@ -114,21 +111,7 @@ def _solo_splits(
     pair[:, 1] = nodes
     _, free, msc = _scaled(a[:, pair].transpose(1, 0, 2).copy(), frozenset())
     u = np.zeros((len(pair), len(tree)))
-    loose = free.any(axis=1)
-    c, _, pure = _saddle(msc)
-    # a column nobody pays for takes everything at zero cost, and so does
-    # a pure saddle point's column at the least cost
-    certified = loose | pure
-    one = np.where(loose, free.argmax(axis=1), c)[certified]
-    u[certified, pair[certified, one]] = 1.0
-    at = np.flatnonzero(~certified)
-    got = _equalise(msc[at], np.tile((0, 1), (at.size, 1)), pair[at])
-    if got is not None:
-        u[at[:, None], pair[at]] = got
-        certified[at] = ~np.isnan(got[:, 0])
-    for j in np.flatnonzero(~certified):
-        forced = frozenset(range(len(tree))) - {MASTER_ID, int(pair[j, 1])}
-        u[j] = _minmax_unit(a, forced)[0]
+    u[np.arange(len(pair))[:, None], pair] = _cascade(msc, free, pair)[0]
     y = u * task_size
     j_node = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)[-1]
     return j_node.max(axis=1), y
@@ -260,8 +243,9 @@ def ga(
     The static cost matrix and the energy rates are built once per call;
     a chromosome's linear form adds w1 times its waiting matrix, and its
     split carries the (S, R) certified for the previous one into
-    `solvers._minmax_unit`'s cascade.  That support and the fitness memo
-    live only inside one call, so a re-solve takes the same path.
+    `solvers._minmax_unit`, which tries it before the cold cascade.  That
+    support and the fitness memo live only inside one call, so a re-solve
+    takes the same path.
     Fitness is the audit's own j_system (`costs._node_terms` on the split
     just solved), bit for bit, but only the winner is audited into a
     Solution.

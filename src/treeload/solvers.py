@@ -15,11 +15,11 @@ finish together, so the split is one small linear solve on (S, R): the
 equaliser.  Its answer is accepted only with a certificate: the primal
 weights and the dual row weights from the transposed solve are
 nonnegative, and the dual bound is within 1e-12 of the primal value
-(weak duality).  `_minmax_unit` describes the cascade that finds
-(S, R): a cold split first tries a pure saddle point, then guesses that
-every node free to work does work, and a dense simplex runs only when
-the certificate refutes both; a simplex basis the certificate refutes,
-or the one it holds when it gives up, is rebuilt from the matrix and
+(weak duality).  `_cascade` finds (S, R) for a stack of cold splits: a
+pure saddle point, then the guess that every node free to work does
+work (one stacked equaliser solve), and a dense simplex only where the
+certificate refutes both; a simplex basis the certificate refutes, or
+the one it holds when it gives up, is rebuilt from the matrix and
 pivoted on again.  A split that no step of the cascade certifies raises
 InfeasibleError, so every split returned carries the certificate.
 
@@ -216,23 +216,13 @@ def _minmax_unit(
 
     The optimum is the equal-finish point of some support S of columns and
     as many tight rows R, so it is found by `_equalise` and certified by a
-    dual vector.  After `_scaled`, `_cascade` runs the one split cascade;
-    each step runs only when every earlier one failed its certificate:
+    dual vector.  After `_scaled`, each step runs only when every earlier
+    one failed its certificate:
 
     1. carried support: `warm`, the (S, R) of an earlier answer on a
-       matrix of the same shape;
-    2. saddle point: all weight on the column of least maximum, with
-       the row of greatest minimum as R, when the pure-strategy test of
-       `_saddle` passes (that test is `_equalise`'s certificate on this
-       support);
-    3. every node works, the usual optimum: S is every free column and R
-       those nodes' own rows (row i is the node of column i + cols - rows,
-       as in `_best_order`), unless a free column has no row;
-    4. simplex: a dense simplex cold-starts from the origin and the basis
-       it stops on gives (S, R) (`_simplex_support`; a basis of the game's
-       LP is an (S, R), Shapley and Snow 1950); a basis the certificate
-       refutes is reinverted, rebuilt from msc with fresh reduced costs,
-       and pivoted on again, at most _REINVERT times.
+       matrix of the same shape, unless a column is free;
+    2. to 4. the cold cascade, `_cascade` on a stack of one, row i the
+       node of column i + cols - rows (as in `_best_order`).
 
     Raises InfeasibleError when no step certifies the split, and
     ParameterError when a column that is not pinned holds a value
@@ -241,62 +231,83 @@ def _minmax_unit(
     """
     cols, free, msc = _scaled(a[None], forced_zero)
     u = np.zeros(a.shape[1])
-    own_row = np.array(cols) - (a.shape[1] - a.shape[0])
-    u[cols], support = _cascade(msc, free[0], own_row, warm)
-    return u, support
+    got = None if warm is None or free.any() else _equalise(msc, *warm)
+    if got is None:
+        own_row = np.array(cols) - (a.shape[1] - a.shape[0])
+        got, (warm,) = _cascade(msc, free, own_row)
+    u[cols] = got[0]
+    return u, warm
 
 
 def _cascade(
-    msc: np.ndarray,
-    free: np.ndarray,
-    own_row: np.ndarray,
-    warm: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """`_minmax_unit`'s cascade on a matrix `_scaled` has already scaled.
+    msc: np.ndarray, free: np.ndarray, own_row: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray] | None]]:
+    """The cold split cascade on a (B, rows, cols) stack `_scaled` made.
 
-    msc is a (1, rows, cols) stack of one and free its mask of the columns
-    no row pays for.  own_row[k] is the row of column k's node, negative
-    when that node has no row.  Returns (u, support), u over msc's columns.
+    free is the stack's (B, cols) mask of the columns no row pays for, and
+    own_row, ascending, is each column's row: (cols,) for the whole stack,
+    negative where a node has no row, or (B, cols), a row for every column
+    of each matrix.  Each matrix takes the first step its certificate
+    passes, and gets the bits it gets as a stack of one:
+
+    1. free column: it takes everything at zero cost, with no support;
+    2. saddle point: all weight on the column c of least maximum, R the
+       row r of greatest minimum, when colmax[c] - rowmin[r] <= _CERT_TOL
+       * colmax[c] (`_equalise`'s weak-duality check on ([c], [r]));
+    3. every node works, the usual optimum: S every column and R their
+       own rows, unless a column has none; one `_equalise` for the stack;
+    4. simplex, a matrix at a time: the basis a dense simplex stops on
+       from the origin gives (S, R) (`_simplex_support`; a basis of the
+       game's LP is an (S, R), Shapley and Snow 1950), and a basis the
+       certificate refutes is reinverted and pivoted on again, at most
+       _REINVERT times.
+
+    Raises InfeasibleError when a matrix passes no step.  Returns (u,
+    supports): u, (B, cols), and each matrix's certified (S, R), None for
+    a free column.
     """
-    if free.any():
-        # a column nobody pays for absorbs everything at zero cost
-        u = np.zeros(len(free))
-        u[free.argmax()] = 1.0
-        return u, None
-    u = None if warm is None else _equalise(msc, *warm)
-    if u is None:
-        c, r, pure = _saddle(msc)
-        if pure[0]:
-            # the pure test is _equalise's own check on ([c], [r])
-            warm = c, r
-            u = np.eye(msc.shape[2])[c]
-    if u is None and own_row[0] >= 0:
-        warm = np.arange(len(own_row)), own_row
-        u = _equalise(msc, *warm)
-    if u is None:
-        warm = None
-        for _ in range(1 + _REINVERT):
-            warm = _simplex_support(msc[0], warm)
-            u = None if warm is None else _equalise(msc, *warm)
-            if u is not None or warm is None:
-                break
-    if u is None:
-        raise InfeasibleError("min-max split could not be certified")
-    return u[0], warm
-
-
-def _saddle(msc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pure-strategy saddle points of a (B, rows, cols) stack.
-
-    c is each matrix's column of least maximum and r its row of greatest
-    minimum, the first on ties.  All weight on c is optimal when
-    colmax[c] - rowmin[r] <= _CERT_TOL * colmax[c]: the weak-duality check
-    `_equalise` applies to ([c], [r]).  Returns (c, r, pure), each (B,).
-    """
+    nb, _, nc = msc.shape
+    u, supports, left = np.zeros((nb, nc)), [None] * nb, []
     colmax, rowmin = msc.max(axis=1), msc.min(axis=2)
     top = colmax.min(axis=1)
-    pure = top - rowmin.max(axis=1) <= _CERT_TOL * top
-    return colmax.argmin(axis=1), rowmin.argmax(axis=1), pure
+    pure = (top - rowmin.max(axis=1) <= _CERT_TOL * top).tolist()
+    for j, loose in enumerate(free.any(axis=1).tolist()):
+        if loose:
+            u[j, free[j].argmax()] = 1.0
+        elif pure[j]:
+            c = colmax[j : j + 1].argmin(axis=1)
+            u[j, c[0]] = 1.0
+            supports[j] = c, rowmin[j : j + 1].argmax(axis=1)
+        else:
+            left.append(j)
+    every = np.arange(nc)
+    if own_row.ndim == 1:
+        rows, s, r = [own_row] * nb, every, own_row
+        guess = left if own_row[0] >= 0 else []
+    else:
+        rows, guess = own_row, left
+        s, r = np.tile(every, (len(left), 1)), own_row[left]
+    if guess:
+        at = slice(None) if len(guess) == nb else guess
+        got = _equalise(msc[at], s, r)
+        if got is not None:
+            u[at] = got  # the simplex overwrites a refuted row's NaN
+            for j, first in zip(guess, got[:, 0].tolist()):
+                if not math.isnan(first):
+                    supports[j] = every, rows[j]
+    for j in left:
+        if supports[j] is not None:
+            continue
+        support = None
+        for _ in range(1 + _REINVERT):
+            support = _simplex_support(msc[j], support)
+            got = None if support is None else _equalise(msc[j : j + 1], *support)
+            if got is not None or support is None:
+                break
+        if got is None:
+            raise InfeasibleError("min-max split could not be certified")
+        u[j], supports[j] = got[0], support
+    return u, supports
 
 
 def _simplex_support(
@@ -324,8 +335,10 @@ def _simplex_support(
     tableau can call a basis optimal that is not.  `start`, the (S, R) of
     such a basis, reinverts it: the tableau is rebuilt as B⁻¹[msc I | 1],
     B the columns of S and the slacks of the rows outside R, with fresh
-    reduced costs, and pivoting resumes from there.  That basis need not
-    be feasible; pivoting only searches for an (S, R), and the
+    reduced costs, and pivoting resumes from there, entering any negative
+    reduced cost (stopping at -_CERT_TOL, as a cold run does, can leave
+    duals of -1e-13 that fail the certificate every round).  That basis
+    need not be feasible; pivoting only searches for an (S, R), and the
     certificate judges it.  None only when B is numerically singular.
     """
     nr, nc = msc.shape
@@ -347,9 +360,10 @@ def _simplex_support(
         t[:nr, basis] = np.eye(nr)
         t[nr] -= t[nr, basis] @ t[:nr]
         t[nr, basis] = 0.0
+    least = -_CERT_TOL if start is None else 0.0
     bland = False
     for _ in range(50 * (nr + nc)):
-        entering = np.flatnonzero(t[nr, :-1] < -_CERT_TOL)
+        entering = np.flatnonzero(t[nr, :-1] < least)
         if not entering.size:
             break
         j = entering[0] if bland else int(np.argmin(t[nr, :-1]))
@@ -525,7 +539,8 @@ def _best_order(
                     break
                 width *= 2
             if i < nb:
-                u[i, cols], support = _cascade(msc[i : i + 1], free[i], own_row)
+                got, (support,) = _cascade(msc[i : i + 1], free[i : i + 1], own_row)
+                u[i, cols] = got[0]
                 i += 1
         y = u * task_size
         z = (a @ y[:, :, None]).max(axis=(1, 2), initial=0.0)

@@ -150,33 +150,40 @@ def test_solo_splits_on_free_columns_and_the_master_alone():
 
 
 def test_solo_splits_that_fail_the_guess_take_the_cascade(monkeypatch):
-    # the stacked every-node-works guess is refuted wherever the last
-    # node's row pays for column 1 (node i itself, or a node sent after i
-    # on i's channel): those splits, and only those, go through
-    # `_minmax_unit` alone, with the per-node loop's bits
+    # the stack's every-node-works guess, one `_equalise` of a support per
+    # matrix, is refuted wherever the last node's row pays for column 1
+    # (node i itself, or a node sent after i on i's channel): those
+    # splits, and only those, go on to the simplex, with the per-node
+    # loop's bits
     equalise = solvers._equalise
-    refuted, cascade = [], []
+    refuted, cold = [], []
 
     def flaky(m, s, r):
         got = equalise(m, s, r)
+        if s.ndim == 1:
+            return got
         got = np.full((len(m), m.shape[2]), np.nan) if got is None else got
         got[m[:, -1, 1] > 0.0] = np.nan
-        refuted.extend(r[np.isnan(got[:, 0]), 1].tolist())
+        refuted.extend(m[np.isnan(got[:, 0])])
         return got
 
-    def split(a, forced):
-        cascade.extend(set(range(len(a))) - forced - {0})
-        return solvers._minmax_unit(a, forced)
+    simplex = solvers._simplex_support
 
-    monkeypatch.setattr(heuristics, "_equalise", flaky)
-    monkeypatch.setattr(heuristics, "_minmax_unit", split)
+    def counting(msc, start=None):
+        if start is None:
+            cold.append(msc)
+        return simplex(msc, start)
+
+    monkeypatch.setattr(solvers, "_equalise", flaky)
+    monkeypatch.setattr(solvers, "_simplex_support", counting)
     for seed in range(6):
         tree = rand_tree(random.Random(seed + 900), 9)
         refuted.clear()
-        cascade.clear()
+        cold.clear()
         heuristics._solo_splits(tree, range(1, len(tree)), Y, W, B_COMP)
-        assert 1 <= len(cascade) < len(tree) - 1
-        assert cascade == refuted
+        assert 1 <= len(cold) < len(tree) - 1
+        assert len(cold) == len(refuted)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cold, refuted))
         _check_solo_splits(tree, W)
 
 
