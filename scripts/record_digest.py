@@ -7,9 +7,10 @@ record holds a timing.  One more group, `random`, holds answers off the
 benchmark's regime, where corner optima and ties are common: on seeded
 `tests/conftest.rand_tree` trees of 2-8 nodes, each node's switched
 capacitance drawn as 10**U(-28, -2), and five weight pairs, it records
-`pmo`, `cmo` (at most 720 schedules), a 15-generation `ga`,
-`baseline_partial`, `baseline_master_worker`, every solo split and
-`node_prune`'s tree.  Writes all records to one JSON file and prints one
+`pmo`, `cmo` (at most 720 schedules), a 15-generation `ga`, an
+8-generation `ga` of population 16 (generations wider than a sweep's
+first window), `baseline_partial`, `baseline_master_worker`, every solo
+split and `node_prune`'s tree.  Writes all records to one JSON file and prints one
 sha256 per workload and seed, per scenario and for the random group.  Two
 checkouts whose answers are bit-identical print the same digests:
 
@@ -93,6 +94,8 @@ def random_records() -> list[dict]:
                 sols["cmo"] = cmo(tree, TASK_BITS, w, b=b)
             params = GaParams(generations=15, rng_seed=seed)
             sols["ga"] = ga(tree, TASK_BITS, w, params, b=b)
+            params = GaParams(population=16, generations=8, rng_seed=seed)
+            sols["ga-16"] = ga(tree, TASK_BITS, w, params, b=b)
             sols["baseline_partial"] = baseline_partial(tree, TASK_BITS, w, b=b)
             sols["baseline_master_worker"] = baseline_master_worker(
                 tree, TASK_BITS, w, b=b

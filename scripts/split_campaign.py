@@ -147,8 +147,7 @@ def run(name: str) -> tuple[str, int, Counter, int]:
             rounds[0] += len(msc) - len(current)
             rounds.update(current)
 
-    # heuristics holds its own reference to _cascade for the solo splits
-    solvers._cascade = heuristics._cascade = counting_cascade
+    solvers._cascade = counting_cascade
     solvers._simplex_support = counting_simplex
     try:
         for answer in families()[name]():
@@ -157,7 +156,7 @@ def run(name: str) -> tuple[str, int, Counter, int]:
             except InfeasibleError:
                 pass
     finally:
-        solvers._cascade = heuristics._cascade = cascade
+        solvers._cascade = cascade
         solvers._simplex_support = simplex
     return name, sum(rounds.values()), rounds, infeasible[0]
 

@@ -13,10 +13,10 @@ compute time, and the energy it spends computing and relaying:
 The system objective is max_i J_i.  For a fixed schedule every J_i is a
 nonnegative linear form in y: the schedule-independent `_static_matrix`,
 built once per solve, plus w1 times the schedule's waiting terms
-(`_waiting`, a mask over the tree's sharing matrix).  The solvers add the
-two (pmo on slices of them); `cost_coefficients` returns their sum as one
-read-only matrix, for `solvers.solve_fixed_order`,
-`verification.check_solution` and tests.
+(`_waiting`, a mask over the tree's sharing matrix, one per order of a
+stack).  The solvers add the two (pmo on slices of them);
+`cost_coefficients` returns their sum as one read-only matrix, for
+`solvers.solve_fixed_order`, `verification.check_solution` and tests.
 `_node_terms` evaluates every term of one split, for `system_cost` and GA
 fitness alike, from energy rates (`_energy_rates`) each caller builds
 once.  Both take a few numpy operations on per-tree arrays
@@ -141,7 +141,8 @@ def system_cost(
     n = len(tree)
     if len(alloc.y) != n:
         raise ParameterError(f"allocation has {len(alloc.y)} entries, tree has {n}")
-    wait, y = _waiting(tree, schedule), alloc.as_array()
+    wait = _waiting(tree.shared_inv_rate, [schedule.orders])[0]
+    y = alloc.as_array()
     terms = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)
     terms = [tuple(v.tolist()) for v in terms]
     return CostBreakdown(*terms, j_system=max(terms[-1]))
@@ -210,14 +211,26 @@ def _static_matrix(tree: SinkTree, weights: Weights, b: float) -> np.ndarray:
     return a
 
 
-def _waiting(tree: SinkTree, schedule: Schedule) -> np.ndarray:
-    """Unit-weight waiting terms: i waits on each j sent before it in its subtree."""
-    pos = [0] * len(tree)
-    for seq in schedule.orders:
-        for k, i in enumerate(seq):
-            pos[i] = k
-    rank = np.array(pos)
-    return tree.shared_inv_rate * (rank[:, None] > rank[None, :])
+def _waiting(shared: np.ndarray, orders) -> np.ndarray:
+    """Unit-weight waiting masks, (len(orders), rows, cols), one per order.
+
+    `shared` is a tree's sharing matrix, or a slice whose rows are its
+    trailing columns (a `pmo` probe has no master row).  Each order holds
+    one sequence of columns per group, earliest first (a Schedule's
+    `orders` is one).  A column ranks by its place in its sequence, 0
+    outside every group, and row i waits on each column ranked before
+    it: shared * (rank_i > rank_j).
+    """
+    nr, n = shared.shape
+    # a Python loop beats numpy scatters on the stacks of one to a few
+    # orders most calls make, and costs under 1% of a big stack's splits
+    rank = [0] * (n * len(orders))
+    for base, order in zip(range(0, len(rank), n), orders):
+        for seq in order:
+            for k, i in enumerate(seq):
+                rank[base + i] = k
+    rank = np.array(rank).reshape(len(orders), n)
+    return shared * (rank[:, n - nr :, None] > rank[:, None, :])
 
 
 def cost_coefficients(
@@ -228,6 +241,7 @@ def cost_coefficients(
 ) -> np.ndarray:
     """Read-only matrix a of the linear form J_i(y) = sum_k a[i, k] * y_k."""
     validate_schedule(tree, schedule)
-    a = _static_matrix(tree, weights, b) + weights.w1 * _waiting(tree, schedule)
+    wait = _waiting(tree.shared_inv_rate, [schedule.orders])[0]
+    a = _static_matrix(tree, weights, b) + weights.w1 * wait
     a.flags.writeable = False
     return a

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solvers
 from .costs import (
     Schedule,
     Weights,
@@ -33,14 +34,7 @@ from .costs import (
     cost_coefficients,
 )
 from .errors import ParameterError, checked
-from .solvers import (
-    Solution,
-    _cascade,
-    _minmax_unit,
-    _scaled,
-    _solution,
-    check_task_size,
-)
+from .solvers import Solution, _solution, check_task_size
 from .tree import MASTER_ID, SinkTree, prune_tree
 from .units import DEFAULT_B
 
@@ -100,18 +94,22 @@ def _solo_splits(
     every node but the master and i forced to zero (those still relay and
     pay relay energy on the path to i), bit for bit, but all of them come
     from one `solvers._cascade` on the (B, n, 2) stack of the linear
-    form's column pairs [0, i], whose own rows are the pairs themselves.
-    Each cost is the audit's own j_system (`costs._node_terms` on the
-    stacked splits).  Returns (cost, y): a (B,) array of costs and the
-    (B, n) splits in bits.
+    form's column pairs [0, i].  In each pair's form rows 1 and i swap
+    places, so every pair's own rows are rows 0 and 1.  Each cost is the
+    audit's own j_system (`costs._node_terms` on the stacked splits).
+    Returns (cost, y): a (B,) array of costs and the (B, n) splits in bits.
     """
-    wait = _waiting(tree, canonical_schedule(tree))
+    wait = _waiting(tree.shared_inv_rate, [canonical_schedule(tree).orders])[0]
     a = _static_matrix(tree, weights, b) + weights.w1 * wait
+    at = np.arange(len(nodes))
     pair = np.zeros((len(nodes), 2), dtype=int)
     pair[:, 1] = nodes
-    _, free, msc = _scaled(a[:, pair].transpose(1, 0, 2).copy(), frozenset())
-    u = np.zeros((len(pair), len(tree)))
-    u[np.arange(len(pair))[:, None], pair] = _cascade(msc, free, pair)[0]
+    rows = np.tile(np.arange(len(tree)), (len(nodes), 1))
+    rows[at, pair[:, 1]] = 1  # row i moves to row 1, and row 1 to row i
+    rows[:, 1] = pair[:, 1]
+    _, free, msc = solvers._scaled(a[rows[:, :, None], pair[:, None]], frozenset())
+    u = np.zeros((len(nodes), len(tree)))
+    u[at[:, None], pair] = solvers._cascade(msc, free, np.arange(2))[0]
     y = u * task_size
     j_node = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)[-1]
     return j_node.max(axis=1), y
@@ -240,15 +238,15 @@ def ga(
     Deterministic for a given rng_seed.  Returns the best solution seen
     across all generations.
 
-    The static cost matrix and the energy rates are built once per call;
-    a chromosome's linear form adds w1 times its waiting matrix, and its
-    split carries the (S, R) certified for the previous one into
-    `solvers._minmax_unit`, which tries it before the cold cascade.  That
-    support and the fitness memo live only inside one call, so a re-solve
-    takes the same path.
-    Fitness is the audit's own j_system (`costs._node_terms` on the split
-    just solved), bit for bit, but only the winner is audited into a
-    Solution.
+    The static cost matrix and the energy rates are built once per call.
+    Each generation's chromosomes not seen before, in population order
+    and without duplicates, are split as one stack by the exact solvers'
+    sweep (`solvers._carried_splits`, static + w1 times their
+    `costs._waiting` masks), the (S, R) certified last carried from one
+    generation to the next.  That support and the fitness memo live only
+    inside one call, so a re-solve takes the same path.  Fitness is the
+    audit's own j_system (`costs._node_terms` on the stacked splits), bit
+    for bit, but only the winner is audited into a Solution.
     """
     check_task_size(task_size)
     rng = random.Random(params.rng_seed)
@@ -263,18 +261,22 @@ def ga(
     memo: dict[tuple[tuple[int, ...], ...], tuple] = {}
     support = None
 
-    def fitness(chrom: tuple[tuple[int, ...], ...]) -> float:
+    def split_new(population) -> None:
         nonlocal support
-        if chrom not in memo:
-            wait = _waiting(tree, Schedule(orders=chrom))
+        new = [c for c in dict.fromkeys(population) if c not in memo]
+        if new:
+            wait = _waiting(tree.shared_inv_rate, new)
             a = static + weights.w1 * wait
-            u, support = _minmax_unit(a, forced_zero, support)
+            u, support = solvers._carried_splits(a, forced_zero, support)
             y = u * task_size
             j_node = _node_terms(tree, energy, wait, y, weights, b)[-1]
-            memo[chrom] = (max(j_node.tolist()), y)
+            memo.update(zip(new, zip(j_node.max(axis=1).tolist(), y)))
+
+    def fitness(chrom: tuple[tuple[int, ...], ...]) -> float:
         return memo[chrom][0]
 
     population = [random_chromosome() for _ in range(params.population)]
+    split_new(population)
     best = min(population, key=fitness)
     n_elite = max(1, math.ceil(ELITE_FRAC * params.population))
 
@@ -297,6 +299,7 @@ def ga(
                 child = _mutate(rng, child)
             next_pop.append(child)
         population = next_pop
+        split_new(population)
         gen_best = min(population, key=fitness)
         if fitness(gen_best) < fitness(best):
             best = gen_best
@@ -357,7 +360,7 @@ def baseline_master_worker(
     sched = canonical_schedule(tree)
     forced = frozenset(range(len(tree))) - {MASTER_ID, *tree.children[MASTER_ID]}
     a = cost_coefficients(tree, sched, Weights(1.0, 0.0), b)
-    y = _minmax_unit(a, forced)[0] * task_size
+    y = solvers._minmax_unit(a, forced)[0] * task_size
     tag = "baseline-master-worker"
     return _solution(tree, sched, y, task_size, weights, b, tag)
 
@@ -376,7 +379,7 @@ def baseline_multi_hop(
     check_task_size(task_size)
     sched = canonical_schedule(tree)
     y = np.eye(len(tree)) * task_size
-    wait = _waiting(tree, sched)
+    wait = _waiting(tree.shared_inv_rate, [sched.orders])[0]
     j_node = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)[-1]
     best = int(j_node.max(axis=1).argmin())
     return _solution(tree, sched, y[best], task_size, weights, b, "baseline-multi-hop")

@@ -23,14 +23,15 @@ the one it holds when it gives up, is rebuilt from the matrix and
 pivoted on again.  A split that no step of the cascade certifies raises
 InfeasibleError, so every split returned carries the certificate.
 
-`cmo` enumerates every per-subtree transmission order and keeps the
-best.  `_best_order` takes the orders in lexicographic blocks: one stack
-of linear forms per block, the last certified (S, R) carried from one
-order to the next and tried on many orders in one stacked equaliser
-solve, and one stacked matmul to score them.  Every order's split has the
-bits a one-order-at-a-time loop would give it.  The genetic search in
-`heuristics.ga` carries (S, R) the same way from one fitness evaluation
-to the next, a stack of one at a time.
+A sequence of splits is one sweep (`_carried_splits`): the last
+certified (S, R) is carried from one matrix to the next and tried on many
+of them in one stacked equaliser solve, and only a matrix it fails goes
+through the cascade.  Every matrix gets the bits a one-at-a-time loop
+would give it.  `cmo` enumerates every per-subtree transmission order
+and keeps the best: `_best_order` sweeps the orders in lexicographic
+blocks, one stack of linear forms per block, and scores a block with one
+stacked matmul.  The genetic search in `heuristics.ga` sweeps each
+generation's new orders the same way.
 `pmo` exploits that subtrees only interact through the master: each
 subtree's orders are enumerated the same way on its slice of the tree's
 matrices, then one more small split divides the task between the master
@@ -54,6 +55,7 @@ from .costs import (
     Schedule,
     Weights,
     _static_matrix,
+    _waiting,
     cost_coefficients,
     system_cost,
 )
@@ -72,8 +74,8 @@ _CANCEL_TOL = 1e-13
 _REINVERT = 3
 # cmo and pmo warn before enumerating more orders than this
 _WARN_SCHEDULES = 10**6
-# _best_order stacks at most this many orders at once, and first tries a
-# carried support on this many of them
+# _best_order stacks at most this many orders at once, and _carried_splits
+# first tries a carried support on this many matrices
 _BLOCK = 2048
 _SWEEP = 8
 
@@ -103,14 +105,14 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     """Equal-finish weights on support s and tight rows r, where provably optimal.
 
     m is a (B, rows, cols) stack of matrices; a single split is a stack of
-    one.  s and r are either one (k,) support shared by every matrix or
-    both (B, k), a support per matrix.  For each matrix, solves
-    [m_rs  -1; 1ᵀ 0] [u_s; z] = [0; 1] for the primal and the transposed
-    system for the duals p_r.  An answer passes only when u and p are
-    nonnegative (to _CERT_TOL before clipping) and the primal value
-    zp = max(m u) exceeds the dual bound zd = min over columns of pᵀm by
-    at most _CERT_TOL * zp: every simplex point costs at least zd (weak
-    duality), so a passing u is optimal to that tolerance.  Each matrix
+    one.  s and r, both (k,), are one support for the whole stack.  For
+    each matrix, solves [m_rs  -1; 1ᵀ 0] [u_s; z] = [0; 1] for the primal
+    and the transposed system for the duals p_r.  An answer passes only
+    when u and p are nonnegative (to _CERT_TOL before clipping) and the
+    primal value zp = max(m u) exceeds the dual bound zd = min over
+    columns of pᵀm by at most _CERT_TOL * zp: every simplex point costs
+    at least zd (weak duality), so a passing u is optimal to that
+    tolerance.  Each matrix
     gets the bits it would get alone.  Returns u, shape (B, cols), with a
     row of NaN for each matrix whose system is singular or whose
     certificate fails; None when none passes.
@@ -119,11 +121,7 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     if k == 0 or k != r.shape[-1]:
         return None
     nb, nr, nc = m.shape
-    shared = s.ndim == 1
-    if shared:
-        m_rs = m[:, r[:, None], s]
-    else:
-        m_rs = m[np.arange(nb)[:, None, None], r[:, :, None], s[:, None, :]]
+    m_rs = m[:, r[:, None], s]
     kkt = np.zeros((nb, 2, k + 1, k + 1))
     kkt[:, 0, :k, :k] = m_rs
     kkt[:, 1, :k, :k] = m_rs.transpose(0, 2, 1)
@@ -147,17 +145,10 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
         if not ok.any():
             return None
         m, sol = m[ok], sol[ok]
-        if not shared:
-            s, r = s[ok], r[ok]
     u = np.zeros((len(m), nc))
     p = np.zeros((len(m), nr))
-    if shared:
-        u[:, s] = np.maximum(sol[:, 0], 0.0)
-        p[:, r] = np.maximum(sol[:, 1], 0.0)
-    else:
-        at = np.arange(len(m))[:, None]
-        u[at, s] = np.maximum(sol[:, 0], 0.0)
-        p[at, r] = np.maximum(sol[:, 1], 0.0)
+    u[:, s] = np.maximum(sol[:, 0], 0.0)
+    p[:, r] = np.maximum(sol[:, 1], 0.0)
     u /= u.sum(axis=1, keepdims=True)
     p /= p.sum(axis=1, keepdims=True)
     zp = (m @ u[:, :, None]).max(axis=1)[:, 0]
@@ -206,37 +197,67 @@ def _scaled(
 
 
 def _minmax_unit(
-    a: np.ndarray,
-    forced_zero: frozenset[int],
-    warm: tuple[np.ndarray, np.ndarray] | None = None,
+    a: np.ndarray, forced_zero: frozenset[int]
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Minimize max over rows of (a u) on the simplex; returns unit weights u.
 
-    Columns in forced_zero are pinned to zero.
-
-    The optimum is the equal-finish point of some support S of columns and
-    as many tight rows R, so it is found by `_equalise` and certified by a
-    dual vector.  After `_scaled`, each step runs only when every earlier
-    one failed its certificate:
-
-    1. carried support: `warm`, the (S, R) of an earlier answer on a
-       matrix of the same shape, unless a column is free;
-    2. to 4. the cold cascade, `_cascade` on a stack of one, row i the
-       node of column i + cols - rows (as in `_best_order`).
+    Columns in forced_zero are pinned to zero.  The split is that of a
+    sweep of one with nothing carried in (`_carried_splits`).
 
     Raises InfeasibleError when no step certifies the split, and
     ParameterError when a column that is not pinned holds a value
     that is not finite (an overflowing weight).  Returns (u, support):
-    support is the certified (S, R) to warm-start the next call, or None.
+    support is the certified (S, R), or None for a free column.
     """
     cols, free, msc = _scaled(a[None], forced_zero)
     u = np.zeros(a.shape[1])
-    got = None if warm is None or free.any() else _equalise(msc, *warm)
-    if got is None:
-        own_row = np.array(cols) - (a.shape[1] - a.shape[0])
-        got, (warm,) = _cascade(msc, free, own_row)
+    own_row = np.array(cols) - (a.shape[1] - a.shape[0])
+    got, (support,) = _cascade(msc, free, own_row)
     u[cols] = got[0]
-    return u, warm
+    return u, support
+
+
+def _carried_splits(
+    a: np.ndarray,
+    forced_zero: frozenset[int],
+    support: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Split a (B, rows, cols) stack in order, carrying each certified support.
+
+    Each matrix is split from the (S, R) the one before it certified
+    (`support` for the first, None for nothing), with the bits of a loop
+    that splits them one at a time.  The carried support is tried on the
+    pending matrices with one stacked `_equalise`, over a window of
+    _SWEEP that doubles while every matrix in it passes.  The first one
+    it fails (so every one with a free column) goes through `_cascade`,
+    row i the node of column i + cols - rows, and the support it
+    certifies is swept on.  Raises as `_scaled` and `_cascade` do.
+    Returns the (B, cols) unit splits and the support to carry on, None
+    after a free column.
+    """
+    cols, free, msc = _scaled(a, forced_zero)
+    own_row = np.array(cols) - (a.shape[2] - a.shape[1])
+    nb = len(a)
+    u = np.zeros((nb, a.shape[2]))
+    i = 0
+    while i < nb:
+        width = _SWEEP
+        while support is not None and i < nb:
+            window = min(width, nb - i)
+            got = _equalise(msc[i : i + window], *support)
+            ok = [False] if got is None else ~np.isnan(got[:, 0])
+            passed = window if np.all(ok) else int(np.argmin(ok))
+            if passed:
+                u[i : i + passed, cols] = got[:passed]
+            i += passed
+            if passed < width:
+                break
+            width *= 2
+        if i < nb:
+            got, (support,) = _cascade(msc[i : i + 1], free[i : i + 1], own_row)
+            u[i, cols] = got[0]
+            i += 1
+    return u, support
 
 
 def _cascade(
@@ -245,10 +266,10 @@ def _cascade(
     """The cold split cascade on a (B, rows, cols) stack `_scaled` made.
 
     free is the stack's (B, cols) mask of the columns no row pays for, and
-    own_row, ascending, is each column's row: (cols,) for the whole stack,
-    negative where a node has no row, or (B, cols), a row for every column
-    of each matrix.  Each matrix takes the first step its certificate
-    passes, and gets the bits it gets as a stack of one:
+    own_row, ascending and the same for the whole stack, is each column's
+    row, negative where a node has no row.  Each matrix takes the first
+    step its certificate passes, and gets the bits it gets as a stack of
+    one:
 
     1. free column: it takes everything at zero cost, with no support;
     2. saddle point: all weight on the column c of least maximum, R the
@@ -281,20 +302,14 @@ def _cascade(
         else:
             left.append(j)
     every = np.arange(nc)
-    if own_row.ndim == 1:
-        rows, s, r = [own_row] * nb, every, own_row
-        guess = left if own_row[0] >= 0 else []
-    else:
-        rows, guess = own_row, left
-        s, r = np.tile(every, (len(left), 1)), own_row[left]
-    if guess:
-        at = slice(None) if len(guess) == nb else guess
-        got = _equalise(msc[at], s, r)
+    if left and own_row[0] >= 0:
+        at = slice(None) if len(left) == nb else left
+        got = _equalise(msc[at], every, own_row)
         if got is not None:
             u[at] = got  # the simplex overwrites a refuted row's NaN
-            for j, first in zip(guess, got[:, 0].tolist()):
+            for j, first in zip(left, got[:, 0].tolist()):
                 if not math.isnan(first):
-                    supports[j] = every, rows[j]
+                    supports[j] = every, own_row
     for j in left:
         if supports[j] is not None:
             continue
@@ -480,24 +495,16 @@ def _best_order(
     `static` and `shared` (a slice of the tree's sharing matrix) have a
     column per node and a row per node of their trailing columns: every
     node in `cmo`, every node but the master in a `pmo` probe.  An order
-    takes one permutation of each of `groups`' columns and ranks each
-    column by its place in its group (0 outside every group).  As in
-    `costs._waiting`, row i waits on every column ranked before it, so an
-    order's linear form a is static + w1 * shared * (rank_i > rank_j).
+    takes one permutation of each of `groups`' columns, and its linear
+    form is static + w1 times its `costs._waiting` mask.
 
     Orders come in lexicographic blocks of at most _BLOCK, and each block
-    is one (B, rows, cols) stack of those forms.  Every order gets the
-    split `_minmax_unit` gives it with the previous order's certified
-    support carried in, bit for bit.  The carried support is tried on the
-    pending orders with one stacked `_equalise`, over a window of
-    _SWEEP orders that doubles while every order in it passes.  The
-    first order it fails (every order with a free column fails) goes
-    through `_cascade` on its scaled matrix, and the support that order
-    certifies is swept over the orders after it.  An order scores the
-    largest row of a @ y, y its split in bits, from one stacked matmul;
-    ties go to the earliest order.  Warns (RuntimeWarning) before more
-    than 10**6 orders.  Returns (score, order, y, orders tried), the order
-    as one tuple of columns per group.
+    is one (B, rows, cols) stack of those forms, split by one
+    `_carried_splits` sweep; the support certified last carries into the
+    next block.  An order scores the largest row of a @ y, y its split in
+    bits, from one stacked matmul; ties go to the earliest order.  Warns
+    (RuntimeWarning) before more than 10**6 orders.  Returns (score,
+    order, y, orders tried), the order as one tuple of columns per group.
     """
     total = math.prod(math.factorial(len(g)) for g in groups)
     if total > _WARN_SCHEDULES:
@@ -507,41 +514,11 @@ def _best_order(
             RuntimeWarning,
             stacklevel=3,
         )
-    nr, n = static.shape
-    place = np.array([k for g in groups for k in range(len(g))], dtype=int)
     orders = _orders(groups)
     best, support = None, None
     while block := list(itertools.islice(orders, _BLOCK)):
-        nb = len(block)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(block)),
-            dtype=int,
-            count=nb * place.size,
-        ).reshape(nb, place.size)
-        rank = np.zeros((nb, n), dtype=int)
-        rank[np.arange(nb)[:, None], flat] = place
-        a = static + w1 * (shared * (rank[:, n - nr :, None] > rank[:, None, :]))
-        cols, free, msc = _scaled(a, forced_zero)
-        own_row = np.array(cols) - (n - nr)
-        u = np.zeros((nb, n))
-        i = 0
-        while i < nb:
-            width = _SWEEP
-            while support is not None and i < nb:
-                window = min(width, nb - i)
-                got = _equalise(msc[i : i + window], *support)
-                ok = [False] if got is None else ~np.isnan(got[:, 0])
-                passed = window if np.all(ok) else int(np.argmin(ok))
-                if passed:
-                    u[i : i + passed, cols] = got[:passed]
-                i += passed
-                if passed < width:
-                    break
-                width *= 2
-            if i < nb:
-                got, (support,) = _cascade(msc[i : i + 1], free[i : i + 1], own_row)
-                u[i, cols] = got[0]
-                i += 1
+        a = static + w1 * _waiting(shared, block)
+        u, support = _carried_splits(a, forced_zero, support)
         y = u * task_size
         z = (a @ y[:, :, None]).max(axis=(1, 2), initial=0.0)
         k = int(z.argmin())

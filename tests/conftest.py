@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from oracles import PlainTree
-from treeload import NetworkGraph, ServerParams, build_sink_tree
+from treeload import NetworkGraph, ServerParams, build_sink_tree, solvers
 from treeload.tree import SinkTree
 from treeload.units import gbps_to_bps, ghz_to_hz
 
@@ -80,6 +81,26 @@ def plain_of(tree: SinkTree) -> PlainTree:
         cap=tuple(s.switched_cap for s in tree.servers),
         tx=tuple(s.tx_power for s in tree.servers),
     )
+
+
+def carried_split(a, forced_zero, support):
+    """One split of the linear form a that starts from a carried (S, R),
+    written out as the bitwise reference of one step of the sweep
+    `solvers._carried_splits`: `_equalise` of the support on a's scaled
+    form unless a column is free, and `_cascade` on a stack of one where
+    that fails.  Returns (u, the certified support, whether the cascade
+    ran)."""
+    cols, free, msc = solvers._scaled(a[None], forced_zero)
+    got = None
+    if support is not None and not free.any():
+        got = solvers._equalise(msc, *support)
+    cold = got is None
+    if cold:
+        own_row = np.array(cols) - (a.shape[1] - a.shape[0])
+        got, (support,) = solvers._cascade(msc, free, own_row)
+    u = np.zeros(a.shape[1])
+    u[cols] = got[0]
+    return u, support, cold
 
 
 @pytest.fixture

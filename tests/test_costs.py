@@ -18,7 +18,12 @@ from treeload import (
     canonical_schedule,
     system_cost,
 )
-from treeload.costs import _static_matrix, cost_coefficients, validate_schedule
+from treeload.costs import (
+    _static_matrix,
+    _waiting,
+    cost_coefficients,
+    validate_schedule,
+)
 from treeload.units import DEFAULT_B
 
 W = Weights(0.5, 0.05)
@@ -100,6 +105,40 @@ def test_waiting_counts_only_shared_edges():
     br = system_cost(chain, Schedule(orders=((1, 2, 3),)), alloc, W, B_COMP)
     assert br.t_wait[3] == pytest.approx(6e8 / 10e9)
     assert br.t_wait[2] == 0.0
+
+
+def _waiting_of_one(tree, schedule):
+    """The one-schedule rank loop the stacked `_waiting` replaced."""
+    pos = [0] * len(tree)
+    for seq in schedule.orders:
+        for k, i in enumerate(seq):
+            pos[i] = k
+    rank = np.array(pos)
+    return tree.shared_inv_rate * (rank[:, None] > rank[None, :])
+
+
+def test_stacked_waiting_matches_one_order_at_a_time():
+    # each mask of a stack is the mask of a one-order call, and of the
+    # one-schedule loop it replaced; a probe-shaped slice without the
+    # master's row gets the same masks minus that row
+    for seed in range(20):
+        rng = random.Random(seed + 300)
+        tree = rand_tree(rng, rng.randint(1, 9))
+        groups = [list(tree.subtrees[t]) for t in tree.subtree_roots]
+        orders = [
+            tuple(tuple(rng.sample(g, len(g))) for g in groups)
+            for _ in range(rng.randint(1, 12))
+        ]
+        shared = tree.shared_inv_rate
+        stack = _waiting(shared, orders)
+        probe = _waiting(shared[1:], orders)
+        assert stack.shape == (len(orders), len(tree), len(tree))
+        for order, mask, sliced in zip(orders, stack, probe):
+            one = _waiting(shared, [order])[0]
+            assert mask.tobytes() == one.tobytes()
+            ref = _waiting_of_one(tree, Schedule(orders=order))
+            assert mask.tobytes() == ref.tobytes()
+            assert sliced.tobytes() == mask[1:].tobytes()
 
 
 def test_relay_load_accumulates_descendants():

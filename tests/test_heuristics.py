@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import B_COMP, make_tree, rand_tree
+from conftest import B_COMP, carried_split, make_tree, rand_tree
 from treeload import (
     GaParams,
     LpParams,
@@ -150,20 +150,22 @@ def test_solo_splits_on_free_columns_and_the_master_alone():
 
 
 def test_solo_splits_that_fail_the_guess_take_the_cascade(monkeypatch):
-    # the stack's every-node-works guess, one `_equalise` of a support per
-    # matrix, is refuted wherever the last node's row pays for column 1
-    # (node i itself, or a node sent after i on i's channel): those
-    # splits, and only those, go on to the simplex, with the per-node
-    # loop's bits
+    # the stack's every-node-works guess, the first `_equalise` a pair's
+    # form meets, is refuted wherever the form's last row pays for column
+    # 1; a later `_equalise` of the same form, the simplex support's, is
+    # not.  Those splits, and only those, go on to the simplex, with the
+    # per-node loop's bits
     equalise = solvers._equalise
-    refuted, cold = [], []
+    refuted, cold, seen = [], [], set()
 
     def flaky(m, s, r):
         got = equalise(m, s, r)
-        if s.ndim == 1:
+        first = np.array([form.tobytes() not in seen for form in m])
+        seen.update(form.tobytes() for form in m)
+        if not first.any():
             return got
         got = np.full((len(m), m.shape[2]), np.nan) if got is None else got
-        got[m[:, -1, 1] > 0.0] = np.nan
+        got[first & (m[:, -1, 1] > 0.0)] = np.nan
         refuted.extend(m[np.isnan(got[:, 0])])
         return got
 
@@ -347,13 +349,13 @@ def test_ga_fitness_equals_audited_cost(seed, monkeypatch):
     weights = rng.choice([W, Weights(1.0, 0.0), Weights(0.2, 0.8)])
     schedule_of, split_of, drawn = {}, {}, []
 
-    def waiting(tree_, schedule):
-        wait = costs._waiting(tree_, schedule)
-        schedule_of[id(wait)] = (wait, schedule)
+    def waiting(shared, orders):
+        wait = costs._waiting(shared, orders)
+        schedule_of[id(wait)] = (wait, orders)
         return wait
 
     def node_terms(tree_, energy, wait, y, weights_, b):
-        split_of[schedule_of[id(wait)][1].orders] = y.copy()
+        split_of.update(zip(schedule_of[id(wait)][1], y.copy()))
         return costs._node_terms(tree_, energy, wait, y, weights_, b)
 
     class Recording(random.Random):
@@ -376,14 +378,99 @@ def test_ga_fitness_equals_audited_cost(seed, monkeypatch):
     assert sol.cost == min(br.j_system for br in audited.values())
 
 
+def _ga_one_chromosome_at_a_time(tree, task_size, weights, params, forced_zero):
+    """The GA loop whose fitness split one new chromosome at a time, the
+    previous split's (S, R) carried in, kept as the bitwise reference of
+    GA's stacked sweep.  Returns (winner, its cost and split, chromosomes
+    split, the (population, roulette weights) of every parent draw)."""
+    rng = random.Random(params.rng_seed)
+    groups = [list(tree.subtrees[t]) for t in tree.subtree_roots]
+    static = costs._static_matrix(tree, weights, B_COMP)
+    energy = costs._energy_rates(tree, B_COMP)
+    memo, support, drawn = {}, None, []
+
+    def fitness(chrom):
+        nonlocal support
+        if chrom not in memo:
+            wait = costs._waiting(tree.shared_inv_rate, [chrom])[0]
+            a = static + weights.w1 * wait
+            u, support, _ = carried_split(a, forced_zero, support)
+            y = u * task_size
+            j_node = costs._node_terms(tree, energy, wait, y, weights, B_COMP)[-1]
+            memo[chrom] = (max(j_node.tolist()), y)
+        return memo[chrom][0]
+
+    population = [
+        tuple(tuple(rng.sample(g, len(g))) for g in groups)
+        for _ in range(params.population)
+    ]
+    best = min(population, key=fitness)
+    n_elite = max(1, math.ceil(heuristics.ELITE_FRAC * params.population))
+    for _ in range(params.generations):
+        next_pop = sorted(population, key=fitness)[:n_elite]
+        scores = [fitness(c) for c in population]
+        zero = next((c for c, z in zip(population, scores) if z == 0.0), None)
+        while len(next_pop) < params.population:
+            if zero is not None:
+                pa = pb = zero
+            else:
+                roulette = [1.0 / z for z in scores]
+                drawn.append((list(population), roulette))
+                pa, pb = rng.choices(population, weights=roulette, k=2)
+            child = tuple(
+                _ordered_crossover(rng, sa, sb) for sa, sb in zip(pa, pb)
+            )
+            if rng.random() < heuristics.MUTATION_PROB:
+                child = _mutate(rng, child)
+            next_pop.append(child)
+        population = next_pop
+        gen_best = min(population, key=fitness)
+        if fitness(gen_best) < fitness(best):
+            best = gen_best
+    return best, memo[best], len(memo), drawn
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ga_matches_the_one_chromosome_loop(seed, monkeypatch):
+    # one stacked sweep per generation gives every chromosome the bits the
+    # one-at-a-time loop gave it, for populations up to 24, wider than a
+    # sweep's first window (_SWEEP): the same winner, cost and split, the
+    # same count of chromosomes split and the same roulette weights
+    rng = random.Random(seed + 1100)
+    tree = rand_tree(rng, rng.randint(3, 10))
+    weights = rng.choice([W, Weights(1.0, 0.0), Weights(0.2, 0.8), Weights(0.0, 1.0)])
+    forced = frozenset(rng.sample(range(1, len(tree)), rng.randint(0, 1)))
+    population = [2, 5, 9, 12, 16, 24][seed % 6]
+    params = GaParams(population=population, generations=8, rng_seed=seed)
+    best, (cost, y), evaluated, ref_drawn = _ga_one_chromosome_at_a_time(
+        tree, Y, weights, params, forced
+    )
+    drawn = []
+
+    class Recording(random.Random):
+        def choices(self, population, weights=None, **kw):
+            drawn.append((list(population), list(weights)))
+            return super().choices(population, weights=weights, **kw)
+
+    monkeypatch.setattr(heuristics.random, "Random", Recording)
+    sol = ga(tree, Y, weights, params, forced, b=B_COMP)
+    assert sol.schedule.orders == best
+    assert sol.cost == cost
+    assert sol.allocation.y == tuple(y.tolist())
+    assert sol.schedules_evaluated == evaluated
+    assert drawn == ref_drawn
+
+
 def test_ga_audits_only_its_winner(monkeypatch):
     calls, splits = [], []
     monkeypatch.setattr(
         solvers, "system_cost", lambda *a: calls.append(1) or system_cost(*a)
     )
-    split = heuristics._minmax_unit
+    sweep = solvers._carried_splits
     monkeypatch.setattr(
-        heuristics, "_minmax_unit", lambda *a: splits.append(1) or split(*a)
+        solvers,
+        "_carried_splits",
+        lambda a, *rest: splits.extend(a) or sweep(a, *rest),
     )
     for seed in range(4):
         tree = rand_tree(random.Random(seed + 800), 8)

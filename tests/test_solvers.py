@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import B_COMP, make_tree, plain_of, rand_tree
+from conftest import B_COMP, carried_split, make_tree, plain_of, rand_tree
 from scipy.optimize import linprog
 
 import treeload.solvers as solvers
@@ -461,12 +461,12 @@ def test_certificate_refutes_a_wrong_support():
     assert solvers._equalise(m[None], np.array([0, 1]), np.array([0, 1])) is None
     right = solvers._equalise(m[None], np.array([0, 1]), np.array([1, 2]))
     assert right[0] == pytest.approx([0.2, 0.8], abs=1e-15)
-    # a refuted warm guess falls back to a cold start and still reaches
-    # the optimum
-    u, support = solvers._minmax_unit(
-        m, frozenset(), (np.array([0, 1]), np.array([0, 1]))
+    # a refuted carried support falls back to a cold start and still
+    # reaches the optimum
+    u, support = solvers._carried_splits(
+        m[None], frozenset(), (np.array([0, 1]), np.array([0, 1]))
     )
-    assert u == pytest.approx([0.2, 0.8], abs=1e-15)
+    assert u[0] == pytest.approx([0.2, 0.8], abs=1e-15)
     assert [list(x) for x in support] == [[0, 1], [1, 2]]
     # against the duals of support {0}, column 1 is cheaper
     m = np.array([[1.0, 0.5], [1.0, 0.5]])
@@ -961,12 +961,11 @@ def test_stacked_equalise_matches_one_at_a_time():
 def test_stacked_cascade_matches_one_at_a_time(monkeypatch):
     # every matrix of a stack gets the bits and the (S, R) it gets as a
     # stack of one, whichever step certifies it: a free column, a pure
-    # saddle point, the every-node-works guess or the simplex.  own_row is
-    # one for the whole stack (row 0 owns no column), or one per matrix
+    # saddle point, the every-node-works guess or the simplex.  Row 0 owns
+    # no column
     rng = np.random.default_rng(11)
     nr, nc, nb = 5, 4, 24
-    shared = np.arange(1, nc + 1)
-    per_matrix = np.sort([rng.choice(nr, nc, replace=False) for _ in range(nb)])
+    own_row = np.arange(1, nc + 1)
     simplex = []
     cold = solvers._simplex_support
     monkeypatch.setattr(
@@ -974,39 +973,35 @@ def test_stacked_cascade_matches_one_at_a_time(monkeypatch):
         "_simplex_support",
         lambda msc, start=None: simplex.append(start is None) or cold(msc, start),
     )
-    for own_row in (shared, per_matrix):
-        rows = np.broadcast_to(own_row, (nb, nc))
-        raw = rng.uniform(0.0, 1.0, (nb, nr, nc)) ** 3
-        # own rows pay most for their own column: the guess certifies
-        raw[np.arange(nb // 2)[:, None], rows[: nb // 2], np.arange(nc)] += 2.0
-        raw[nb // 2, :, 1] = 0.0  # a free column
-        raw[nb // 2 + 1] = 1.0 + rng.uniform(0.0, 1.0, (nr, nc))
-        raw[nb // 2 + 1, 2] = 3.0
-        raw[nb // 2 + 1, :, 1] = 1.0  # a pure saddle point, row 2 column 1
-        _, free, msc = solvers._scaled(raw, frozenset())
-        simplex.clear()
-        u, supports = solvers._cascade(msc, free, own_row)
-        runs = sum(simplex)
-        steps = Counter()
-        for j in range(nb):
-            one = own_row if own_row.ndim == 1 else own_row[j : j + 1]
-            before = sum(simplex)
-            alone, (support,) = solvers._cascade(msc[j : j + 1], free[j : j + 1], one)
-            assert u[j].tobytes() == alone[0].tobytes()
-            if support is None:
-                assert supports[j] is None
-                steps["free"] += 1
-                continue
-            assert [x.tolist() for x in supports[j]] == [x.tolist() for x in support]
-            if sum(simplex) > before:
-                steps["simplex"] += 1
-            elif [x.tolist() for x in support] == [list(range(nc)), rows[j].tolist()]:
-                steps["guess"] += 1
-            else:
-                steps["saddle"] += 1
-        assert min(steps[k] for k in ("free", "saddle", "guess", "simplex")) >= 1
-        # the stack ran the simplex once on each matrix that needs it
-        assert runs == steps["simplex"]
+    raw = rng.uniform(0.0, 1.0, (nb, nr, nc)) ** 3
+    # own rows pay most for their own column: the guess certifies
+    raw[: nb // 2, own_row, np.arange(nc)] += 2.0
+    raw[nb // 2, :, 1] = 0.0  # a free column
+    raw[nb // 2 + 1] = 1.0 + rng.uniform(0.0, 1.0, (nr, nc))
+    raw[nb // 2 + 1, 2] = 3.0
+    raw[nb // 2 + 1, :, 1] = 1.0  # a pure saddle point, row 2 column 1
+    _, free, msc = solvers._scaled(raw, frozenset())
+    u, supports = solvers._cascade(msc, free, own_row)
+    runs = sum(simplex)
+    steps = Counter()
+    for j in range(nb):
+        before = sum(simplex)
+        alone, (support,) = solvers._cascade(msc[j : j + 1], free[j : j + 1], own_row)
+        assert u[j].tobytes() == alone[0].tobytes()
+        if support is None:
+            assert supports[j] is None
+            steps["free"] += 1
+            continue
+        assert [x.tolist() for x in supports[j]] == [x.tolist() for x in support]
+        if sum(simplex) > before:
+            steps["simplex"] += 1
+        elif [x.tolist() for x in support] == [list(range(nc)), own_row.tolist()]:
+            steps["guess"] += 1
+        else:
+            steps["saddle"] += 1
+    assert min(steps[k] for k in ("free", "saddle", "guess", "simplex")) >= 1
+    # the stack ran the simplex once on each matrix that needs it
+    assert runs == steps["simplex"]
 
 
 def _sequential_best_order(static, shared, groups, w1, task_size, forced_zero):
@@ -1021,10 +1016,8 @@ def _sequential_best_order(static, shared, groups, w1, task_size, forced_zero):
         for order in orders:
             rank[list(order)] = range(len(order))
         a = static + w1 * (shared * (rank[n - nr :, None] > rank[None, :]))
-        u, certified = solvers._minmax_unit(a, forced_zero, support)
-        # a support that certifies comes back as the same object
-        cold += support is None or certified is not support
-        support = certified
+        u, support, ran = carried_split(a, forced_zero, support)
+        cold += ran
         y = u * task_size
         z = float(np.max(a @ y, initial=0.0))
         tried += 1
