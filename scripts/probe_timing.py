@@ -7,11 +7,11 @@ random trees use, seeded with 1000*k + s, under weights (0.5, 0.05), one
 cycle per bit and a 1 Gbit task.  `pmo` then tries all k! transmission
 orders of that subtree.  For k = 7, 8, 9 and s = 1, 2 this prints the
 solve's seconds, its cost, its schedule, how many splits went through
-the split cascade `solvers._cascade` (every order's split that the
-carried support did not certify, plus the master split; a call counts
-each matrix of its stack), how many of those the cascade cold-started
-with `solvers._simplex_support`, and how many simplex bases it
-reinverted:
+the split cascade `solvers._cascade` (every order's split, plus the
+master split; a call counts each matrix of its stack), how many of
+those the cascade cold-started with `solvers._simplex_support` (the
+rest took a saddle point, the every-node-works guess or a support its
+simplex step carried), and how many simplex bases it reinverted:
 
     python3 scripts/probe_timing.py
 """

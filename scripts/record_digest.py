@@ -10,9 +10,13 @@ capacitance drawn as 10**U(-28, -2), and five weight pairs, it records
 `pmo`, `cmo` (at most 720 schedules), a 15-generation `ga`, an
 8-generation `ga` of population 16 (generations wider than a sweep's
 first window), `baseline_partial`, `baseline_master_worker`, every solo
-split and `node_prune`'s tree.  Writes all records to one JSON file and prints one
-sha256 per workload and seed, per scenario and for the random group.  Two
-checkouts whose answers are bit-identical print the same digests:
+split and `node_prune`'s tree.  The `probe` group holds `pmo` and `cmo`
+on `scripts/probe_timing.probe_tree`'s one-subtree trees with k = 5-7
+helpers and seeds 1-4, under three weight pairs: every order there
+splits, and many reach the cascade's simplex step.  Writes all records
+to one JSON file and prints one sha256 per workload and seed, per
+scenario and for the random and probe groups.  Two checkouts whose
+answers are bit-identical print the same digests:
 
     python3 scripts/record_digest.py --out records.json
 
@@ -32,9 +36,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+sys.path[:0] = [
+    str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests"), str(ROOT / "scripts")
+]
 
 import conftest  # noqa: E402
+import probe_timing  # noqa: E402
 import workloads  # noqa: E402
 
 from treeload import (  # noqa: E402
@@ -60,6 +67,9 @@ SEEDS = (1, 1000003)
 RANDOM_TREES = 80
 RANDOM_WEIGHTS = ((0.5, 0.05), (1.0, 0.0), (0.0, 1.0), (0.9, 0.3), (0.1, 0.9))
 TASK_BITS = 1e9
+PROBE_SIZES = (5, 6, 7)
+PROBE_SEEDS = (1, 2, 3, 4)
+PROBE_WEIGHTS = ((0.5, 0.05), (1.0, 0.0), (0.1, 0.9))
 
 
 def workload_records(name: str, seed: int, workdir: Path) -> list[dict]:
@@ -117,6 +127,24 @@ def random_records() -> list[dict]:
     return docs
 
 
+def probe_records() -> list[dict]:
+    """The probe group's answers, one record each."""
+    docs = []
+    for k in PROBE_SIZES:
+        for seed in PROBE_SEEDS:
+            tree = probe_timing.probe_tree(k, seed)
+            for w1, w2 in PROBE_WEIGHTS:
+                w = Weights(w1, w2)
+                for name, solve in ("pmo", pmo), ("cmo", cmo):
+                    sol = solve(tree, TASK_BITS, w, b=1.0)
+                    docs.append({
+                        "k": k, "seed": seed, "weights": [w1, w2], "answer": name,
+                        "cost": sol.cost, "y": list(sol.allocation.y),
+                        "orders": [list(o) for o in sol.schedule.orders],
+                    })
+    return docs
+
+
 def first_difference(old: dict, new: dict) -> str | None:
     """Where the first record of `new` that differs from `old` is, or None."""
     for key in [*old, *(k for k in new if k not in old)]:
@@ -150,6 +178,7 @@ def main() -> None:
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         groups[f"scenario/{path.stem}"] = scenario_records(path)
     groups["random"] = random_records()
+    groups["probe"] = probe_records()
 
     args.out.write_text(json.dumps(groups, indent=1) + "\n")
     for key, docs in groups.items():

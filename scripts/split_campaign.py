@@ -1,7 +1,7 @@
 """Count how the split cascade fares on hard matrices and on random trees.
 
-Every split goes through `solvers._cascade` when no carried support
-certifies it; one call splits a stack of matrices (all of a tree's solo
+Every split goes through `solvers._cascade`; one call splits a stack of
+matrices (a block of orders, a GA generation, all of a tree's solo
 splits, or one matrix).  For each family below this prints how many
 matrices the cascade split, a histogram of their reinversion rounds
 (simplex runs restarted from the basis an earlier run stopped on), and
@@ -103,7 +103,7 @@ def domain_answers():
 
 def cold(matrices):
     """One thunk per matrix: its cold split."""
-    return (lambda m=m: solvers._minmax_unit(m, frozenset()) for m in matrices)
+    return (lambda m=m: solvers._minmax_unit(m[None], frozenset()) for m in matrices)
 
 
 def families():
@@ -123,8 +123,9 @@ def run(name: str) -> tuple[str, int, Counter, int]:
 
     A `_cascade` call splits a stack of matrices, so each call adds its
     stack's size to the splits.  A matrix's reinversion rounds are the
-    simplex runs after its cold `_simplex_support` run; a matrix that never
-    reaches the simplex has none.
+    simplex runs after its cold `_simplex_support` run; a matrix the
+    simplex does not pivot on (a carried support certified it, or an
+    earlier step) has none.
     """
     rounds, infeasible, current = Counter(), [0], []
     cascade, simplex = solvers._cascade, solvers._simplex_support

@@ -4,8 +4,8 @@ Two pruning passes shrink the tree before an exact solve: node pruning
 drops servers whose solo offloading benefit is below a threshold, level
 pruning cuts everything deeper than a fixed depth.  Every solo split of a
 tree (the master and one node i) comes from one call of the exact
-solvers' split cascade on a stack (`_solo_splits`), bit for bit as one
-split at a time, priced by the audit's own cost terms.  A small genetic
+solvers' split on a stack (`_solo_splits`), bit for bit as one split at
+a time, priced by the audit's own cost terms.  A small genetic
 algorithm searches the schedule space directly when enumeration is too
 expensive.  The four baselines at the bottom are the usual strawmen:
 local-only, one-neighbor split (the master's children as one stack of
@@ -90,26 +90,31 @@ def _solo_splits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best split over the master and node i alone, for every i in `nodes`.
 
-    Each split is `solvers._minmax_unit` under the canonical schedule with
-    every node but the master and i forced to zero (those still relay and
-    pay relay energy on the path to i), bit for bit, but all of them come
-    from one `solvers._cascade` on the (B, n, 2) stack of the linear
-    form's column pairs [0, i].  In each pair's form rows 1 and i swap
-    places, so every pair's own rows are rows 0 and 1.  Each cost is the
-    audit's own j_system (`costs._node_terms` on the stacked splits).
-    Returns (cost, y): a (B,) array of costs and the (B, n) splits in bits.
+    Each split is `solvers.solve_fixed_order`'s under the canonical
+    schedule with every node but the master and i forced to zero (those
+    still relay and pay relay energy on the path to i), bit for bit, but
+    all of them come from one `solvers._minmax_unit` call on the (B, n, 2)
+    stack of the linear form's column pairs [0, i].  In each pair's form
+    the master's row and row i move to the last two rows, the own rows of
+    its two columns.  Each cost is the audit's own j_system
+    (`costs._node_terms` on the stacked splits).  Returns (cost, y): a
+    (B,) array of costs and the (B, n) splits in bits.
     """
+    n = len(tree)
     wait = _waiting(tree.shared_inv_rate, [canonical_schedule(tree).orders])[0]
     a = _static_matrix(tree, weights, b) + weights.w1 * wait
     at = np.arange(len(nodes))
     pair = np.zeros((len(nodes), 2), dtype=int)
     pair[:, 1] = nodes
-    rows = np.tile(np.arange(len(tree)), (len(nodes), 1))
-    rows[at, pair[:, 1]] = 1  # row i moves to row 1, and row 1 to row i
-    rows[:, 1] = pair[:, 1]
-    _, free, msc = solvers._scaled(a[rows[:, :, None], pair[:, None]], frozenset())
-    u = np.zeros((len(nodes), len(tree)))
-    u[at[:, None], pair] = solvers._cascade(msc, free, np.arange(2))[0]
+    rows = np.tile(np.arange(n), (len(nodes), 1))
+    rows[:, [0, n - 2]] = rows[:, [n - 2, 0]]
+    # row i, at row 0 now when i is n - 2, swaps with row n - 1
+    rows[at, np.where(pair[:, 1] == n - 2, 0, pair[:, 1])] = n - 1
+    rows[:, n - 1] = pair[:, 1]
+    u = np.zeros((len(nodes), n))
+    u[at[:, None], pair] = solvers._minmax_unit(
+        a[rows[:, :, None], pair[:, None]], frozenset()
+    )
     y = u * task_size
     j_node = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)[-1]
     return j_node.max(axis=1), y
@@ -241,12 +246,11 @@ def ga(
     The static cost matrix and the energy rates are built once per call.
     Each generation's chromosomes not seen before, in population order
     and without duplicates, are split as one stack by the exact solvers'
-    sweep (`solvers._carried_splits`, static + w1 times their
-    `costs._waiting` masks), the (S, R) certified last carried from one
-    generation to the next.  That support and the fitness memo live only
-    inside one call, so a re-solve takes the same path.  Fitness is the
-    audit's own j_system (`costs._node_terms` on the stacked splits), bit
-    for bit, but only the winner is audited into a Solution.
+    split (`solvers._minmax_unit`, static + w1 times their
+    `costs._waiting` masks).  The fitness memo lives only inside one
+    call, so a re-solve takes the same path.  Fitness is the audit's own
+    j_system (`costs._node_terms` on the stacked splits), bit for bit,
+    but only the winner is audited into a Solution.
     """
     check_task_size(task_size)
     rng = random.Random(params.rng_seed)
@@ -259,16 +263,13 @@ def ga(
     energy = _energy_rates(tree, b)
     # chromosome -> (cost, split in bits)
     memo: dict[tuple[tuple[int, ...], ...], tuple] = {}
-    support = None
 
     def split_new(population) -> None:
-        nonlocal support
         new = [c for c in dict.fromkeys(population) if c not in memo]
         if new:
             wait = _waiting(tree.shared_inv_rate, new)
             a = static + weights.w1 * wait
-            u, support = solvers._carried_splits(a, forced_zero, support)
-            y = u * task_size
+            y = solvers._minmax_unit(a, forced_zero) * task_size
             j_node = _node_terms(tree, energy, wait, y, weights, b)[-1]
             memo.update(zip(new, zip(j_node.max(axis=1).tolist(), y)))
 
@@ -360,7 +361,7 @@ def baseline_master_worker(
     sched = canonical_schedule(tree)
     forced = frozenset(range(len(tree))) - {MASTER_ID, *tree.children[MASTER_ID]}
     a = cost_coefficients(tree, sched, Weights(1.0, 0.0), b)
-    y = solvers._minmax_unit(a, forced)[0] * task_size
+    y = solvers._minmax_unit(a[None], forced)[0] * task_size
     tag = "baseline-master-worker"
     return _solution(tree, sched, y, task_size, weights, b, tag)
 

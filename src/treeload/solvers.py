@@ -15,23 +15,22 @@ finish together, so the split is one small linear solve on (S, R): the
 equaliser.  Its answer is accepted only with a certificate: the primal
 weights and the dual row weights from the transposed solve are
 nonnegative, and the dual bound is within 1e-12 of the primal value
-(weak duality).  `_cascade` finds (S, R) for a stack of cold splits: a
-pure saddle point, then the guess that every node free to work does
-work (one stacked equaliser solve), and a dense simplex only where the
-certificate refutes both; a simplex basis the certificate refutes, or
-the one it holds when it gives up, is rebuilt from the matrix and
-pivoted on again.  A split that no step of the cascade certifies raises
+(weak duality).  `_minmax_unit` splits a stack of matrices, each one
+with the cascade (`_cascade`): a pure saddle point, then the guess that
+every node free to work does work (one stacked equaliser solve), and a
+dense simplex only where the certificate refutes both.  The simplex step
+carries the last support it certified to the matrices after it and tries
+it on many of them in one stacked equaliser solve; only a matrix it
+fails is pivoted on, and a simplex basis the certificate refutes, or the
+one it holds when it gives up, is rebuilt from the matrix and pivoted on
+again.  A split that no step of the cascade certifies raises
 InfeasibleError, so every split returned carries the certificate.
 
-A sequence of splits is one sweep (`_carried_splits`): the last
-certified (S, R) is carried from one matrix to the next and tried on many
-of them in one stacked equaliser solve, and only a matrix it fails goes
-through the cascade.  Every matrix gets the bits a one-at-a-time loop
-would give it.  `cmo` enumerates every per-subtree transmission order
-and keeps the best: `_best_order` sweeps the orders in lexicographic
-blocks, one stack of linear forms per block, and scores a block with one
-stacked matmul.  The genetic search in `heuristics.ga` sweeps each
-generation's new orders the same way.
+`cmo` enumerates every per-subtree transmission order and keeps the
+best: `_best_order` splits the orders in lexicographic blocks, one stack
+of linear forms per block, and scores a block with one stacked matmul.
+The genetic search in `heuristics.ga` splits each generation's new
+orders the same way.
 `pmo` exploits that subtrees only interact through the master: each
 subtree's orders are enumerated the same way on its slice of the tree's
 matrices, then one more small split divides the task between the master
@@ -74,8 +73,8 @@ _CANCEL_TOL = 1e-13
 _REINVERT = 3
 # cmo and pmo warn before enumerating more orders than this
 _WARN_SCHEDULES = 10**6
-# _best_order stacks at most this many orders at once, and _carried_splits
-# first tries a carried support on this many matrices
+# _best_order stacks at most this many orders at once, and _cascade's
+# simplex step first tries a carried support on this many matrices
 _BLOCK = 2048
 _SWEEP = 8
 
@@ -86,7 +85,7 @@ class Solution:
 
     A split solved here (every exact solver's, and GA's) is certified
     optimal for its schedule; one that cannot be certified raises
-    InfeasibleError instead (see `_minmax_unit`).
+    InfeasibleError instead (see `_cascade`).
     """
 
     tree: SinkTree
@@ -196,80 +195,32 @@ def _scaled(
     return cols, free, msc
 
 
-def _minmax_unit(
-    a: np.ndarray, forced_zero: frozenset[int]
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Minimize max over rows of (a u) on the simplex; returns unit weights u.
+def _minmax_unit(a: np.ndarray, forced_zero: frozenset[int]) -> np.ndarray:
+    """Minimize max over rows of (a u) on the simplex, for a stack of a.
 
-    Columns in forced_zero are pinned to zero.  The split is that of a
-    sweep of one with nothing carried in (`_carried_splits`).
-
-    Raises InfeasibleError when no step certifies the split, and
-    ParameterError when a column that is not pinned holds a value
-    that is not finite (an overflowing weight).  Returns (u, support):
-    support is the certified (S, R), or None for a free column.
-    """
-    cols, free, msc = _scaled(a[None], forced_zero)
-    u = np.zeros(a.shape[1])
-    own_row = np.array(cols) - (a.shape[1] - a.shape[0])
-    got, (support,) = _cascade(msc, free, own_row)
-    u[cols] = got[0]
-    return u, support
-
-
-def _carried_splits(
-    a: np.ndarray,
-    forced_zero: frozenset[int],
-    support: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Split a (B, rows, cols) stack in order, carrying each certified support.
-
-    Each matrix is split from the (S, R) the one before it certified
-    (`support` for the first, None for nothing), with the bits of a loop
-    that splits them one at a time.  The carried support is tried on the
-    pending matrices with one stacked `_equalise`, over a window of
-    _SWEEP that doubles while every matrix in it passes.  The first one
-    it fails (so every one with a free column) goes through `_cascade`,
-    row i the node of column i + cols - rows, and the support it
-    certifies is swept on.  Raises as `_scaled` and `_cascade` do.
-    Returns the (B, cols) unit splits and the support to carry on, None
-    after a free column.
+    a is a (B, rows, cols) stack; row i is the node of column i + cols -
+    rows.  Columns in forced_zero are pinned to zero.  Returns the (B,
+    cols) unit weights u, each certified by `_cascade`.  Raises
+    InfeasibleError when no step certifies a split, and ParameterError
+    when a column that is not pinned holds a value that is not finite (an
+    overflowing weight).
     """
     cols, free, msc = _scaled(a, forced_zero)
     own_row = np.array(cols) - (a.shape[2] - a.shape[1])
-    nb = len(a)
-    u = np.zeros((nb, a.shape[2]))
-    i = 0
-    while i < nb:
-        width = _SWEEP
-        while support is not None and i < nb:
-            window = min(width, nb - i)
-            got = _equalise(msc[i : i + window], *support)
-            ok = [False] if got is None else ~np.isnan(got[:, 0])
-            passed = window if np.all(ok) else int(np.argmin(ok))
-            if passed:
-                u[i : i + passed, cols] = got[:passed]
-            i += passed
-            if passed < width:
-                break
-            width *= 2
-        if i < nb:
-            got, (support,) = _cascade(msc[i : i + 1], free[i : i + 1], own_row)
-            u[i, cols] = got[0]
-            i += 1
-    return u, support
+    u = np.zeros((len(a), a.shape[2]))
+    u[:, cols] = _cascade(msc, free, own_row)[0]
+    return u
 
 
 def _cascade(
     msc: np.ndarray, free: np.ndarray, own_row: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray] | None]]:
-    """The cold split cascade on a (B, rows, cols) stack `_scaled` made.
+    """The split cascade on a (B, rows, cols) stack `_scaled` made.
 
     free is the stack's (B, cols) mask of the columns no row pays for, and
     own_row, ascending and the same for the whole stack, is each column's
     row, negative where a node has no row.  Each matrix takes the first
-    step its certificate passes, and gets the bits it gets as a stack of
-    one:
+    step its certificate passes:
 
     1. free column: it takes everything at zero cost, with no support;
     2. saddle point: all weight on the column c of least maximum, R the
@@ -277,26 +228,32 @@ def _cascade(
        * colmax[c] (`_equalise`'s weak-duality check on ([c], [r]));
     3. every node works, the usual optimum: S every column and R their
        own rows, unless a column has none; one `_equalise` for the stack;
-    4. simplex, a matrix at a time: the basis a dense simplex stops on
-       from the origin gives (S, R) (`_simplex_support`; a basis of the
-       game's LP is an (S, R), Shapley and Snow 1950), and a basis the
-       certificate refutes is reinverted and pivoted on again, at most
-       _REINVERT times.
+    4. simplex, in stack order: the (S, R) the last simplex run
+       certified is tried on the matrices after it with one stacked
+       `_equalise`, over a window of _SWEEP that doubles while every
+       matrix in it passes.  The first one it fails is pivoted on: the
+       basis a dense simplex stops on from the origin gives (S, R)
+       (`_simplex_support`; a basis of the game's LP is an (S, R),
+       Shapley and Snow 1950), and a basis the certificate refutes is
+       reinverted and pivoted on again, at most _REINVERT times.  Its
+       support is carried on.
 
-    Raises InfeasibleError when a matrix passes no step.  Returns (u,
-    supports): u, (B, cols), and each matrix's certified (S, R), None for
-    a free column.
+    A matrix that steps 1-3 certify, or that the simplex pivots on, gets
+    the bits it gets as a stack of one.  Raises InfeasibleError when a
+    matrix passes no step.  Returns (u, supports): u, (B, cols), and each
+    matrix's certified (S, R), None for a free column.
     """
     nb, _, nc = msc.shape
     u, supports, left = np.zeros((nb, nc)), [None] * nb, []
-    colmax, rowmin = msc.max(axis=1), msc.min(axis=2)
-    top = colmax.min(axis=1)
-    pure = (top - rowmin.max(axis=1) <= _CERT_TOL * top).tolist()
+    # `_scaled` makes the least column maximum exactly 1 where no column
+    # is free, so colmax[c] is 1 in the saddle test
+    rowmin = msc.min(axis=2)
+    pure = (1.0 - rowmin.max(axis=1) <= _CERT_TOL).tolist()
     for j, loose in enumerate(free.any(axis=1).tolist()):
         if loose:
             u[j, free[j].argmax()] = 1.0
         elif pure[j]:
-            c = colmax[j : j + 1].argmin(axis=1)
+            c = msc[j : j + 1].max(axis=1).argmin(axis=1)
             u[j, c[0]] = 1.0
             supports[j] = c, rowmin[j : j + 1].argmax(axis=1)
         else:
@@ -310,18 +267,35 @@ def _cascade(
             for j, first in zip(left, got[:, 0].tolist()):
                 if not math.isnan(first):
                     supports[j] = every, own_row
-    for j in left:
-        if supports[j] is not None:
-            continue
-        support = None
+    todo = [j for j in left if supports[j] is None]
+    carried, i = None, 0
+    while i < len(todo):
+        width = _SWEEP
+        while carried is not None and i < len(todo):
+            at = todo[i : i + width]
+            got = _equalise(msc[at], *carried)
+            ok = [False] if got is None else ~np.isnan(got[:, 0])
+            passed = len(at) if np.all(ok) else int(np.argmin(ok))
+            if passed:
+                u[at[:passed]] = got[:passed]
+            for j in at[:passed]:
+                supports[j] = carried
+            i += passed
+            if passed < width:
+                break
+            width *= 2
+        if i == len(todo):
+            break
+        j, carried = todo[i], None
         for _ in range(1 + _REINVERT):
-            support = _simplex_support(msc[j], support)
-            got = None if support is None else _equalise(msc[j : j + 1], *support)
-            if got is not None or support is None:
+            carried = _simplex_support(msc[j], carried)
+            got = None if carried is None else _equalise(msc[j : j + 1], *carried)
+            if got is not None or carried is None:
                 break
         if got is None:
             raise InfeasibleError("min-max split could not be certified")
-        u[j], supports[j] = got[0], support
+        u[j], supports[j] = got[0], carried
+        i += 1
     return u, supports
 
 
@@ -454,7 +428,7 @@ def solve_fixed_order(
     """Optimal split for one fixed schedule."""
     check_task_size(task_size)
     a = cost_coefficients(tree, schedule, weights, b)
-    y = _minmax_unit(a, forced_zero)[0] * task_size
+    y = _minmax_unit(a[None], forced_zero)[0] * task_size
     return _solution(tree, schedule, y, task_size, weights, b, "fixed-order")
 
 
@@ -500,11 +474,11 @@ def _best_order(
 
     Orders come in lexicographic blocks of at most _BLOCK, and each block
     is one (B, rows, cols) stack of those forms, split by one
-    `_carried_splits` sweep; the support certified last carries into the
-    next block.  An order scores the largest row of a @ y, y its split in
-    bits, from one stacked matmul; ties go to the earliest order.  Warns
-    (RuntimeWarning) before more than 10**6 orders.  Returns (score,
-    order, y, orders tried), the order as one tuple of columns per group.
+    `_minmax_unit` call.  An order scores the largest row of a @ y, y its
+    split in bits, from one stacked matmul; ties go to the earliest order.
+    Warns (RuntimeWarning) before more than 10**6 orders.  Returns
+    (score, order, y, orders tried), the order as one tuple of columns
+    per group.
     """
     total = math.prod(math.factorial(len(g)) for g in groups)
     if total > _WARN_SCHEDULES:
@@ -515,11 +489,10 @@ def _best_order(
             stacklevel=3,
         )
     orders = _orders(groups)
-    best, support = None, None
+    best = None
     while block := list(itertools.islice(orders, _BLOCK)):
         a = static + w1 * _waiting(shared, block)
-        u, support = _carried_splits(a, forced_zero, support)
-        y = u * task_size
+        y = _minmax_unit(a, forced_zero) * task_size
         z = (a @ y[:, :, None]).max(axis=(1, 2), initial=0.0)
         k = int(z.argmin())
         if best is None or z[k] < best[0]:
@@ -537,8 +510,7 @@ def cmo(
 ) -> Solution:
     """Exhaustive schedule search: one certified split per order combination.
 
-    Every schedule is split on the one static matrix, each split starting
-    from the previous schedule's certified support, and scored by its
+    Every schedule is split on the one static matrix and scored by its
     largest node cost (`_best_order`, a block of schedules per stacked
     solve); only the winner becomes a Schedule and is audited into a
     Solution.  Ties go to the earliest schedule in enumeration order.
@@ -585,7 +557,7 @@ def solve_master_split(
     forced = frozenset(1 + idx for idx, t in enumerate(roots) if t not in per_bit)
     if master_blocked:
         forced = forced | {0}
-    u, _ = _minmax_unit(a, forced)
+    u = _minmax_unit(a[None], forced)[0]
     y0 = float(u[0] * task_size)
     shares = {t: float(u[1 + idx] * task_size) for idx, t in enumerate(roots)}
     return y0, shares

@@ -85,22 +85,39 @@ def plain_of(tree: SinkTree) -> PlainTree:
 
 def carried_split(a, forced_zero, support):
     """One split of the linear form a that starts from a carried (S, R),
-    written out as the bitwise reference of one step of the sweep
-    `solvers._carried_splits`: `_equalise` of the support on a's scaled
-    form unless a column is free, and `_cascade` on a stack of one where
-    that fails.  Returns (u, the certified support, whether the cascade
-    ran)."""
+    written out as the bitwise reference of the one-split-at-a-time loop
+    that `cmo`, `pmo` and GA once ran: `_equalise` of the support on a's
+    scaled form unless a column is free, and `_cascade` on a stack of one
+    where that fails.  Returns (u, the certified support)."""
     cols, free, msc = solvers._scaled(a[None], forced_zero)
     got = None
     if support is not None and not free.any():
         got = solvers._equalise(msc, *support)
-    cold = got is None
-    if cold:
+    if got is None:
         own_row = np.array(cols) - (a.shape[1] - a.shape[0])
         got, (support,) = solvers._cascade(msc, free, own_row)
     u = np.zeros(a.shape[1])
     u[cols] = got[0]
-    return u, support, cold
+    return u, support
+
+
+def split_with_support(a, forced_zero=frozenset()):
+    """`solvers._minmax_unit`'s split of the one matrix a, and the (S, R)
+    that `_cascade` certified it with (None for a free column)."""
+    cascade, supports = solvers._cascade, []
+
+    def recording(*args):
+        u, got = cascade(*args)
+        supports.extend(got)
+        return u, got
+
+    solvers._cascade = recording
+    try:
+        u = solvers._minmax_unit(a[None], forced_zero)[0]
+    finally:
+        solvers._cascade = cascade
+    (support,) = supports
+    return u, support
 
 
 @pytest.fixture

@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import B_COMP, carried_split, make_tree, plain_of, rand_tree
+from conftest import (
+    B_COMP,
+    carried_split,
+    make_tree,
+    plain_of,
+    rand_tree,
+    split_with_support,
+)
 from scipy.optimize import linprog
 
 import treeload.solvers as solvers
@@ -251,9 +258,9 @@ def _count_simplex(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
 def test_exact_solvers_skip_highs(name, monkeypatch):
-    # the first schedule's split, each probe's and the master split are
-    # certified by the every-node-works guess, later schedules' by the
-    # previous certified support: the simplex never runs
+    # every schedule's split, each probe's and the master split are
+    # certified by a saddle point or the every-node-works guess: the
+    # simplex never runs
     topo = named_topology(name)
     simplex = _count_simplex(monkeypatch)
     sol = cmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
@@ -277,9 +284,8 @@ def test_pmo_audits_only_its_answer(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
 def test_heuristic_splits_skip_highs(name, monkeypatch):
-    # ga's first split is certified by the every-node-works guess, and ga
-    # carries the last certified support from one chromosome to the next;
-    # master-plus-one splits are certified by a saddle point or the guess
+    # ga's splits and the master-plus-one splits are certified by a saddle
+    # point or the every-node-works guess
     topo = named_topology(name)
     tree, y, w, b = topo.tree, topo.task_size, topo.weights, topo.b_comp
     simplex = _count_simplex(monkeypatch)
@@ -348,7 +354,7 @@ def test_split_is_certified_on_ill_conditioned_instances(seed, log_gamma, w):
     forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
 
     a = cost_coefficients(tree, canonical_schedule(tree), weights, B_COMP)
-    u, _ = solvers._minmax_unit(a, forced)
+    u = solvers._minmax_unit(a[None], forced)[0]
     assert u.sum() == pytest.approx(1.0, abs=1e-12)
     assert all(u[k] == 0.0 for k in forced)
     assert (a @ u).max() <= _highs_minmax(a, forced) * (1 + 1e-12)
@@ -405,14 +411,14 @@ def test_saddle_point_certifies_a_master_split(monkeypatch):
     monkeypatch.setattr(solvers, "_cascade", recording_cascade)
     pmo(tree, Y, weights, b=B_COMP)
     assert simplex == []
-    # a two-node subtree's two orders take the guess, then carry it; a
-    # one-node subtree's split and last the master split are saddle
-    # points, which need no _equalise
-    assert tries == [([0, 1], [0, 1]), ([0, 1], [0, 1])]
-    assert [sr for _, _, (sr,) in splits] == [
-        [[0, 1], [0, 1]],
-        [[0], [0]],
-        [[1], [0]],
+    # a two-node subtree's two orders take the guess, one stacked
+    # _equalise for both; a one-node subtree's split and last the master
+    # split are saddle points, which need no _equalise
+    assert tries == [([0, 1], [0, 1])]
+    assert [sr for _, _, sr in splits] == [
+        [[[0, 1], [0, 1]], [[0, 1], [0, 1]]],
+        [[[0], [0]]],
+        [[[1], [0]]],
     ]
     # the guess is refuted on the master split, and the simplex's support
     # is the saddle point's, with the same bits
@@ -436,7 +442,7 @@ def test_pure_saddle_point_has_exact_zeros():
     every = np.arange(3)
     guess = solvers._equalise(msc, every, every)
     assert guess is not None and (guess[0] > 0.0).all()
-    u, support = solvers._minmax_unit(m, frozenset())
+    u, support = split_with_support(m)
     assert u.tolist() == [0.0, 0.0, 1.0]
     assert [list(x) for x in support] == [[2], [1]]
 
@@ -449,7 +455,7 @@ def test_refuted_guess_falls_back_to_the_simplex(monkeypatch):
     every = np.arange(3)
     assert solvers._equalise(m[None], every, every) is None
     simplex = _count_simplex(monkeypatch)
-    u, support = solvers._minmax_unit(m, frozenset())
+    u, support = split_with_support(m)
     assert len(simplex) == 1
     assert [list(x) for x in support] == [[0, 1], [0, 1]]
     assert (m @ u).max() == pytest.approx(_highs_minmax(m, frozenset()), rel=1e-12)
@@ -461,16 +467,35 @@ def test_certificate_refutes_a_wrong_support():
     assert solvers._equalise(m[None], np.array([0, 1]), np.array([0, 1])) is None
     right = solvers._equalise(m[None], np.array([0, 1]), np.array([1, 2]))
     assert right[0] == pytest.approx([0.2, 0.8], abs=1e-15)
-    # a refuted carried support falls back to a cold start and still
-    # reaches the optimum
-    u, support = solvers._carried_splits(
-        m[None], frozenset(), (np.array([0, 1]), np.array([0, 1]))
-    )
-    assert u[0] == pytest.approx([0.2, 0.8], abs=1e-15)
-    assert [list(x) for x in support] == [[0, 1], [1, 2]]
     # against the duals of support {0}, column 1 is cheaper
     m = np.array([[1.0, 0.5], [1.0, 0.5]])
     assert solvers._equalise(m[None], np.array([0]), np.array([0])) is None
+
+
+def test_simplex_step_carries_its_support(monkeypatch):
+    # column 2 costs more than column 0 on every row of `first`, so the
+    # every-node-works guess is refuted and the simplex runs; `same` has
+    # the same optimal (S, R), `other` (its columns reversed) another
+    first = np.array([[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+    same = np.array([[2.5, 1.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+    other = first[:, ::-1]
+    simplex = _count_simplex(monkeypatch)
+    every = np.arange(3)
+    for second, runs, supports in (
+        (same, 1, [[[0, 1], [0, 1]], [[0, 1], [0, 1]]]),
+        (other, 2, [[[0, 1], [0, 1]], [[1, 2], [0, 1]]]),
+    ):
+        _, free, msc = solvers._scaled(np.array([first, second]), frozenset())
+        assert solvers._equalise(msc, every, every) is None
+        simplex.clear()
+        u, got = solvers._cascade(msc, free, every)
+        # the first simplex run's support certifies `same`; on `other` it
+        # is refuted, and `other` pivots itself
+        assert len(simplex) == runs
+        assert [[x.tolist() for x in sr] for sr in got] == supports
+        for j in range(2):
+            alone, _ = solvers._cascade(msc[j : j + 1], free[j : j + 1], every)
+            assert u[j].tobytes() == alone[0].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -500,7 +525,7 @@ def test_two_column_closed_form_on_degenerate_envelopes(m):
     # two-column splits whose rows' upper envelope has ties, parallel
     # lines or a flat top, through the cascade
     m = np.array(m)
-    u, support = solvers._minmax_unit(m, frozenset())
+    u, support = split_with_support(m)
     assert support is not None
     assert u.min() >= 0.0 and u.sum() == pytest.approx(1.0, abs=1e-15)
     assert (m @ u).max() == pytest.approx(_highs_minmax(m, frozenset()), rel=1e-12)
@@ -689,7 +714,7 @@ def test_reinversion_certifies_refuted_simplex_bases(monkeypatch):
     for key in _REFUTED:
         m = picked[key]
         reinverted.clear()
-        u, support = solvers._minmax_unit(m, frozenset())
+        u, support = split_with_support(m)
         # one cold run, refuted, and one reinversion
         assert reinverted == [False, True], key
         assert u.min() >= 0.0 and u.sum() == pytest.approx(1.0, abs=1e-12)
@@ -702,7 +727,7 @@ def test_reinversion_certifies_refuted_simplex_bases(monkeypatch):
 def test_stress_set_needs_no_highs(monkeypatch):
     monkeypatch.setattr(solvers, "linprog", _no_highs)
     for kind, i, m in _stress_set():
-        u, support = solvers._minmax_unit(m, frozenset())
+        u = solvers._minmax_unit(m[None], frozenset())[0]
         assert u.sum() == pytest.approx(1.0, abs=1e-12), (kind, i)
 
 
@@ -795,7 +820,7 @@ def test_reinversion_certifies_integer_tie_draws(
         m = _log_draws(*seed)[draw]
     assert m.shape == shape
     reinverted = _count_reinversions(monkeypatch)
-    u, support = solvers._minmax_unit(m, frozenset())
+    u, support = split_with_support(m)
     assert reinverted == rounds
     assert _dual_gap(m, u, support) <= 1e-12
     if ties:
@@ -814,7 +839,7 @@ def _integer_ties(draw):
 @settings(max_examples=60, deadline=None)
 @given(_integer_ties())
 def test_cold_split_on_integer_ties_reaches_highs_value(m):
-    u, _ = solvers._minmax_unit(m, frozenset())
+    u = solvers._minmax_unit(m[None], frozenset())[0]
     highs = _highs_minmax(m, frozenset())
     assert highs * (1 - 1e-10) <= (m @ u).max() <= highs * (1 + 1e-12)
 
@@ -853,7 +878,7 @@ def test_split_without_a_simplex_support_raises_without_scipy():
         "solvers._simplex_support = lambda *a: None\n"
         "m = np.array([[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])\n"
         "try:\n"
-        "    solvers._minmax_unit(m, frozenset())\n"
+        "    solvers._minmax_unit(m[None], frozenset())\n"
         "except InfeasibleError as exc:\n"
         "    print(exc)\n"
         "print('scipy.optimize' in sys.modules)"
@@ -866,7 +891,7 @@ def _split_and_simplex_split(a: np.ndarray, forced: frozenset[int]):
     `_simplex_support`'s (S, R) with `_equalise`'s u on it (None where
     that does not certify)."""
     cols, free, stack = solvers._scaled(a[None], forced)
-    u, support = solvers._minmax_unit(a, forced)
+    u, support = split_with_support(a, forced)
     simplex = None if free.any() else solvers._simplex_support(stack[0])
     ref = None if simplex is None else solvers._equalise(stack, *simplex)
     return a[:, cols], u[cols], support, None if ref is None else (ref[0], simplex)
@@ -1007,23 +1032,21 @@ def test_stacked_cascade_matches_one_at_a_time(monkeypatch):
 def _sequential_best_order(static, shared, groups, w1, task_size, forced_zero):
     """The one-split-per-order loop `_best_order` replaced, kept as its
     bitwise reference: each order's split starts from the support the
-    previous order certified.  Also counts the orders that support did
-    not certify, which go through the cascade."""
+    previous order certified."""
     nr, n = static.shape
-    best, support, tried, cold = None, None, 0, 0
+    best, support, tried = None, None, 0
     for orders in itertools.product(*(itertools.permutations(g) for g in groups)):
         rank = np.zeros(n, dtype=int)
         for order in orders:
             rank[list(order)] = range(len(order))
         a = static + w1 * (shared * (rank[n - nr :, None] > rank[None, :]))
-        u, support, ran = carried_split(a, forced_zero, support)
-        cold += ran
+        u, support = carried_split(a, forced_zero, support)
         y = u * task_size
         z = float(np.max(a @ y, initial=0.0))
         tried += 1
         if best is None or z < best[0]:
             best = (z, orders, y)
-    return (*best, tried, cold)
+    return (*best, tried)
 
 
 def _cmo_form(rng, tree, weights, task_size=Y):
@@ -1099,8 +1122,9 @@ def test_best_order_matches_the_sequential_loop(case, monkeypatch):
             static, shared, *rest = _probe_form(rng, rng.randint(2, 5), w)
             forms.append((static, np.zeros_like(shared), *rest))
         else:
-            # blocks of 7 and sweeps from 2 orders: the carried support
-            # crosses block boundaries and windows of every width
+            # blocks of 7 and windows from 2 orders: the loop's carried
+            # support crosses block boundaries, and the simplex step tries
+            # its own on windows of every width
             monkeypatch.setattr(solvers, "_BLOCK", 7)
             monkeypatch.setattr(solvers, "_SWEEP", 2)
             forms.append(_probe_form(rng, 5, w))
@@ -1116,9 +1140,8 @@ def test_best_order_matches_the_sequential_loop(case, monkeypatch):
         assert got[1] == ref[1]
         assert got[2].tobytes() == ref[2].tobytes()
         assert got[3] == ref[3]
-        # the cascade runs on exactly the orders the loop's carried
-        # support failed on; the stacked sweeps split the rest
-        assert len(cold) == ref[4]
+        # one cascade splits each block, carried supports and all
+        assert len(cold) == -(-got[3] // solvers._BLOCK)
         if case == "ties":
             assert got[1] == tuple(tuple(g) for g in groups)
 
