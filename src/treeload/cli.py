@@ -388,10 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except TreeloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TreeloadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

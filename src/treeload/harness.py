@@ -478,8 +478,7 @@ def _audit_and_record(
     )
     alloc = Allocation(y=tuple(y_full), total=sol.task_size)
     check = system_cost(full_tree, full_sched, alloc, sol.weights, sol.b_comp)
-    drift = abs(check.j_system - sol.cost)
-    if drift > 1e-9 * max(1.0, abs(sol.cost)):
+    if abs(check.j_system - sol.cost) > 1e-9 * abs(sol.cost):
         raise AssertionError(
             f"cost audit failed for {method}: {check.j_system} vs {sol.cost}"
         )

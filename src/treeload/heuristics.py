@@ -240,8 +240,8 @@ def ga(
     ceil(ELITE_FRAC * population) elites (at least one), fills the rest
     by fitness-proportional selection on 1/cost with per-subtree ordered
     crossover, and swap-mutates offspring with probability MUTATION_PROB.
-    Deterministic for a given rng_seed.  Returns the best solution seen
-    across all generations.
+    Deterministic for a given rng_seed.  Returns the best solution seen,
+    the first seen among equals, across all generations.
 
     The static cost matrix and the energy rates are built once per call.
     Each generation's chromosomes not seen before, in population order
@@ -278,7 +278,6 @@ def ga(
 
     population = [random_chromosome() for _ in range(params.population)]
     split_new(population)
-    best = min(population, key=fitness)
     n_elite = max(1, math.ceil(ELITE_FRAC * params.population))
 
     for _ in range(params.generations):
@@ -301,10 +300,10 @@ def ga(
             next_pop.append(child)
         population = next_pop
         split_new(population)
-        gen_best = min(population, key=fitness)
-        if fitness(gen_best) < fitness(best):
-            best = gen_best
 
+    # the memo holds every chromosome seen, first seen first: ties go to
+    # the earliest
+    best = min(memo, key=fitness)
     _, y = memo[best]
     return _solution(
         tree, Schedule(orders=best), y, task_size, weights, b, "ga", len(memo)

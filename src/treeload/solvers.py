@@ -15,10 +15,11 @@ finish together, so the split is one small linear solve on (S, R): the
 equaliser.  Its answer is accepted only with a certificate: the primal
 weights and the dual row weights from the transposed solve are
 nonnegative, and the dual bound is within 1e-12 of the primal value
-(weak duality).  `_minmax_unit` splits a stack of matrices, each one
-with the cascade (`_cascade`): a pure saddle point, then the guess that
-every node free to work does work (one stacked equaliser solve), and a
-dense simplex only where the certificate refutes both.  The simplex step
+(weak duality); a matrix it refutes gets a row of NaN, the one way a
+split fails.  `_minmax_unit` splits a stack of matrices, each one with
+the cascade (`_cascade`): a pure saddle point, then the guess that every
+node free to work does work (one stacked equaliser solve), and a dense
+simplex only where the certificate refutes both.  The simplex step
 carries the last support it certified to the matrices after it and tries
 it on many of them in one stacked equaliser solve; only a matrix it
 fails is pivoted on, and a simplex basis the certificate refutes, or the
@@ -100,7 +101,7 @@ class Solution:
     schedules_evaluated: int = 1
 
 
-def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Equal-finish weights on support s and tight rows r, where provably optimal.
 
     m is a (B, rows, cols) stack of matrices; a single split is a stack of
@@ -111,15 +112,14 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     primal value zp = max(m u) exceeds the dual bound zd = min over
     columns of pᵀm by at most _CERT_TOL * zp: every simplex point costs
     at least zd (weak duality), so a passing u is optimal to that
-    tolerance.  Each matrix
-    gets the bits it would get alone.  Returns u, shape (B, cols), with a
-    row of NaN for each matrix whose system is singular or whose
-    certificate fails; None when none passes.
+    tolerance.  Each matrix gets the bits it would get alone.  Returns u,
+    shape (B, cols), always: a matrix's row is NaN when the support is
+    empty or |s| != |r|, its system is singular, or its certificate fails.
     """
+    nb, nr, nc = m.shape
     k = s.shape[-1]
     if k == 0 or k != r.shape[-1]:
-        return None
-    nb, nr, nc = m.shape
+        return np.full((nb, nc), np.nan)
     m_rs = m[:, r[:, None], s]
     kkt = np.zeros((nb, 2, k + 1, k + 1))
     kkt[:, 0, :k, :k] = m_rs
@@ -142,7 +142,7 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     ok = sol.min(axis=(1, 2)) >= -_CERT_TOL
     if not ok.all():
         if not ok.any():
-            return None
+            return np.full((nb, nc), np.nan)
         m, sol = m[ok], sol[ok]
     u = np.zeros((len(m), nc))
     p = np.zeros((len(m), nr))
@@ -155,8 +155,6 @@ def _equalise(m: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     passed = zp - zd <= _CERT_TOL * zp
     if passed.all() and len(m) == nb:
         return u
-    if not passed.any():
-        return None
     out = np.full((nb, nc), np.nan)
     out[np.flatnonzero(ok)[passed]] = u[passed]
     return out
@@ -228,7 +226,7 @@ def _cascade(
        * colmax[c] (`_equalise`'s weak-duality check on ([c], [r]));
     3. every node works, the usual optimum: S every column and R their
        own rows, unless a column has none; one `_equalise` for the stack;
-    4. simplex, in stack order: the (S, R) the last simplex run
+    4. simplex, one loop in stack order: the (S, R) the last simplex run
        certified is tried on the matrices after it with one stacked
        `_equalise`, over a window of _SWEEP that doubles while every
        matrix in it passes.  The first one it fails is pivoted on: the
@@ -238,10 +236,11 @@ def _cascade(
        reinverted and pivoted on again, at most _REINVERT times.  Its
        support is carried on.
 
-    A matrix that steps 1-3 certify, or that the simplex pivots on, gets
-    the bits it gets as a stack of one.  Raises InfeasibleError when a
-    matrix passes no step.  Returns (u, supports): u, (B, cols), and each
-    matrix's certified (S, R), None for a free column.
+    Every step reads one failure signal, `_equalise`'s NaN row.  A matrix
+    that steps 1-3 certify, or that the simplex pivots on, gets the bits
+    it gets as a stack of one.  Raises InfeasibleError when the
+    reinversion rounds run out.  Returns (u, supports): u, (B, cols), and
+    each matrix's certified (S, R), None for a free column.
     """
     nb, _, nc = msc.shape
     u, supports, left = np.zeros((nb, nc)), [None] * nb, []
@@ -262,47 +261,42 @@ def _cascade(
     if left and own_row[0] >= 0:
         at = slice(None) if len(left) == nb else left
         got = _equalise(msc[at], every, own_row)
-        if got is not None:
-            u[at] = got  # the simplex overwrites a refuted row's NaN
-            for j, first in zip(left, got[:, 0].tolist()):
-                if not math.isnan(first):
-                    supports[j] = every, own_row
+        u[at] = got  # the simplex overwrites a refuted row's NaN
+        for j, first in zip(left, got[:, 0].tolist()):
+            if not math.isnan(first):
+                supports[j] = every, own_row
     todo = [j for j in left if supports[j] is None]
-    carried, i = None, 0
+    # width 0: pivot on todo[i]; else try `carried` on that many from it
+    i, width = 0, 0
     while i < len(todo):
-        width = _SWEEP
-        while carried is not None and i < len(todo):
+        if width:
             at = todo[i : i + width]
             got = _equalise(msc[at], *carried)
-            ok = [False] if got is None else ~np.isnan(got[:, 0])
-            passed = len(at) if np.all(ok) else int(np.argmin(ok))
-            if passed:
-                u[at[:passed]] = got[:passed]
+            ok = ~np.isnan(got[:, 0])
+            passed = len(at) if ok.all() else int(ok.argmin())
+            u[at[:passed]] = got[:passed]
             for j in at[:passed]:
                 supports[j] = carried
             i += passed
-            if passed < width:
-                break
-            width *= 2
-        if i == len(todo):
-            break
+            width = 2 * width if passed == width else 0
+            continue
         j, carried = todo[i], None
         for _ in range(1 + _REINVERT):
             carried = _simplex_support(msc[j], carried)
-            got = None if carried is None else _equalise(msc[j : j + 1], *carried)
-            if got is not None or carried is None:
+            got = _equalise(msc[j : j + 1], *carried)
+            if not math.isnan(got[0, 0]):
                 break
-        if got is None:
+        else:
             raise InfeasibleError("min-max split could not be certified")
         u[j], supports[j] = got[0], carried
-        i += 1
+        i, width = i + 1, _SWEEP
     return u, supports
 
 
 def _simplex_support(
     msc: np.ndarray, start: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(S, R) of the split from a dense primal simplex, or None.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, R) of the split from a dense primal simplex.
 
     Solves max 1ᵀx s.t. msc x <= 1, x >= 0 (x = u / value) on a tableau
     with the slacks as the first basis: the origin is feasible and every
@@ -328,7 +322,8 @@ def _simplex_support(
     reduced cost (stopping at -_CERT_TOL, as a cold run does, can leave
     duals of -1e-13 that fail the certificate every round).  That basis
     need not be feasible; pivoting only searches for an (S, R), and the
-    certificate judges it.  None only when B is numerically singular.
+    certificate judges it.  When B is numerically singular, returns
+    `start` itself, which the certificate has already refuted.
     """
     nr, nc = msc.shape
     t = np.zeros((nr + 1, nc + nr + 1))
@@ -343,9 +338,9 @@ def _simplex_support(
         try:
             t[:nr] = np.linalg.solve(t[:nr, basis], t[:nr])
         except np.linalg.LinAlgError:
-            return None
+            return start
         if not np.isfinite(t).all():
-            return None
+            return start
         t[:nr, basis] = np.eye(nr)
         t[nr] -= t[nr, basis] @ t[:nr]
         t[nr, basis] = 0.0

@@ -90,10 +90,10 @@ def carried_split(a, forced_zero, support):
     scaled form unless a column is free, and `_cascade` on a stack of one
     where that fails.  Returns (u, the certified support)."""
     cols, free, msc = solvers._scaled(a[None], forced_zero)
-    got = None
+    got = np.full((1, len(cols)), np.nan)
     if support is not None and not free.any():
         got = solvers._equalise(msc, *support)
-    if got is None:
+    if np.isnan(got[0, 0]):
         own_row = np.array(cols) - (a.shape[1] - a.shape[0])
         got, (support,) = solvers._cascade(msc, free, own_row)
     u = np.zeros(a.shape[1])

@@ -16,6 +16,8 @@ from treeload import (
     generate_network,
     load_records,
     load_scenario,
+    named_topology,
+    pmo,
     run_scenario,
 )
 from treeload.harness import (
@@ -24,6 +26,7 @@ from treeload.harness import (
     SWEEP_PARAMS,
     RunRecord,
     Scenario,
+    _audit_and_record,
     method_params,
     scenario_from_doc,
     solve_method,
@@ -567,3 +570,16 @@ def test_scenario_reproduces_committed_results(path, tmp_path):
     emit_csv(run_scenario(s), out)
     want = _rows_without_timing(ROOT / "results" / f"{s.scenario_id}.csv")
     assert _rows_without_timing(out) == want
+
+
+def test_audit_bound_is_relative_on_small_costs():
+    # a 1 Mbit task costs about 1e-4 J: a drift of 1e-7 of that is far
+    # inside 1e-9 J, but not inside 1e-9 of the cost
+    topo = named_topology("mixed")
+    sol = pmo(topo.tree, 1e6, topo.weights, b=topo.b_comp)
+    assert 1e-5 < sol.cost < 1e-3
+    record = _audit_and_record("t", "pmo", sol, topo.tree, None, None, None)
+    assert record.cost == sol.cost
+    nudged = replace(sol, cost=sol.cost * (1.0 + 1e-7))
+    with pytest.raises(AssertionError, match="cost audit failed for pmo"):
+        _audit_and_record("t", "pmo", nudged, topo.tree, None, None, None)

@@ -165,7 +165,6 @@ def test_solo_splits_that_fail_the_guess_take_the_cascade(monkeypatch):
         seen.update(form.tobytes() for form in m)
         if not first.any():
             return got
-        got = np.full((len(m), m.shape[2]), np.nan) if got is None else got
         got[first & (m[:, 0, 1] > 0.0)] = np.nan
         refuted.extend(m[np.isnan(got[:, 0])])
         return got

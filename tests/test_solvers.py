@@ -424,7 +424,7 @@ def test_saddle_point_certifies_a_master_split(monkeypatch):
     # is the saddle point's, with the same bits
     msc, u, _ = splits[-1]
     every = np.arange(3)
-    assert equalise(msc, every, every) is None
+    assert np.isnan(equalise(msc, every, every)).all()
     s, r = solvers._simplex_support(msc[0])
     assert [s.tolist(), r.tolist()] == [[1], [0]]
     assert equalise(msc, s, r).tobytes() == u.tobytes()
@@ -441,7 +441,7 @@ def test_pure_saddle_point_has_exact_zeros():
     _, _, msc = solvers._scaled(m[None], frozenset())
     every = np.arange(3)
     guess = solvers._equalise(msc, every, every)
-    assert guess is not None and (guess[0] > 0.0).all()
+    assert (guess[0] > 0.0).all()
     u, support = split_with_support(m)
     assert u.tolist() == [0.0, 0.0, 1.0]
     assert [list(x) for x in support] == [[2], [1]]
@@ -453,7 +453,7 @@ def test_refuted_guess_falls_back_to_the_simplex(monkeypatch):
     # support reaches HiGHS's optimum
     m = np.array([[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
     every = np.arange(3)
-    assert solvers._equalise(m[None], every, every) is None
+    assert np.isnan(solvers._equalise(m[None], every, every)).all()
     simplex = _count_simplex(monkeypatch)
     u, support = split_with_support(m)
     assert len(simplex) == 1
@@ -464,12 +464,44 @@ def test_refuted_guess_falls_back_to_the_simplex(monkeypatch):
 def test_certificate_refutes_a_wrong_support():
     # row 2 overshoots the equal-finish point of rows 0 and 1
     m = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 0.0]])
-    assert solvers._equalise(m[None], np.array([0, 1]), np.array([0, 1])) is None
+    wrong = solvers._equalise(m[None], np.array([0, 1]), np.array([0, 1]))
+    assert np.isnan(wrong).all()
     right = solvers._equalise(m[None], np.array([0, 1]), np.array([1, 2]))
     assert right[0] == pytest.approx([0.2, 0.8], abs=1e-15)
     # against the duals of support {0}, column 1 is cheaper
     m = np.array([[1.0, 0.5], [1.0, 0.5]])
-    assert solvers._equalise(m[None], np.array([0]), np.array([0])) is None
+    assert np.isnan(solvers._equalise(m[None], np.array([0]), np.array([0]))).all()
+
+
+def test_equalise_fails_a_whole_stack_with_nan_rows():
+    # a split fails only as a NaN row: with no support, a mismatched one,
+    # a singular system in every matrix, or a certificate that refutes
+    # every matrix (a negative weight, or a gap)
+    two, none = np.array([0, 1]), np.arange(0)
+    cases = [
+        (np.ones((3, 2, 2)), none, none),
+        (np.ones((3, 3, 2)), two, np.array([0, 1, 2])),
+        # equal rows: the equal-finish system is singular
+        (np.array([[[1.0, 2.0], [1.0, 2.0]]]) * [[[1.0]], [[2.0]], [[3.0]]], two, two),
+        # equal finish needs u = (1/2, -1/2)
+        (np.array([[[1.0, 0.0], [2.0, 1.0]]] * 3), two, two),
+        # row 2 overshoots the equal finish of rows 0 and 1
+        (np.array([[[1.0, 0.0], [0.0, 1.0], [4.0, 0.0]]]) * [[[1.0]], [[2.0]]], two, two),
+    ]
+    for m, s, r in cases:
+        got = solvers._equalise(m, s, r)
+        assert got.shape == (len(m), m.shape[2])
+        assert np.isnan(got).all()
+
+
+def test_singular_reinversion_returns_its_start():
+    # columns 0 and 1 are equal, so a basis holding both is singular: the
+    # reinversion hands back the (S, R) it started from, which the
+    # certificate refutes again
+    msc = np.array([[1.0, 1.0, 0.5], [0.5, 0.5, 1.0], [0.2, 0.2, 0.3]])
+    start = np.array([0, 1]), np.array([0, 1])
+    assert solvers._simplex_support(msc, start) is start
+    assert np.isnan(solvers._equalise(msc[None], *start)).all()
 
 
 def test_simplex_step_carries_its_support(monkeypatch):
@@ -486,7 +518,7 @@ def test_simplex_step_carries_its_support(monkeypatch):
         (other, 2, [[[0, 1], [0, 1]], [[1, 2], [0, 1]]]),
     ):
         _, free, msc = solvers._scaled(np.array([first, second]), frozenset())
-        assert solvers._equalise(msc, every, every) is None
+        assert np.isnan(solvers._equalise(msc, every, every)).all()
         simplex.clear()
         u, got = solvers._cascade(msc, free, every)
         # the first simplex run's support certifies `same`; on `other` it
@@ -605,13 +637,10 @@ def _game_matrices(draw):
 
 def _check_simplex_support(m: np.ndarray) -> None:
     msc = m / m.max(axis=0).min()
-    support = solvers._simplex_support(msc)
-    assert support is not None
-    s, r = support
+    s, r = solvers._simplex_support(msc)
     assert len(s) == len(r) > 0
-    u = solvers._equalise(msc[None], s, r)
-    assert u is not None
-    u = u[0]
+    u = solvers._equalise(msc[None], s, r)[0]
+    assert not np.isnan(u).any()
     # HiGHS works to 1e-10 and can miss the certified value by ~1e-12
     highs = _highs_minmax(m, frozenset())
     assert highs * (1 - 1e-10) <= (m @ u).max() <= highs * (1 + 1e-12)
@@ -875,7 +904,7 @@ def test_split_without_a_simplex_support_raises_without_scipy():
         "import numpy as np\n"
         "import treeload.solvers as solvers\n"
         "from treeload import InfeasibleError\n"
-        "solvers._simplex_support = lambda *a: None\n"
+        "solvers._simplex_support = lambda *a: (np.arange(0), np.arange(0))\n"
         "m = np.array([[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])\n"
         "try:\n"
         "    solvers._minmax_unit(m[None], frozenset())\n"
@@ -888,13 +917,16 @@ def test_split_without_a_simplex_support_raises_without_scipy():
 
 def _split_and_simplex_split(a: np.ndarray, forced: frozenset[int]):
     """a's free columns, `_minmax_unit`'s u on them and its support, and
-    `_simplex_support`'s (S, R) with `_equalise`'s u on it (None where
-    that does not certify)."""
+    `_simplex_support`'s (S, R) with `_equalise`'s u on it (None where a
+    column is free or that u is NaN: not certified)."""
     cols, free, stack = solvers._scaled(a[None], forced)
     u, support = split_with_support(a, forced)
-    simplex = None if free.any() else solvers._simplex_support(stack[0])
-    ref = None if simplex is None else solvers._equalise(stack, *simplex)
-    return a[:, cols], u[cols], support, None if ref is None else (ref[0], simplex)
+    ref = None
+    if not free.any():
+        simplex = solvers._simplex_support(stack[0])
+        got = solvers._equalise(stack, *simplex)[0]
+        ref = None if np.isnan(got[0]) else (got, simplex)
+    return a[:, cols], u[cols], support, ref
 
 
 @settings(max_examples=60, deadline=None)
@@ -972,15 +1004,12 @@ def test_stacked_equalise_matches_one_at_a_time():
         if trial % 4 == 0:
             stack[3][np.ix_(r, s)] = 0.0  # singular when k > 1
         got = solvers._equalise(stack, s, r)
-        alone = [solvers._equalise(stack[i : i + 1], s, r) for i in range(12)]
-        if got is None:
-            assert all(u is None for u in alone)
-            continue
-        for row, u in zip(got, alone):
-            if u is None:
-                assert np.isnan(row).all()
-            else:
-                assert row.tobytes() == u[0].tobytes()
+        assert got.shape == (12, nc)
+        for i, row in enumerate(got):
+            alone = solvers._equalise(stack[i : i + 1], s, r)[0]
+            # a failed matrix is a NaN row, alone and in the stack
+            assert np.isnan(row).all() or not np.isnan(row).any()
+            assert row.tobytes() == alone.tobytes()
 
 
 def test_stacked_cascade_matches_one_at_a_time(monkeypatch):
@@ -1151,7 +1180,9 @@ def test_failed_polish_raises_infeasible(monkeypatch):
     # certificate: no answer
     tree = rand_tree(random.Random(12), 5)
     sched = canonical_schedule(tree)
-    monkeypatch.setattr(solvers, "_equalise", lambda m, s, r: None)
+    monkeypatch.setattr(
+        solvers, "_equalise", lambda m, s, r: np.full((len(m), m.shape[2]), np.nan)
+    )
     for solve in (
         lambda: solve_fixed_order(tree, sched, Y, W, b=B_COMP),
         lambda: cmo(tree, Y, W, b=B_COMP),
