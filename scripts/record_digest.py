@@ -13,9 +13,11 @@ first window), `baseline_partial`, `baseline_master_worker`, every solo
 split and `node_prune`'s tree.  The `probe` group holds `pmo` and `cmo`
 on `scripts/probe_timing.probe_tree`'s one-subtree trees with k = 5-7
 helpers and seeds 1-4, under three weight pairs: every order there
-splits, and many reach the cascade's simplex step.  Writes all records
-to one JSON file and prints one sha256 per workload and seed, per
-scenario and for the random and probe groups.  Two checkouts whose
+splits, and many reach the cascade's simplex step.  Every solution of
+the random and probe groups must pass `verify_instance`: the script exits
+1 naming the first check that fails, before it writes anything.  Writes
+all records to one JSON file and prints one sha256 per workload and seed,
+per scenario and for the random and probe groups.  Two checkouts whose
 answers are bit-identical print the same digests:
 
     python3 scripts/record_digest.py --out records.json
@@ -58,6 +60,7 @@ from treeload import (  # noqa: E402
     node_prune,
     pmo,
     run_scenario,
+    verify_instance,
 )
 from treeload.harness import record_to_doc, scenario_from_doc  # noqa: E402
 from treeload.tree import tree_fingerprint  # noqa: E402
@@ -70,6 +73,13 @@ TASK_BITS = 1e9
 PROBE_SIZES = (5, 6, 7)
 PROBE_SEEDS = (1, 2, 3, 4)
 PROBE_WEIGHTS = ((0.5, 0.05), (1.0, 0.0), (0.1, 0.9))
+
+
+def verify_or_exit(sol, where: str) -> None:
+    """Exit 1 naming the first `verify_instance` check `sol` fails, if any."""
+    for check in verify_instance(sol):
+        if not check.ok:
+            sys.exit(f"verify_instance failed at {where}: {check.name}: {check.detail}")
 
 
 def workload_records(name: str, seed: int, workdir: Path) -> list[dict]:
@@ -111,6 +121,7 @@ def random_records() -> list[dict]:
                 tree, TASK_BITS, w, b=b
             )
             for name, sol in sols.items():
+                verify_or_exit(sol, f"random {at} {name}")
                 docs.append({
                     **at, "answer": name, "cost": sol.cost,
                     "y": list(sol.allocation.y),
@@ -137,6 +148,7 @@ def probe_records() -> list[dict]:
                 w = Weights(w1, w2)
                 for name, solve in ("pmo", pmo), ("cmo", cmo):
                     sol = solve(tree, TASK_BITS, w, b=1.0)
+                    verify_or_exit(sol, f"probe k={k} seed={seed} {w} {name}")
                     docs.append({
                         "k": k, "seed": seed, "weights": [w1, w2], "answer": name,
                         "cost": sol.cost, "y": list(sol.allocation.y),

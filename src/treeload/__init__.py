@@ -29,7 +29,6 @@ from .harness import (
     Scenario,
     emit_csv,
     emit_json,
-    load_records,
     load_scenario,
     run_scenario,
 )
@@ -57,7 +56,6 @@ from .solvers import (
     Solution,
     cmo,
     count_schedules,
-    enumerate_schedules,
     load_baseline,
     pmo,
     save_baseline,
@@ -106,13 +104,11 @@ __all__ = [
     "count_schedules",
     "emit_csv",
     "emit_json",
-    "enumerate_schedules",
     "ga",
     "generate_network",
     "level_prune",
     "load_baseline",
     "load_network",
-    "load_records",
     "load_scenario",
     "named_topology",
     "node_prune",

@@ -25,6 +25,7 @@ once.  Both take a few numpy operations on per-tree arrays
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,7 @@ class Allocation:
         for i, v in enumerate(self.y):
             if not v >= 0.0:
                 raise ParameterError(f"y[{i}] must be >= 0, got {v}")
-        drift = abs(sum(self.y) - self.total)
-        if drift > 1e-6 * self.total + 1e-9:
+        if not math.isclose(sum(self.y), self.total, rel_tol=1e-12):
             raise ParameterError(
                 f"allocation sums to {sum(self.y)}, expected {self.total}"
             )

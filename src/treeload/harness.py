@@ -401,8 +401,10 @@ def _with_link_rate(net: NetworkGraph, edge: tuple[int, int], gbps: float) -> Ne
     if (i, j) not in net.links:
         raise ScenarioError((f"sweep.edge: network has no link {i}-{j}",))
     links = dict(net.links)
-    links[(i, j)] = gbps_to_bps(gbps)
-    links[(j, i)] = gbps_to_bps(gbps)
+    # a one-way link stays one-way
+    for key in (i, j), (j, i):
+        if key in links:
+            links[key] = gbps_to_bps(gbps)
     return NetworkGraph(net.servers, links)
 
 
@@ -478,7 +480,7 @@ def _audit_and_record(
     )
     alloc = Allocation(y=tuple(y_full), total=sol.task_size)
     check = system_cost(full_tree, full_sched, alloc, sol.weights, sol.b_comp)
-    if abs(check.j_system - sol.cost) > 1e-9 * abs(sol.cost):
+    if not math.isclose(check.j_system, sol.cost, rel_tol=1e-12):
         raise AssertionError(
             f"cost audit failed for {method}: {check.j_system} vs {sol.cost}"
         )
@@ -601,21 +603,8 @@ def record_to_doc(r: RunRecord) -> dict:
     }
 
 
-def record_from_doc(doc: dict) -> RunRecord:
-    return RunRecord(
-        **{f: doc[col] for f, col in _COLUMNS},
-        allocation=tuple(doc["allocation"]),
-        orders=tuple(tuple(o) for o in doc["orders"]),
-        solver_tag=doc["solver_tag"],
-    )
-
-
 def emit_json(records: list[RunRecord], path: str | Path) -> None:
     with open(path, "w") as fh:
         json.dump([record_to_doc(r) for r in records], fh, indent=2)
         fh.write("\n")
 
-
-def load_records(path: str | Path) -> list[RunRecord]:
-    with open(path) as fh:
-        return [record_from_doc(d) for d in json.load(fh)]

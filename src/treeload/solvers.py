@@ -438,12 +438,6 @@ def _orders(groups):
             yield (first, *rest)
 
 
-def enumerate_schedules(tree: SinkTree):
-    """Every per-subtree order combination, lazily, in lexicographic order."""
-    groups = [tree.subtrees[t] for t in tree.subtree_roots]
-    return (Schedule(orders=orders) for orders in _orders(groups))
-
-
 def count_schedules(tree: SinkTree) -> int:
     out = 1
     for t in tree.subtree_roots:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costs import Weights
+from .errors import ParameterError
 from .network import NetworkGraph, ServerParams
 from .tree import SinkTree, build_sink_tree
 from .units import gbit_to_bits, gbps_to_bps, ghz_to_hz
@@ -194,7 +195,7 @@ def named_topology(name: str) -> NamedTopology:
     try:
         builder = TOPOLOGIES[name]
     except KeyError:
-        raise KeyError(
+        raise ParameterError(
             f"unknown topology {name!r}; choices: {sorted(TOPOLOGIES)}"
         ) from None
     return builder()

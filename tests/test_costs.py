@@ -59,8 +59,10 @@ def test_weights_validation():
 def test_allocation_validation():
     with pytest.raises(ParameterError):
         Allocation(y=(-1.0, 2.0), total=1.0)
-    with pytest.raises(ParameterError):
-        Allocation(y=(1.0, 1.0), total=5.0)
+    # a sum 1e-8 off is refused: the rule is a relative 1e-12 gap
+    for y, total in ((1.0, 1.0), 5.0), ((0.5, 0.5 + 1e-8), 1.0):
+        with pytest.raises(ParameterError):
+            Allocation(y=y, total=total)
     for bad in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             Allocation(y=(1.0, 1.0), total=bad)

@@ -6,15 +6,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_net
 from treeload import (
     GenParams,
+    NetworkGraph,
     ScenarioError,
     Weights,
     build_sink_tree,
     emit_csv,
     emit_json,
     generate_network,
-    load_records,
     load_scenario,
     named_topology,
     pmo,
@@ -27,10 +28,13 @@ from treeload.harness import (
     RunRecord,
     Scenario,
     _audit_and_record,
+    _with_link_rate,
     method_params,
+    record_to_doc,
     scenario_from_doc,
     solve_method,
 )
+from treeload.units import gbps_to_bps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -465,6 +469,17 @@ def test_link_rate_sweep_touches_named_edge():
     assert slow.cost > fast.cost
 
 
+def test_link_rate_sweep_keeps_the_link_set():
+    # a one-way link 1 -> 2 stays one-way; the two-way edge 0-1 changes both ways
+    net = make_net([-1, 0, 0], [0.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+    net = NetworkGraph(net.servers, {**net.links, (1, 2): gbps_to_bps(10.0)})
+    for edge in (1, 2), (0, 1):
+        swept = _with_link_rate(net, edge, 100.0)
+        assert set(swept.links) == set(net.links)
+        changed = {k for k in net.links if swept.links[k] != net.links[k]}
+        assert changed == {edge, edge[::-1]} & set(net.links)
+
+
 def test_link_rate_sweep_rejects_phantom_edge():
     s = scenario_from_doc(
         doc(
@@ -534,8 +549,7 @@ def test_json_roundtrip(tmp_path):
     records = run_scenario(s)
     p = tmp_path / "r.json"
     emit_json(records, p)
-    back = load_records(p)
-    assert back == records
+    assert json.loads(p.read_text()) == [record_to_doc(r) for r in records]
     assert list(json.loads(p.read_text())[0]) == [
         "scenario_id", "method", "sweep_param", "sweep_value", "cost_J",
         "max_T_total_s", "max_E_total_J", "T_exe_s", "allocation", "orders",
@@ -573,13 +587,14 @@ def test_scenario_reproduces_committed_results(path, tmp_path):
 
 
 def test_audit_bound_is_relative_on_small_costs():
-    # a 1 Mbit task costs about 1e-4 J: a drift of 1e-7 of that is far
-    # inside 1e-9 J, but not inside 1e-9 of the cost
+    # a 1 Mbit task costs about 1e-4 J: a drift of 1e-7 or 1e-10 of that
+    # is far inside 1e-9 J, but not inside 1e-12 of the cost
     topo = named_topology("mixed")
     sol = pmo(topo.tree, 1e6, topo.weights, b=topo.b_comp)
     assert 1e-5 < sol.cost < 1e-3
     record = _audit_and_record("t", "pmo", sol, topo.tree, None, None, None)
     assert record.cost == sol.cost
-    nudged = replace(sol, cost=sol.cost * (1.0 + 1e-7))
-    with pytest.raises(AssertionError, match="cost audit failed for pmo"):
-        _audit_and_record("t", "pmo", nudged, topo.tree, None, None, None)
+    for nudge in 1e-7, 1e-10:
+        nudged = replace(sol, cost=sol.cost * (1.0 + nudge))
+        with pytest.raises(AssertionError, match="cost audit failed for pmo"):
+            _audit_and_record("t", "pmo", nudged, topo.tree, None, None, None)

@@ -39,7 +39,6 @@ from treeload import (
     canonical_schedule,
     cmo,
     count_schedules,
-    enumerate_schedules,
     ga,
     generate_network,
     load_baseline,
@@ -135,7 +134,7 @@ def test_zero_task_splits_like_any_task(name):
     ):
         assert sol.cost == 0.0
         assert sol.allocation.y == (0.0,) * len(tree)
-    assert cmo(tree, 0.0, w, b=b).schedule == next(enumerate_schedules(tree))
+    assert cmo(tree, 0.0, w, b=b).schedule == canonical_schedule(tree)
     # forcing every node to zero fails the same way at any task size
     every = frozenset(range(len(tree)))
     sched = canonical_schedule(tree)
@@ -153,7 +152,7 @@ def test_enumeration_matches_reference():
     for seed in range(8):
         tree = rand_tree(random.Random(seed + 50), random.Random(seed).randint(3, 7))
         # the order decides cmo's ties
-        mine = [s.orders for s in enumerate_schedules(tree)]
+        mine = list(solvers._orders([tree.subtrees[t] for t in tree.subtree_roots]))
         ref = list(oracles.all_schedules(tree.parent))
         assert mine == ref
         assert count_schedules(tree) == len(ref) == oracles.count_all_schedules(tree.parent)
@@ -165,11 +164,11 @@ def test_first_schedule_of_a_large_subtree_lists_no_orders():
     tree = make_tree([-1, 0, 1, 1, 2, 2, 3, 3, 4, 4], [0.0] + [10.0] * 9, [2.0] * 10)
     tracemalloc.start()
     try:
-        first = next(enumerate_schedules(tree))
+        first = next(solvers._orders([tree.subtrees[t] for t in tree.subtree_roots]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first.orders == (tuple(range(1, 10)),)
+    assert first == (tuple(range(1, 10)),)
     assert peak < 2**20
 
 
@@ -192,8 +191,8 @@ def test_cmo_is_min_over_schedules():
     tree = rand_tree(rng, 5)
     sol = cmo(tree, Y, W, b=B_COMP)
     costs = [
-        solve_fixed_order(tree, s, Y, W, b=B_COMP).cost
-        for s in enumerate_schedules(tree)
+        solve_fixed_order(tree, Schedule(orders), Y, W, b=B_COMP).cost
+        for orders in oracles.all_schedules(tree.parent)
     ]
     assert sol.cost == pytest.approx(min(costs), rel=1e-12)
     assert sol.schedules_evaluated == count_schedules(tree)

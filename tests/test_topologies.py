@@ -1,6 +1,6 @@
 import pytest
 
-from treeload import TOPOLOGIES, Weights, named_topology
+from treeload import TOPOLOGIES, ParameterError, Weights, named_topology
 from treeload.costs import canonical_schedule, validate_schedule
 from treeload.verification import check_tree
 
@@ -10,7 +10,7 @@ def test_registry_has_the_four_shapes():
 
 
 def test_unknown_name_lists_choices():
-    with pytest.raises(KeyError) as exc:
+    with pytest.raises(ParameterError) as exc:
         named_topology("ring")
     assert "deep_chain" in str(exc.value)
 

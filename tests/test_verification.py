@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import B_COMP, make_net, rand_tree
 from treeload import (
     Allocation,
+    NetworkGraph,
     Schedule,
     Weights,
     build_sink_tree,
@@ -15,8 +17,11 @@ from treeload import (
     check_solution,
     check_tree,
     cmo,
+    named_topology,
+    pmo,
     simulate_delivery,
     system_cost,
+    verification,
     verify_instance,
 )
 
@@ -71,18 +76,19 @@ def test_replay_orders_edge_contention():
 
 
 def test_check_tree_flags_non_shortest_route():
-    # build a tree by hand that takes the slow direct link; the graph
-    # check must notice the faster two-hop route
+    # build a tree by hand that takes the slow direct link (1e-9 s/bit);
+    # the graph check must notice a faster two-hop route, 5x faster or
+    # only 1e-6 faster
     net = make_net([-1, 0, 0], [0.0, 10.0, 1.0], [2.0, 2.0, 2.0])
-    net_links = dict(net.links)
-    net_links[(1, 2)] = net_links[(2, 1)] = 10e9
-    from treeload import NetworkGraph
-
-    richer = NetworkGraph(servers=net.servers, links=net_links)
     bad_tree = build_sink_tree(net)  # built without the shortcut
-    results = check_tree(bad_tree, richer)
-    by_name = {r.name: r for r in results}
-    assert not by_name["paths are shortest in the graph"].ok
+    for shortcut_bps in 10e9, 1.0 / (9e-10 - 1e-15):
+        richer = NetworkGraph(
+            servers=net.servers,
+            links={**net.links, (1, 2): shortcut_bps, (2, 1): shortcut_bps},
+        )
+        results = check_tree(bad_tree, richer)
+        by_name = {r.name: r for r in results}
+        assert not by_name["paths are shortest in the graph"].ok
 
 
 def test_check_solution_all_green_on_solver_output():
@@ -94,13 +100,35 @@ def test_check_solution_all_green_on_solver_output():
 def test_check_solution_catches_corruption():
     tree = rand_tree(random.Random(4), 5)
     sol = cmo(tree, Y, W, b=B_COMP)
-    wrong = replace(sol, cost=sol.cost * 1.5)
-    results = {r.name: r for r in check_solution(wrong)}
-    assert not results["reported cost matches a recompute"].ok
+    for factor in 1.5, 1.0 + 1e-10:
+        wrong = replace(sol, cost=sol.cost * factor)
+        results = {r.name: r for r in check_solution(wrong)}
+        assert not results["reported cost matches a recompute"].ok
 
     mismatched = replace(sol, task_size=sol.task_size * 2)
     results = {r.name: r for r in check_solution(mismatched)}
     assert not results["allocation sums to the task size"].ok
+
+
+@pytest.mark.parametrize(
+    "fields, off",
+    [(("t_wait",), lambda v: v * (1.0 + 1e-6)),
+     (("t_wait", "t_tran", "busy"), lambda v: math.nan)],
+    ids=["waits-1e-6", "all-nan"],
+)
+def test_replay_check_has_no_absolute_floor(monkeypatch, fields, off):
+    # a 1 Mbit answer waits ~4e-5 s: 1e-6 of that is far inside any 1e-9 s
+    # floor, and a NaN passes every `>` test
+    topo = named_topology("mixed")
+    sol = pmo(topo.tree, 1e6, topo.weights, b=topo.b_comp)
+    assert all(r.ok for r in check_solution(sol))
+    true = simulate_delivery(sol.tree, sol.schedule, sol.allocation)
+    assert 1e-6 < max(true.t_wait) < 1e-3
+    bad = replace(true, **{f: tuple(map(off, getattr(true, f))) for f in fields})
+    monkeypatch.setattr(verification, "simulate_delivery", lambda *args: bad)
+    ok = {r.name: r.ok for r in check_solution(sol)}
+    assert not ok["delivery replay agrees"]
+    assert ok["relay energy matches the replay"] == ("busy" not in fields)
 
 
 def test_check_solution_audits_cmo_enumeration():
