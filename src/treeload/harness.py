@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .costs import Allocation, Schedule, Weights, system_cost
 from .errors import GenerationError, ParameterError, ScenarioError, checked
@@ -233,14 +233,24 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         except ParameterError as exc:
             problems.append(f"{where}{exc}")
 
+    def unread(where: str, obj: Any, reads: Iterable[str], by: str = "") -> None:
+        """Note each key of the object `obj` that is not in `reads`."""
+        if isinstance(obj, dict):
+            for k in sorted(set(obj) - set(reads)):
+                problems.append(f"{where}: unknown field {k!r}{by}")
+
     sid = doc.get("scenario_id", scenario_id)
     if not isinstance(sid, str) or not sid:
         problems.append("scenario_id: must be a non-empty string")
 
     net = doc.get("network")
     source_kind, source = "", None
+    sources = ("topology", "file", "generate")
+    unread("network", net, sources)
     if not isinstance(net, dict):
         problems.append("network: required object")
+    elif sum(k in net for k in sources) != 1:
+        problems.append("network: needs exactly one of topology|file|generate")
     elif "topology" in net:
         source_kind, source = "topology", net["topology"]
         if not isinstance(source, str) or source not in TOPOLOGIES:
@@ -251,15 +261,14 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         source_kind, source = "file", net["file"]
         if not isinstance(source, str):
             problems.append(f"network.file: must be a path string, got {source!r}")
-    elif "generate" in net:
+    else:
         source_kind = "generate"
         gen = net["generate"]
         if not isinstance(gen, dict):
             problems.append("network.generate: must be an object")
         else:
             known = {f.name for f in fields(GenParams)}
-            for k in sorted(set(gen) - known):
-                problems.append(f"network.generate: unknown field {k!r}")
+            unread("network.generate", gen, known)
             given = {k: v for k, v in gen.items() if k in known}
             # a required field left out reads as null; any other takes
             # GenParams' own default
@@ -267,8 +276,6 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                 "node_count": None, "edge_prob": None,
                 "rng_seed": doc.get("rng_seed", 0), **given,
             })
-    else:
-        problems.append("network: needs one of topology|file|generate")
 
     scalar = {
         key: check("", checked, key, doc.get(key, default), *bounds)
@@ -277,6 +284,7 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
 
     weights = None
     wdoc = doc.get("weights", {"time": 0.5, "energy": 0.05})
+    unread("weights", wdoc, ("time", "energy"))
     if not isinstance(wdoc, dict) or "time" not in wdoc or "energy" not in wdoc:
         problems.append("weights: needs {time, energy}")
     else:
@@ -293,6 +301,7 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
             if not isinstance(entry, dict) or "name" not in entry:
                 problems.append(f"methods[{k}]: needs a name")
                 continue
+            unread(f"methods[{k}]", entry, ("name", "params"))
             spec = MethodSpec(name=entry["name"], params=entry.get("params", {}))
             found = method_problems(spec.name, spec.params)
             problems += [f"methods[{k}]: {p}" for p in found]
@@ -312,6 +321,9 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
                 )
             else:
                 key = SWEEP_PARAMS[param]
+                also = {"link_rate": "edge", "cpu_freq": "node"}.get(param)
+                by = f" for a {param} sweep"
+                unread("sweep", sdoc, ("parameter", key, also), by)
                 raw = sdoc.get(key)
                 if not isinstance(raw, list) or not raw:
                     problems.append(f"sweep.{key}: required non-empty list")

@@ -5,12 +5,21 @@ sharing no code with the package: costs are accumulated by walking parent
 arrays, schedules come from itertools, and the optimizer enumerates the
 tie patterns of the min-max objective directly.  Slow on purpose; the
 point is a second, independent route to the same numbers.
+
+`duality_gap` is the optimality certificate of any one split, however
+large or ill-conditioned its matrix: weak duality turns the row weights
+of the split's support into a lower bound on the optimum, and the gap to
+that bound is computed exactly in `fractions.Fraction`, so no float
+solver's tolerance stands between a split and its proof.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -230,6 +239,50 @@ def brute_minmax(net: PlainTree, total, w1, w2, b):
         if best is None or v < best:
             best, best_y = v, y
     return best, best_y
+
+
+# --- exact optimality certificate ---------------------------------------------
+
+
+def duality_gap(m, u, support, forced=frozenset()) -> Fraction:
+    """Exact relative gap of the split u of min over the simplex of max(m u).
+
+    m is a (rows, cols) array and u its split, zero on the pinned columns
+    `forced`, nonnegative and summing to 1 within 1e-12.  support is the
+    (S, R) the split was certified with, indices into the unpinned columns
+    and into the rows, or None for a free column, whose split must cost
+    exactly 0.  The row weights p on R that make every column of S cost
+    the same come from a float solve on m scaled as `solvers._scaled`
+    does, clipped at 0.  Any p >= 0 bounds the optimum from below by its
+    cheapest unpinned column, min_j (pᵀm)_j / Σp (weak duality), so the
+    gap, max(m u) / Σu less that bound, relative to max(m u) / Σu, is
+    evaluated exactly on the floats' values: a gap of at most 1e-12
+    proves u / Σu optimal to that tolerance, whatever the float solve's
+    error.
+    """
+    cols = [j for j in range(m.shape[1]) if j not in forced]
+    q = [Fraction(v) for v in u.tolist()]
+    total = sum(q)
+    assert min(q) >= 0 and not any(q[j] for j in forced), u
+    assert abs(total - 1) <= 1e-12, float(total - 1)
+    rows = m.tolist()
+    split = [(j, v) for j, v in enumerate(q) if v]
+    zp = max(sum(Fraction(row[j]) * v for j, v in split) for row in rows) / total
+    if support is None:
+        assert zp == 0
+        return Fraction(0)
+    s, r = support
+    sub = m[:, cols]
+    k = len(s)
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = (sub / sub.max(axis=0).min())[np.ix_(r, s)].T
+    kkt[:k, k] = -1.0
+    kkt[k, :k] = 1.0
+    p = np.linalg.solve(kkt, np.r_[np.zeros(k), 1.0])[:k]
+    assert p.min() >= -1e-12, p.min()
+    dual = [(rows[i], Fraction(v)) for i, v in zip(r, p.tolist()) if v > 0.0]
+    zd = min(sum(Fraction(row[j]) * v for row, v in dual) for j in cols)
+    return 1 - zd / sum(v for _, v in dual) / zp
 
 
 # --- two-node closed form -----------------------------------------------------

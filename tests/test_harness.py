@@ -114,6 +114,8 @@ def test_doc_rejects_params_the_method_does_not_read():
                     {"name": "np+ga", "params": {"theta_p": 0.1, "xi": 2}},
                     {"name": "lp+pmo", "params": {"xi": 1, "rng_seed": 3}},
                     {"name": "ga", "params": {"elite_frac": 0.2}},
+                    # a misspelt params object would leave ga at its defaults
+                    {"name": "ga", "parms": {"population": 6}},
                 ]
             )
         )
@@ -124,6 +126,7 @@ def test_doc_rejects_params_the_method_does_not_read():
         "methods[2]: params.xi: not read by np+ga",
         "methods[3]: params.rng_seed: not read by lp+pmo",
         "methods[4]: params.elite_frac: not read by ga",
+        "methods[5]: unknown field 'parms'",
     )
     # every key a method does read is accepted
     s = scenario_from_doc(
@@ -179,6 +182,26 @@ def test_schema_agrees_with_the_sweep_and_generate_tables():
     assert gen["additionalProperties"] is False
 
 
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"network": {"topology": "mixed", "file": "x.json"}},
+        {"network": {"topology": "mixed", "seed": 3}},
+        {"methods": [{"name": "ga", "parms": {"population": 6}}]},
+        {"weights": {"time": 0.5, "energy": 0.05, "cost": 1.0}},
+        {"sweep": {"parameter": "task_size", "values_gbit": [1], "step": 2}},
+    ],
+    ids=["two-sources", "network-key", "method-key", "weights-key", "sweep-key"],
+)
+def test_schema_refuses_the_keys_the_harness_refuses(over):
+    import jsonschema
+
+    schema = json.loads((ROOT / "schemas" / "scenario.schema.json").read_text())
+    assert not jsonschema.Draft202012Validator(schema).is_valid(doc(**over))
+    with pytest.raises(ScenarioError):
+        scenario_from_doc(doc(**over))
+
+
 def test_doc_sweep_validation():
     with pytest.raises(ScenarioError) as exc:
         scenario_from_doc(
@@ -201,6 +224,15 @@ def test_doc_sweep_validation():
     with pytest.raises(ScenarioError) as exc:
         scenario_from_doc(doc(sweep={"parameter": "humidity", "values": [1]}))
     assert "humidity" in str(exc.value)
+
+    # a task_size sweep reads no edge, node or other value list
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_doc(doc(sweep={"parameter": "task_size", "values_gbit": [1],
+                                     "edge": [0, 1], "values": [2]}))
+    assert exc.value.problems == (
+        "sweep: unknown field 'edge' for a task_size sweep",
+        "sweep: unknown field 'values' for a task_size sweep",
+    )
 
 
 def _method(name, **params):
@@ -313,6 +345,8 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
          "weights: w1 must be a number in [0, inf), got True"),
         ({"weights": {"time": 0.5, "energy": False}},
          "weights: w2 must be a number in [0, inf), got False"),
+        ({"weights": {"time": 0.5, "energy": 0.05, "cost": 1.0}},
+         "weights: unknown field 'cost'"),
         ({"network": {"topology": ["mixed"]}},
          "network.topology: unknown ['mixed'], choices "
          "['deep_chain', 'mixed', 'two_subtree', 'wide_shallow']"),
@@ -342,7 +376,8 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
          "node-bool", "generate-tx_power_dbm", "generate-typo",
          "node_count-4.5", "node_count-bool", "generate-rng_seed-1.5",
          "generate-rng_seed-bool", "task_size-bool", "cycles_per_bit-bool",
-         "weights-time-bool", "weights-energy-bool", "topology-list",
+         "weights-time-bool", "weights-energy-bool", "weights-extra-key",
+         "topology-list",
          "file-int", "edge_prob-bool", "edge_prob-str", "gamma-nan", "gamma-bool",
          "freq_range-one-value", "rate_range-inf"],
 )
@@ -363,6 +398,15 @@ def test_doc_network_variants():
         scenario_from_doc(doc(network={"topology": "moebius"}))
     with pytest.raises(ScenarioError):
         scenario_from_doc(doc(network={}))
+    # two sources: the first was taken; a key nothing reads was ignored
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_doc(doc(network={"topology": "mixed", "file": "x.json"}))
+    assert exc.value.problems == (
+        "network: needs exactly one of topology|file|generate",
+    )
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_doc(doc(network={"topology": "mixed", "seed": 3}))
+    assert exc.value.problems == ("network: unknown field 'seed'",)
 
 
 def test_load_scenario_defaults_id_to_stem(tmp_path):
