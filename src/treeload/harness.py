@@ -34,7 +34,14 @@ from .heuristics import (
     level_prune,
     node_prune,
 )
-from .network import GenParams, NetworkGraph, generate_network, load_network
+from .network import (
+    GenParams,
+    NetworkGraph,
+    generate_network,
+    load_network,
+    rewrite,
+    write_json,
+)
 from .solvers import Solution, check_task_size, cmo, pmo
 from .topologies import TOPOLOGIES, named_topology
 from .tree import SinkTree, build_sink_tree
@@ -596,7 +603,7 @@ def _cell(v: str | float | None) -> str:
 def emit_csv(records: list[RunRecord], path: str | Path) -> None:
     """Stable-column CSV; float cells carry 12 significant digits."""
     n = max((len(r.allocation) for r in records), default=0)
-    with open(path, "w", newline="") as fh:
+    with rewrite(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow([col for _, col in _COLUMNS] + [f"y_{i}" for i in range(n)])
         for r in records:
@@ -616,7 +623,5 @@ def record_to_doc(r: RunRecord) -> dict:
 
 
 def emit_json(records: list[RunRecord], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump([record_to_doc(r) for r in records], fh, indent=2)
-        fh.write("\n")
+    write_json(path, [record_to_doc(r) for r in records])
 

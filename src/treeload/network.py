@@ -1,4 +1,5 @@
-"""Network model: servers, directed link rates, random generation, JSON I/O.
+"""Network model: servers, directed link rates, random generation, JSON I/O,
+and `rewrite`, the one file writer of the package.
 
 The master is always node 0.  A physical (undirected) link is stored as two
 directed entries so the two directions can in principle carry different
@@ -10,8 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
+import stat
 import sys
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -269,9 +274,7 @@ def network_from_doc(doc: dict) -> NetworkGraph:
 
 
 def save_network(net: NetworkGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(network_to_doc(net), fh, indent=2)
-        fh.write("\n")
+    write_json(path, network_to_doc(net))
 
 
 def load_network(path) -> NetworkGraph:
@@ -281,3 +284,48 @@ def load_network(path) -> NetworkGraph:
             return network_from_doc(json.load(fh))
         except ValueError as exc:  # bad JSON, undecodable bytes, ParameterError
             raise ParameterError(f"{path}: not a network file: {exc}") from None
+
+
+# --- file writing ----------------------------------------------------------
+
+
+def _no_truncate(path, flags: int) -> int:
+    """`open`'s opener for mode "w" without its O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def rewrite(path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a text file for writing like ``open(path, "w", newline=newline)``,
+    but write over the old bytes in place and cut the file at the final
+    position on exit instead of truncating it to zero first.
+
+    On ext4 (``auto_da_alloc``, its default) closing a file that was
+    truncated to zero starts writeback of the new data, so a caller that
+    rewrites the same file on every request pays a flush each time; cutting
+    the file to its written length does not. The bytes of a successful
+    write, the encoding, the newline handling, the mode of a new file
+    (0o666 less the umask) and the following of symlinks are those of
+    ``open(path, "w")``. A write that raises leaves what that leaves too:
+    the file is cut where the write stopped, so it holds the partial new
+    bytes and none of the old ones. Only a regular file is cut; /dev/null,
+    a FIFO or another special file is written as it is.
+
+    Nothing is atomic or synced. Readers can see a rewrite in progress, and
+    after a crash in the middle of one the file can hold old bytes after
+    the new ones, where ``open(path, "w")`` could have left it empty. A
+    caller that needs the file to survive a crash must fsync it.
+    """
+    with open(path, "w", newline=newline, opener=_no_truncate) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as JSON indented by 2, and a newline, through `rewrite`."""
+    with rewrite(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

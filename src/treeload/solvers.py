@@ -60,6 +60,7 @@ from .costs import (
     system_cost,
 )
 from .errors import InfeasibleError, ParameterError, checked
+from .network import write_json
 from .tree import SinkTree, tree_fingerprint
 from .units import DEFAULT_B
 
@@ -648,9 +649,7 @@ def save_baseline(path, sol: Solution) -> None:
         "cost": sol.cost,
         "solver_tag": sol.solver_tag,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_baseline(

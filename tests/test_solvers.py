@@ -807,6 +807,107 @@ def test_reinversion_certifies_integer_tie_draws(
     assert oracles.duality_gap(m, u, support) <= 1e-12
 
 
+# draw 720 (38x6) of a 26-decade campaign with exact repeats, stored as
+# drawn: on np.random.default_rng(1), each draw takes nr, nc = integers(1,
+# 41, 2); m = 10 ** uniform(-26, 1, (nr, nc)); entries picked with
+# probability 0.3 (random((nr, nc)) < 0.3) become choice([0, 0.5, 1, 2, 3],
+# (nr, nc)) at the same place; with probability 0.2 every row is set to row
+# 0; and row 0 gets 1.0 in each column that sums to 0. Draws 149, 720, 788
+# and 913 of the first 1,000 raise.
+_REPEATS_26_DECADES = np.array(
+    [
+        [3.0, 3.8932193174905595e-17, 2.390003081143701e-12,
+         1.4741055245895225e-11, 3.647094248127023e-06, 3.821776109926503e-18],
+        [0.0, 1.542885916949706e-11, 1.0,
+         0.5, 2.0, 1.9485617809458984e-11],
+        [2.0, 0.025434984357302702, 6.702974273398496e-22,
+         0.0, 1.1079453118639471e-05, 2.6815873314031656e-23],
+        [6.707117278404218e-06, 5.107943006598459e-18, 2.9419304365005454e-08,
+         6.835139630129009e-20, 5.230784321542658e-11, 5.1423519549959064e-26],
+        [2.436970130575127e-25, 6.878992315719441e-26, 6.211709751700838e-11,
+         6.419438537066173e-06, 1.3463513963593354e-16, 0.0014202103361602829],
+        [1.9996459700242543e-10, 0.5, 0.0002284956073858119,
+         5.827807539064527e-25, 1.0, 3.0],
+        [3.334949761768649e-10, 9.842142210308857e-18, 3.0,
+         1.6718903252697345e-09, 2.7842238932667704e-17, 2.270278698922652e-21],
+        [1.2103850186884152e-10, 5.0421676220838954e-18, 0.0,
+         1.68365169716055e-07, 5.431073332740445e-06, 1.9377997762247716e-05],
+        [1.8749978122611302, 2.270607984606757e-19, 4.745102386690661e-15,
+         3.6973056098934147e-13, 3.605962993947274e-11, 3.2393407828103985e-26],
+        [1.0, 1.4585010331213838e-17, 2.4097832514390327e-15,
+         9.473755377001678e-21, 2.0, 2.9191500629804673e-22],
+        [0.11684497447230986, 6.699578470894535e-15, 1.3300256500901748e-08,
+         1.0, 0.0, 0.17923144672312927],
+        [1.464337040581774e-23, 3.0, 2.1255662807088282e-11,
+         6.195783906296199e-05, 6.135752735041217e-08, 2.0640423889178396e-07],
+        [3.0, 2.5081307961495126e-21, 7.5998348750093e-08,
+         0.0013639736213109893, 2.0, 1.6615658472600337e-22],
+        [3.0, 6.357811192573197e-17, 1.9971569992298775e-22,
+         1.483170273825715e-05, 1.7987079375970127e-16, 3.0],
+        [1.577954270135509e-23, 6.958805843795334e-10, 6.864487005554999e-17,
+         1.1711954281646744e-05, 0.15986304744722826, 6.628110511919258e-20],
+        [3.0, 8.443851162466972e-15, 2.0,
+         7.876369974937039e-05, 0.0, 5.054095127593481e-06],
+        [1.0, 1.0, 4.5687525035071336e-08,
+         6.330681337802561e-17, 2.438210294952792e-20, 3.2530574763410086e-05],
+        [1.2254559146746977e-07, 1.8007328663544013e-14, 4.789910511164569e-13,
+         3.0, 2.0109585561610823e-13, 1.4274793111312834e-21],
+        [1.0, 4.334664335827433e-13, 1.7488141279450667e-25,
+         5.357087706203611e-14, 3.0, 4.2880261626978735e-08],
+        [0.7796252014321888, 1.8438153466835556e-25, 1.8930499106107406e-23,
+         0.5, 2.347874324080721e-10, 1.464655462012386e-13],
+        [1.8433137541317134e-25, 1.0, 5.767946033566194e-10,
+         3.0, 1.1350686812142182e-13, 2.867347579507255e-08],
+        [0.0016479543076955206, 2.7471036365036955e-08, 1.354983178031334e-22,
+         2.0, 0.0, 0.5],
+        [3.2593222641872783e-08, 0.0, 1.9984086901626793e-24,
+         3.356867478519056e-23, 8.551008053192659e-24, 2.0],
+        [3.0, 1.7413229786564703e-12, 0.0009012820125687953,
+         3.282348070454417e-12, 3.0, 0.0],
+        [1.0, 0.5, 7.129821812415349e-09,
+         1.5374307163083232e-09, 7.02405025063257e-08, 7.86868599687741e-21],
+        [3.0, 3.0, 3.9358993103766147e-13,
+         0.0021663865381576206, 1.0, 3.0],
+        [3.0, 1.0333806491573224e-18, 6.284000722424749e-05,
+         0.00037674386597240915, 1.0682365398898934e-15, 2.510087529410925],
+        [6.644437724276502e-05, 0.03523584849613266, 3.0,
+         3.0, 1.0, 2.0],
+        [2.1820055622124824e-19, 3.2931490482359743e-07, 5.13905529079157,
+         1.1297740721438136e-18, 2.7336142995641217e-19, 1.5941098098289317e-07],
+        [2.2859191387226504e-25, 3.0, 3.0,
+         7.018294402809367e-11, 0.0, 0.5],
+        [0.5, 1.6318980614625632e-24, 1.724250953877162e-05,
+         2.0, 1.0, 0.5],
+        [0.004089104019485344, 0.03823124068963462, 0.5,
+         4.825350443215035e-22, 1.9565888630888846e-07, 0.20914132227247448],
+        [9.64411278270624e-14, 0.0, 2.707666406589164e-19,
+         3.937786498094735e-08, 3.4170990266125936e-11, 1.0],
+        [0.0, 1.0, 7.322477162898659e-24,
+         1.3029857652572698e-10, 3.496567430757427e-08, 9.986274682250764e-10],
+        [1.9247628644915784e-17, 1.0871357854186544e-26, 6.19630999583788e-26,
+         1.2591882043714977, 1.6677504956085125e-10, 0.5],
+        [0.0, 8.819147542728497e-15, 0.026962660170902864,
+         1.6811317687925906e-15, 9.530891955772138e-15, 2.40787236723338],
+        [0.5, 2.0, 1.4626495580392422e-09,
+         1.339387477266502e-18, 2.0, 0.03703440954027767],
+        [2.1699816641755365e-09, 0.1784976315275134, 1.5194390754589603e-25,
+         0.5, 0.5, 0.0],
+    ]
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InfeasibleError,
+    reason="the cold simplex stops on a basis the certificate refutes, and "
+    "each of the three reinversions returns that same basis",
+)
+def test_split_certifies_26_decades_with_exact_repeats():
+    m = _REPEATS_26_DECADES
+    u, support = split_with_support(m)
+    assert oracles.duality_gap(m, u, support) <= 1e-12
+
+
 @st.composite
 def _integer_ties(draw):
     """Matrices up to 30x30 of integers 1-3: ties make the simplex degenerate."""
