@@ -16,7 +16,8 @@ built once per solve, plus w1 times the schedule's waiting terms
 (`_waiting`, a mask over the tree's sharing matrix, one per order of a
 stack).  The solvers add the two (pmo on slices of them);
 `cost_coefficients` returns their sum as one read-only matrix, for
-`solvers.solve_fixed_order`, `verification.check_solution` and tests.
+`solvers.solve_fixed_order`, `verification.check_solution`,
+`heuristics.baseline_master_worker` and tests.
 `_node_terms` evaluates every term of one split, for `system_cost` and GA
 fitness alike, from energy rates (`_energy_rates`) each caller builds
 once.  Both take a few numpy operations on per-tree arrays

@@ -246,6 +246,8 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
             for k in sorted(set(obj) - set(reads)):
                 problems.append(f"{where}: unknown field {k!r}{by}")
 
+    top = ("scenario_id", "network", *_SCALARS, "weights", "methods", "sweep")
+    unread("document", doc, top)
     sid = doc.get("scenario_id", scenario_id)
     if not isinstance(sid, str) or not sid:
         problems.append("scenario_id: must be a non-empty string")
@@ -281,7 +283,7 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
             # GenParams' own default
             source = check("network.generate: ", GenParams, **{
                 "node_count": None, "edge_prob": None,
-                "rng_seed": doc.get("rng_seed", 0), **given,
+                "rng_seed": 0, **given,
             })
 
     scalar = {
@@ -393,13 +395,17 @@ def _check_sweep_value(param: str, v: Any, source: Any) -> float:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Read a scenario file; each problem of a malformed one names the file."""
     p = Path(path)
     with open(p) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # also undecodable bytes
             raise ScenarioError((f"{p}: not valid JSON: {exc}",)) from None
-    return scenario_from_doc(doc, scenario_id=p.stem)
+    try:
+        return scenario_from_doc(doc, scenario_id=p.stem)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{p}: {q}" for q in exc.problems) from None
 
 
 # ---------------------------------------------------------------------------
@@ -539,38 +545,31 @@ def _mean_solve_seconds(
 
 def run_scenario(s: Scenario) -> list[RunRecord]:
     """Execute every (sweep point, method) pair in deterministic order."""
-    base_net = None if s.source_kind == "generate" and s.sweep and s.sweep.parameter == "subtree_count" else _base_network(s)
-
+    param = s.sweep.parameter if s.sweep else None
+    base = None if param == "subtree_count" else _base_network(s)
     points: list[float | None] = [None] if s.sweep is None else list(s.sweep.values)
     records: list[RunRecord] = []
     for value in points:
-        net = base_net
-        task_size = s.task_size
-        if s.sweep is not None and value is not None:
-            param = s.sweep.parameter
-            if param == "task_size":
-                task_size = gbit_to_bits(value)
-            elif param == "link_rate":
-                assert s.sweep.edge is not None and net is not None
-                net = _with_link_rate(net, s.sweep.edge, value)
-            elif param == "cpu_freq":
-                assert s.sweep.node is not None and net is not None
-                net = _with_cpu_freq(net, s.sweep.node, value)
-            elif param == "subtree_count":
-                net = _with_subtree_count(s, int(value))
-        assert net is not None
+        net, task_size = base, s.task_size
+        if param == "task_size":
+            task_size = gbit_to_bits(value)
+        elif param == "link_rate":
+            net = _with_link_rate(net, s.sweep.edge, value)
+        elif param == "cpu_freq":
+            net = _with_cpu_freq(net, s.sweep.node, value)
+        elif param == "subtree_count":
+            net = _with_subtree_count(s, int(value))
         tree = build_sink_tree(net)
 
-        sweep_param = s.sweep.parameter if s.sweep else None
         for spec in s.methods:
-            spec = _at_point(spec, sweep_param, value)
+            spec = _at_point(spec, param, value)
             sol = solve_method(spec, tree, task_size, s.weights, s.b_comp)
             t_exe = _mean_solve_seconds(
                 spec, tree, task_size, s.weights, s.b_comp, s.repetitions
             )
             records.append(
                 _audit_and_record(
-                    s.scenario_id, spec.name, sol, tree, sweep_param, value, t_exe
+                    s.scenario_id, spec.name, sol, tree, param, value, t_exe
                 )
             )
     return records

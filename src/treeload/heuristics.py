@@ -94,11 +94,11 @@ def _solo_splits(
     schedule with every node but the master and i forced to zero (those
     still relay and pay relay energy on the path to i), bit for bit, but
     all of them come from one `solvers._minmax_unit` call on the (B, n, 2)
-    stack of the linear form's column pairs [0, i].  In each pair's form
-    the master's row and row i move to the last two rows, the own rows of
-    its two columns.  Each cost is the audit's own j_system
-    (`costs._node_terms` on the stacked splits).  Returns (cost, y): a
-    (B,) array of costs and the (B, n) splits in bits.
+    stack of the linear form's column pairs [0, i].  Each pair's form
+    holds the rows of every other node in id order, then the master's row
+    and row i, the own rows of its two columns.  Each cost is the audit's
+    own j_system (`costs._node_terms` on the stacked splits).  Returns
+    (cost, y): a (B,) array of costs and the (B, n) splits in bits.
     """
     n = len(tree)
     wait = _waiting(tree.shared_inv_rate, [canonical_schedule(tree).orders])[0]
@@ -106,11 +106,9 @@ def _solo_splits(
     at = np.arange(len(nodes))
     pair = np.zeros((len(nodes), 2), dtype=int)
     pair[:, 1] = nodes
-    rows = np.tile(np.arange(n), (len(nodes), 1))
-    rows[:, [0, n - 2]] = rows[:, [n - 2, 0]]
-    # row i, at row 0 now when i is n - 2, swaps with row n - 1
-    rows[at, np.where(pair[:, 1] == n - 2, 0, pair[:, 1])] = n - 1
-    rows[:, n - 1] = pair[:, 1]
+    # every node but the master and i in id order, then the master, then i
+    rest = np.arange(1, n - 1)
+    rows = np.hstack([rest + (rest >= pair[:, 1:]), pair])
     u = np.zeros((len(nodes), n))
     u[at[:, None], pair] = solvers._minmax_unit(
         a[rows[:, :, None], pair[:, None]], frozenset()

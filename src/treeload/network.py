@@ -8,7 +8,6 @@ rates; the random generator emits symmetric ones.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -78,23 +77,18 @@ class NetworkGraph:
         if not ids:
             raise ParameterError("network needs at least the master server")
         top = len(ids) - 1
-        # each distinct end is checked once, keyed by its type and value
-        # unless every end is a plain int: True == 1, but only 1 is an id
-        flat = list(itertools.chain.from_iterable(self.links))
-        plain = set(map(type, flat)) == {int}
-        keys = flat if plain else list(zip(map(type, flat), flat))
-        ends = dict.fromkeys(keys)
-        for end in ends:
-            try:
-                ends[end] = checked("end", end if plain else end[1], int, 0, top)
-            except ParameterError as exc:
-                i, j = list(self.links)[keys.index(end) // 2]
-                raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
         links = dict(self.links)
-        if not plain:
-            # an end such as 1.0 or numpy's 1 becomes the plain int 1
-            pairs = zip(keys[::2], keys[1::2])
-            links = {(ends[a], ends[b]): r for (a, b), r in zip(pairs, links.values())}
+        flat = [end for link in links for end in link]
+        # plain in-range int ends are taken as they are; any other end is
+        # checked, so True (== 1) is refused and 1.0 or numpy's 1 becomes 1
+        if set(map(type, flat)) - {int} or not all(0 <= e <= top for e in flat):
+            links = {}
+            for (i, j), rate in self.links.items():
+                try:
+                    key = tuple(checked("end", e, int, 0, top) for e in (i, j))
+                except ParameterError as exc:
+                    raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
+                links[key] = rate
         for (i, j), rate in links.items():
             if i == j:
                 raise ParameterError(f"self-link on node {i}")

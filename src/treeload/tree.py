@@ -184,17 +184,9 @@ def build_sink_tree(net: NetworkGraph) -> SinkTree:
     for v in range(n):
         if v != MASTER_ID:
             kids_orig[parent_orig[v]].append(v)
-    for lst in kids_orig.values():
-        lst.sort()
-
-    order: list[int] = [MASTER_ID]
-    frontier = [MASTER_ID]
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            nxt.extend(kids_orig[u])
-        order.extend(nxt)
-        frontier = nxt
+    order = [MASTER_ID]
+    for u in order:
+        order.extend(kids_orig[u])
 
     tree_id = {orig: t for t, orig in enumerate(order)}
     parent = tuple(

@@ -124,11 +124,9 @@ def _shortest_inv_rate_bellman(net: NetworkGraph) -> list[float]:
 def check_tree(tree: SinkTree, net: NetworkGraph | None = None) -> list[CheckResult]:
     out = []
 
-    ordered = all(
-        tree.depth_of[i] <= tree.depth_of[j]
-        for i in range(len(tree))
-        for j in range(i + 1, len(tree))
-    )
+    # depth never falls with id exactly when no adjacent pair falls
+    depth = tree.depth_of
+    ordered = all(a <= b for a, b in zip(depth, depth[1:]))
     out.append(CheckResult("level-ordered ids", ordered))
 
     seen: set[int] = set()

@@ -369,6 +369,9 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
         (["tree", "--network"], _two_servers(rate_gbps=math.nan)),
         (["tree", "--network"], _two_servers(tx_power_dbm=math.inf)),
         (["compare", "--scenario"], "{not json"),
+        (["compare", "--scenario"], json.dumps(
+            {"network": {"topology": "mixed", "warp": 1}, "methods": ["pmo"]}
+        )),
         (SOLVE_MIXED, "{not json"),
         (SOLVE_MIXED, _mixed_plan()),
         (SOLVE_MIXED, "[]"),
@@ -382,7 +385,7 @@ SOLVE_MIXED = ["solve", "--topology", "mixed", "--method", "pmo", "--cache"]
          "network-rate-bool", "network-clock-str", "network-clock-inf",
          "network-clock-nan", "network-gamma-inf", "network-gamma-nan",
          "network-rate-inf", "network-rate-nan", "network-power-inf",
-         "scenario-not-json",
+         "scenario-not-json", "scenario-unknown-field",
          "cache-not-json", "cache-without-plan", "cache-list",
          "cache-orders-int", "cache-orders-unknown-node"],
 )

@@ -190,8 +190,11 @@ def test_schema_agrees_with_the_sweep_and_generate_tables():
         {"methods": [{"name": "ga", "parms": {"population": 6}}]},
         {"weights": {"time": 0.5, "energy": 0.05, "cost": 1.0}},
         {"sweep": {"parameter": "task_size", "values_gbit": [1], "step": 2}},
+        {"cycles_per_bits": 1.0},
+        {"rng_seed": 3},
     ],
-    ids=["two-sources", "network-key", "method-key", "weights-key", "sweep-key"],
+    ids=["two-sources", "network-key", "method-key", "weights-key", "sweep-key",
+         "top-key", "top-rng_seed"],
 )
 def test_schema_refuses_the_keys_the_harness_refuses(over):
     import jsonschema
@@ -347,6 +350,9 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
          "weights: w2 must be a number in [0, inf), got False"),
         ({"weights": {"time": 0.5, "energy": 0.05, "cost": 1.0}},
          "weights: unknown field 'cost'"),
+        # a misspelt scalar would otherwise run with its default
+        ({"cycles_per_bits": 1.0}, "document: unknown field 'cycles_per_bits'"),
+        ({"rng_seed": 3}, "document: unknown field 'rng_seed'"),
         ({"network": {"topology": ["mixed"]}},
          "network.topology: unknown ['mixed'], choices "
          "['deep_chain', 'mixed', 'two_subtree', 'wide_shallow']"),
@@ -377,6 +383,7 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
          "node_count-4.5", "node_count-bool", "generate-rng_seed-1.5",
          "generate-rng_seed-bool", "task_size-bool", "cycles_per_bit-bool",
          "weights-time-bool", "weights-energy-bool", "weights-extra-key",
+         "top-level-typo", "top-level-rng_seed",
          "topology-list",
          "file-int", "edge_prob-bool", "edge_prob-str", "gamma-nan", "gamma-bool",
          "freq_range-one-value", "rate_range-inf"],

@@ -121,8 +121,8 @@ def test_doc_rejects_unit_mismatch():
 
 
 def test_doc_checks_each_number_once(monkeypatch):
-    # one check per number of the file, per server id and per distinct
-    # link end; none again in SI units
+    # one check per number of the file and per server id; plain in-range
+    # link ends take none, and nothing is checked again in SI units
     net = generate_network(GenParams(node_count=12, edge_prob=0.4, rng_seed=5))
     doc = network_to_doc(net)
     calls = []
@@ -132,11 +132,10 @@ def test_doc_checks_each_number_once(monkeypatch):
     )
     back = network_from_doc(doc)
     assert network_to_doc(back) == doc
-    ends = {k for link in net.links for k in link}
     assert sorted(set(calls)) == [
-        "cpu_freq_ghz", "end", "gamma", "rate_gbps", "server id", "tx_power_dbm"
+        "cpu_freq_ghz", "gamma", "rate_gbps", "server id", "tx_power_dbm"
     ]
-    assert len(calls) == 4 * len(net) + len(net.links) + len(ends)
+    assert len(calls) == 4 * len(net) + len(net.links)
 
 
 @pytest.mark.parametrize(
@@ -167,6 +166,15 @@ def test_graph_checks_link_ends_by_type():
     # True == 1, and 1 is an end already, but True is still refused
     with pytest.raises(ParameterError, match=r"link \(2, True\) end must be"):
         NetworkGraph(servers, {(0, 1): 1e9, (2, True): 1e9})
+    # a bad end after valid plain links is reported against its own link
+    with pytest.raises(ParameterError, match=r"link \(2, 3\) end must be .* got 3$"):
+        NetworkGraph(servers, {(0, 1): 1e9, (1, 2): 1e9, (2, 3): 1e9})
+    # of an out-of-range end and a boolean one, the first in link order
+    with pytest.raises(ParameterError, match=r"link \(1, 5\) end must be .* got 5$"):
+        NetworkGraph(servers, {(0, 1): 1e9, (1, 5): 1e9, (2, True): 1e9})
+    with pytest.raises(ParameterError, match=r"link \(True, 2\) end .* got True$"):
+        NetworkGraph(servers, {(0, 1): 1e9, (True, 2): 1e9, (1, 5): 1e9})
+    assert NetworkGraph(servers[:1], {}).links == {}
 
 
 @given(st.floats(min_value=-30.0, max_value=50.0))
