@@ -3,7 +3,10 @@
 Runs every request of the `exact` and `approx_large` benchmark workloads
 (perfbench/workloads.py, seeds 1 and 1000003) through `scenario_from_doc`
 and `run_scenario`, and every scenarios/*.json with repetitions 0, so no
-record holds a timing.  One more group, `random`, holds answers off the
+record holds a timing.  Each benchmark request runs first on a cleared
+memo of base networks and sink trees (`harness._memo`), then all of them
+run again warm: the script exits 1 naming the first warm record that
+differs from its cold one.  One more group, `random`, holds answers off the
 benchmark's regime, where corner optima and ties are common: on seeded
 `tests/conftest.rand_tree` trees of 2-8 nodes, each node's switched
 capacitance drawn as 10**U(-28, -2), and five weight pairs, it records
@@ -55,6 +58,7 @@ from treeload import (  # noqa: E402
     cmo,
     count_schedules,
     ga,
+    harness,
     heuristics,
     load_scenario,
     node_prune,
@@ -83,12 +87,21 @@ def verify_or_exit(sol, where: str) -> None:
 
 
 def workload_records(name: str, seed: int, workdir: Path) -> list[dict]:
+    """The records of every request, each run on a cleared memo; exits 1
+    when a second, warm run of the requests gives a different record."""
     insts, reqs = workloads.build(name, workloads.pick(name, seed), workdir)
-    docs = []
-    for req in reqs:
-        s = scenario_from_doc(workloads.scenario_doc(insts[req.inst], req))
-        docs += [record_to_doc(r) for r in run_scenario(s)]
-    return docs
+    scenarios = [
+        scenario_from_doc(workloads.scenario_doc(insts[req.inst], req)) for req in reqs
+    ]
+    cold = []
+    for s in scenarios:
+        harness._memo.cache_clear()
+        cold += [record_to_doc(r) for r in run_scenario(s)]
+    warm = [record_to_doc(r) for s in scenarios for r in run_scenario(s)]
+    where = first_difference({f"{name}/{seed}": cold}, {f"{name}/{seed}": warm})
+    if where is not None:
+        sys.exit(f"warm run differs from the cold run: {where}")
+    return cold
 
 
 def scenario_records(path: Path) -> list[dict]:

@@ -38,10 +38,15 @@ from .harness import (
 )
 from .network import GenParams, generate_network, load_network, save_network
 from .solvers import load_baseline, save_baseline, scale_solution
-from .topologies import TOPOLOGIES, named_topology
+from .topologies import (
+    DEFAULT_TASK_GBIT,
+    DEFAULT_WEIGHTS,
+    TOPOLOGIES,
+    default_b,
+    named_topology,
+)
 from .tree import SinkTree, build_sink_tree
 from .units import (
-    DEFAULT_B,
     DEFAULT_CYCLES_PER_GBIT,
     bits_to_gbit,
     bps_to_gbps,
@@ -61,9 +66,6 @@ _PARAM_FLAGS = {
 }
 # a generated network's link probability
 _EDGE_PROB = 0.35
-# an instance that is not a named topology solves 1 Gbit under these weights
-_TASK_GBIT = 1.0
-_W1 = _W2 = 0.5
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -99,14 +101,17 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    # None means "not given": the instance then supplies its own default
-    own = "default: the named topology's, else"
+    # None means "not given": the default table of `topologies` applies
+    w = DEFAULT_WEIGHTS
     p.add_argument("--task-gbit", type=float,
-                   help=f"task size in Gbit ({own} {_TASK_GBIT:g})")
-    p.add_argument("--w1", type=float, help=f"completion-time weight ({own} {_W1:g})")
-    p.add_argument("--w2", type=float, help=f"energy weight ({own} {_W2:g})")
-    p.add_argument("--cycles-per-gbit", type=float,
-                   help=f"workload density ({own} {DEFAULT_CYCLES_PER_GBIT:g})")
+                   help=f"task size in Gbit (default {DEFAULT_TASK_GBIT:g})")
+    p.add_argument("--w1", type=float,
+                   help=f"completion-time weight (default {w.w1:g})")
+    p.add_argument("--w2", type=float, help=f"energy weight (default {w.w2:g})")
+    p.add_argument("--cycles-per-gbit", type=float, help=(
+        "workload density (default: the named topology's, else "
+        f"{DEFAULT_CYCLES_PER_GBIT:g})"
+    ))
 
 
 def _add_method_flags(p: argparse.ArgumentParser) -> None:
@@ -134,15 +139,14 @@ def _resolve_instance(args) -> tuple:
             "pick exactly one instance source: --network, --topology, or --nodes"
         )
     topo = None if args.topology is None else named_topology(args.topology)
-    if topo is None:
-        task, w1, w2, b = gbit_to_bits(_TASK_GBIT), _W1, _W2, DEFAULT_B
-    else:
-        task, w1, w2, b = topo.task_size, topo.weights.w1, topo.weights.w2, topo.b_comp
-    if args.task_gbit is not None:
-        task = gbit_to_bits(args.task_gbit)
-    weights = Weights(
-        w1 if args.w1 is None else args.w1, w2 if args.w2 is None else args.w2
+    task = gbit_to_bits(
+        DEFAULT_TASK_GBIT if args.task_gbit is None else args.task_gbit
     )
+    w = DEFAULT_WEIGHTS
+    weights = Weights(
+        w.w1 if args.w1 is None else args.w1, w.w2 if args.w2 is None else args.w2
+    )
+    b = default_b(topo)
     if args.cycles_per_gbit is not None:
         b = cycles_per_gbit_to_si(args.cycles_per_gbit)
     if topo is not None:

@@ -8,6 +8,7 @@ rates; the random generator emits symmetric ones.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -273,11 +274,18 @@ def save_network(net: NetworkGraph, path) -> None:
 
 def load_network(path) -> NetworkGraph:
     """Read a network file; malformed content raises ParameterError naming it."""
-    with open(path) as fh:
-        try:
-            return network_from_doc(json.load(fh))
-        except ValueError as exc:  # bad JSON, undecodable bytes, ParameterError
-            raise ParameterError(f"{path}: not a network file: {exc}") from None
+    with open(path, "rb") as fh:
+        return parse_network(path, fh.read())
+
+
+def parse_network(path, content: bytes) -> NetworkGraph:
+    """The network in `content`, the bytes of file `path`, decoded as
+    ``open(path)`` decodes them; malformed content raises ParameterError
+    naming `path`."""
+    try:
+        return network_from_doc(json.load(io.TextIOWrapper(io.BytesIO(content))))
+    except ValueError as exc:  # bad JSON, undecodable bytes, ParameterError
+        raise ParameterError(f"{path}: not a network file: {exc}") from None
 
 
 # --- file writing ----------------------------------------------------------
@@ -319,7 +327,8 @@ def rewrite(path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 def write_json(path, doc) -> None:
-    """Write `doc` as JSON indented by 2, and a newline, through `rewrite`."""
+    """Write `doc` as JSON indented by 2, and a newline, through `rewrite`
+    in one write; a `doc` that does not encode leaves the file untouched."""
+    text = json.dumps(doc, indent=2) + "\n"
     with rewrite(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -24,7 +24,7 @@ from .costs import Weights
 from .errors import ParameterError
 from .network import NetworkGraph, ServerParams
 from .tree import SinkTree, build_sink_tree
-from .units import gbit_to_bits, gbps_to_bps, ghz_to_hz
+from .units import DEFAULT_B, gbit_to_bits, gbps_to_bps, ghz_to_hz
 
 # one cycle per bit keeps compute and transmission times comparable
 _B_COMP = 1.0
@@ -32,6 +32,9 @@ _GAMMA_GOOD = 2e-28
 _GAMMA_LEGACY = 1e-18
 _TX_POWER_W = 4.0
 
+# the problem an instance poses where its scenario or command line leaves
+# a setting out: DEFAULT_TASK_GBIT under DEFAULT_WEIGHTS, at default_b
+# cycles per bit
 DEFAULT_TASK_GBIT = 1.0
 DEFAULT_WEIGHTS = Weights(0.5, 0.05)
 
@@ -189,6 +192,12 @@ TOPOLOGIES = {
     "mixed": mixed,
     "two_subtree": two_subtree,
 }
+
+
+def default_b(topology: NamedTopology | None) -> float:
+    """Cycles per bit of an instance that sets none: a named topology's
+    own, and DEFAULT_B on any other network."""
+    return DEFAULT_B if topology is None else topology.b_comp
 
 
 def named_topology(name: str) -> NamedTopology:

@@ -104,6 +104,31 @@ def test_solve_writes_record(tmp_path, capsys):
     assert csv[0].startswith("scenario_id,method")
 
 
+@pytest.mark.parametrize("source", ["topology", "network"])
+def test_solve_and_a_scenario_default_to_the_same_problem(source, tmp_path, capsys):
+    # no task size, weights or cycles per bit on either side
+    net = tmp_path / "n6.json"
+    main(["generate", "--nodes", "6", "--seed", "2", "--name", "n6",
+          "--out", str(tmp_path)])
+    flag, value, block = {
+        "topology": ("--topology", "mixed", {"topology": "mixed"}),
+        "network": ("--network", str(net), {"file": str(net)}),
+    }[source]
+    main(["solve", flag, value, "--method", "pmo", "--out", str(tmp_path), "--format",
+          "json"])
+    (solved,) = json.loads(next(tmp_path.glob("*_pmo.json")).read_text())
+    scen = tmp_path / "bare.json"
+    scen.write_text(
+        json.dumps({"network": block, "methods": ["pmo"], "repetitions": 0})
+    )
+    out = tmp_path / "compared"
+    assert main(["compare", "--scenario", str(scen), "--out", str(out),
+                 "--format", "json"]) == 0
+    (ran,) = json.loads((out / "bare.json").read_text())
+    assert ran["cost_J"] == solved["cost_J"]
+    assert ran["allocation"] == solved["allocation"]
+
+
 def test_solve_rejects_unknown_method(capsys):
     rc = main(["solve", "--topology", "mixed", "--method", "oracle"])
     assert rc == 2

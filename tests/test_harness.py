@@ -1,6 +1,9 @@
+import copy
 import csv
 import json
 import math
+import os
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from conftest import make_net
 from treeload import (
     GenParams,
     NetworkGraph,
+    ParameterError,
     ScenarioError,
     Weights,
     build_sink_tree,
@@ -17,9 +21,11 @@ from treeload import (
     emit_json,
     generate_network,
     load_scenario,
+    harness,
     named_topology,
     pmo,
     run_scenario,
+    save_network,
 )
 from treeload.harness import (
     PRUNERS,
@@ -649,3 +655,160 @@ def test_audit_bound_is_relative_on_small_costs():
         nudged = replace(sol, cost=sol.cost * (1.0 + nudge))
         with pytest.raises(AssertionError, match="cost audit failed for pmo"):
             _audit_and_record("t", "pmo", nudged, topo.tree, None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# the memo of base networks and sink trees
+
+
+@pytest.fixture
+def cold_memo():
+    harness._memo.cache_clear()
+    yield harness._memo
+    harness._memo.cache_clear()
+
+
+def _net_file(tmp_path) -> Path:
+    path = tmp_path / "net.json"
+    net = generate_network(GenParams(node_count=7, edge_prob=0.4, rng_seed=7))
+    save_network(net, path)
+    return path
+
+
+def _source_docs(tmp_path) -> dict[str, dict]:
+    return {
+        "topology": {"topology": "two_subtree"},
+        "file": {"file": str(_net_file(tmp_path))},
+        "generate": {"generate": {"node_count": 7, "edge_prob": 0.4, "rng_seed": 7}},
+    }
+
+
+def _record_bytes(records) -> str:
+    return json.dumps([record_to_doc(r) for r in records])
+
+
+ALL_METHODS = ["cmo", "pmo", "ga", "local", "partial", "master_worker", "multi_hop",
+               {"name": "np+pmo", "params": {"theta_p": 0.3}},
+               {"name": "lp+cmo", "params": {"xi": 1}},
+               {"name": "np+ga", "params": {"theta_p": 0.3}}]
+
+
+@pytest.mark.parametrize("kind", ["topology", "file", "generate"])
+def test_warm_memo_gives_the_cold_records(kind, tmp_path, cold_memo):
+    network = _source_docs(tmp_path)[kind]
+    s = scenario_from_doc(doc(network=network, methods=ALL_METHODS))
+    cold = _record_bytes(run_scenario(s))
+    assert cold_memo.cache_info().currsize == 1
+    assert _record_bytes(run_scenario(s)) == cold
+    assert cold_memo.cache_info().hits == 1
+    cold_memo.cache_clear()
+    assert _record_bytes(run_scenario(s)) == cold
+
+
+@pytest.mark.parametrize("kind", ["file", "generate"])
+def test_a_memoised_source_builds_its_tree_once(kind, tmp_path, cold_memo, monkeypatch):
+    built = []
+
+    def counting(net):
+        built.append(net)
+        return build_sink_tree(net)
+
+    monkeypatch.setattr(harness, "build_sink_tree", counting)
+    network = _source_docs(tmp_path)[kind]
+    for _ in range(3):
+        run_scenario(scenario_from_doc(doc(network=network, methods=["local", "pmo"])))
+    sweep = {"parameter": "task_size", "values_gbit": [1, 2, 4]}
+    run_scenario(scenario_from_doc(doc(network=network, sweep=sweep)))
+    assert len(built) == 1
+    # a derived network's tree is built per point, on top of the memo
+    sweep = {"parameter": "cpu_freq", "node": 2, "values_ghz": [1, 2]}
+    run_scenario(scenario_from_doc(doc(network=network, sweep=sweep)))
+    assert len(built) == 3
+
+
+def test_a_named_topology_is_built_once(cold_memo, monkeypatch):
+    built = []
+
+    def counting(name):
+        built.append(name)
+        return named_topology(name)
+
+    monkeypatch.setattr(harness, "named_topology", counting)
+    for _ in range(3):
+        run_scenario(scenario_from_doc(doc()))
+    assert built == ["two_subtree"]
+
+
+def test_a_rewritten_file_is_parsed_again_whatever_its_mtime(tmp_path, cold_memo):
+    path = _net_file(tmp_path)
+    s = scenario_from_doc(doc(network={"file": str(path)}, methods=["local"]))
+    before = run_scenario(s)
+    text = path.read_text()
+    st = path.stat()
+    # same length, same mtime: only the bytes tell
+    changed = text.replace('"gamma": 0.01', '"gamma": 0.02', 1)
+    assert changed != text and len(changed) == len(text)
+    path.write_text(changed)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert path.stat().st_mtime_ns == st.st_mtime_ns
+    after = run_scenario(s)
+    assert after[0].cost != before[0].cost
+    cold_memo.cache_clear()
+    assert _record_bytes(run_scenario(s)) == _record_bytes(after)
+
+
+def test_a_malformed_file_fails_on_every_request(tmp_path, cold_memo):
+    path = _net_file(tmp_path)
+    s = scenario_from_doc(doc(network={"file": str(path)}, methods=["local"]))
+    run_scenario(s)
+    path.write_text("{not json")
+    named = re.escape(f"{path}: not a network file")
+    for _ in range(2):
+        with pytest.raises(ParameterError, match=named):
+            run_scenario(s)
+    assert cold_memo.cache_info().currsize == 1  # the good parse only
+
+
+def test_the_memo_keeps_the_last_32_sources(cold_memo):
+    assert cold_memo.cache_info().maxsize == 32
+    for seed in range(33):
+        gen = {"node_count": 2, "edge_prob": 1.0, "rng_seed": seed}
+        s = scenario_from_doc(doc(network={"generate": gen}, methods=["local"]))
+        run_scenario(s)
+    assert cold_memo.cache_info().currsize == 32
+
+
+@pytest.mark.parametrize("kind", ["topology", "file", "generate"])
+def test_nothing_mutates_the_memoised_network_or_tree(kind, tmp_path, cold_memo):
+    network = _source_docs(tmp_path)[kind]
+    run_scenario(scenario_from_doc(doc(network=network, methods=["local"])))
+    net, tree = cold_memo(*_memo_key(network))
+
+    def snapshot():
+        return (
+            dict(net.links), net.servers,
+            tree.servers, tree.parent, tree.edge_rate, tree.to_original,
+            {t: nodes for t, nodes in tree.subtrees.items()},
+        )
+
+    want = copy.deepcopy(snapshot())
+    hits = cold_memo.cache_info().hits
+    run_scenario(scenario_from_doc(doc(network=network, methods=ALL_METHODS)))
+    sweeps = [
+        {"parameter": "link_rate", "edge": [*min(net.links)], "values_gbps": [0.5, 50]},
+        {"parameter": "cpu_freq", "node": 1, "values_ghz": [0.5, 9]},
+    ]
+    for sweep in sweeps:
+        run_scenario(scenario_from_doc(doc(network=network, sweep=sweep)))
+    assert cold_memo.cache_info().hits == hits + 1 + len(sweeps)
+    assert snapshot() == want
+
+
+def _memo_key(network: dict) -> tuple:
+    """The arguments `run_scenario` looks a scenario network block up with."""
+    ((kind, source),) = network.items()
+    if kind == "file":
+        return kind, source, Path(source).read_bytes()
+    if kind == "generate":
+        return kind, GenParams(**source)
+    return kind, source
