@@ -18,9 +18,17 @@ on `scripts/probe_timing.probe_tree`'s one-subtree trees with k = 5-7
 helpers and seeds 1-4, under three weight pairs: every order there
 splits, and many reach the cascade's simplex step.  Every solution of
 the random and probe groups must pass `verify_instance`: the script exits
-1 naming the first check that fails, before it writes anything.  Writes
+1 naming the first check that fails, before it writes anything.  The
+`pruned` group sends `lp+pmo` and `lp+ga` at xi = 2 and `np+ga` at
+theta_p = 0.1 through `scenario_from_doc` and `run_scenario`, on generated
+networks of 9, 11 and 13 nodes (edge probability 0.35, seeds 0-29): the
+generator's defaults under weights (1, 0) and (0.5, 0.05), and 0.5-50 GHz
+clocks at gamma 2e-28 under (1, 0.01).  Under time-heavy weights a node
+that pruning removed can wait on the kept nodes' traffic, so each record
+is a check of the harness's full-tree cost audit, which raises when the
+answer it maps back to the network costs more than the solution.  Writes
 all records to one JSON file and prints one sha256 per workload and seed,
-per scenario and for the random and probe groups.  Two checkouts whose
+per scenario and for the random, probe and pruned groups.  Two checkouts whose
 answers are bit-identical print the same digests:
 
     python3 scripts/record_digest.py --out records.json
@@ -77,6 +85,18 @@ TASK_BITS = 1e9
 PROBE_SIZES = (5, 6, 7)
 PROBE_SEEDS = (1, 2, 3, 4)
 PROBE_WEIGHTS = ((0.5, 0.05), (1.0, 0.0), (0.1, 0.9))
+PRUNED_SIZES = (9, 11, 13)
+PRUNED_SEEDS = range(30)
+PRUNED_METHODS = (
+    {"name": "lp+pmo", "params": {"xi": 2}},
+    {"name": "lp+ga", "params": {"xi": 2}},
+    {"name": "np+ga", "params": {"theta_p": 0.1}},
+)
+# generator settings beyond the defaults -> the weight pairs run on them
+PRUNED_FAMILIES = (
+    ({}, ((1.0, 0.0), (0.5, 0.05))),
+    ({"freq_range_ghz": [0.5, 50.0], "gamma": 2e-28}, ((1.0, 0.01),)),
+)
 
 
 def verify_or_exit(sol, where: str) -> None:
@@ -170,6 +190,25 @@ def probe_records() -> list[dict]:
     return docs
 
 
+def pruned_records() -> list[dict]:
+    """The pruned group's records; a failed cost audit raises."""
+    docs = []
+    for extra, weights in PRUNED_FAMILIES:
+        for n in PRUNED_SIZES:
+            for seed in PRUNED_SEEDS:
+                gen = {"node_count": n, "edge_prob": 0.35, "rng_seed": seed, **extra}
+                for w1, w2 in weights:
+                    s = scenario_from_doc({
+                        "scenario_id": f"n{n}-s{seed}",
+                        "network": {"generate": gen},
+                        "weights": {"time": w1, "energy": w2},
+                        "repetitions": 0,
+                        "methods": list(PRUNED_METHODS),
+                    })
+                    docs += [record_to_doc(r) for r in run_scenario(s)]
+    return docs
+
+
 def first_difference(old: dict, new: dict) -> str | None:
     """Where the first record of `new` that differs from `old` is, or None."""
     for key in [*old, *(k for k in new if k not in old)]:
@@ -204,6 +243,9 @@ def main() -> None:
         groups[f"scenario/{path.stem}"] = scenario_records(path)
     groups["random"] = random_records()
     groups["probe"] = probe_records()
+    t1 = time.perf_counter()
+    groups["pruned"] = pruned_records()
+    print(f"pruned group: {time.perf_counter() - t1:.1f} s")
 
     args.out.write_text(json.dumps(groups, indent=1) + "\n")
     for key, docs in groups.items():

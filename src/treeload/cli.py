@@ -146,7 +146,7 @@ def _resolve_instance(args) -> tuple:
     weights = Weights(
         w.w1 if args.w1 is None else args.w1, w.w2 if args.w2 is None else args.w2
     )
-    b = default_b(topo)
+    b = default_b(args.topology)
     if args.cycles_per_gbit is not None:
         b = cycles_per_gbit_to_si(args.cycles_per_gbit)
     if topo is not None:
@@ -188,12 +188,12 @@ def _emit(records, out_dir: str | None, fmt: str, stem: str) -> Path | None:
     return path
 
 
-def _print_solution(sol, label: str, method: str | None = None) -> None:
+def _print_solution(sol, record, label: str, method: str | None = None) -> None:
     print(f"instance    {label}")
     print(f"method      {method or sol.solver_tag}")
     print(f"cost J      {sol.cost:.9g}")
-    print(f"max T (s)   {sol.breakdown.max_time:.9g}")
-    print(f"max E (J)   {sol.breakdown.max_energy:.9g}")
+    print(f"max T (s)   {record.max_time:.9g}")
+    print(f"max E (J)   {record.max_energy:.9g}")
     print(f"schedules   {sol.schedules_evaluated} evaluated")
     total = sol.allocation.total
     for i, y in enumerate(sol.allocation.y):
@@ -275,7 +275,7 @@ def _cmd_solve(args) -> int:
 
     t_exe = _mean_solve_seconds(spec, tree, task, weights, b, args.reps)
     record = _audit_and_record(label, spec.name, sol, tree, None, None, t_exe)
-    _print_solution(sol, label, shown)
+    _print_solution(sol, record, label, shown)
     if t_exe is not None:
         print(f"T_exe (s)   {t_exe:.6g} (mean of {args.reps})")
     path = _emit([record], args.out, args.format, f"{label}_{spec.name}")

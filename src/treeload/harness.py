@@ -78,7 +78,7 @@ SWEEP_PARAMS = {
 }
 
 # top-level scalar -> (default, kind, lo, hi, open_lo), as `checked` takes
-# them; a named topology's cycles_per_bit defaults to its own (`default_b`)
+# them; a named topology's cycles_per_bit defaults to `default_b(name)`
 _SCALARS = {
     "task_size_gbit": (DEFAULT_TASK_GBIT, float, 0, math.inf, False),
     "cycles_per_bit": (default_b(None), float, 0, math.inf, True),
@@ -315,7 +315,7 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
         for key, (default, *bounds) in _SCALARS.items()
     }
     if topology is not None and "cycles_per_bit" not in doc:
-        scalar["cycles_per_bit"] = default_b(named_topology(topology))
+        scalar["cycles_per_bit"] = default_b(topology)
 
     weights = None
     wdoc = doc.get(
@@ -533,17 +533,19 @@ def _audit_and_record(
     for i, v in zip(to_full, sol.allocation.y):
         y_full[i] = v
 
-    # full-tree schedule: surviving nodes keep their order, removed nodes
-    # go last; zero-load rows never change the system maximum
-    kept = set(to_full)
-    by_root = {
-        to_full[root]: [to_full[i] for i in order]
-        for root, order in zip(work.subtree_roots, sol.schedule.orders)
+    # full-tree schedule: removed nodes go first, in ascending id, then the
+    # surviving nodes in their order.  A removed node then waits on nothing,
+    # computes nothing and relays only removed nodes, so its row is 0, and
+    # no surviving row gains a nonzero term; ranked after surviving nodes
+    # it would wait on their traffic over shared edges, a row that can
+    # exceed every surviving one
+    rank = {
+        to_full[i]: k for order in sol.schedule.orders for k, i in enumerate(order)
     }
     full_sched = Schedule(
         orders=tuple(
-            tuple(by_root.get(root, []) + [i for i in nodes if i not in kept])
-            for root, nodes in full_tree.subtrees.items()
+            tuple(sorted(nodes, key=lambda i: rank.get(i, -1)))
+            for nodes in full_tree.subtrees.values()
         )
     )
     alloc = Allocation(y=tuple(y_full), total=sol.task_size)

@@ -15,7 +15,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -51,15 +51,12 @@ class ServerParams:
     cpu_freq: float
     tx_power: float
     switched_cap: float
-    # set by network_from_doc, which has checked the numbers in file units
-    numbers_checked: InitVar[bool] = False
 
-    def __post_init__(self, numbers_checked):
+    def __post_init__(self):
         object.__setattr__(self, "id", checked("server id", self.id, int))
-        if not numbers_checked:
-            checked("cpu_freq", self.cpu_freq, open_lo=True)
-            checked("tx_power", self.tx_power)
-            checked("switched_cap", self.switched_cap)
+        checked("cpu_freq", self.cpu_freq, open_lo=True)
+        checked("tx_power", self.tx_power)
+        checked("switched_cap", self.switched_cap)
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,8 @@ class NetworkGraph:
 
     servers: tuple[ServerParams, ...]
     links: dict[tuple[int, int], float]
-    # set by network_from_doc, which has checked the rates in file units
-    numbers_checked: InitVar[bool] = False
 
-    def __post_init__(self, numbers_checked):
+    def __post_init__(self):
         ids = [s.id for s in self.servers]
         if ids != list(range(len(ids))):
             raise ParameterError(f"server ids must be 0..N, got {ids}")
@@ -93,11 +88,10 @@ class NetworkGraph:
         for (i, j), rate in links.items():
             if i == j:
                 raise ParameterError(f"self-link on node {i}")
-            if not numbers_checked:
-                try:
-                    checked("rate", rate, open_lo=True)
-                except ParameterError as exc:
-                    raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
+            try:
+                checked("rate", rate, open_lo=True)
+            except ParameterError as exc:
+                raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
         object.__setattr__(self, "links", links)
 
     def __len__(self) -> int:
@@ -234,8 +228,8 @@ def _dbm_watts(dbm) -> float:
 def network_from_doc(doc: dict) -> NetworkGraph:
     """Parse the document form; one of the wrong shape raises ParameterError.
 
-    Each number is checked once, in the file's units, with bounds that
-    keep its SI value finite.
+    Each number is checked in the file's units, with bounds that keep its
+    SI value finite, and then again in SI units by the constructors.
     """
     try:
         units = doc.get("units", {})
@@ -251,7 +245,6 @@ def network_from_doc(doc: dict) -> NetworkGraph:
                 ),
                 tx_power=_dbm_watts(s["tx_power_dbm"]),
                 switched_cap=checked("gamma", s["gamma"]),
-                numbers_checked=True,
             )
             for s in sorted(doc["servers"], key=lambda s: s["id"])
         )
@@ -265,7 +258,7 @@ def network_from_doc(doc: dict) -> NetworkGraph:
         raise ParameterError(f"network document missing key {missing}") from None
     except (AttributeError, TypeError) as exc:  # a part of the wrong type
         raise ParameterError(f"network document: wrong type: {exc}") from None
-    return NetworkGraph(servers=servers, links=links, numbers_checked=True)
+    return NetworkGraph(servers=servers, links=links)
 
 
 def save_network(net: NetworkGraph, path) -> None:

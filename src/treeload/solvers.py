@@ -51,7 +51,6 @@ import numpy as np
 
 from .costs import (
     Allocation,
-    CostBreakdown,
     Schedule,
     Weights,
     _static_matrix,
@@ -97,7 +96,6 @@ class Solution:
     allocation: Allocation
     schedule: Schedule
     cost: float
-    breakdown: CostBreakdown
     solver_tag: str
     schedules_evaluated: int = 1
 
@@ -397,7 +395,6 @@ def _solution(
 ) -> Solution:
     """Audit the split y (bits per node) under `schedule` into a Solution."""
     alloc = Allocation(y=tuple(float(v) for v in y), total=task_size)
-    breakdown = system_cost(tree, schedule, alloc, weights, b)
     return Solution(
         tree=tree,
         weights=weights,
@@ -405,8 +402,7 @@ def _solution(
         task_size=task_size,
         allocation=alloc,
         schedule=schedule,
-        cost=breakdown.j_system,
-        breakdown=breakdown,
+        cost=system_cost(tree, schedule, alloc, weights, b).j_system,
         solver_tag=tag,
         schedules_evaluated=evaluated,
     )
@@ -467,7 +463,7 @@ def _best_order(
     `_minmax_unit` call.  An order scores the largest row of a @ y, y its
     split in bits, from one stacked matmul; ties go to the earliest order.
     Warns (RuntimeWarning) before more than 10**6 orders.  Returns
-    (score, order, y, orders tried), the order as one tuple of columns
+    (score, order, y, orders split), the order as one tuple of columns
     per group.
     """
     total = math.prod(math.factorial(len(g)) for g in groups)
@@ -479,15 +475,16 @@ def _best_order(
             stacklevel=3,
         )
     orders = _orders(groups)
-    best = None
+    best, split = None, 0
     while block := list(itertools.islice(orders, _BLOCK)):
+        split += len(block)
         a = static + w1 * _waiting(shared, block)
         y = _minmax_unit(a, forced_zero) * task_size
         z = (a @ y[:, :, None]).max(axis=(1, 2), initial=0.0)
         k = int(z.argmin())
         if best is None or z[k] < best[0]:
             best = (float(z[k]), block[k], y[k])
-    return (*best, total)
+    return (*best, split)
 
 
 def cmo(

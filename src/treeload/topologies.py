@@ -24,7 +24,7 @@ from .costs import Weights
 from .errors import ParameterError
 from .network import NetworkGraph, ServerParams
 from .tree import SinkTree, build_sink_tree
-from .units import DEFAULT_B, gbit_to_bits, gbps_to_bps, ghz_to_hz
+from .units import DEFAULT_B, gbps_to_bps, ghz_to_hz
 
 # one cycle per bit keeps compute and transmission times comparable
 _B_COMP = 1.0
@@ -44,9 +44,6 @@ class NamedTopology:
     name: str
     network: NetworkGraph
     tree: SinkTree
-    task_size: float
-    weights: Weights
-    b_comp: float
     summary: str
 
 
@@ -72,9 +69,6 @@ def _assemble(
         name=name,
         network=net,
         tree=build_sink_tree(net),
-        task_size=gbit_to_bits(DEFAULT_TASK_GBIT),
-        weights=DEFAULT_WEIGHTS,
-        b_comp=_B_COMP,
         summary=summary,
     )
 
@@ -194,10 +188,10 @@ TOPOLOGIES = {
 }
 
 
-def default_b(topology: NamedTopology | None) -> float:
-    """Cycles per bit of an instance that sets none: a named topology's
-    own, and DEFAULT_B on any other network."""
-    return DEFAULT_B if topology is None else topology.b_comp
+def default_b(topology: str | None) -> float:
+    """Cycles per bit of an instance that sets none: the named topologies'
+    for a topology's name, and DEFAULT_B on any other network (None)."""
+    return DEFAULT_B if topology is None else _B_COMP
 
 
 def named_topology(name: str) -> NamedTopology:

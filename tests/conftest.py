@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from oracles import PlainTree
-from treeload import NetworkGraph, ServerParams, build_sink_tree, solvers
+from treeload import NetworkGraph, ServerParams, Weights, build_sink_tree, solvers
+from treeload.topologies import DEFAULT_TASK_GBIT, DEFAULT_WEIGHTS, default_b
 from treeload.tree import SinkTree
-from treeload.units import gbps_to_bps, ghz_to_hz
+from treeload.units import gbit_to_bits, gbps_to_bps, ghz_to_hz
 
 # parameter regime used across randomized tests: single-digit seconds and
 # joules per Gbit at one cycle per bit, so neither objective term vanishes
@@ -19,6 +20,12 @@ FREQ_GHZ = (0.5, 8.0)
 RATE_GBPS = (0.5, 20.0)
 CAP_RANGE = (5e-29, 5e-28)
 TX_W = (0.5, 4.0)
+
+
+def default_problem(topology: str) -> tuple[float, Weights, float]:
+    """(task bits, weights, cycles per bit) of a named topology's instance
+    that sets none of them: the default table of `topologies`."""
+    return gbit_to_bits(DEFAULT_TASK_GBIT), DEFAULT_WEIGHTS, default_b(topology)
 
 
 def make_net(

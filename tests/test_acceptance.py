@@ -19,6 +19,7 @@ from conftest import (
     FREQ_GHZ,
     RATE_GBPS,
     TX_W,
+    default_problem,
     make_tree,
     plain_of,
     rand_tree,
@@ -199,8 +200,7 @@ def _np_curve(tree, task, weights, b, thetas):
 def test_criterion_5_pruning_endpoints_and_monotonicity():
     instances = []
     for name in ("deep_chain", "two_subtree"):
-        t = named_topology(name)
-        instances.append((name, t.tree, t.task_size, t.weights, t.b_comp))
+        instances.append((name, named_topology(name).tree, *default_problem(name)))
     instances.append(("random-6", rand_tree(random.Random(9021), 6), Y, W, B_COMP))
     instances.append(("random-7", rand_tree(random.Random(9022), 7), Y, W, B_COMP))
 
@@ -236,12 +236,13 @@ def test_criterion_6_ga_finds_small_optima():
     per_topology = []
     ok = True
     for name in ("deep_chain", "wide_shallow", "mixed", "two_subtree"):
-        t = named_topology(name)
-        ref = cmo(t.tree, t.task_size, t.weights, b=t.b_comp).cost
+        tree = named_topology(name).tree
+        y, w, b = default_problem(name)
+        ref = cmo(tree, y, w, b=b).cost
         hits = 0
         for seed in range(5):
             params = GaParams(population=4, generations=5, rng_seed=seed)
-            g = ga(t.tree, t.task_size, t.weights, params, b=t.b_comp)
+            g = ga(tree, y, w, params, b=b)
             if abs(g.cost - ref) <= 1e-6 * ref:
                 hits += 1
         per_topology.append(f"{name} {hits}/5")
@@ -320,14 +321,15 @@ def _two_subtree_variant(base, rate_gbps=None, f1_ghz=None):
 
 def test_criterion_9_rate_and_frequency_thresholds():
     base = named_topology("two_subtree")
+    y, w, b = default_problem("two_subtree")
 
     shares = []
     for r in (0.3, 1.0, 3.0, 10.0):
         tree = _two_subtree_variant(base, rate_gbps=r)
-        sol = pmo(tree, base.task_size, base.weights, b=base.b_comp)
+        sol = pmo(tree, y, w, b=b)
         root = tree.to_original.index(1)
         members = tree.subtrees[root]
-        shares.append(sum(sol.allocation.y[i] for i in members) / base.task_size)
+        shares.append(sum(sol.allocation.y[i] for i in members) / y)
     rate_ok = shares[0] <= 1e-9 and all(
         b2 >= a2 - 1e-12 for a2, b2 in zip(shares, shares[1:])
     )
@@ -335,8 +337,8 @@ def test_criterion_9_rate_and_frequency_thresholds():
     fracs = []
     for f in (0.01, 0.1, 0.5, 2.0):
         tree = _two_subtree_variant(base, f1_ghz=f)
-        sol = pmo(tree, base.task_size, base.weights, b=base.b_comp)
-        fracs.append(sol.allocation.y[tree.to_original.index(1)] / base.task_size)
+        sol = pmo(tree, y, w, b=b)
+        fracs.append(sol.allocation.y[tree.to_original.index(1)] / y)
     freq_ok = (
         fracs[0] <= 2e-3
         and fracs[-1] >= 0.1

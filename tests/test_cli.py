@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import default_problem
 from treeload.cli import build_parser, main
 from treeload.topologies import named_topology
 from treeload.tree import tree_fingerprint
@@ -127,6 +128,19 @@ def test_solve_and_a_scenario_default_to_the_same_problem(source, tmp_path, caps
     (ran,) = json.loads((out / "bare.json").read_text())
     assert ran["cost_J"] == solved["cost_J"]
     assert ran["allocation"] == solved["allocation"]
+
+
+def test_solve_prints_the_record_of_a_pruned_answer(tmp_path, capsys):
+    # lp+pmo solves the two levels next to the master; the printout shows
+    # the full tree's figures, which the written record holds
+    rc = main(["solve", "--nodes", "9", "--edge-prob", "0.35", "--seed", "0",
+               "--method", "lp+pmo", "--xi", "2", "--w1", "1", "--w2", "0",
+               "--out", str(tmp_path), "--format", "json"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    (record,) = json.loads((tmp_path / "random-9n-s0_lp+pmo.json").read_text())
+    assert f"max T (s)   {record['max_T_total_s']:.9g}\n" in out
+    assert f"max E (J)   {record['max_E_total_J']:.9g}\n" in out
 
 
 def test_solve_rejects_unknown_method(capsys):
@@ -343,13 +357,14 @@ def test_verify_solo_generated_network(capsys):
 
 def _mixed_plan(**fields) -> str:
     """A cache entry matching `mixed` that holds no orders, plus `fields`."""
-    top = named_topology("mixed")
+    tree = named_topology("mixed").tree
+    task_size, weights, b = default_problem("mixed")
     return json.dumps({
-        "tree_sha": tree_fingerprint(top.tree),
-        "weights": [top.weights.w1, top.weights.w2],
-        "b_comp": top.b_comp,
-        "task_size": top.task_size,
-        "y": [top.task_size] + [0.0] * (len(top.tree) - 1),
+        "tree_sha": tree_fingerprint(tree),
+        "weights": [weights.w1, weights.w2],
+        "b_comp": b,
+        "task_size": task_size,
+        "y": [task_size] + [0.0] * (len(tree) - 1),
         **fields,
     })
 

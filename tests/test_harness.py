@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_net
+from conftest import default_problem, make_net
 from treeload import (
     GenParams,
     NetworkGraph,
@@ -99,6 +99,14 @@ def test_doc_rejects_non_finite_numbers(field, text):
     with pytest.raises(ScenarioError) as exc:
         scenario_from_doc(doc(**{field: json.loads(text)}))
     assert field in str(exc.value)
+
+
+def test_a_topology_default_b_builds_no_topology(monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "named_topology", built.append)
+    bare = {k: v for k, v in BASE_DOC.items() if k != "cycles_per_bit"}
+    assert scenario_from_doc(bare).b_comp == 1.0
+    assert built == []
 
 
 def test_doc_requires_np_params():
@@ -491,14 +499,54 @@ def test_pruned_record_maps_the_solution_to_network_ids():
             o for t, o in zip(work.subtree_roots, sol.schedule.orders)
             if work.to_original[t] == net_id[root]
         ]
-        rest = [net_id[i] for i in nodes if net_id[i] in removed]  # ascending tree id
-        want_orders.append(tuple(work.to_original[i] for i in order) + tuple(rest))
+        # removed nodes first, in ascending tree id, then the solution's order
+        first = [net_id[i] for i in nodes if net_id[i] in removed]
+        want_orders.append(tuple(first) + tuple(work.to_original[i] for i in order))
     assert r.orders == tuple(want_orders)
-    assert r.orders[1][-2:] == (3, 5)
+    assert r.orders[1][:2] == (3, 5)
 
     by_net = dict(zip(work.to_original, sol.allocation.y))
     assert r.allocation == tuple(by_net.get(k, 0.0) for k in range(len(tree)))
     assert r.allocation[1] == 0.0 and 1 in work.to_original
+
+
+# `treeload solve --nodes 9 --edge-prob 0.35 --seed 0`'s network
+REPRO_NET = {"generate": {"node_count": 9, "edge_prob": 0.35, "rng_seed": 0}}
+FAST_CLOCKS = {
+    "generate": {
+        "node_count": 9, "edge_prob": 0.35, "rng_seed": 14,
+        "freq_range_ghz": [0.5, 50], "gamma": 2e-28,
+    }
+}
+
+
+@pytest.mark.parametrize(
+    "network, weights, method",
+    [
+        (REPRO_NET, (1, 0), {"name": "lp+pmo", "params": {"xi": 2}}),
+        (REPRO_NET, (1, 0), {"name": "lp+ga", "params": {"xi": 2}}),
+        (REPRO_NET, (1, 0), {"name": "np+ga", "params": {"theta_p": 0.1}}),
+        (FAST_CLOCKS, (1, 0.01), {"name": "np+ga", "params": {"theta_p": 0.1}}),
+        (FAST_CLOCKS, (1, 0.01), {"name": "np+pmo", "params": {"theta_p": 0.1}}),
+    ],
+    ids=["lp+pmo", "lp+ga", "np+ga", "np+ga-fast-clocks", "np+pmo-fast-clocks"],
+)
+def test_a_removed_node_waits_on_no_kept_node(network, weights, method):
+    # under time-heavy weights a removed node ranked after kept nodes
+    # waits on their traffic over shared edges, and that row can top every
+    # kept one; ranked first, its row is 0 and the full-tree audit passes
+    d = doc(network=network, methods=[method])
+    d["weights"] = {"time": weights[0], "energy": weights[1]}
+    del d["cycles_per_bit"]  # a generated network's default, as in `solve`
+    s = scenario_from_doc(d)
+    (r,) = run_scenario(s)
+    tree = build_sink_tree(generate_network(s.source))
+    sol = solve_method(s.methods[0], tree, s.task_size, s.weights, s.b_comp)
+    removed = set(tree.to_original) - set(sol.tree.to_original)
+    assert removed
+    for order in r.orders:
+        first = [i for i in order if i in removed]
+        assert list(order[: len(first)]) == sorted(first, key=tree.relabel_map.get)
 
 
 def test_task_size_sweep_scales_costs_proportionally():
@@ -646,15 +694,16 @@ def test_scenario_reproduces_committed_results(path, tmp_path):
 def test_audit_bound_is_relative_on_small_costs():
     # a 1 Mbit task costs about 1e-4 J: a drift of 1e-7 or 1e-10 of that
     # is far inside 1e-9 J, but not inside 1e-12 of the cost
-    topo = named_topology("mixed")
-    sol = pmo(topo.tree, 1e6, topo.weights, b=topo.b_comp)
+    tree = named_topology("mixed").tree
+    _, w, b = default_problem("mixed")
+    sol = pmo(tree, 1e6, w, b=b)
     assert 1e-5 < sol.cost < 1e-3
-    record = _audit_and_record("t", "pmo", sol, topo.tree, None, None, None)
+    record = _audit_and_record("t", "pmo", sol, tree, None, None, None)
     assert record.cost == sol.cost
     for nudge in 1e-7, 1e-10:
         nudged = replace(sol, cost=sol.cost * (1.0 + nudge))
         with pytest.raises(AssertionError, match="cost audit failed for pmo"):
-            _audit_and_record("t", "pmo", nudged, topo.tree, None, None, None)
+            _audit_and_record("t", "pmo", nudged, tree, None, None, None)
 
 
 # ---------------------------------------------------------------------------

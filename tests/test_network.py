@@ -120,22 +120,24 @@ def test_doc_rejects_unit_mismatch():
         network_from_doc(doc)
 
 
-def test_doc_checks_each_number_once(monkeypatch):
-    # one check per number of the file and per server id; plain in-range
-    # link ends take none, and nothing is checked again in SI units
+def test_doc_checks_each_number_in_file_units_then_in_si(monkeypatch):
+    # one check per number of the file, then one per server id and per SI
+    # number in the constructors; plain in-range link ends take none
     net = generate_network(GenParams(node_count=12, edge_prob=0.4, rng_seed=5))
     doc = network_to_doc(net)
     calls = []
     check = network.checked
     monkeypatch.setattr(
-        network, "checked", lambda name, *a: calls.append(name) or check(name, *a)
+        network, "checked",
+        lambda name, *a, **k: calls.append(name) or check(name, *a, **k),
     )
     back = network_from_doc(doc)
     assert network_to_doc(back) == doc
     assert sorted(set(calls)) == [
-        "cpu_freq_ghz", "gamma", "rate_gbps", "server id", "tx_power_dbm"
+        "cpu_freq", "cpu_freq_ghz", "gamma", "rate", "rate_gbps", "server id",
+        "switched_cap", "tx_power", "tx_power_dbm",
     ]
-    assert len(calls) == 4 * len(net) + len(net.links)
+    assert len(calls) == 7 * len(net) + 2 * len(net.links)
 
 
 @pytest.mark.parametrize(

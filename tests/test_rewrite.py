@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from conftest import default_problem
 from treeload import (
     emit_csv,
     emit_json,
@@ -29,7 +30,8 @@ _RECORDS = run_scenario(
         }
     )
 )
-_BASE = pmo(_TOPO.tree, _TOPO.task_size, _TOPO.weights, b=_TOPO.b_comp)
+_TASK, _WEIGHTS, _B = default_problem("two_subtree")
+_BASE = pmo(_TOPO.tree, _TASK, _WEIGHTS, b=_B)
 
 WRITERS = {
     "emit_json": lambda path: emit_json(_RECORDS, path),

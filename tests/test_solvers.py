@@ -17,6 +17,7 @@ import oracles
 from conftest import (
     B_COMP,
     carried_split,
+    default_problem,
     make_tree,
     plain_of,
     rand_tree,
@@ -124,8 +125,8 @@ def test_zero_task_costs_nothing():
     "name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"]
 )
 def test_zero_task_splits_like_any_task(name):
-    top = named_topology(name)
-    tree, w, b = top.tree, top.weights, top.b_comp
+    tree = named_topology(name).tree
+    task_size, w, b = default_problem(name)
     for sol in (
         cmo(tree, 0.0, w, b=b),
         pmo(tree, 0.0, w, b=b),
@@ -137,7 +138,7 @@ def test_zero_task_splits_like_any_task(name):
     # forcing every node to zero fails the same way at any task size
     every = frozenset(range(len(tree)))
     sched = canonical_schedule(tree)
-    for task in (0.0, top.task_size):
+    for task in (0.0, task_size):
         for solve in (
             lambda: solve_fixed_order(tree, sched, task, w, every, b=b),
             lambda: cmo(tree, task, w, every, b=b),
@@ -259,24 +260,25 @@ def test_exact_solvers_skip_highs(name, monkeypatch):
     # every schedule's split, each probe's and the master split are
     # certified by a saddle point or the every-node-works guess: the
     # simplex never runs
-    topo = named_topology(name)
+    tree = named_topology(name).tree
+    y, w, b = default_problem(name)
     simplex = _count_simplex(monkeypatch)
-    sol = cmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
-    assert sol.schedules_evaluated == count_schedules(topo.tree) > 1
-    pmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
+    sol = cmo(tree, y, w, b=b)
+    assert sol.schedules_evaluated == count_schedules(tree) > 1
+    pmo(tree, y, w, b=b)
     assert simplex == []
 
 
 @pytest.mark.parametrize("name", ["deep_chain", "wide_shallow", "mixed", "two_subtree"])
 def test_pmo_audits_only_its_answer(name, monkeypatch):
     # subtrees are probed on slices of the tree's matrices, not audited
-    topo = named_topology(name)
+    y, w, b = default_problem(name)
     audits = []
     audit = solvers.system_cost
     monkeypatch.setattr(
         solvers, "system_cost", lambda *args: audits.append(1) or audit(*args)
     )
-    pmo(topo.tree, topo.task_size, topo.weights, b=topo.b_comp)
+    pmo(named_topology(name).tree, y, w, b=b)
     assert len(audits) == 1
 
 
@@ -284,8 +286,8 @@ def test_pmo_audits_only_its_answer(name, monkeypatch):
 def test_heuristic_splits_skip_highs(name, monkeypatch):
     # ga's splits and the master-plus-one splits are certified by a saddle
     # point or the every-node-works guess
-    topo = named_topology(name)
-    tree, y, w, b = topo.tree, topo.task_size, topo.weights, topo.b_comp
+    tree = named_topology(name).tree
+    y, w, b = default_problem(name)
     simplex = _count_simplex(monkeypatch)
     for seed in range(3):
         sol = ga(tree, y, w, GaParams(rng_seed=seed), b=b)

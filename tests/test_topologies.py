@@ -1,7 +1,8 @@
 import pytest
 
-from treeload import TOPOLOGIES, ParameterError, Weights, named_topology
+from treeload import TOPOLOGIES, ParameterError, named_topology
 from treeload.costs import canonical_schedule, validate_schedule
+from treeload.topologies import default_b
 from treeload.verification import check_tree
 
 
@@ -19,9 +20,7 @@ def test_unknown_name_lists_choices():
 def test_topologies_are_well_formed(name):
     topo = named_topology(name)
     assert topo.name == name
-    assert topo.task_size > 0
-    assert topo.b_comp > 0
-    assert isinstance(topo.weights, Weights)
+    assert default_b(name) > 0
     assert topo.summary
     assert all(r.ok for r in check_tree(topo.tree, topo.network))
     validate_schedule(topo.tree, canonical_schedule(topo.tree))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import B_COMP, make_net, rand_tree
+from conftest import B_COMP, default_problem, make_net, rand_tree
 from treeload import (
     Allocation,
     NetworkGraph,
@@ -20,6 +21,7 @@ from treeload import (
     named_topology,
     pmo,
     simulate_delivery,
+    solvers,
     system_cost,
     verification,
     verify_instance,
@@ -119,8 +121,8 @@ def test_check_solution_catches_corruption():
 def test_replay_check_has_no_absolute_floor(monkeypatch, fields, off):
     # a 1 Mbit answer waits ~4e-5 s: 1e-6 of that is far inside any 1e-9 s
     # floor, and a NaN passes every `>` test
-    topo = named_topology("mixed")
-    sol = pmo(topo.tree, 1e6, topo.weights, b=topo.b_comp)
+    _, w, b = default_problem("mixed")
+    sol = pmo(named_topology("mixed").tree, 1e6, w, b=b)
     assert all(r.ok for r in check_solution(sol))
     true = simulate_delivery(sol.tree, sol.schedule, sol.allocation)
     assert 1e-6 < max(true.t_wait) < 1e-3
@@ -138,4 +140,18 @@ def test_check_solution_audits_cmo_enumeration():
     assert results["schedule enumeration complete"].ok
     lied = replace(sol, schedules_evaluated=1)
     results = {r.name: r for r in check_solution(lied)}
+    assert not results["schedule enumeration complete"].ok
+
+
+def test_enumeration_check_counts_the_orders_split(monkeypatch):
+    # an enumeration that stops early reports the orders it split, not the
+    # count that a complete one would reach
+    tree = rand_tree(random.Random(5), 5)
+    orders = solvers._orders
+    monkeypatch.setattr(
+        solvers, "_orders", lambda groups: itertools.islice(orders(groups), 3)
+    )
+    sol = cmo(tree, Y, W, b=B_COMP)
+    assert sol.schedules_evaluated == 3 < solvers.count_schedules(tree)
+    results = {r.name: r for r in check_solution(sol)}
     assert not results["schedule enumeration complete"].ok
