@@ -49,9 +49,7 @@ def probe_tree(k: int, seed: int):
     caps = [rng.uniform(5e-29, 5e-28) for _ in range(n)]
     tx = [rng.uniform(0.5, 4.0) for _ in range(n)]
     servers = tuple(
-        ServerParams(
-            id=i, cpu_freq=ghz_to_hz(freqs[i]), tx_power=tx[i], switched_cap=caps[i]
-        )
+        ServerParams(cpu_freq=ghz_to_hz(freqs[i]), tx_power=tx[i], switched_cap=caps[i])
         for i in range(n)
     )
     links = {}

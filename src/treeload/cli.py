@@ -6,7 +6,8 @@ Verbs:
   solve      run one method on one instance
   compare    run a scenario's method list at its base point
   sweep      run a scenario's parameter sweep
-  verify     solve an instance, then replay the invariant suite on it
+  verify     solve an instance, then replay the invariant suite and the
+             record audit on it
 
 `compare` and `sweep` are driven by a scenario file (see
 schemas/scenario.schema.json); the other verbs take the instance inline.
@@ -48,13 +49,14 @@ from .topologies import (
 from .tree import SinkTree, build_sink_tree
 from .units import (
     DEFAULT_CYCLES_PER_GBIT,
+    GIGA_MAX,
     bits_to_gbit,
     bps_to_gbps,
     cycles_per_gbit_to_si,
     gbit_to_bits,
     hz_to_ghz,
 )
-from .verification import verify_instance
+from .verification import CheckResult, verify_instance
 
 # method parameter -> the flag that sets it
 _PARAM_FLAGS = {
@@ -129,8 +131,8 @@ def _add_method_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ga-generations", type=int)
 
 
-def _resolve_instance(args) -> tuple:
-    """(tree, network, task_bits, weights, b, label) from the source flags."""
+def _resolve_source(args) -> tuple:
+    """(tree, network, label) from the source flags."""
     picked = [
         k for k in ("network", "topology", "nodes") if getattr(args, k) is not None
     ]
@@ -138,19 +140,9 @@ def _resolve_instance(args) -> tuple:
         raise ParameterError(
             "pick exactly one instance source: --network, --topology, or --nodes"
         )
-    topo = None if args.topology is None else named_topology(args.topology)
-    task = gbit_to_bits(
-        DEFAULT_TASK_GBIT if args.task_gbit is None else args.task_gbit
-    )
-    w = DEFAULT_WEIGHTS
-    weights = Weights(
-        w.w1 if args.w1 is None else args.w1, w.w2 if args.w2 is None else args.w2
-    )
-    b = default_b(args.topology)
-    if args.cycles_per_gbit is not None:
-        b = cycles_per_gbit_to_si(args.cycles_per_gbit)
-    if topo is not None:
-        return topo.tree, topo.network, task, weights, b, args.topology
+    if args.topology is not None:
+        topo = named_topology(args.topology)
+        return topo.tree, topo.network, args.topology
     if args.network is not None:
         net, label = load_network(args.network), Path(args.network).stem
     else:
@@ -158,7 +150,23 @@ def _resolve_instance(args) -> tuple:
             node_count=args.nodes, edge_prob=args.edge_prob, rng_seed=args.seed
         )
         net, label = generate_network(params), f"random-{args.nodes}n-s{args.seed}"
-    return build_sink_tree(net), net, task, weights, b, label
+    return build_sink_tree(net), net, label
+
+
+def _resolve_problem(args) -> tuple[float, Weights, float]:
+    """(task_bits, weights, b) from the problem flags; --task-gbit and
+    --cycles-per-gbit are checked in their own units, under their names."""
+    task = DEFAULT_TASK_GBIT if args.task_gbit is None else args.task_gbit
+    w = DEFAULT_WEIGHTS
+    weights = Weights(
+        w.w1 if args.w1 is None else args.w1, w.w2 if args.w2 is None else args.w2
+    )
+    b = default_b(args.topology)
+    if args.cycles_per_gbit is not None:
+        b = cycles_per_gbit_to_si(
+            checked("--cycles-per-gbit", args.cycles_per_gbit, open_lo=True)
+        )
+    return gbit_to_bits(checked("--task-gbit", task, float, 0, GIGA_MAX)), weights, b
 
 
 def _method_spec(args) -> MethodSpec:
@@ -247,7 +255,7 @@ def _render_tree(tree: SinkTree) -> str:
 
 
 def _cmd_tree(args) -> int:
-    tree, _, _, _, _, label = _resolve_instance(args)
+    tree, _, label = _resolve_source(args)
     print(f"# {label}")
     print(_render_tree(tree))
     return 0
@@ -255,7 +263,8 @@ def _cmd_tree(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = _method_spec(args)
-    tree, _, task, weights, b, label = _resolve_instance(args)
+    tree, _, label = _resolve_source(args)
+    task, weights, b = _resolve_problem(args)
 
     sol = None
     shown = None
@@ -315,9 +324,16 @@ def _run(s, args, stem: str) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _method_spec(args)
-    tree, net, task, weights, b, label = _resolve_instance(args)
+    tree, net, label = _resolve_source(args)
+    task, weights, b = _resolve_problem(args)
     sol = solve_method(spec, tree, task, weights, b)
     results = verify_instance(sol, net)
+    try:
+        _audit_and_record(label, spec.name, sol, tree, None, None, None)
+        ok, why = True, ""
+    except AssertionError as exc:
+        ok, why = False, str(exc)
+    results.append(CheckResult("full-network record costs what was solved", ok, why))
     bad = 0
     for res in results:
         mark = "PASS" if res.ok else "FAIL"
@@ -351,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tree", help="print the delivery tree for an instance")
     _add_source_flags(t)
     t.add_argument("--seed", type=int, default=0)
-    t.set_defaults(fn=_cmd_tree, w1=None, w2=None, cycles_per_gbit=None, task_gbit=None)
+    t.set_defaults(fn=_cmd_tree)
 
     so = sub.add_parser("solve", help="run one method on one instance")
     _add_source_flags(so)

@@ -55,7 +55,7 @@ from .network import (
     rewrite,
     write_json,
 )
-from .solvers import Solution, check_task_size, cmo, pmo
+from .solvers import Solution, cmo, pmo
 from .topologies import (
     DEFAULT_TASK_GBIT,
     DEFAULT_WEIGHTS,
@@ -64,7 +64,7 @@ from .topologies import (
     named_topology,
 )
 from .tree import SinkTree, build_sink_tree
-from .units import gbit_to_bits, gbps_to_bps, ghz_to_hz
+from .units import GIGA_MAX, gbit_to_bits, gbps_to_bps, ghz_to_hz
 
 EXACT = ("cmo", "pmo")
 # sweepable parameter -> the key of its value list
@@ -80,7 +80,7 @@ SWEEP_PARAMS = {
 # top-level scalar -> (default, kind, lo, hi, open_lo), as `checked` takes
 # them; a named topology's cycles_per_bit defaults to `default_b(name)`
 _SCALARS = {
-    "task_size_gbit": (DEFAULT_TASK_GBIT, float, 0, math.inf, False),
+    "task_size_gbit": (DEFAULT_TASK_GBIT, float, 0, GIGA_MAX, False),
     "cycles_per_bit": (default_b(None), float, 0, math.inf, True),
     "repetitions": (20, int, 0, math.inf, False),
 }
@@ -409,10 +409,9 @@ def scenario_from_doc(doc: dict, scenario_id: str = "scenario") -> Scenario:
 
 def _check_sweep_value(param: str, v: Any, source: Any) -> float:
     """`v` as a float; ParameterError unless it is a value of sweep `param`."""
-    if param == "task_size":
-        check_task_size(v)
-    elif param in ("link_rate", "cpu_freq"):
-        checked(param, v, open_lo=True)
+    if param in ("task_size", "link_rate", "cpu_freq"):
+        # in Gbit, Gbps or GHz, bounded as in a network file
+        checked(param, v, float, 0, GIGA_MAX, param != "task_size")
     elif param == "subtree_count":
         # at most the generated network's helpers
         hi = source.node_count - 1 if isinstance(source, GenParams) else math.inf

@@ -1,9 +1,10 @@
 """Network model: servers, directed link rates, random generation, JSON I/O,
 and `rewrite`, the one file writer of the package.
 
-The master is always node 0.  A physical (undirected) link is stored as two
-directed entries so the two directions can in principle carry different
-rates; the random generator emits symmetric ones.
+A server's id is its position in `NetworkGraph.servers`; the master is
+always node 0.  A physical (undirected) link is stored as two directed
+entries so the two directions can in principle carry different rates; the
+random generator emits symmetric ones.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .errors import GenerationError, ParameterError, checked
 from .units import (
+    GIGA_MAX,
     bps_to_gbps,
     dbm_to_watts,
     gbps_to_bps,
@@ -47,13 +49,11 @@ class ServerParams:
         energy is switched_cap * cycles * cpu_freq**2.
     """
 
-    id: int
     cpu_freq: float
     tx_power: float
     switched_cap: float
 
     def __post_init__(self):
-        object.__setattr__(self, "id", checked("server id", self.id, int))
         checked("cpu_freq", self.cpu_freq, open_lo=True)
         checked("tx_power", self.tx_power)
         checked("switched_cap", self.switched_cap)
@@ -61,37 +61,30 @@ class ServerParams:
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """Directed link-rate graph over a set of servers; node 0 is the master."""
+    """Directed link-rate graph; a server's id is its position in
+    `servers`, and node 0 is the master.  One pass checks the links in
+    order: each link's two ends (integer ids, so True is refused and 1.0
+    becomes 1), then its self-link, then its rate, which is kept as given."""
 
     servers: tuple[ServerParams, ...]
     links: dict[tuple[int, int], float]
 
     def __post_init__(self):
-        ids = [s.id for s in self.servers]
-        if ids != list(range(len(ids))):
-            raise ParameterError(f"server ids must be 0..N, got {ids}")
-        if not ids:
+        if not self.servers:
             raise ParameterError("network needs at least the master server")
-        top = len(ids) - 1
-        links = dict(self.links)
-        flat = [end for link in links for end in link]
-        # plain in-range int ends are taken as they are; any other end is
-        # checked, so True (== 1) is refused and 1.0 or numpy's 1 becomes 1
-        if set(map(type, flat)) - {int} or not all(0 <= e <= top for e in flat):
-            links = {}
-            for (i, j), rate in self.links.items():
-                try:
-                    key = tuple(checked("end", e, int, 0, top) for e in (i, j))
-                except ParameterError as exc:
-                    raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
-                links[key] = rate
-        for (i, j), rate in links.items():
-            if i == j:
-                raise ParameterError(f"self-link on node {i}")
+        top = len(self.servers) - 1
+        links = {}
+        for (i, j), rate in self.links.items():
+            # an end that is refused leaves i and j as the link gave them
             try:
-                checked("rate", rate, open_lo=True)
+                i, j = (checked("end", e, int, 0, top) for e in (i, j))
+                if i != j:
+                    checked("rate", rate, open_lo=True)
             except ParameterError as exc:
                 raise ParameterError(f"link ({i!r}, {j!r}) {exc}") from None
+            if i == j:
+                raise ParameterError(f"self-link on node {i}")
+            links[i, j] = rate
         object.__setattr__(self, "links", links)
 
     def __len__(self) -> int:
@@ -158,7 +151,6 @@ def generate_network(params: GenParams) -> NetworkGraph:
     for _ in range(RETRY_BUDGET):
         servers = tuple(
             ServerParams(
-                id=i,
                 cpu_freq=ghz_to_hz(float(rng.uniform(f_lo, f_hi))),
                 tx_power=GEN_TX_POWER,
                 switched_cap=params.gamma,
@@ -193,8 +185,6 @@ def generate_network(params: GenParams) -> NetworkGraph:
 # units and are the only accepted spelling.
 
 _EXPECTED_UNITS = {"cpu_freq": "ghz", "rate": "gbps", "tx_power": "dbm"}
-# the largest file values whose SI values are finite
-_GIGA_MAX = hz_to_ghz(sys.float_info.max)
 _DBM_MAX = math.floor(watts_to_dbm(sys.float_info.max))
 
 
@@ -203,12 +193,12 @@ def network_to_doc(net: NetworkGraph) -> dict:
         "units": dict(_EXPECTED_UNITS),
         "servers": [
             {
-                "id": s.id,
+                "id": i,
                 "cpu_freq_ghz": hz_to_ghz(s.cpu_freq),
                 "tx_power_dbm": watts_to_dbm(s.tx_power) if s.tx_power > 0 else -math.inf,
                 "gamma": s.switched_cap,
             }
-            for s in net.servers
+            for i, s in enumerate(net.servers)
         ],
         "links": [
             {"i": i, "j": j, "rate_gbps": bps_to_gbps(rate)}
@@ -228,8 +218,9 @@ def _dbm_watts(dbm) -> float:
 def network_from_doc(doc: dict) -> NetworkGraph:
     """Parse the document form; one of the wrong shape raises ParameterError.
 
-    Each number is checked in the file's units, with bounds that keep its
-    SI value finite, and then again in SI units by the constructors.
+    Server ids must be 0..N-1, in any order.  Each number is checked in the
+    file's units, with bounds that keep its SI value finite, and then again
+    in SI units by the constructors.
     """
     try:
         units = doc.get("units", {})
@@ -237,20 +228,23 @@ def network_from_doc(doc: dict) -> NetworkGraph:
             declared = units.get(key, expected)
             if declared != expected:
                 raise ParameterError(f"unsupported unit for {key}: {declared!r}")
+        rows = sorted(doc["servers"], key=lambda s: s["id"])
+        ids = [checked("server id", s["id"], int) for s in rows]
+        if ids != list(range(len(ids))):
+            raise ParameterError(f"server ids must be 0..N, got {ids}")
         servers = tuple(
             ServerParams(
-                id=s["id"],
                 cpu_freq=ghz_to_hz(
-                    checked("cpu_freq_ghz", s["cpu_freq_ghz"], float, 0, _GIGA_MAX, True)
+                    checked("cpu_freq_ghz", s["cpu_freq_ghz"], float, 0, GIGA_MAX, True)
                 ),
                 tx_power=_dbm_watts(s["tx_power_dbm"]),
                 switched_cap=checked("gamma", s["gamma"]),
             )
-            for s in sorted(doc["servers"], key=lambda s: s["id"])
+            for s in rows
         )
         links = {
             (e["i"], e["j"]): gbps_to_bps(
-                checked("rate_gbps", e["rate_gbps"], float, 0, _GIGA_MAX, True)
+                checked("rate_gbps", e["rate_gbps"], float, 0, GIGA_MAX, True)
             )
             for e in doc["links"]
         }

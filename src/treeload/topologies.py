@@ -41,23 +41,22 @@ DEFAULT_WEIGHTS = Weights(0.5, 0.05)
 
 @dataclass(frozen=True)
 class NamedTopology:
-    name: str
+    """A named topology's network and its sink tree; its name is its key in
+    TOPOLOGIES, and its builder's docstring says what it is."""
+
     network: NetworkGraph
     tree: SinkTree
-    summary: str
 
 
 def _assemble(
-    name: str,
     nodes: tuple[tuple[float, float], ...],
     edges_gbps: dict[tuple[int, int], float],
-    summary: str,
     tx_power_w: dict[int, float] | None = None,
 ) -> NamedTopology:
     # nodes: (cpu_freq_ghz, switched_cap) per server
     power = tx_power_w or {}
     servers = tuple(
-        ServerParams(i, ghz_to_hz(f), power.get(i, _TX_POWER_W), gamma)
+        ServerParams(ghz_to_hz(f), power.get(i, _TX_POWER_W), gamma)
         for i, (f, gamma) in enumerate(nodes)
     )
     links = {}
@@ -65,18 +64,12 @@ def _assemble(
         links[(i, j)] = gbps_to_bps(r)
         links[(j, i)] = gbps_to_bps(r)
     net = NetworkGraph(servers, links)
-    return NamedTopology(
-        name=name,
-        network=net,
-        tree=build_sink_tree(net),
-        summary=summary,
-    )
+    return NamedTopology(network=net, tree=build_sink_tree(net))
 
 
 def deep_chain() -> NamedTopology:
     """Six servers in a line; two capable hops, then legacy stragglers."""
     return _assemble(
-        "deep_chain",
         nodes=(
             (4.0, _GAMMA_GOOD),
             (8.0, _GAMMA_GOOD),
@@ -92,14 +85,12 @@ def deep_chain() -> NamedTopology:
             (3, 4): 1.5,
             (4, 5): 1.0,
         },
-        summary="single 5-hop chain; useful capacity within two hops",
     )
 
 
 def wide_shallow() -> NamedTopology:
     """Three one-hop subtrees of sizes 3, 2, 1; height 2."""
     return _assemble(
-        "wide_shallow",
         nodes=(
             (3.0, _GAMMA_GOOD),
             (5.0, _GAMMA_GOOD),
@@ -117,14 +108,12 @@ def wide_shallow() -> NamedTopology:
             (1, 5): 2.0,
             (2, 6): 30.0,
         },
-        summary="three subtrees; a legacy pair hangs behind node 1",
     )
 
 
 def mixed() -> NamedTopology:
     """Eight servers: a branching subtree of five next to a short chain."""
     return _assemble(
-        "mixed",
         nodes=(
             (3.0, _GAMMA_GOOD),
             (6.0, _GAMMA_GOOD),
@@ -144,7 +133,6 @@ def mixed() -> NamedTopology:
             (3, 6): 1.5,
             (3, 7): 1.5,
         },
-        summary="subtrees of sizes 5 and 2; depth pays off only via node 3",
     )
 
 
@@ -155,7 +143,6 @@ def two_subtree() -> NamedTopology:
     makes the link-rate and cpu-frequency thresholds interesting.
     """
     return _assemble(
-        "two_subtree",
         nodes=(
             (3.0, _GAMMA_GOOD),
             (4.0, _GAMMA_GOOD),
@@ -175,7 +162,6 @@ def two_subtree() -> NamedTopology:
             (3, 6): 2.0,
             (4, 7): 1.5,
         },
-        summary="subtrees {1,3,5,6} and {2,4,7}; node 1 relays at 10 W",
         tx_power_w={1: 10.0},
     )
 

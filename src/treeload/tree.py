@@ -249,8 +249,8 @@ def tree_fingerprint(tree: SinkTree) -> str:
         "edge_rate": [repr(r) for r in tree.edge_rate],
         "to_original": list(tree.to_original),
         "servers": [
-            [s.id, repr(s.cpu_freq), repr(s.tx_power), repr(s.switched_cap)]
-            for s in tree.servers
+            [orig, repr(s.cpu_freq), repr(s.tx_power), repr(s.switched_cap)]
+            for orig, s in zip(tree.to_original, tree.servers)
         ],
     }
     blob = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()

@@ -6,8 +6,11 @@ speak Gbit / Gbps / GHz / dBm; these helpers convert at the boundary.
 """
 
 import math
+import sys
 
 GIGA = 1e9
+# the bound of every Gbit, Gbps or GHz input: its SI value stays finite
+GIGA_MAX = sys.float_info.max / GIGA
 
 # default cycles-per-bit workload density: 1e6 cycles per Gbit
 DEFAULT_CYCLES_PER_GBIT = 1e6

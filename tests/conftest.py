@@ -41,7 +41,6 @@ def make_net(
     tx_w = tx_w if tx_w is not None else [1.0] * n
     servers = tuple(
         ServerParams(
-            id=i,
             cpu_freq=ghz_to_hz(freqs_ghz[i]),
             tx_power=tx_w[i],
             switched_cap=caps[i],

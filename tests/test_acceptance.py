@@ -315,7 +315,7 @@ def _two_subtree_variant(base, rate_gbps=None, f1_ghz=None):
     servers = list(base.network.servers)
     if f1_ghz is not None:
         s = servers[1]
-        servers[1] = ServerParams(1, ghz_to_hz(f1_ghz), s.tx_power, s.switched_cap)
+        servers[1] = ServerParams(ghz_to_hz(f1_ghz), s.tx_power, s.switched_cap)
     return build_sink_tree(NetworkGraph(tuple(servers), links))
 
 

@@ -2,14 +2,17 @@ import json
 import math
 import shlex
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import default_problem
+from treeload import harness
 from treeload.cli import build_parser, main
 from treeload.topologies import named_topology
 from treeload.tree import tree_fingerprint
+from treeload.units import GIGA_MAX
 
 SCENARIO = {
     "scenario_id": "cli_case",
@@ -173,6 +176,24 @@ def test_solve_rejects_bad_numbers(flags, capsys):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--task-gbit", "-1"],
+         f"--task-gbit must be a number in [0, {GIGA_MAX}], got -1.0"),
+        (["--task-gbit", "1e300"],
+         f"--task-gbit must be a number in [0, {GIGA_MAX}], got 1e+300"),
+        (["--cycles-per-gbit", "0"],
+         "--cycles-per-gbit must be a number in (0, inf), got 0.0"),
+    ],
+    ids=["task-negative", "task-overflow", "cycles-zero"],
+)
+def test_solve_names_a_bad_problem_flag_in_its_units(flags, message, capsys):
+    rc = main(["solve", "--topology", "mixed", "--method", "pmo", *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solve_names_an_overflowing_weight(capsys):
@@ -347,6 +368,25 @@ def test_verify_passes_on_clean_instance(capsys):
     assert "[FAIL]" not in out
     assert "[PASS] paths are shortest in the graph" in out
     assert "[PASS] relay energy matches the replay" in out
+
+
+def test_verify_fails_when_the_record_audit_does(monkeypatch, capsys):
+    # a full-network answer that costs 1e-9 more than the pruned solution
+    # passes every check of the solved tree, but not the record's audit
+    real = harness.system_cost
+
+    def nudged(*args, **kwargs):
+        cost = real(*args, **kwargs)
+        return replace(cost, j_system=cost.j_system * (1 + 1e-9))
+
+    monkeypatch.setattr(harness, "system_cost", nudged)
+    rc = main(["verify", "--nodes", "9", "--edge-prob", "0.35", "--seed", "0",
+               "--method", "lp+pmo", "--xi", "2", "--w1", "1", "--w2", "0"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] full-network record costs what was solved" in out
+    assert "cost audit failed for lp+pmo" in out
+    assert "9/10 checks passed" in out
 
 
 def test_verify_solo_generated_network(capsys):

@@ -23,7 +23,7 @@ from treeload.solvers import check_task_size
 
 TREE = rand_tree(random.Random(0), 4)
 GEN = {"node_count": 3, "edge_prob": 0.5, "rng_seed": 0}
-SERVER = {"id": 0, "cpu_freq": 1e9, "tx_power": 1.0, "switched_cap": 1e-28}
+SERVER = {"cpu_freq": 1e9, "tx_power": 1.0, "switched_cap": 1e-28}
 
 
 def _partial(i=1, task_size=1e9):
@@ -36,7 +36,6 @@ GUARDS = [
     (LpParams, {"xi": 1}, "xi", "xi"),
     *[(GaParams, {}, f, f) for f in ("population", "generations", "rng_seed")],
     *[(GenParams, GEN, f, f) for f in ("node_count", "edge_prob", "rng_seed", "gamma")],
-    (ServerParams, SERVER, "id", "server id"),
     *[(ServerParams, SERVER, f, f) for f in ("cpu_freq", "tx_power", "switched_cap")],
     *[(Weights, {"w1": 0.5, "w2": 0.05}, f, f) for f in ("w1", "w2")],
     (check_task_size, {"task_size": 1e9}, "task_size", "task_size"),

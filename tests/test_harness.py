@@ -40,7 +40,7 @@ from treeload.harness import (
     scenario_from_doc,
     solve_method,
 )
-from treeload.units import gbps_to_bps
+from treeload.units import GIGA_MAX, gbps_to_bps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -304,14 +304,14 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
     "over, problem",
     [
         ({"sweep": {"parameter": "task_size", "values_gbit": [1, -1]}},
-         "sweep.values_gbit: task_size must be a number in [0, inf), got -1"),
+         f"sweep.values_gbit: task_size must be a number in [0, {GIGA_MAX}], got -1"),
         ({"sweep": {"parameter": "task_size", "values_gbit": [1, math.nan]}},
-         "sweep.values_gbit: task_size must be a number in [0, inf), got nan"),
+         f"sweep.values_gbit: task_size must be a number in [0, {GIGA_MAX}], got nan"),
         ({"sweep": {"parameter": "cpu_freq", "node": 1, "values_ghz": [2, 0]}},
-         "sweep.values_ghz: cpu_freq must be a number in (0, inf), got 0"),
+         f"sweep.values_ghz: cpu_freq must be a number in (0, {GIGA_MAX}], got 0"),
         ({"sweep": {"parameter": "link_rate", "edge": [0, 1],
                     "values_gbps": [1, -2]}},
-         "sweep.values_gbps: link_rate must be a number in (0, inf), got -2"),
+         f"sweep.values_gbps: link_rate must be a number in (0, {GIGA_MAX}], got -2"),
         ({**_method("np+pmo", theta_p=0.1),
           "sweep": {"parameter": "theta_p", "values": [0.1, 1.5]}},
          "sweep.values: theta_p must be a number in [0, 1], got 1.5"),
@@ -325,9 +325,22 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
           "sweep": {"parameter": "subtree_count", "values": [7]}},
          "sweep.values: subtree_count must be an integer in [1, 6], got 7"),
         ({"sweep": {"parameter": "task_size", "values_gbit": ["1.5", 2]}},
-         "sweep.values_gbit: task_size must be a number in [0, inf), got '1.5'"),
+         f"sweep.values_gbit: task_size must be a number in [0, {GIGA_MAX}], got '1.5'"),
         ({"sweep": {"parameter": "task_size", "values_gbit": [True]}},
-         "sweep.values_gbit: task_size must be a number in [0, inf), got True"),
+         f"sweep.values_gbit: task_size must be a number in [0, {GIGA_MAX}], got True"),
+        # a Giga-unit value whose SI value overflows is refused at load
+        ({"task_size_gbit": 1e300},
+         f"task_size_gbit must be a number in [0, {GIGA_MAX}], got 1e+300"),
+        ({"sweep": {"parameter": "task_size", "values_gbit": [1, 1e300]}},
+         f"sweep.values_gbit: task_size must be a number in [0, {GIGA_MAX}], "
+         "got 1e+300"),
+        ({"sweep": {"parameter": "link_rate", "edge": [0, 1],
+                    "values_gbps": [10, 1e300]}},
+         f"sweep.values_gbps: link_rate must be a number in (0, {GIGA_MAX}], "
+         "got 1e+300"),
+        ({"sweep": {"parameter": "cpu_freq", "node": 1, "values_ghz": [2, 1e300]}},
+         f"sweep.values_ghz: cpu_freq must be a number in (0, {GIGA_MAX}], "
+         "got 1e+300"),
         # each value list has one spelling
         ({"sweep": {"parameter": "task_size", "values": [1, 2]}},
          "sweep.values_gbit: required non-empty list"),
@@ -355,7 +368,7 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
                                    "rng_seed": False}}},
          "network.generate: rng_seed must be an integer in [0, inf], got False"),
         ({"task_size_gbit": True},
-         "task_size_gbit must be a number in [0, inf), got True"),
+         f"task_size_gbit must be a number in [0, {GIGA_MAX}], got True"),
         ({"cycles_per_bit": True},
          "cycles_per_bit must be a number in (0, inf), got True"),
         ({"weights": {"time": True, "energy": 0.05}},
@@ -392,7 +405,8 @@ GENERATED_7 = {"network": {"generate": {"node_count": 7, "edge_prob": 0.5}}}
     ids=["task_size-negative", "task_size-nan", "cpu_freq-zero",
          "link_rate-negative", "theta_p-1.5", "xi-negative",
          "subtree_count-zero", "subtree_count-above-helpers", "value-str",
-         "value-bool", "values-spelling", "repetitions-bool", "edge-bool",
+         "value-bool", "task_size_gbit-overflow", "task_size-overflow",
+         "link_rate-overflow", "cpu_freq-overflow", "values-spelling", "repetitions-bool", "edge-bool",
          "node-bool", "generate-tx_power_dbm", "generate-typo",
          "node_count-4.5", "node_count-bool", "generate-rng_seed-1.5",
          "generate-rng_seed-bool", "task_size-bool", "cycles_per_bit-bool",

@@ -27,16 +27,14 @@ from treeload.units import dbm_to_watts, watts_to_dbm
 
 def test_server_params_validation():
     with pytest.raises(ParameterError):
-        ServerParams(id=-1, cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28)
+        ServerParams(cpu_freq=0.0, tx_power=1.0, switched_cap=1e-28)
     with pytest.raises(ParameterError):
-        ServerParams(id=0, cpu_freq=0.0, tx_power=1.0, switched_cap=1e-28)
-    with pytest.raises(ParameterError):
-        ServerParams(id=0, cpu_freq=1e9, tx_power=-0.1, switched_cap=1e-28)
+        ServerParams(cpu_freq=1e9, tx_power=-0.1, switched_cap=1e-28)
 
 
 def test_graph_rejects_bad_links():
     servers = tuple(
-        ServerParams(id=i, cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28)
+        ServerParams(cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28)
         for i in range(2)
     )
     with pytest.raises(ParameterError):
@@ -120,9 +118,31 @@ def test_doc_rejects_unit_mismatch():
         network_from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([0, 2, 3], "server ids must be 0..N, got [0, 2, 3]"),
+        ([0, 0, 1], "server ids must be 0..N, got [0, 0, 1]"),
+        ([1, 2, 3], "server ids must be 0..N, got [1, 2, 3]"),
+        ([0, -1, 1], "server id must be an integer in [0, inf], got -1"),
+    ],
+    ids=["gap", "repeat", "no-master", "negative"],
+)
+def test_doc_refuses_ids_that_are_not_positions(ids, message):
+    # a server's id is its position: a file lists 0..N-1, in any order
+    doc = network_to_doc(generate_network(GenParams(3, 1.0, 0)))
+    shuffled = {**doc, "servers": doc["servers"][::-1]}
+    assert network_to_doc(network_from_doc(shuffled)) == doc
+    for server, i in zip(doc["servers"], ids):
+        server["id"] = i
+    with pytest.raises(ParameterError) as exc:
+        network_from_doc(doc)
+    assert str(exc.value) == message
+
+
 def test_doc_checks_each_number_in_file_units_then_in_si(monkeypatch):
-    # one check per number of the file, then one per server id and per SI
-    # number in the constructors; plain in-range link ends take none
+    # one check per number and server id of the file, then one per SI
+    # number and per link end in the constructors
     net = generate_network(GenParams(node_count=12, edge_prob=0.4, rng_seed=5))
     doc = network_to_doc(net)
     calls = []
@@ -134,10 +154,10 @@ def test_doc_checks_each_number_in_file_units_then_in_si(monkeypatch):
     back = network_from_doc(doc)
     assert network_to_doc(back) == doc
     assert sorted(set(calls)) == [
-        "cpu_freq", "cpu_freq_ghz", "gamma", "rate", "rate_gbps", "server id",
-        "switched_cap", "tx_power", "tx_power_dbm",
+        "cpu_freq", "cpu_freq_ghz", "end", "gamma", "rate", "rate_gbps",
+        "server id", "switched_cap", "tx_power", "tx_power_dbm",
     ]
-    assert len(calls) == 7 * len(net) + 2 * len(net.links)
+    assert len(calls) == 7 * len(net) + 4 * len(net.links)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +178,7 @@ def test_doc_refuses_a_number_whose_si_value_overflows(field, value, message):
 
 def test_graph_checks_link_ends_by_type():
     servers = tuple(
-        ServerParams(id=i, cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28)
+        ServerParams(cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28)
         for i in range(3)
     )
     # 1.0 and numpy's 2 become plain ints
@@ -190,7 +210,7 @@ def test_unreachable_report_names_the_cut_nodes(seed):
     rng = random.Random(seed)
     n = rng.randint(3, 8)
     servers = tuple(
-        ServerParams(id=i, cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28)
+        ServerParams(cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28)
         for i in range(n)
     )
     # connect everything except one island node

@@ -1309,3 +1309,13 @@ def test_baseline_cache_roundtrip(tmp_path):
     other = rand_tree(random.Random(11), 6)
     assert load_baseline(path, other, W, b=B_COMP) is None
     assert load_baseline(tmp_path / "missing.json", tree, W, b=B_COMP) is None
+
+
+def test_the_committed_baseline_still_loads():
+    # scripts/offline_online_study.py's instance; the plan's tree_sha pins
+    # tree_fingerprint's format
+    g = GenParams(node_count=20, edge_prob=0.3, rng_seed=28, gamma=2e-28)
+    tree = build_sink_tree(generate_network(g))
+    path = ROOT / "results" / "baseline_20.json"
+    plan = load_baseline(path, tree, Weights(0.5, 0.05), b=1.0)
+    assert plan is not None and plan.solver_tag == "pmo"

@@ -27,7 +27,7 @@ def chain(n, rate=10.0, freq=2.0):
 def test_builder_prefers_fast_multi_hop_route():
     # direct 0->2 at 1 Gbps vs 0->1->2 at 10 Gbps each: the relay wins
     servers = tuple(
-        ServerParams(id=i, cpu_freq=2e9, tx_power=1.0, switched_cap=1e-28)
+        ServerParams(cpu_freq=2e9, tx_power=1.0, switched_cap=1e-28)
         for i in range(3)
     )
     links = {
@@ -42,7 +42,7 @@ def test_builder_prefers_fast_multi_hop_route():
 
 def test_builder_rejects_disconnected():
     servers = tuple(
-        ServerParams(id=i, cpu_freq=2e9, tx_power=1.0, switched_cap=1e-28)
+        ServerParams(cpu_freq=2e9, tx_power=1.0, switched_cap=1e-28)
         for i in range(3)
     )
     net = NetworkGraph(servers=servers, links={(0, 1): 1e9, (1, 0): 1e9})
@@ -72,7 +72,7 @@ def test_sink_tree_rejects_disorder():
     from treeload.tree import SinkTree
 
     srv = tuple(
-        ServerParams(id=i, cpu_freq=1e9, tx_power=1.0, switched_cap=0.0)
+        ServerParams(cpu_freq=1e9, tx_power=1.0, switched_cap=0.0)
         for i in range(3)
     )
     with pytest.raises(ParameterError):
