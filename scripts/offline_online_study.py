@@ -2,10 +2,12 @@
 
 Solves a 20-server instance once, persists the baseline, then serves a
 batch of task sizes by rescaling the cached split.  Each answer is
-cross-checked against a fresh solve.
+cross-checked against a fresh solve.  The baseline goes to --cache, by
+default a file in a temporary directory removed on exit.
 """
 
 import argparse
+import tempfile
 import time
 from pathlib import Path
 
@@ -27,9 +29,8 @@ B = 1.0
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--cache", default=ROOT / "results" / "baseline_20.json", type=Path)
+    ap.add_argument("--cache", type=Path)
     args = ap.parse_args()
-    args.cache.parent.mkdir(parents=True, exist_ok=True)
 
     g = GenParams(node_count=20, edge_prob=0.3, rng_seed=28, gamma=2e-28)
     tree = build_sink_tree(generate_network(g))
@@ -37,10 +38,12 @@ def main() -> None:
     t0 = time.perf_counter()
     base = pmo(tree, 1e9, W, b=B)
     offline = time.perf_counter() - t0
-    save_baseline(args.cache, base)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = args.cache or Path(tmp) / "baseline_20.json"
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        save_baseline(cache, base)
+        cached = load_baseline(cache, tree, W, b=B)
     print(f"offline: pmo over {len(tree)} servers in {offline * 1e3:.0f} ms, cached")
-
-    cached = load_baseline(args.cache, tree, W, b=B)
     sizes = [k * 1e8 for k in (2, 5, 8, 13, 21, 34, 55)]
     t0 = time.perf_counter()
     answers = [scale_solution(cached, y) for y in sizes]

@@ -3,7 +3,10 @@
 Runs every request of the `exact` and `approx_large` benchmark workloads
 (perfbench/workloads.py, seeds 1 and 1000003) through `scenario_from_doc`
 and `run_scenario`, and every scenarios/*.json with repetitions 0, so no
-record holds a timing.  Each benchmark request runs first on a cleared
+record holds a timing.  Each scenario's records, rendered by `emit_csv`,
+must equal the committed results/<scenario_id>.csv in every column but
+T_exe_s: the script exits 1 naming the first file, row and column that
+differ.  Each benchmark request runs first on a cleared
 memo of base networks and sink trees (`harness._memo`), then all of them
 run again warm: the script exits 1 naming the first warm record that
 differs from its cold one.  One more group, `random`, holds answers off the
@@ -39,6 +42,7 @@ exits 1 naming the first one that differs: its group, index and field.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -65,6 +69,7 @@ from treeload import (  # noqa: E402
     baseline_partial,
     cmo,
     count_schedules,
+    emit_csv,
     ga,
     harness,
     heuristics,
@@ -125,8 +130,30 @@ def workload_records(name: str, seed: int, workdir: Path) -> list[dict]:
 
 
 def scenario_records(path: Path) -> list[dict]:
+    """The scenario's records; exits 1 when their CSV differs from the
+    committed one."""
     s = dataclasses.replace(load_scenario(path), repetitions=0)
-    return [record_to_doc(r) for r in run_scenario(s)]
+    records = run_scenario(s)
+    check_csv(records, ROOT / "results" / f"{s.scenario_id}.csv")
+    return [record_to_doc(r) for r in records]
+
+
+def check_csv(records: list, committed: Path) -> None:
+    """Exit 1 naming the first row and column, T_exe_s aside, where the
+    `emit_csv` rendering of `records` differs from the file `committed`."""
+    name = committed.relative_to(ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_csv(records, Path(tmp) / committed.name)
+        new = list(csv.reader((Path(tmp) / committed.name).read_text().splitlines()))
+    old = list(csv.reader(committed.read_text().splitlines()))
+    if old[0] != new[0]:
+        sys.exit(f"{name}: header {old[0]} != {new[0]}")
+    if len(old) != len(new):
+        sys.exit(f"{name}: {len(old) - 1} rows committed, {len(new) - 1} now")
+    for row, (a, b) in enumerate(zip(old, new)):
+        for col, va, vb in zip(old[0], a, b):
+            if col != "T_exe_s" and va != vb:
+                sys.exit(f"{name} row {row} column {col}: {va!r} != {vb!r}")
 
 
 def random_records() -> list[dict]:

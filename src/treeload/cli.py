@@ -163,9 +163,13 @@ def _resolve_problem(args) -> tuple[float, Weights, float]:
     )
     b = default_b(args.topology)
     if args.cycles_per_gbit is not None:
-        b = cycles_per_gbit_to_si(
-            checked("--cycles-per-gbit", args.cycles_per_gbit, open_lo=True)
-        )
+        v = checked("--cycles-per-gbit", args.cycles_per_gbit, open_lo=True)
+        b = cycles_per_gbit_to_si(v)
+        if b == 0.0:  # v / 1e9 underflows
+            raise ParameterError(
+                f"--cycles-per-gbit must give a positive number of cycles per bit, "
+                f"got {v!r}"
+            )
     return gbit_to_bits(checked("--task-gbit", task, float, 0, GIGA_MAX)), weights, b
 
 

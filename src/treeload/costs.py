@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import ParameterError, ScheduleError, checked
 from .tree import SinkTree
-from .units import DEFAULT_B
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def system_cost(
     schedule: Schedule,
     alloc: Allocation,
     weights: Weights,
-    b: float = DEFAULT_B,
+    b: float,
 ) -> CostBreakdown:
     """Evaluate the whole cost table for one allocation under one schedule.
 
@@ -238,7 +237,7 @@ def cost_coefficients(
     tree: SinkTree,
     schedule: Schedule,
     weights: Weights,
-    b: float = DEFAULT_B,
+    b: float,
 ) -> np.ndarray:
     """Read-only matrix a of the linear form J_i(y) = sum_k a[i, k] * y_k."""
     validate_schedule(tree, schedule)

@@ -524,13 +524,10 @@ def _audit_and_record(
     t_exe: float | None,
 ) -> RunRecord:
     """Map a solution back to original network ids and re-verify its cost."""
-    work = sol.tree
-    relabel = full_tree.relabel_map
-    to_full = [relabel[orig] for orig in work.to_original]
-    n = len(full_tree)
-    y_full = [0.0] * n
-    for i, v in zip(to_full, sol.allocation.y):
-        y_full[i] = v
+    work_net, net_id = sol.tree.to_original, full_tree.to_original
+    y_net = [0.0] * len(full_tree)
+    for orig, v in zip(work_net, sol.allocation.y):
+        y_net[orig] = v
 
     # full-tree schedule: removed nodes go first, in ascending id, then the
     # surviving nodes in their order.  A removed node then waits on nothing,
@@ -539,22 +536,21 @@ def _audit_and_record(
     # it would wait on their traffic over shared edges, a row that can
     # exceed every surviving one
     rank = {
-        to_full[i]: k for order in sol.schedule.orders for k, i in enumerate(order)
+        work_net[i]: k for order in sol.schedule.orders for k, i in enumerate(order)
     }
     full_sched = Schedule(
         orders=tuple(
-            tuple(sorted(nodes, key=lambda i: rank.get(i, -1)))
+            tuple(sorted(nodes, key=lambda i: rank.get(net_id[i], -1)))
             for nodes in full_tree.subtrees.values()
         )
     )
-    alloc = Allocation(y=tuple(y_full), total=sol.task_size)
+    alloc = Allocation(y=tuple(y_net[o] for o in net_id), total=sol.allocation.total)
     check = system_cost(full_tree, full_sched, alloc, sol.weights, sol.b_comp)
     if not math.isclose(check.j_system, sol.cost, rel_tol=1e-12):
         raise AssertionError(
             f"cost audit failed for {method}: {check.j_system} vs {sol.cost}"
         )
 
-    net_id = full_tree.to_original
     return RunRecord(
         scenario_id=scenario_id,
         method=method,
@@ -564,7 +560,7 @@ def _audit_and_record(
         max_time=check.max_time,
         max_energy=check.max_energy,
         t_exe=t_exe,
-        allocation=tuple(y_full[relabel[k]] for k in range(n)),
+        allocation=tuple(y_net),
         orders=tuple(tuple(net_id[i] for i in order) for order in full_sched.orders),
         solver_tag=sol.solver_tag,
     )

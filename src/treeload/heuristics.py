@@ -36,7 +36,6 @@ from .costs import (
 from .errors import ParameterError, checked
 from .solvers import Solution, _solution, check_task_size
 from .tree import MASTER_ID, SinkTree, prune_tree
-from .units import DEFAULT_B
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class GaParams:
 
 
 def local_cost(
-    tree: SinkTree, task_size: float, weights: Weights, *, b: float = DEFAULT_B
+    tree: SinkTree, task_size: float, weights: Weights, *, b: float
 ) -> float:
     """Cost of keeping the whole task on the master."""
     return baseline_local(tree, task_size, weights, b=b).cost
@@ -124,7 +123,7 @@ def partial_offload_cost(
     task_size: float,
     weights: Weights,
     *,
-    b: float = DEFAULT_B,
+    b: float,
 ) -> float:
     """Best achievable cost when only the master and node i may compute.
 
@@ -142,7 +141,7 @@ def node_prune(
     task_size: float,
     weights: Weights,
     *,
-    b: float = DEFAULT_B,
+    b: float,
 ) -> tuple[SinkTree, frozenset[int]]:
     """Drop servers whose solo offloading gain is at most theta_p.
 
@@ -229,7 +228,7 @@ def ga(
     params: GaParams,
     forced_zero: frozenset[int] = frozenset(),
     *,
-    b: float = DEFAULT_B,
+    b: float,
 ) -> Solution:
     """Search offloading orders with a seeded genetic algorithm.
 
@@ -313,7 +312,7 @@ def ga(
 
 
 def baseline_local(
-    tree: SinkTree, task_size: float, weights: Weights, *, b: float = DEFAULT_B
+    tree: SinkTree, task_size: float, weights: Weights, *, b: float
 ) -> Solution:
     """Everything stays on the master."""
     check_task_size(task_size)
@@ -324,7 +323,7 @@ def baseline_local(
 
 
 def baseline_partial(
-    tree: SinkTree, task_size: float, weights: Weights, *, b: float = DEFAULT_B
+    tree: SinkTree, task_size: float, weights: Weights, *, b: float
 ) -> Solution:
     """Split between the master and its single best one-hop neighbor.
 
@@ -346,7 +345,7 @@ def baseline_partial(
 
 
 def baseline_master_worker(
-    tree: SinkTree, task_size: float, weights: Weights, *, b: float = DEFAULT_B
+    tree: SinkTree, task_size: float, weights: Weights, *, b: float
 ) -> Solution:
     """Time-optimal split over the master and all one-hop neighbors.
 
@@ -364,7 +363,7 @@ def baseline_master_worker(
 
 
 def baseline_multi_hop(
-    tree: SinkTree, task_size: float, weights: Weights, *, b: float = DEFAULT_B
+    tree: SinkTree, task_size: float, weights: Weights, *, b: float
 ) -> Solution:
     """Ship the whole task to the one node where it costs least.
 

@@ -90,12 +90,6 @@ class NetworkGraph:
     def __len__(self) -> int:
         return len(self.servers)
 
-    def rate(self, i: int, j: int) -> float:
-        try:
-            return self.links[(i, j)]
-        except KeyError:
-            raise ParameterError(f"no link ({i}, {j}) in network") from None
-
     def master_reaches_all(self) -> bool:
         seen = {MASTER_ID}
         frontier = [MASTER_ID]

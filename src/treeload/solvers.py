@@ -61,7 +61,6 @@ from .costs import (
 from .errors import InfeasibleError, ParameterError, checked
 from .network import write_json
 from .tree import SinkTree, tree_fingerprint
-from .units import DEFAULT_B
 
 # an equaliser answer may dip this far below zero before clipping, and its
 # primal-dual gap may be at most this fraction of its value
@@ -92,7 +91,6 @@ class Solution:
     tree: SinkTree
     weights: Weights
     b_comp: float
-    task_size: float
     allocation: Allocation
     schedule: Schedule
     cost: float
@@ -399,7 +397,6 @@ def _solution(
         tree=tree,
         weights=weights,
         b_comp=b,
-        task_size=task_size,
         allocation=alloc,
         schedule=schedule,
         cost=system_cost(tree, schedule, alloc, weights, b).j_system,
@@ -415,7 +412,7 @@ def solve_fixed_order(
     weights: Weights,
     forced_zero: frozenset[int] = frozenset(),
     *,
-    b: float = DEFAULT_B,
+    b: float,
 ) -> Solution:
     """Optimal split for one fixed schedule."""
     check_task_size(task_size)
@@ -493,7 +490,7 @@ def cmo(
     weights: Weights,
     forced_zero: frozenset[int] = frozenset(),
     *,
-    b: float = DEFAULT_B,
+    b: float,
 ) -> Solution:
     """Exhaustive schedule search: one certified split per order combination.
 
@@ -556,7 +553,7 @@ def pmo(
     weights: Weights,
     forced_zero: frozenset[int] = frozenset(),
     *,
-    b: float = DEFAULT_B,
+    b: float,
 ) -> Solution:
     """Decomposition: order each subtree independently, then split.
 
@@ -616,9 +613,9 @@ def pmo(
 def scale_solution(base: Solution, new_task_size: float) -> Solution:
     """Rescale a solved split to a new task size; schedule and shape carry over."""
     check_task_size(new_task_size)
-    if base.task_size <= 0.0:
+    if base.allocation.total <= 0.0:
         raise ParameterError("base solution must have a positive task size")
-    factor = new_task_size / base.task_size
+    factor = new_task_size / base.allocation.total
     return _solution(
         base.tree,
         base.schedule,
@@ -638,7 +635,7 @@ def save_baseline(path, sol: Solution) -> None:
     """Persist a solved baseline keyed by the tree's content hash."""
     doc = {
         "tree_sha": tree_fingerprint(sol.tree),
-        "task_size": sol.task_size,
+        "task_size": sol.allocation.total,
         "weights": [sol.weights.w1, sol.weights.w2],
         "b_comp": sol.b_comp,
         "y": list(sol.allocation.y),
@@ -649,9 +646,7 @@ def save_baseline(path, sol: Solution) -> None:
     write_json(path, doc)
 
 
-def load_baseline(
-    path, tree: SinkTree, weights: Weights, b: float = DEFAULT_B
-) -> Solution | None:
+def load_baseline(path, tree: SinkTree, weights: Weights, b: float) -> Solution | None:
     """Recover a cached baseline; None when the tree or settings changed.
 
     A file that is not a cached plan raises ParameterError naming it.

@@ -143,11 +143,6 @@ class SinkTree:
         node.flags.writeable = relay.flags.writeable = False
         return (*node, *relay)
 
-    @property
-    def relabel_map(self) -> dict[int, int]:
-        """Original graph id -> tree id."""
-        return {orig: i for i, orig in enumerate(self.to_original)}
-
 
 def build_sink_tree(net: NetworkGraph) -> SinkTree:
     """Dijkstra over 1/rate from the master, then level-order relabeling."""
@@ -193,7 +188,7 @@ def build_sink_tree(net: NetworkGraph) -> SinkTree:
         -1 if orig == MASTER_ID else tree_id[parent_orig[orig]] for orig in order
     )
     edge_rate = tuple(
-        0.0 if orig == MASTER_ID else net.rate(parent_orig[orig], orig)
+        0.0 if orig == MASTER_ID else net.links[parent_orig[orig], orig]
         for orig in order
     )
     servers = tuple(net.servers[orig] for orig in order)

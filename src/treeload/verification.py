@@ -168,7 +168,7 @@ def check_solution(sol: Solution) -> list[CheckResult]:
     out = [
         _agreement(
             "allocation sums to the task size",
-            [("sum of the split", sum(alloc.y), sol.task_size)],
+            [("sum of the split", sum(alloc.y), alloc.total)],
         ),
         CheckResult("allocation nonnegative", all(v >= 0.0 for v in alloc.y)),
         _agreement(

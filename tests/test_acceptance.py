@@ -50,7 +50,7 @@ from treeload import (
     simulate_delivery,
     system_cost,
 )
-from treeload.units import gbps_to_bps, ghz_to_hz
+from treeload.units import DEFAULT_B, gbps_to_bps, ghz_to_hz
 
 Y = 1e9
 W = Weights(0.5, 0.05)
@@ -289,7 +289,7 @@ def test_criterion_8_delivery_replay_matches_closed_form():
                         y=tuple(v / s * Y for v in parts), total=Y
                     )
                     trace = simulate_delivery(tree, sched, alloc)
-                    br = system_cost(tree, sched, alloc, W)
+                    br = system_cost(tree, sched, alloc, W, DEFAULT_B)
                     for i in range(n):
                         for have, want in (
                             (trace.t_wait[i], br.t_wait[i]),

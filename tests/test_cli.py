@@ -187,8 +187,11 @@ def test_solve_rejects_bad_numbers(flags, capsys):
          f"--task-gbit must be a number in [0, {GIGA_MAX}], got 1e+300"),
         (["--cycles-per-gbit", "0"],
          "--cycles-per-gbit must be a number in (0, inf), got 0.0"),
+        (["--cycles-per-gbit", "1e-320"],
+         "--cycles-per-gbit must give a positive number of cycles per bit, "
+         "got 1e-320"),
     ],
-    ids=["task-negative", "task-overflow", "cycles-zero"],
+    ids=["task-negative", "task-overflow", "cycles-zero", "cycles-underflow"],
 )
 def test_solve_names_a_bad_problem_flag_in_its_units(flags, message, capsys):
     rc = main(["solve", "--topology", "mixed", "--method", "pmo", *flags])

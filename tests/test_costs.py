@@ -178,7 +178,9 @@ def test_system_cost_breakdown_is_consistent():
 def test_system_cost_rejects_wrong_length():
     tree = rand_tree(random.Random(1), 4)
     with pytest.raises(ParameterError):
-        system_cost(tree, canonical_schedule(tree), Allocation(y=(1.0,), total=1.0), W)
+        system_cost(
+            tree, canonical_schedule(tree), Allocation(y=(1.0,), total=1.0), W, DEFAULT_B
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,4 +318,6 @@ def test_system_cost_names_an_overflowing_node_cost():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="overflows float64"):
-            system_cost(tree, canonical_schedule(tree), alloc, Weights(1e308, 1e308))
+            system_cost(
+                tree, canonical_schedule(tree), alloc, Weights(1e308, 1e308), DEFAULT_B
+            )

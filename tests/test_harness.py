@@ -560,7 +560,7 @@ def test_a_removed_node_waits_on_no_kept_node(network, weights, method):
     assert removed
     for order in r.orders:
         first = [i for i in order if i in removed]
-        assert list(order[: len(first)]) == sorted(first, key=tree.relabel_map.get)
+        assert list(order[: len(first)]) == sorted(first, key=tree.to_original.index)
 
 
 def test_task_size_sweep_scales_costs_proportionally():

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import itertools
 import random
 import subprocess
@@ -1319,3 +1320,21 @@ def test_the_committed_baseline_still_loads():
     path = ROOT / "results" / "baseline_20.json"
     plan = load_baseline(path, tree, Weights(0.5, 0.05), b=1.0)
     assert plan is not None and plan.solver_tag == "pmo"
+
+
+def test_the_offline_online_study_leaves_the_committed_baseline(monkeypatch):
+    # the study's default cache is a temporary file: a run that rewrote the
+    # fixture above would make that pin pass on whatever format it wrote
+    path = ROOT / "results" / "baseline_20.json"
+    before = path.read_bytes(), path.stat().st_mtime_ns
+    script = ROOT / "scripts" / "offline_online_study.py"
+    spec = importlib.util.spec_from_file_location("offline_online_study", script)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    try:
+        study.main()
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+    finally:
+        if path.read_bytes() != before[0]:
+            path.write_bytes(before[0])

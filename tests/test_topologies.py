@@ -1,6 +1,15 @@
+import inspect
+
 import pytest
 
-from treeload import TOPOLOGIES, ParameterError, named_topology
+from treeload import (
+    TOPOLOGIES,
+    ParameterError,
+    costs,
+    heuristics,
+    named_topology,
+    solvers,
+)
 from treeload.costs import canonical_schedule, validate_schedule
 from treeload.topologies import default_b
 from treeload.verification import check_tree
@@ -39,3 +48,19 @@ def test_shapes_match_their_names():
     assert wide.height <= 2
     two = named_topology("two_subtree").tree
     assert len(two.subtree_roots) == 2
+
+
+@pytest.mark.parametrize(
+    "module", [costs, solvers, heuristics], ids=lambda m: m.__name__
+)
+def test_only_the_default_table_fills_in_b(module):
+    # default_b is the one default for the cycles per bit: a library
+    # default of its own would contradict it on a named topology
+    params = {
+        name: inspect.signature(f).parameters
+        for name, f in inspect.getmembers(module, inspect.isfunction)
+        if f.__module__ == module.__name__ and not name.startswith("_")
+    }
+    takes_b = {name: p["b"] for name, p in params.items() if "b" in p}
+    assert takes_b
+    assert [name for name, b in takes_b.items() if b.default is not b.empty] == []

@@ -36,8 +36,8 @@ def test_builder_prefers_fast_multi_hop_route():
         (0, 2): 1e9, (2, 0): 1e9,
     }
     tree = build_sink_tree(NetworkGraph(servers=servers, links=links))
-    two = tree.relabel_map[2]
-    assert tree.parent[two] == tree.relabel_map[1]
+    two = tree.to_original.index(2)
+    assert tree.parent[two] == tree.to_original.index(1)
 
 
 def test_builder_rejects_disconnected():

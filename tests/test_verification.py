@@ -107,7 +107,11 @@ def test_check_solution_catches_corruption():
         results = {r.name: r for r in check_solution(wrong)}
         assert not results["reported cost matches a recompute"].ok
 
-    mismatched = replace(sol, task_size=sol.task_size * 2)
+    # Allocation refuses a total its split does not sum to, so forge one
+    forged = object.__new__(Allocation)
+    object.__setattr__(forged, "y", sol.allocation.y)
+    object.__setattr__(forged, "total", sol.allocation.total * 2)
+    mismatched = replace(sol, allocation=forged)
     results = {r.name: r for r in check_solution(mismatched)}
     assert not results["allocation sums to the task size"].ok
 
