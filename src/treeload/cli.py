@@ -174,12 +174,13 @@ def _resolve_problem(args) -> tuple[float, Weights, float]:
 
 
 def _method_spec(args) -> MethodSpec:
-    """--method with the parameters it reads from the flags that were given."""
+    """--method with each method flag given, refused if the method does not
+    read it; --seed (it also seeds --nodes, default 0) only where read."""
     reads = method_params(args.method) or ()
     params = {}
     for k, flag in _PARAM_FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
-        if k in reads and value is not None:
+        if value is not None and (k != "rng_seed" or k in reads):
             params[k] = value
     problems = method_problems(args.method, params, spell=_PARAM_FLAGS.get)
     if problems:

@@ -19,9 +19,9 @@ stack).  The solvers add the two (pmo on slices of them);
 `solvers.solve_fixed_order`, `verification.check_solution`,
 `heuristics.baseline_master_worker` and tests.
 `_node_terms` evaluates every term of one split, for `system_cost` and GA
-fitness alike, from energy rates (`_energy_rates`) each caller builds
-once.  Both take a few numpy operations on per-tree arrays
-(`SinkTree.cost_arrays`), no loop.
+fitness alike, its relay energy from the tree's own per-bit table
+(`SinkTree.relay_energy`).  Both take a few numpy operations on per-tree
+arrays (`SinkTree.cost_arrays`), no loop.
 """
 
 from __future__ import annotations
@@ -132,10 +132,8 @@ def system_cost(
 ) -> CostBreakdown:
     """Evaluate the whole cost table for one allocation under one schedule.
 
-    Every term comes from the matrices that also build the linear form:
-    the energy-only static matrix holds compute energy on its diagonal and
-    ancestors' relay energy off it, and the unit-weight waiting matrix
-    holds the channel time of earlier subtasks.
+    `_node_terms` prices the split; its waiting terms come from the
+    unit-weight waiting matrix that also builds the linear form.
     """
     validate_schedule(tree, schedule)
     n = len(tree)
@@ -143,24 +141,13 @@ def system_cost(
         raise ParameterError(f"allocation has {len(alloc.y)} entries, tree has {n}")
     wait = _waiting(tree.shared_inv_rate, [schedule.orders])[0]
     y = alloc.as_array()
-    terms = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)
+    terms = _node_terms(tree, wait, y, weights, b)
     terms = [tuple(v.tolist()) for v in terms]
     return CostBreakdown(*terms, j_system=max(terms[-1]))
 
 
-def _energy_rates(tree: SinkTree, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Joules per bit, from the energy-only static matrix: each node's
-    compute energy (its diagonal) and ancestors' relay energy (the rest,
-    with a zero diagonal)."""
-    relay = _static_matrix(tree, Weights(0.0, 1.0), b)
-    e_comp_rate = np.diag(relay).copy()
-    np.fill_diagonal(relay, 0.0)
-    return e_comp_rate, relay
-
-
 def _node_terms(
     tree: SinkTree,
-    energy: tuple[np.ndarray, np.ndarray],
     wait: np.ndarray,
     y: np.ndarray,
     weights: Weights,
@@ -168,21 +155,20 @@ def _node_terms(
 ) -> tuple[np.ndarray, ...]:
     """Per-node t_tran, t_wait, t_comp, t_total, e_comp, e_relay, e_total, J.
 
-    `energy` is the tree's `_energy_rates`, built once per caller, `wait`
-    the schedule's unit waiting matrix (`_waiting`) and y the split in
-    bits, or a (B, n) stack of splits, one row of terms each.  A stacked
-    split gets the bits it gets alone: its matrix products are one
-    matrix-vector product per row.  Raises ParameterError when a node
-    cost is not finite.
+    `wait` is the schedule's unit waiting matrix (`_waiting`) and y the
+    split in bits, or a (B, n) stack of splits, one row of terms each.  A
+    stacked split gets the bits it gets alone: its matrix products are
+    one matrix-vector product per row.  Raises ParameterError when b or a
+    node cost is not finite.
     """
-    e_comp_rate, relay = energy
-    path_inv_rate, freq = tree.cost_arrays[:2]
+    checked("cycles per bit", b, open_lo=True)
+    path_inv_rate, freq, freq_sq, cap = tree.cost_arrays[:4]
     with np.errstate(over="ignore", invalid="ignore"):
         t_tran = path_inv_rate * y
         t_wait = (wait @ y[..., None])[..., 0]
         t_comp = y * b / freq
-        e_comp = e_comp_rate * y
-        e_relay = (relay @ y[..., None])[..., 0]
+        e_comp = cap * b * freq_sq * y
+        e_relay = (tree.relay_energy @ y[..., None])[..., 0]
         t_total = t_tran + t_wait + t_comp
         e_total = e_comp + e_relay
         j_node = weights.w1 * t_total + weights.w2 * e_total

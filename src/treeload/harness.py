@@ -18,8 +18,8 @@ base network (none, `task_size`, `theta_p`, `xi`) share its tree and the
 arrays it caches; `link_rate` and `cpu_freq` points build their own, and
 `subtree_count` draws are not memoised.  Nothing mutates a memoised
 object and none leaves `run_scenario`, so answers are bit-identical to a
-cold run.  An entry's largest part is the tree's `shared_inv_rate`, 8n²
-bytes (about 8 MB at n = 1,000).
+cold run.  An entry's largest parts are the tree's two n×n arrays,
+`shared_inv_rate` and `relay_energy`: 16n² bytes (16 MB at n = 1,000).
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from . import solvers
 from .costs import (
     Schedule,
     Weights,
-    _energy_rates,
     _node_terms,
     _static_matrix,
     _waiting,
@@ -113,7 +112,7 @@ def _solo_splits(
         a[rows[:, :, None], pair[:, None]], frozenset()
     )
     y = u * task_size
-    j_node = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)[-1]
+    j_node = _node_terms(tree, wait, y, weights, b)[-1]
     return j_node.max(axis=1), y
 
 
@@ -240,7 +239,7 @@ def ga(
     Deterministic for a given rng_seed.  Returns the best solution seen,
     the first seen among equals, across all generations.
 
-    The static cost matrix and the energy rates are built once per call.
+    The static cost matrix is built once per call.
     Each generation's chromosomes not seen before, in population order
     and without duplicates, are split as one stack by the exact solvers'
     split (`solvers._minmax_unit`, static + w1 times their
@@ -257,7 +256,6 @@ def ga(
         return tuple(tuple(rng.sample(g, len(g))) for g in groups)
 
     static = _static_matrix(tree, weights, b)
-    energy = _energy_rates(tree, b)
     # chromosome -> (cost, split in bits)
     memo: dict[tuple[tuple[int, ...], ...], tuple] = {}
 
@@ -267,7 +265,7 @@ def ga(
             wait = _waiting(tree.shared_inv_rate, new)
             a = static + weights.w1 * wait
             y = solvers._minmax_unit(a, forced_zero) * task_size
-            j_node = _node_terms(tree, energy, wait, y, weights, b)[-1]
+            j_node = _node_terms(tree, wait, y, weights, b)[-1]
             memo.update(zip(new, zip(j_node.max(axis=1).tolist(), y)))
 
     def fitness(chrom: tuple[tuple[int, ...], ...]) -> float:
@@ -377,6 +375,6 @@ def baseline_multi_hop(
     sched = canonical_schedule(tree)
     y = np.eye(len(tree)) * task_size
     wait = _waiting(tree.shared_inv_rate, [sched.orders])[0]
-    j_node = _node_terms(tree, _energy_rates(tree, b), wait, y, weights, b)[-1]
+    j_node = _node_terms(tree, wait, y, weights, b)[-1]
     best = int(j_node.max(axis=1).argmin())
     return _solution(tree, sched, y[best], task_size, weights, b, "baseline-multi-hop")

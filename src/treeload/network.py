@@ -91,12 +91,14 @@ class NetworkGraph:
         return len(self.servers)
 
     def master_reaches_all(self) -> bool:
+        out: list[list[int]] = [[] for _ in self.servers]
+        for a, v in self.links:
+            out[a].append(v)
         seen = {MASTER_ID}
         frontier = [MASTER_ID]
         while frontier:
-            u = frontier.pop()
-            for a, v in self.links:
-                if a == u and v not in seen:
+            for v in out[frontier.pop()]:
+                if v not in seen:
                     seen.add(v)
                     frontier.append(v)
         return len(seen) == len(self)

@@ -143,6 +143,18 @@ class SinkTree:
         node.flags.writeable = relay.flags.writeable = False
         return (*node, *relay)
 
+    @cached_property
+    def relay_energy(self) -> np.ndarray:
+        """Read-only n×n joules per bit of relay: [a, i] is tx_power[a] /
+        edge_rate[h] for each ancestor a of node i, h being a's next hop
+        toward i, else 0.  Neither the weights nor b enter."""
+        *_, tx, rate, sender, dest, nxt = self.cost_arrays
+        e = np.zeros((len(self), len(self)))
+        with np.errstate(over="ignore"):  # inf, as in costs._static_matrix
+            e[sender, dest] = tx[sender] / rate[nxt]
+        e.flags.writeable = False
+        return e
+
 
 def build_sink_tree(net: NetworkGraph) -> SinkTree:
     """Dijkstra over 1/rate from the master, then level-order relabeling."""

@@ -283,14 +283,32 @@ def test_solve_cache_serves_only_the_method_that_wrote_it(tmp_path, capsys):
     assert row["method"] == "local" and row["solver_tag"] == "baseline-local"
 
 
+@pytest.mark.parametrize(
+    "verb, flags, message",
+    [
+        ("solve", ["--ga-population", "1"], "--ga-population: not read by pmo"),
+        ("solve", ["--xi", "2"], "--xi: not read by pmo"),
+        ("verify", ["--xi", "2"], "--xi: not read by pmo"),
+        ("solve", ["--theta-p", "0.1"], "--theta-p: not read by pmo"),
+    ],
+)
+def test_method_flags_the_method_does_not_read_are_refused(
+    verb, flags, message, capsys
+):
+    # as a scenario's params are; --seed, which also seeds --nodes
+    # networks, is left out of the method's params instead
+    rc = main([verb, "--topology", "mixed", "--method", "pmo", *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_solve_ga_flags_reach_only_ga(capsys):
-    # --ga-* flags are ignored by methods that do not read them ...
+    # --seed reaches no method that does not read it ...
     assert main(
-        ["solve", "--topology", "wide_shallow", "--method", "pmo",
-         "--ga-population", "1"]
+        ["solve", "--topology", "wide_shallow", "--method", "pmo", "--seed", "3"]
     ) == 0
     capsys.readouterr()
-    # ... and checked by GaParams when the method does
+    # ... and --ga-* flags are checked by GaParams when the method reads them
     rc = main(
         ["solve", "--topology", "wide_shallow", "--method", "ga",
          "--ga-population", "1"]

@@ -19,6 +19,7 @@ from treeload import (
     system_cost,
 )
 from treeload.costs import (
+    _node_terms,
     _static_matrix,
     _waiting,
     cost_coefficients,
@@ -263,8 +264,8 @@ def _static_matrix_loop(tree, weights, b):
     return a
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+# the draws: `_sweep_tree`'s seed, chain and log_gamma, then w1, w2 and b
+_SWEEP = (
     st.integers(min_value=0, max_value=10**6),
     st.booleans(),
     st.floats(min_value=-28.0, max_value=-2.0),
@@ -272,11 +273,12 @@ def _static_matrix_loop(tree, weights, b):
     st.sampled_from([0.0, 0.05, 1.0]),
     st.sampled_from([B_COMP, DEFAULT_B]),
 )
-def test_static_matrix_equals_loop_reference_bitwise(seed, chain, log_gamma, w1, w2, b):
-    # random trees and deep chains; γ anywhere in 1e-28..1e-2 (up to ten
-    # decades inside one network), link rates 1..100 Gbps
-    if w1 == w2 == 0.0:
-        w1 = 1.0
+
+
+def _sweep_tree(seed, chain, log_gamma):
+    """Random trees and deep chains of 1-14 nodes; γ anywhere in
+    1e-28..1e-2 (up to ten decades inside one network), link rates
+    1..100 Gbps.  Returns the tree and the seeded stream that drew it."""
     rng = random.Random(seed)
     n = rng.randint(1, 14)
     parent = [-1] + [i - 1 if chain else rng.randrange(i) for i in range(1, n)]
@@ -284,12 +286,45 @@ def test_static_matrix_equals_loop_reference_bitwise(seed, chain, log_gamma, w1,
     freqs = [rng.uniform(0.5, 8.0) for _ in range(n)]
     caps = [10 ** min(log_gamma + rng.uniform(0.0, 10.0), -2.0) for _ in range(n)]
     tx = [rng.uniform(0.5, 4.0) for _ in range(n)]
-    tree = make_tree(parent, rates, freqs, caps, tx)
+    return make_tree(parent, rates, freqs, caps, tx), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(*_SWEEP)
+def test_static_matrix_equals_loop_reference_bitwise(seed, chain, log_gamma, w1, w2, b):
+    if w1 == w2 == 0.0:
+        w1 = 1.0
+    tree, _ = _sweep_tree(seed, chain, log_gamma)
     weights = Weights(w1, w2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _static_matrix(tree, weights, b)
     assert got.tobytes() == _static_matrix_loop(tree, weights, b).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(*_SWEEP)
+def test_node_energy_equals_energy_only_static_matrix_bitwise(
+    seed, chain, log_gamma, w1, w2, b
+):
+    # the reference is the energy-only static matrix: compute energy per
+    # bit on its diagonal, the ancestors' relay energy off it
+    if w1 == w2 == 0.0:
+        w1 = 1.0
+    tree, rng = _sweep_tree(seed, chain, log_gamma)
+    y = np.array([[rng.random() * 1e9 for _ in range(len(tree))] for _ in range(3)])
+    y[0] = 0.0
+    y[1, rng.randrange(len(tree))] = 0.0
+    energy = _static_matrix(tree, Weights(0.0, 1.0), b)
+    e_comp_rate = np.diag(energy).copy()
+    np.fill_diagonal(energy, 0.0)
+    wait = _waiting(tree.shared_inv_rate, [canonical_schedule(tree).orders])[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = _node_terms(tree, wait, y, Weights(w1, w2), b)
+    e_comp, e_relay = terms[4:6]
+    assert e_comp.tobytes() == (e_comp_rate * y).tobytes()
+    assert e_relay.tobytes() == (energy @ y[..., None])[..., 0].tobytes()
 
 
 def test_static_matrix_overflows_like_python_floats():
@@ -307,7 +342,8 @@ def test_cost_arrays_are_cached_and_read_only():
     tree = rand_tree(random.Random(12), 6)
     arrays = tree.cost_arrays
     assert tree.cost_arrays is arrays
-    for arr in arrays:
+    assert tree.relay_energy is tree.relay_energy
+    for arr in (*arrays, tree.relay_energy):
         with pytest.raises(ValueError):
             arr[0] = 0
 

@@ -11,19 +11,23 @@ from conftest import B_COMP, carried_split, make_tree, rand_tree
 from treeload import (
     GaParams,
     LpParams,
+    NetworkGraph,
     NpParams,
     ParameterError,
     Schedule,
+    ServerParams,
     Weights,
     baseline_local,
     baseline_master_worker,
     baseline_multi_hop,
     baseline_partial,
+    build_sink_tree,
     canonical_schedule,
     cmo,
     ga,
     level_prune,
     node_prune,
+    pmo,
     solve_fixed_order,
 )
 from treeload import costs, heuristics, solvers
@@ -353,9 +357,9 @@ def test_ga_fitness_equals_audited_cost(seed, monkeypatch):
         schedule_of[id(wait)] = (wait, orders)
         return wait
 
-    def node_terms(tree_, energy, wait, y, weights_, b):
+    def node_terms(tree_, wait, y, weights_, b):
         split_of.update(zip(schedule_of[id(wait)][1], y.copy()))
-        return costs._node_terms(tree_, energy, wait, y, weights_, b)
+        return costs._node_terms(tree_, wait, y, weights_, b)
 
     class Recording(random.Random):
         def choices(self, population, weights=None, **kw):
@@ -385,7 +389,6 @@ def _ga_one_chromosome_at_a_time(tree, task_size, weights, params, forced_zero):
     rng = random.Random(params.rng_seed)
     groups = [list(tree.subtrees[t]) for t in tree.subtree_roots]
     static = costs._static_matrix(tree, weights, B_COMP)
-    energy = costs._energy_rates(tree, B_COMP)
     memo, support, drawn = {}, None, []
 
     def fitness(chrom):
@@ -395,7 +398,7 @@ def _ga_one_chromosome_at_a_time(tree, task_size, weights, params, forced_zero):
             a = static + weights.w1 * wait
             u, support = carried_split(a, forced_zero, support)
             y = u * task_size
-            j_node = costs._node_terms(tree, energy, wait, y, weights, B_COMP)[-1]
+            j_node = costs._node_terms(tree, wait, y, weights, B_COMP)[-1]
             memo[chrom] = (max(j_node.tolist()), y)
         return memo[chrom][0]
 
@@ -489,6 +492,20 @@ def test_local_baseline_piles_on_master():
     assert sol.allocation.y[0] == Y
     assert sum(sol.allocation.y[1:]) == 0.0
     assert sol.solver_tag == "baseline-local"
+
+
+def test_idle_node_whose_compute_time_overflows_costs_nothing():
+    # the helper's b / cpu_freq overflows, but it gets no bits: the local
+    # answer is the master's own cost, 0.5 * 1e10 s + 0.05 * 1e9 J; a split
+    # that could load the helper is still refused
+    net = NetworkGraph(
+        servers=(ServerParams(1e9, 1.0, 1e-28), ServerParams(1e-300, 1.0, 1e-28)),
+        links={(0, 1): 1e9, (1, 0): 1e9},
+    )
+    tree = build_sink_tree(net)
+    assert baseline_local(tree, Y, W, b=1e10).cost == pytest.approx(5.05e9)
+    with pytest.raises(ParameterError, match="split cost matrix overflows"):
+        pmo(tree, Y, W, b=1e10)
 
 
 def test_partial_baseline_uses_master_plus_one_hop():

@@ -225,3 +225,36 @@ def test_unreachable_report_names_the_cut_nodes(seed):
     with pytest.raises(UnreachableNodeError) as exc:
         build_sink_tree(net)
     assert exc.value.unreachable == (island,)
+
+
+def _master_reaches_all_scan(net):
+    """The per-node scan of every link `master_reaches_all` replaced, kept
+    as its reference."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        u = frontier.pop()
+        for a, v in net.links:
+            if a == u and v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == len(net)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_master_reaches_all_equals_a_plain_scan(seed):
+    # seeded link sets with one-way links and isolated nodes, sparse to dense
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    servers = (ServerParams(cpu_freq=1e9, tx_power=1.0, switched_cap=1e-28),) * n
+    isolated = set(rng.sample(range(1, n), rng.randint(0, (n - 1) // 3)))
+    p_link, p_back = rng.uniform(0.05, 0.6), rng.random()
+    links = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and not {i, j} & isolated and rng.random() < p_link:
+                links[i, j] = 1e9
+                if rng.random() < p_back:
+                    links[j, i] = 1e9
+    net = NetworkGraph(servers=servers, links=links)
+    assert net.master_reaches_all() == _master_reaches_all_scan(net)
