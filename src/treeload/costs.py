@@ -208,6 +208,12 @@ def _waiting(shared: np.ndarray, orders) -> np.ndarray:
     it: shared * (rank_i > rank_j).
     """
     nr, n = shared.shape
+    rank = _ranks(orders, n)
+    return shared * (rank[:, n - nr :, None] > rank[:, None, :])
+
+
+def _ranks(orders, n: int) -> np.ndarray:
+    """(len(orders), n) ranks of n columns, as `_waiting` takes them."""
     # a Python loop beats numpy scatters on the stacks of one to a few
     # orders most calls make, and costs under 1% of a big stack's splits
     rank = [0] * (n * len(orders))
@@ -215,8 +221,7 @@ def _waiting(shared: np.ndarray, orders) -> np.ndarray:
         for seq in order:
             for k, i in enumerate(seq):
                 rank[base + i] = k
-    rank = np.array(rank).reshape(len(orders), n)
-    return shared * (rank[:, n - nr :, None] > rank[:, None, :])
+    return np.array(rank).reshape(len(orders), n)
 
 
 def cost_coefficients(

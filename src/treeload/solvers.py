@@ -30,17 +30,24 @@ InfeasibleError, so every split returned carries the certificate.
 `cmo` enumerates every per-subtree transmission order and keeps the
 best: `_best_order` splits the orders in lexicographic blocks, one stack
 of linear forms per block, and scores a block with one stacked matmul.
-The genetic search in `heuristics.ga` splits each generation's new
-orders the same way.
+A block's waiting masks come from the ranks of its orders: the tree
+keeps them when there are at most 2,048 (`tree.order_ranks`), and a
+longer enumeration ranks each block from the `_orders` stream.  The
+genetic search in `heuristics.ga` splits each generation's new orders
+the same way.
 `pmo` exploits that subtrees only interact through the master: each
 subtree's orders are enumerated the same way on its slice of the tree's
 matrices, then one more small split divides the task between the master
-and the subtrees.  Both exact solvers build the static matrix once and
-audit only their answer.
+and the subtrees.  Subtrees of one size whose forced nodes sit at the
+same places are one `_best_order` call, their forms one stack; the
+simplex step's carried support restarts at each subtree, so each gets
+the bits it gets alone.  Both exact solvers build the static matrix once
+and audit only their answer.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -53,8 +60,8 @@ from .costs import (
     Allocation,
     Schedule,
     Weights,
+    _ranks,
     _static_matrix,
-    _waiting,
     cost_coefficients,
     system_cost,
 )
@@ -190,25 +197,28 @@ def _scaled(
     return cols, free, msc
 
 
-def _minmax_unit(a: np.ndarray, forced_zero: frozenset[int]) -> np.ndarray:
+def _minmax_unit(
+    a: np.ndarray, forced_zero: frozenset[int], run: int | None = None
+) -> np.ndarray:
     """Minimize max over rows of (a u) on the simplex, for a stack of a.
 
     a is a (B, rows, cols) stack; row i is the node of column i + cols -
-    rows.  Columns in forced_zero are pinned to zero.  Returns the (B,
-    cols) unit weights u, each certified by `_cascade`.  Raises
-    InfeasibleError when no step certifies a split, and ParameterError
-    when a column that is not pinned holds a value that is not finite (an
-    overflowing weight).
+    rows.  Columns in forced_zero are pinned to zero.  `_cascade` carries
+    a support only within each `run` matrices (default: the whole stack).
+    Returns the (B, cols) unit weights u, each certified by `_cascade`.
+    Raises InfeasibleError when no step certifies a split, and
+    ParameterError when a column that is not pinned holds a value that is
+    not finite (an overflowing weight).
     """
     cols, free, msc = _scaled(a, forced_zero)
     own_row = np.array(cols) - (a.shape[2] - a.shape[1])
     u = np.zeros((len(a), a.shape[2]))
-    u[:, cols] = _cascade(msc, free, own_row)[0]
+    u[:, cols] = _cascade(msc, free, own_row, run)[0]
     return u
 
 
 def _cascade(
-    msc: np.ndarray, free: np.ndarray, own_row: np.ndarray
+    msc: np.ndarray, free: np.ndarray, own_row: np.ndarray, run: int | None = None
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray] | None]]:
     """The split cascade on a (B, rows, cols) stack `_scaled` made.
 
@@ -231,11 +241,15 @@ def _cascade(
        (`_simplex_support`; a basis of the game's LP is an (S, R),
        Shapley and Snow 1950), and a basis the certificate refutes is
        reinverted and pivoted on again, at most _REINVERT times.  Its
-       support is carried on.
+       support is carried on, within its run: with `run` set, the stack is
+       runs of that many matrices (one problem's orders each, in
+       `_best_order`), and each run's first matrix that reaches this step
+       is pivoted on, as in a stack of its run alone.
 
     Every step reads one failure signal, `_equalise`'s NaN row.  A matrix
     that steps 1-3 certify, or that the simplex pivots on, gets the bits
-    it gets as a stack of one.  Raises InfeasibleError when the
+    it gets as a stack of one, and every matrix the bits it gets in a
+    stack of its run alone.  Raises InfeasibleError when the
     reinversion rounds run out.  Returns (u, supports): u, (B, cols), and
     each matrix's certified (S, R), None for a free column.
     """
@@ -263,11 +277,12 @@ def _cascade(
             if not math.isnan(first):
                 supports[j] = every, own_row
     todo = [j for j in left if supports[j] is None]
-    # width 0: pivot on todo[i]; else try `carried` on that many from it
-    i, width = 0, 0
+    # width 0: pivot on todo[i]; else try `carried` on that many from it,
+    # up to todo[end], the first matrix past the carried support's run
+    i, width, end = 0, 0, len(todo)
     while i < len(todo):
-        if width:
-            at = todo[i : i + width]
+        if width and i < end:
+            at = todo[i : min(i + width, end)]
             got = _equalise(msc[at], *carried)
             ok = ~np.isnan(got[:, 0])
             passed = len(at) if ok.all() else int(ok.argmin())
@@ -286,6 +301,8 @@ def _cascade(
         else:
             raise InfeasibleError("min-max split could not be certified")
         u[j], supports[j] = got[0], carried
+        if run:
+            end = bisect.bisect_left(todo, (j // run + 1) * run)
         i, width = i + 1, _SWEEP
     return u, supports
 
@@ -439,6 +456,19 @@ def count_schedules(tree: SinkTree) -> int:
     return out
 
 
+def _rank_blocks(groups, n: int, ranks: np.ndarray | None):
+    """Every order's ranks over n columns, at most _BLOCK at a time and in
+    `_orders`' enumeration order: slices of `ranks` when a tree has ranked
+    its orders in advance (`tree.order_ranks`), else from the stream."""
+    if ranks is not None:
+        for i in range(0, len(ranks), _BLOCK):
+            yield ranks[i : i + _BLOCK]
+        return
+    orders = _orders(groups)
+    while block := list(itertools.islice(orders, _BLOCK)):
+        yield _ranks(block, n)
+
+
 def _best_order(
     static: np.ndarray,
     shared: np.ndarray,
@@ -446,22 +476,29 @@ def _best_order(
     w1: float,
     task_size: float,
     forced_zero: frozenset[int],
-):
-    """Best transmission order, splitting the orders a block at a time.
+    ranks: np.ndarray | None = None,
+) -> list[tuple]:
+    """Best transmission order of each of P problems of one shape.
 
-    `static` and `shared` (a slice of the tree's sharing matrix) have a
-    column per node and a row per node of their trailing columns: every
-    node in `cmo`, every node but the master in a `pmo` probe.  An order
-    takes one permutation of each of `groups`' columns, and its linear
-    form is static + w1 times its `costs._waiting` mask.
+    `static` and `shared` (slices of the tree's sharing matrix) are (P,
+    rows, cols) stacks, a column per node and a row per node of their
+    trailing columns: every node in `cmo`, every node but the master in a
+    `pmo` probe.  An order takes one permutation of each of `groups`'
+    columns, and its linear form is static + w1 times its `costs._waiting`
+    mask; `ranks`, when given, holds every order's ranks
+    (`tree.order_ranks`).  Every problem shares the orders and the pinned
+    columns forced_zero.
 
-    Orders come in lexicographic blocks of at most _BLOCK, and each block
-    is one (B, rows, cols) stack of those forms, split by one
-    `_minmax_unit` call.  An order scores the largest row of a @ y, y its
-    split in bits, from one stacked matmul; ties go to the earliest order.
-    Warns (RuntimeWarning) before more than 10**6 orders.  Returns
-    (score, order, y, orders split), the order as one tuple of columns
-    per group.
+    Orders come in lexicographic blocks of at most _BLOCK (`_rank_blocks`).
+    Each stack of forms is split by one `_minmax_unit` call: one block of
+    each of as many problems as fit _BLOCK orders when a problem has no
+    more, else one block of one problem.  A problem's forms in a stack are
+    one run, so the simplex step's carried support restarts at each
+    problem, as in a stack of its own (`_cascade`).  An order scores the
+    largest row of a @ y, y its split in bits, from one stacked matmul;
+    ties go to the earliest order.  Warns (RuntimeWarning) before more
+    than 10**6 orders.  Returns each problem's (score, order, y, orders
+    split), the order as one tuple of columns per group.
     """
     total = math.prod(math.factorial(len(g)) for g in groups)
     if total > _WARN_SCHEDULES:
@@ -471,17 +508,35 @@ def _best_order(
             RuntimeWarning,
             stacklevel=3,
         )
-    orders = _orders(groups)
-    best, split = None, 0
-    while block := list(itertools.islice(orders, _BLOCK)):
-        split += len(block)
-        a = static + w1 * _waiting(shared, block)
-        y = _minmax_unit(a, forced_zero) * task_size
-        z = (a @ y[:, :, None]).max(axis=(1, 2), initial=0.0)
-        k = int(z.argmin())
-        if best is None or z[k] < best[0]:
-            best = (float(z[k]), block[k], y[k])
-    return (*best, split)
+    count, nr, n = static.shape
+    per = max(1, _BLOCK // total)
+    best = [None] * count
+    for lo in range(0, count, per):
+        # every problem splits the same orders
+        at, tried = slice(lo, lo + per), 0
+        for block in _rank_blocks(groups, n, ranks):
+            tried += len(block)
+            # static + w1 * waiting, the bits of `costs._waiting`'s product,
+            # in place: one stack-sized allocation, not three
+            a = shared[at, None] * (block[:, n - nr :, None] > block[:, None, :])
+            a *= w1
+            a += static[at, None]
+            a = a.reshape(-1, nr, n)
+            y = _minmax_unit(a, forced_zero, len(block)) * task_size
+            z = (a @ y[:, :, None]).max(axis=(1, 2), initial=0.0)
+            z, y = z.reshape(-1, len(block)), y.reshape(-1, len(block), n)
+            win = z.argmin(axis=1)
+            scores = z[range(len(z)), win].tolist()
+            for p, k, zk in zip(range(lo, count), win.tolist(), scores):
+                if best[p] is None or zk < best[p][0]:
+                    best[p] = (zk, block[k], y[p - lo, k])
+    out = []
+    for z, rank, y in best:
+        # the winning order lists each group's columns by rank
+        place = rank.tolist()
+        order = tuple(tuple(sorted(g, key=place.__getitem__)) for g in groups)
+        out.append((z, order, y, tried))
+    return out
 
 
 def cmo(
@@ -496,18 +551,21 @@ def cmo(
 
     Every schedule is split on the one static matrix and scored by its
     largest node cost (`_best_order`, a block of schedules per stacked
-    solve); only the winner becomes a Schedule and is audited into a
-    Solution.  Ties go to the earliest schedule in enumeration order.
-    Warns (RuntimeWarning) before enumerating more than 10**6 schedules.
+    solve, each block's waiting masks compared from the ranks the tree
+    keeps, `SinkTree.schedule_ranks`); only the winner becomes a Schedule
+    and is audited into a Solution.  Ties go to the earliest schedule in
+    enumeration order.  Warns (RuntimeWarning) before enumerating more
+    than 10**6 schedules.
     """
     check_task_size(task_size)
-    _, orders, y, evaluated = _best_order(
-        _static_matrix(tree, weights, b),
-        tree.shared_inv_rate,
+    ((_, orders, y, evaluated),) = _best_order(
+        _static_matrix(tree, weights, b)[None],
+        tree.shared_inv_rate[None],
         [tree.subtrees[t] for t in tree.subtree_roots],
         weights.w1,
         task_size,
         forced_zero,
+        tree.schedule_ranks,
     )
     schedule = Schedule(orders=orders)
     return _solution(tree, schedule, y, task_size, weights, b, "cmo", evaluated)
@@ -559,15 +617,19 @@ def pmo(
 
     A subtree's nodes cost nothing to other subtrees, so each subtree with
     a node that is not forced to zero is probed in place: its orders are
-    enumerated as in `cmo` (`_best_order`, in blocks) on the slices of the
-    static and sharing matrices with its nodes as rows and the master plus
-    its nodes as columns, the master's column pinned to zero.  The probe carries the
-    whole task (1 bit for a zero task, as does the master split); its best
-    score per bit is the subtree's cost per bit in `solve_master_split`,
-    whose master row holds the master's relay energy for the subtree.
-    Each subtree's split keeps its probe's shape, scaled to its share.
-    Only the answer is audited.  Matches `cmo` cost while evaluating
-    sum-of-factorials many schedules instead of their product.
+    enumerated as in `cmo` on the slices of the static and sharing
+    matrices with its nodes as rows and the master plus its nodes as
+    columns, the master's column pinned to zero.  Subtrees of one size
+    whose forced nodes sit at the same places are probed together, one
+    `_best_order` call of as many problems (`SinkTree.probe_classes`
+    keeps where their slices sit, their sharing slices and the ranks of
+    their orders); each gets the bits a probe of its own gets.  The probe carries the whole task (1 bit for
+    a zero task, as does the master split); its best score per bit is the
+    subtree's cost per bit in `solve_master_split`, whose master row holds
+    the master's relay energy for the subtree.  Each subtree's split keeps
+    its probe's shape, scaled to its share.  Only the answer is audited.
+    Matches `cmo` cost while evaluating sum-of-factorials many schedules
+    instead of their product.
     """
     check_task_size(task_size)
     static = _static_matrix(tree, weights, b)
@@ -575,25 +637,33 @@ def pmo(
     orders = dict(tree.subtrees)
     per_bit, shares = {}, {}
     evaluated = 0
-    for t, nodes in tree.subtrees.items():
-        if all(i in forced_zero for i in nodes):
-            continue
-        forced = frozenset({0}) | {
-            k for k, i in enumerate(nodes, 1) if i in forced_zero
-        }
-        cols = (0, *nodes)
-        z, (order,), y, tried = _best_order(
-            static[np.ix_(nodes, cols)],
-            tree.shared_inv_rate[np.ix_(nodes, cols)],
-            [range(1, len(cols))],
-            weights.w1,
-            probe_size,
-            forced,
-        )
-        orders[t] = tuple(cols[k] for k in order)
-        per_bit[t] = z / probe_size
-        shares[t] = y[1:] / probe_size
-        evaluated += tried
+    for k, (roots, gather, shared, ranks) in tree.probe_classes.items():
+        # one stack per set of pinned columns: the master's, and those of
+        # forced nodes
+        stacks: dict[frozenset[int], list[int]] = {}
+        for p, t in enumerate(roots):
+            nodes = tree.subtrees[t]
+            pins = frozenset(j for j, i in enumerate(nodes, 1) if i in forced_zero)
+            stacks.setdefault(pins | {0}, []).append(p)
+        for forced, at in stacks.items():
+            if len(forced) > k:  # every node of the subtree
+                continue
+            whole = len(at) == len(roots)
+            found = _best_order(
+                static.take(gather if whole else gather[at]),
+                shared if whole else shared[at],
+                [range(1, k + 1)],
+                weights.w1,
+                probe_size,
+                forced,
+                ranks,
+            )
+            for p, (z, (order,), y, tried) in zip(at, found):
+                t = roots[p]
+                orders[t] = tuple(tree.subtrees[t][j - 1] for j in order)
+                per_bit[t] = z / probe_size
+                shares[t] = y[1:] / probe_size
+                evaluated += tried
     schedule = Schedule(orders=tuple(orders[t] for t in tree.subtree_roots))
     evaluated = max(evaluated, 1)
 

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -50,8 +51,9 @@ from treeload import (
     scale_solution,
     solve_fixed_order,
 )
-from treeload.costs import _static_matrix, cost_coefficients
+from treeload.costs import _ranks, _static_matrix, cost_coefficients
 from treeload.heuristics import partial_offload_cost
+from treeload.tree import order_ranks
 
 W = Weights(0.5, 0.05)
 Y = 1e9
@@ -157,6 +159,11 @@ def test_enumeration_matches_reference():
         ref = list(oracles.all_schedules(tree.parent))
         assert mine == ref
         assert count_schedules(tree) == len(ref) == oracles.count_all_schedules(tree.parent)
+        # the ranks a tree keeps in advance list the schedules in that order
+        if len(ref) <= 2048:
+            assert tree.schedule_ranks.tolist() == _ranks(ref, len(tree)).tolist()
+        else:
+            assert tree.schedule_ranks is None
 
 
 def test_first_schedule_of_a_large_subtree_lists_no_orders():
@@ -378,8 +385,8 @@ def test_saddle_point_certifies_a_master_split(monkeypatch):
     splits = []
     cascade = solvers._cascade
 
-    def recording_cascade(msc, free, own_row):
-        u, supports = cascade(msc, free, own_row)
+    def recording_cascade(msc, free, own_row, run=None):
+        u, supports = cascade(msc, free, own_row, run)
         splits.append((msc, u, [[x.tolist() for x in sr] for sr in supports]))
         return u, supports
 
@@ -1114,6 +1121,34 @@ def test_stacked_cascade_matches_one_at_a_time(monkeypatch):
     assert runs == steps["simplex"]
 
 
+def test_cascade_carries_a_support_only_within_its_run():
+    # integer ties leave many optimal supports, so a support carried from
+    # one matrix often certifies the next with other bits than its own
+    # simplex run gives.  With runs set, each run of the stack gets the
+    # bits and supports of a stack of its own.  No column has a row, so
+    # every matrix that is not a saddle point reaches the simplex step
+    def plain(supports):
+        return [None if sr is None else [x.tolist() for x in sr] for sr in supports]
+
+    rng = np.random.default_rng(0)
+    own_row = np.arange(3) - 3
+    moved = 0
+    for _ in range(40):
+        raw = rng.integers(1, 4, (12, 3, 3)).astype(float)
+        _, free, msc = solvers._scaled(raw, frozenset())
+        whole = solvers._cascade(msc, free, own_row)[0]
+        for run in (1, 2, 3, 5):
+            u, supports = solvers._cascade(msc, free, own_row, run)
+            for lo in range(0, 12, run):
+                at = slice(lo, lo + run)
+                alone, own = solvers._cascade(msc[at], free[at], own_row)
+                assert u[at].tobytes() == alone.tobytes()
+                assert plain(supports[at]) == plain(own)
+            moved += u.tobytes() != whole.tobytes()
+    # a support carried across runs would have moved bits
+    assert moved >= 20
+
+
 def _sequential_best_order(static, shared, groups, w1, task_size, forced_zero):
     """The one-split-per-order loop `_best_order` replaced, kept as its
     bitwise reference: each order's split starts from the support the
@@ -1134,16 +1169,17 @@ def _sequential_best_order(static, shared, groups, w1, task_size, forced_zero):
     return (*best, tried)
 
 
-def _cmo_form(rng, tree, weights, task_size=Y):
+def _cmo_form(rng, tree, weights, task_size=Y, forced=None):
     """`cmo`'s arguments to `_best_order` on `tree`, some nodes forced."""
     n = len(tree)
-    forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
+    if forced is None:
+        forced = frozenset(rng.sample(range(n), rng.randint(0, n - 1)))
     groups = [tree.subtrees[t] for t in tree.subtree_roots]
     static = _static_matrix(tree, weights, B_COMP)
     return static, tree.shared_inv_rate, groups, weights.w1, task_size, forced
 
 
-def _probe_form(rng, k, weights, task_size=Y, cap=lambda: 2e-28):
+def _probe_form(rng, k, weights, task_size=Y, cap=lambda: 2e-28, forced=None):
     """A `pmo` probe's arguments on one k-node subtree, some nodes forced;
     each node's switched capacitance is a cap() draw."""
     parent = [-1, 0] + [rng.randrange(1, i) for i in range(2, k + 1)]
@@ -1154,11 +1190,37 @@ def _probe_form(rng, k, weights, task_size=Y, cap=lambda: 2e-28):
         [cap() for _ in range(k + 1)],
     )
     cols = (0, *tree.subtrees[1])
-    forced = {0} | set(rng.sample(range(1, k + 1), rng.randint(0, k - 1)))
+    if forced is None:
+        forced = {0} | set(rng.sample(range(1, k + 1), rng.randint(0, k - 1)))
     ix = np.ix_(cols[1:], cols)
     static = _static_matrix(tree, weights, B_COMP)[ix]
     shared = tree.shared_inv_rate[ix]
     return static, shared, [range(1, k + 1)], weights.w1, task_size, frozenset(forced)
+
+
+def _probe_stack(rng, count, k, weights, task_size=Y, cap=lambda: 2e-28):
+    """count probes of k-node subtrees of any shape, one set of nodes forced."""
+    first = _probe_form(rng, k, weights, task_size, cap)
+    return [first] + [
+        _probe_form(rng, k, weights, task_size, cap, forced=first[-1])
+        for _ in range(count - 1)
+    ]
+
+
+def _cmo_stack(rng, count, tree, weights, task_size=Y, cap=lambda: 2e-28):
+    """count `cmo` forms on trees of `tree`'s shape, one set of nodes forced."""
+    n = len(tree)
+    first = _cmo_form(rng, tree, weights, task_size)
+    stack = [first]
+    for _ in range(count - 1):
+        twin = make_tree(
+            list(tree.parent),
+            [0.0] + [rng.uniform(0.5, 20.0) for _ in range(n - 1)],
+            [rng.uniform(0.5, 8.0) for _ in range(n)],
+            [cap() for _ in range(n)],
+        )
+        stack.append(_cmo_form(rng, twin, weights, task_size, forced=first[-1]))
+    return stack
 
 
 def _free_column_form(rng, k):
@@ -1182,53 +1244,226 @@ _WEIGHT_PAIRS = [W, Weights(1.0, 0.0), Weights(0.1, 0.9), Weights(0.0, 1.0)]
     ["cmo", "26-decades", "probe", "zero-task", "free-column", "ties", "blocks"],
 )
 def test_best_order_matches_the_sequential_loop(case, monkeypatch):
-    forms = []
+    # a stack of problems gets each problem's own loop's bits, whether its
+    # blocks come ranked in advance or from the `_orders` stream
+    stacks = []
     for seed in range(12):
         rng = random.Random(seed + 9000)
         w = _WEIGHT_PAIRS[seed % 4]
+        count = 1 + seed % 4
         if case == "cmo":
-            forms.append(_cmo_form(rng, rand_tree(rng, rng.randint(2, 7)), w))
+            stacks.append(_cmo_stack(rng, count, rand_tree(rng, rng.randint(2, 7)), w))
         elif case == "26-decades":
             # per-node switched capacitance anywhere in 1e-28..1e-2
             cap = lambda: 10 ** rng.uniform(-28.0, -2.0)  # noqa: E731
-            forms.append(_cmo_form(rng, _wide_tree(rng, rng.randint(3, 7), cap), w))
-            forms.append(_probe_form(rng, 5, w, cap=cap))
+            tree = _wide_tree(rng, rng.randint(3, 7), cap)
+            stacks.append(_cmo_stack(rng, count, tree, w, cap=cap))
+            stacks.append(_probe_stack(rng, count, 5, w, cap=cap))
         elif case == "probe":
-            forms.append(_probe_form(rng, rng.randint(1, 5), w))
+            stacks.append(_probe_stack(rng, count, rng.randint(1, 5), w))
         elif case == "zero-task":
-            forms.append(
-                _cmo_form(rng, rand_tree(rng, rng.randint(2, 6)), w, task_size=0.0)
-            )
-            forms.append(_probe_form(rng, rng.randint(1, 4), w, task_size=0.0))
+            tree = rand_tree(rng, rng.randint(2, 6))
+            stacks.append(_cmo_stack(rng, count, tree, w, task_size=0.0))
+            stacks.append(_probe_stack(rng, count, rng.randint(1, 4), w, task_size=0.0))
         elif case == "free-column":
-            forms.append(_free_column_form(rng, rng.randint(3, 5)))
+            k = rng.randint(3, 5)
+            stacks.append([_free_column_form(rng, k) for _ in range(count)])
         elif case == "ties":
             # no waiting: every order has the same form, the first wins
-            static, shared, *rest = _probe_form(rng, rng.randint(2, 5), w)
-            forms.append((static, np.zeros_like(shared), *rest))
+            stacks.append([
+                (static, np.zeros_like(shared), *rest)
+                for static, shared, *rest in _probe_stack(rng, count, rng.randint(2, 5), w)
+            ])
         else:
             # blocks of 7 and windows from 2 orders: the loop's carried
-            # support crosses block boundaries, and the simplex step tries
-            # its own on windows of every width
+            # support crosses block boundaries, the simplex step tries its
+            # own on windows of every width, and a stack holds up to three
+            # 2-node probes but one 3-node probe
             monkeypatch.setattr(solvers, "_BLOCK", 7)
             monkeypatch.setattr(solvers, "_SWEEP", 2)
-            forms.append(_probe_form(rng, 5, w))
-            forms.append(_cmo_form(rng, rand_tree(rng, 7), w))
+            stacks.append(_probe_stack(rng, count, 5, w))
+            stacks.append(_cmo_stack(rng, count, rand_tree(rng, 7), w))
+            stacks.append(_probe_stack(rng, 4, 2 + seed % 2, w))
+    assert {len(stack) for stack in stacks} == {1, 2, 3, 4}
     cascade = solvers._cascade
-    for static, shared, groups, *rest in forms:
-        ref = _sequential_best_order(static, shared, groups, *rest)
-        cold = []
-        with monkeypatch.context() as mp:
-            mp.setattr(solvers, "_cascade", lambda *a: cold.append(1) or cascade(*a))
-            got = solvers._best_order(static, shared, groups, *rest)
-        assert got[0] == ref[0]
-        assert got[1] == ref[1]
-        assert got[2].tobytes() == ref[2].tobytes()
-        assert got[3] == ref[3]
-        # one cascade splits each block, carried supports and all
-        assert len(cold) == -(-got[3] // solvers._BLOCK)
+    for stack in stacks:
+        static, shared, groups, *rest = stack[0]
+        refs = [_sequential_best_order(*form) for form in stack]
+        total = math.prod(math.factorial(len(g)) for g in groups)
+        stacks_split = -(-len(stack) // max(1, solvers._BLOCK // total))
+        for ranks in (None, order_ranks(groups, static.shape[1])):
+            cold = []
+            with monkeypatch.context() as mp:
+                mp.setattr(solvers, "_cascade", lambda *a: cold.append(1) or cascade(*a))
+                found = solvers._best_order(
+                    np.stack([form[0] for form in stack]),
+                    np.stack([form[1] for form in stack]),
+                    groups,
+                    *rest,
+                    ranks,
+                )
+            assert len(found) == len(refs)
+            for got, ref in zip(found, refs):
+                assert got[0] == ref[0]
+                assert got[1] == ref[1]
+                assert got[2].tobytes() == ref[2].tobytes()
+                assert got[3] == ref[3] == total
+            # one cascade splits each stack of at most _BLOCK orders,
+            # carried supports and all
+            assert len(cold) == stacks_split * -(-total // solvers._BLOCK)
         if case == "ties":
-            assert got[1] == tuple(tuple(g) for g in groups)
+            assert all(got[1] == tuple(tuple(g) for g in groups) for got in found)
+
+
+def _pmo_one_probe_at_a_time(tree, task_size, weights, forced_zero):
+    """`pmo` as it ran before subtrees of one size were probed together,
+    kept as its bitwise reference: one `_best_order` per subtree, on its
+    `np.ix_` slices, then `solve_master_split`."""
+    static = _static_matrix(tree, weights, B_COMP)
+    probe_size = task_size if task_size > 0.0 else 1.0
+    orders, per_bit, shares, evaluated = dict(tree.subtrees), {}, {}, 0
+    for t, nodes in tree.subtrees.items():
+        if all(i in forced_zero for i in nodes):
+            continue
+        forced = frozenset({0}) | {k for k, i in enumerate(nodes, 1) if i in forced_zero}
+        cols = (0, *nodes)
+        ((z, (order,), y, tried),) = solvers._best_order(
+            static[np.ix_(nodes, cols)][None],
+            tree.shared_inv_rate[np.ix_(nodes, cols)][None],
+            [range(1, len(cols))],
+            weights.w1,
+            probe_size,
+            forced,
+        )
+        orders[t] = tuple(cols[k] for k in order)
+        per_bit[t] = z / probe_size
+        shares[t] = y[1:] / probe_size
+        evaluated += tried
+    y0, subtree_share = solvers.solve_master_split(
+        tree, static, per_bit, probe_size, master_blocked=0 in forced_zero
+    )
+    u = np.zeros(len(tree))
+    u[0] = y0 / probe_size
+    for t, share in shares.items():
+        u[list(tree.subtrees[t])] = share * subtree_share[t] / probe_size
+    schedule = Schedule(orders=tuple(orders[t] for t in tree.subtree_roots))
+    return solvers._solution(
+        tree, schedule, u * task_size, task_size, weights, B_COMP, "pmo",
+        max(evaluated, 1),
+    )
+
+
+def _twin_tree(rng, draw_cap):
+    """A random tree with two or more subtrees of one size (1-4 nodes each,
+    any shape), link rates 1..100 Gbps and one draw_cap() per node's γ."""
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    sizes += rng.choices(sizes, k=rng.randint(1, 3))
+    rng.shuffle(sizes)
+    parent = [-1]
+    for size in sizes:
+        root = len(parent)
+        parent += [0] + [rng.randrange(root, root + i) for i in range(1, size)]
+    n = len(parent)
+    rates = [0.0] + [10 ** rng.uniform(0.0, 2.0) for _ in range(n - 1)]
+    freqs = [rng.uniform(0.5, 8.0) for _ in range(n)]
+    tx = [rng.uniform(0.5, 4.0) for _ in range(n)]
+    return make_tree(parent, rates, freqs, [draw_cap() for _ in range(n)], tx)
+
+
+@pytest.mark.parametrize("case", ["forced", "zero-task", "26-decades", "blocks"])
+def test_stacked_probes_match_one_probe_at_a_time(case, monkeypatch):
+    # subtrees of one size share a `_best_order` call, and each still gets
+    # the bits its own call gives: the whole answer is bit-identical
+    if case == "blocks":
+        # 2-node probes stack three at a time, 3- and 4-node ones alone
+        monkeypatch.setattr(solvers, "_BLOCK", 7)
+        monkeypatch.setattr(solvers, "_SWEEP", 2)
+    cascade, stacked, mixed = solvers._cascade, [], 0
+    simplex = _count_simplex(monkeypatch)
+
+    def recording(msc, free, own_row, run=None):
+        before = len(simplex)
+        got = cascade(msc, free, own_row, run)
+        if run and len(msc) > run:
+            stacked.append(len(simplex) - before)
+        return got
+
+    monkeypatch.setattr(solvers, "_cascade", recording)
+    for seed in range(40):
+        rng = random.Random(seed + 7000)
+        if case == "26-decades":
+            tree = _twin_tree(rng, lambda: 10 ** rng.uniform(-28.0, -2.0))
+        else:
+            tree = _twin_tree(rng, lambda: 2e-28)
+        n, w = len(tree), _WEIGHT_PAIRS[seed % 4]
+        forced = frozenset()
+        if seed % 3:
+            forced = frozenset(i for i in range(n) if rng.random() < 0.3)
+            forced -= {rng.randrange(n)}
+        # subtrees of one size whose forced nodes sit at different places
+        places = {}
+        for nodes in tree.subtrees.values():
+            places.setdefault(len(nodes), set()).add(
+                tuple(i in forced for i in nodes)
+            )
+        mixed += any(len(p) > 1 for p in places.values())
+        task = 0.0 if case == "zero-task" else Y
+        ref = _pmo_one_probe_at_a_time(tree, task, w, forced)
+        got = pmo(tree, task, w, forced, b=B_COMP)
+        assert got.cost == ref.cost
+        assert got.schedule == ref.schedule
+        assert np.array(got.allocation.y).tobytes() == np.array(ref.allocation.y).tobytes()
+        assert got.schedules_evaluated == ref.schedules_evaluated
+    assert mixed >= 5
+    # stacks of two or more probes were split, and the simplex step ran
+    # inside them (not in the blocks case's small stacks)
+    assert len(stacked) >= 10
+    assert (sum(stacked) > 0) == (case != "blocks")
+
+
+def test_twin_subtrees_keep_their_own_simplex_supports(monkeypatch):
+    # two identical 4-node subtrees with small-integer parameters: their
+    # probes tie, so many supports are optimal, and the support the first
+    # probe's simplex step ends on, carried into the second probe, would
+    # certify it with other bits than its own simplex run gives
+    tree = make_tree(
+        [-1, 0, 1, 2, 1, 0, 5, 6, 5],
+        [0.0, 3.0, 1.0, 3.0, 3.0, 3.0, 1.0, 3.0, 3.0],
+        [2.0] + [1.0] * 8,
+        [1e-2, 1e-2, 1e-28, 1e-2, 1e-2, 1e-2, 1e-28, 1e-2, 1e-2],
+        [1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 1.0, 2.0],
+    )
+    w = Weights(0.1, 0.9)
+    ref = _pmo_one_probe_at_a_time(tree, Y, w, frozenset())
+    simplex = _count_simplex(monkeypatch)
+    got = pmo(tree, Y, w, b=B_COMP)
+    assert len(simplex) > 0
+    assert got.cost == ref.cost
+    assert got.schedule == ref.schedule
+    assert np.array(got.allocation.y).tobytes() == np.array(ref.allocation.y).tobytes()
+
+
+@pytest.mark.parametrize("solve", [cmo, pmo])
+def test_a_warm_tree_answers_as_a_fresh_one(solve):
+    # the second solve on a tree reads the order ranks and probe slices it
+    # cached in the first; both match a solve on a fresh copy, bit for bit
+    cache = "schedule_ranks" if solve is cmo else "probe_classes"
+    for seed in range(16):
+        tree, fresh = (_twin_tree(random.Random(seed), lambda: 2e-28) for _ in range(2))
+        if solve is cmo and count_schedules(tree) > 2048:
+            continue
+        rng = random.Random(seed)
+        forced = frozenset(i for i in range(len(tree)) if rng.random() < 0.2 * (seed % 2))
+        w = _WEIGHT_PAIRS[seed % 4]
+        first = solve(tree, Y, w, forced, b=B_COMP)
+        assert cache in vars(tree) and cache not in vars(fresh)
+        warm = solve(tree, Y, w, forced, b=B_COMP)
+        cold = solve(fresh, Y, w, forced, b=B_COMP)
+        for got in (first, warm):
+            assert got.cost == cold.cost
+            assert got.schedule == cold.schedule
+            assert np.array(got.allocation.y).tobytes() == np.array(cold.allocation.y).tobytes()
+            assert got.schedules_evaluated == cold.schedules_evaluated
 
 
 def test_failed_polish_raises_infeasible(monkeypatch):
@@ -1263,6 +1498,14 @@ def test_huge_enumeration_warns_before_solving(monkeypatch):
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="39916800"):
                 solve(tree, Y, W, b=B_COMP)
+        # the warning names the line that called cmo or pmo
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(AssertionError, match="before the warning"):
+                solve(tree, Y, W, b=B_COMP)
+        (warning,) = caught
+        assert warning.category is RuntimeWarning
+        assert warning.filename == __file__
 
 
 def test_solver_rejects_bad_task_size():
