@@ -214,8 +214,8 @@ def _waiting(shared: np.ndarray, orders) -> np.ndarray:
 
 def _ranks(orders, n: int) -> np.ndarray:
     """(len(orders), n) ranks of n columns, as `_waiting` takes them."""
-    # a Python loop beats numpy scatters on the stacks of one to a few
-    # orders most calls make, and costs under 1% of a big stack's splits
+    # a Python loop beats numpy scatters on the small stacks `_waiting`
+    # ranks: one schedule, or one GA generation's new orders
     rank = [0] * (n * len(orders))
     for base, order in zip(range(0, len(rank), n), orders):
         for seq in order:

@@ -20,13 +20,14 @@ arrays it caches; `link_rate` and `cpu_freq` points build their own, and
 object and none leaves `run_scenario`, so answers are bit-identical to a
 cold run.  An entry's largest parts are the tree's two n×n arrays,
 `shared_inv_rate` and `relay_energy`: 16n² bytes (16 MB at n = 1,000).
-A tree that `cmo` or `pmo` solved also holds its enumeration cache, which
-pays when the memo hands the same tree to the next solve: the int8 ranks
-of every schedule when there are at most 2,048 (at most 2,048·n bytes),
-and for each subtree size k its probes' gather indices and sharing
-slices, 16k(k+1) bytes a subtree, and the int8 ranks of its k! orders
-when k <= 6 (k!(k+1) bytes).  On the benchmark's 6-13-node trees that
-is at most 3.3 kB a tree.
+A tree that `pmo` solved also holds, for each subtree size k, its
+probes' gather indices and sharing slices, 16k(k+1) bytes a subtree,
+which pays when the memo hands the same tree to the next solve.  The
+int8 ranks of the orders `cmo` and `pmo` enumerate are not the tree's:
+`solvers._order_ranks` keeps the last 64 blocks of them, shared by every
+tree with the same groups, at most 64 × 2,048 × n bytes (128 KiB per
+column, 1.6 MiB at n = 13); 64 covers one block for each of this memo's
+32 trees plus the probes of every subtree size.
 """
 
 from __future__ import annotations

@@ -30,11 +30,13 @@ InfeasibleError, so every split returned carries the certificate.
 `cmo` enumerates every per-subtree transmission order and keeps the
 best: `_best_order` splits the orders in lexicographic blocks, one stack
 of linear forms per block, and scores a block with one stacked matmul.
-A block's waiting masks come from the ranks of its orders: the tree
-keeps them when there are at most 2,048 (`tree.order_ranks`), and a
-longer enumeration ranks each block from the `_orders` stream.  The
-genetic search in `heuristics.ga` splits each generation's new orders
-the same way.
+A block's waiting masks come from the ranks of its orders, which
+`_order_ranks` computes from the orders' numbers (the factorial number
+system) and memoises: the last 64 blocks, at most 64 * _BLOCK * n bytes
+(128 KiB per column), shared by every tree whose groups are the same.
+An enumeration of 2**63 orders or more cannot be numbered and raises
+ParameterError.  The genetic search in `heuristics.ga` splits each
+generation's new orders the same way.
 `pmo` exploits that subtrees only interact through the master: each
 subtree's orders are enumerated the same way on its slice of the tree's
 matrices, then one more small split divides the task between the master
@@ -48,11 +50,11 @@ and audit only their answer.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,7 +62,6 @@ from .costs import (
     Allocation,
     Schedule,
     Weights,
-    _ranks,
     _static_matrix,
     cost_coefficients,
     system_cost,
@@ -84,6 +85,10 @@ _WARN_SCHEDULES = 10**6
 # simplex step first tries a carried support on this many matrices
 _BLOCK = 2048
 _SWEEP = 8
+# `_order_ranks` keeps this many blocks, at most _BLOCK * n bytes each
+# (128 KiB a column): one per tree of the harness memo's 32 sources, plus
+# the probes of each subtree size
+_RANK_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -438,17 +443,6 @@ def solve_fixed_order(
     return _solution(tree, schedule, y, task_size, weights, b, "fixed-order")
 
 
-def _orders(groups):
-    """One permutation of each group, every combination, lazily and in
-    lexicographic order (the first group's order varies slowest)."""
-    if not groups:
-        yield ()
-        return
-    for first in itertools.permutations(groups[0]):
-        for rest in _orders(groups[1:]):
-            yield (first, *rest)
-
-
 def count_schedules(tree: SinkTree) -> int:
     out = 1
     for t in tree.subtree_roots:
@@ -456,17 +450,35 @@ def count_schedules(tree: SinkTree) -> int:
     return out
 
 
-def _rank_blocks(groups, n: int, ranks: np.ndarray | None):
-    """Every order's ranks over n columns, at most _BLOCK at a time and in
-    `_orders`' enumeration order: slices of `ranks` when a tree has ranked
-    its orders in advance (`tree.order_ranks`), else from the stream."""
-    if ranks is not None:
-        for i in range(0, len(ranks), _BLOCK):
-            yield ranks[i : i + _BLOCK]
-        return
-    orders = _orders(groups)
-    while block := list(itertools.islice(orders, _BLOCK)):
-        yield _ranks(block, n)
+@lru_cache(maxsize=_RANK_MEMO)
+def _order_ranks(
+    groups: tuple[tuple[int, ...], ...], n: int, lo: int, hi: int
+) -> np.ndarray:
+    """Read-only (hi - lo, n) int8 ranks of orders lo..hi-1 of `groups`.
+
+    An order takes one permutation of each group's columns, and orders are
+    numbered lexicographically, the first group's permutation varying
+    slowest.  Row r holds each column's place in order lo + r, 0 outside
+    every group, as `costs._ranks` ranks an order.  Each row is computed
+    from its number alone: one digit per group (number // stride % count)
+    numbers that group's permutation, and that number's factorial-base
+    digits (its Lehmer code) pick each place's column from the group's
+    columns not yet placed, in the group's own order.
+    """
+    row, at = np.arange(lo, hi), np.arange(hi - lo)
+    ranks = np.zeros((hi - lo, n), dtype=np.int8)
+    stride = math.prod(math.factorial(len(g)) for g in groups)
+    for g in groups:
+        k = len(g)
+        stride //= math.factorial(k)
+        perm = row // stride % math.factorial(k)
+        left = np.broadcast_to(np.array(g, dtype=np.intp), (hi - lo, k))
+        for place in range(k):
+            digit = perm // math.factorial(k - 1 - place) % (k - place)
+            ranks[at, left[at, digit]] = place
+            left = left[np.arange(k - place) != digit[:, None]].reshape(hi - lo, -1)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _best_order(
@@ -476,7 +488,6 @@ def _best_order(
     w1: float,
     task_size: float,
     forced_zero: frozenset[int],
-    ranks: np.ndarray | None = None,
 ) -> list[tuple]:
     """Best transmission order of each of P problems of one shape.
 
@@ -485,22 +496,28 @@ def _best_order(
     trailing columns: every node in `cmo`, every node but the master in a
     `pmo` probe.  An order takes one permutation of each of `groups`'
     columns, and its linear form is static + w1 times its `costs._waiting`
-    mask; `ranks`, when given, holds every order's ranks
-    (`tree.order_ranks`).  Every problem shares the orders and the pinned
-    columns forced_zero.
+    mask.  Every problem shares the orders and the pinned columns
+    forced_zero.
 
-    Orders come in lexicographic blocks of at most _BLOCK (`_rank_blocks`).
+    Orders come in lexicographic blocks of at most _BLOCK, each block's
+    ranks computed from its order numbers (`_order_ranks`, memoised).
     Each stack of forms is split by one `_minmax_unit` call: one block of
     each of as many problems as fit _BLOCK orders when a problem has no
     more, else one block of one problem.  A problem's forms in a stack are
     one run, so the simplex step's carried support restarts at each
     problem, as in a stack of its own (`_cascade`).  An order scores the
     largest row of a @ y, y its split in bits, from one stacked matmul;
-    ties go to the earliest order.  Warns (RuntimeWarning) before more
-    than 10**6 orders.  Returns each problem's (score, order, y, orders
-    split), the order as one tuple of columns per group.
+    ties go to the earliest order.  Raises ParameterError when there are
+    2**63 orders or more, too many to number, and warns (RuntimeWarning)
+    before more than 10**6.  Returns each problem's (score, order, y,
+    orders split), the order as one tuple of columns per group.
     """
+    groups = tuple(tuple(g) for g in groups)
     total = math.prod(math.factorial(len(g)) for g in groups)
+    if total >= 2**63:
+        raise ParameterError(
+            f"{total} transmission orders are too many to enumerate (2**63 or more)"
+        )
     if total > _WARN_SCHEDULES:
         warnings.warn(
             f"enumerating {total} transmission orders (more than "
@@ -511,10 +528,11 @@ def _best_order(
     count, nr, n = static.shape
     per = max(1, _BLOCK // total)
     best = [None] * count
-    for lo in range(0, count, per):
+    for first in range(0, count, per):
         # every problem splits the same orders
-        at, tried = slice(lo, lo + per), 0
-        for block in _rank_blocks(groups, n, ranks):
+        at, tried = slice(first, first + per), 0
+        for lo in range(0, total, _BLOCK):
+            block = _order_ranks(groups, n, lo, min(lo + _BLOCK, total))
             tried += len(block)
             # static + w1 * waiting, the bits of `costs._waiting`'s product,
             # in place: one stack-sized allocation, not three
@@ -527,9 +545,9 @@ def _best_order(
             z, y = z.reshape(-1, len(block)), y.reshape(-1, len(block), n)
             win = z.argmin(axis=1)
             scores = z[range(len(z)), win].tolist()
-            for p, k, zk in zip(range(lo, count), win.tolist(), scores):
+            for p, k, zk in zip(range(first, count), win.tolist(), scores):
                 if best[p] is None or zk < best[p][0]:
-                    best[p] = (zk, block[k], y[p - lo, k])
+                    best[p] = (zk, block[k], y[p - first, k])
     out = []
     for z, rank, y in best:
         # the winning order lists each group's columns by rank
@@ -551,11 +569,11 @@ def cmo(
 
     Every schedule is split on the one static matrix and scored by its
     largest node cost (`_best_order`, a block of schedules per stacked
-    solve, each block's waiting masks compared from the ranks the tree
-    keeps, `SinkTree.schedule_ranks`); only the winner becomes a Schedule
-    and is audited into a Solution.  Ties go to the earliest schedule in
-    enumeration order.  Warns (RuntimeWarning) before enumerating more
-    than 10**6 schedules.
+    solve, each block's waiting masks compared from its schedules' ranks,
+    `_order_ranks`); only the winner becomes a Schedule and is audited
+    into a Solution.  Ties go to the earliest schedule in enumeration
+    order.  Raises ParameterError on 2**63 schedules or more, and warns
+    (RuntimeWarning) before enumerating more than 10**6.
     """
     check_task_size(task_size)
     ((_, orders, y, evaluated),) = _best_order(
@@ -565,7 +583,6 @@ def cmo(
         weights.w1,
         task_size,
         forced_zero,
-        tree.schedule_ranks,
     )
     schedule = Schedule(orders=orders)
     return _solution(tree, schedule, y, task_size, weights, b, "cmo", evaluated)
@@ -622,14 +639,18 @@ def pmo(
     columns, the master's column pinned to zero.  Subtrees of one size
     whose forced nodes sit at the same places are probed together, one
     `_best_order` call of as many problems (`SinkTree.probe_classes`
-    keeps where their slices sit, their sharing slices and the ranks of
-    their orders); each gets the bits a probe of its own gets.  The probe carries the whole task (1 bit for
-    a zero task, as does the master split); its best score per bit is the
-    subtree's cost per bit in `solve_master_split`, whose master row holds
-    the master's relay energy for the subtree.  Each subtree's split keeps
-    its probe's shape, scaled to its share.  Only the answer is audited.
-    Matches `cmo` cost while evaluating sum-of-factorials many schedules
-    instead of their product.
+    keeps where their slices sit and their sharing slices; the ranks of
+    the k! orders depend on k alone and come from `_order_ranks`' memo);
+    each gets the bits a probe of its own gets.  The probe carries the
+    whole task (1 bit for a zero task, as does the master split); its
+    best score per bit is the subtree's cost per bit in
+    `solve_master_split`, whose master row holds the master's relay
+    energy for the subtree.  Each subtree's split keeps its probe's
+    shape, scaled to its share.  Only the answer is audited.  Matches
+    `cmo` cost while evaluating sum-of-factorials many schedules instead
+    of their product.  Raises ParameterError on a subtree of 21 nodes or
+    more (2**63 orders or more), and warns (RuntimeWarning) before
+    enumerating more than 10**6 orders of one subtree size.
     """
     check_task_size(task_size)
     static = _static_matrix(tree, weights, b)
@@ -637,7 +658,7 @@ def pmo(
     orders = dict(tree.subtrees)
     per_bit, shares = {}, {}
     evaluated = 0
-    for k, (roots, gather, shared, ranks) in tree.probe_classes.items():
+    for k, (roots, gather, shared) in tree.probe_classes.items():
         # one stack per set of pinned columns: the master's, and those of
         # forced nodes
         stacks: dict[frozenset[int], list[int]] = {}
@@ -656,7 +677,6 @@ def pmo(
                 weights.w1,
                 probe_size,
                 forced,
-                ranks,
             )
             for p, (z, (order,), y, tried) in zip(at, found):
                 t = roots[p]

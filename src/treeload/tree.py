@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,34 +21,6 @@ import numpy as np
 
 from .errors import ParameterError, UnreachableNodeError
 from .network import MASTER_ID, NetworkGraph, ServerParams
-
-# a tree ranks an enumeration of orders in advance only when it has at most
-# this many orders, one `solvers._BLOCK`: at most this many bytes per node
-RANKED_ORDERS = 2048
-
-
-def order_ranks(groups, n: int) -> np.ndarray | None:
-    """Read-only (orders, n) int8 ranks of every order of `groups`, or None
-    when there are more than RANKED_ORDERS.
-
-    An order takes one permutation of each group's columns.  Row o is the
-    o-th order of `solvers._orders`' lexicographic enumeration (the first
-    group's order varies slowest) and holds each column's place in its
-    sequence, 0 outside every group, as `costs._waiting` ranks it.
-    """
-    counts = [math.factorial(len(g)) for g in groups]
-    total = math.prod(counts)
-    if total > RANKED_ORDERS:
-        return None
-    ranks = np.zeros((total, n), dtype=np.int8)
-    row, stride = np.arange(total), total
-    for g, count in zip(groups, counts):
-        stride //= count
-        # permutation q sends column g[q[j]] j-th, so g[i] ranks argsort(q)[i]
-        perms = np.array(list(itertools.permutations(range(len(g)))))
-        ranks[:, list(g)] = perms.argsort(axis=1)[row // stride % count]
-    ranks.flags.writeable = False
-    return ranks
 
 
 @dataclass(frozen=True)
@@ -158,21 +128,14 @@ class SinkTree:
         return w
 
     @cached_property
-    def schedule_ranks(self) -> np.ndarray | None:
-        """`order_ranks` of every schedule, in `solvers.cmo`'s enumeration
-        order; None past RANKED_ORDERS schedules."""
-        return order_ranks([self.subtrees[t] for t in self.subtree_roots], len(self))
-
-    @cached_property
     def probe_classes(
         self,
-    ) -> dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray | None]]:
+    ) -> dict[int, tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
         """Subtrees by node count, for `solvers.pmo`: k -> (roots, gather,
-        shared, ranks).  Probe p has subtree roots[p]'s nodes as rows and
-        the master then those nodes as columns: the read-only gather, (P,
-        k, k + 1), holds the flat indices of those entries in an n×n
-        matrix, and shared is the sharing matrix taken at them; ranks is
-        `order_ranks` of one order of columns 1..k."""
+        shared).  Probe p has subtree roots[p]'s nodes as rows and the
+        master then those nodes as columns: the read-only gather, (P, k,
+        k + 1), holds the flat indices of those entries in an n×n matrix,
+        and shared is the sharing matrix taken at them."""
         roots: dict[int, list[int]] = {}
         for t, nodes in self.subtrees.items():
             roots.setdefault(len(nodes), []).append(t)
@@ -182,7 +145,7 @@ class SinkTree:
             gather = cols[:, 1:, None] * len(self) + cols[:, None, :]
             shared = self.shared_inv_rate.take(gather)
             gather.flags.writeable = shared.flags.writeable = False
-            out[k] = (tuple(ts), gather, shared, order_ranks([range(1, k + 1)], k + 1))
+            out[k] = (tuple(ts), gather, shared)
         return out
 
     @cached_property

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import default_problem
-from treeload import harness
+from conftest import default_problem, make_net
+from treeload import harness, save_network
 from treeload.cli import build_parser, main
 from treeload.topologies import named_topology
 from treeload.tree import tree_fingerprint
@@ -207,6 +207,17 @@ def test_solve_names_an_overflowing_weight(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "overflows" in err
+    assert "Traceback" not in err
+
+
+def test_solve_names_an_enumeration_too_long_to_number(tmp_path, capsys):
+    # a 22-node chain: its one 21-node subtree has 21! >= 2**63 orders
+    net = tmp_path / "chain22.json"
+    save_network(make_net(list(range(-1, 21)), [0.0] + [10.0] * 21, [2.0] * 22), net)
+    rc = main(["solve", "--network", str(net), "--method", "pmo"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(math.factorial(21)) in err
     assert "Traceback" not in err
 
 

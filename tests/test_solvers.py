@@ -53,7 +53,6 @@ from treeload import (
 )
 from treeload.costs import _ranks, _static_matrix, cost_coefficients
 from treeload.heuristics import partial_offload_cost
-from treeload.tree import order_ranks
 
 W = Weights(0.5, 0.05)
 Y = 1e9
@@ -154,30 +153,84 @@ def test_zero_task_splits_like_any_task(name):
 def test_enumeration_matches_reference():
     for seed in range(8):
         tree = rand_tree(random.Random(seed + 50), random.Random(seed).randint(3, 7))
-        # the order decides cmo's ties
-        mine = list(solvers._orders([tree.subtrees[t] for t in tree.subtree_roots]))
+        # the order decides cmo's ties: cmo's ranks list the schedules in
+        # the oracle's order
+        groups = tuple(tree.subtrees[t] for t in tree.subtree_roots)
         ref = list(oracles.all_schedules(tree.parent))
-        assert mine == ref
+        mine = solvers._order_ranks(groups, len(tree), 0, len(ref))
+        assert mine.tolist() == _ranks(ref, len(tree)).tolist()
         assert count_schedules(tree) == len(ref) == oracles.count_all_schedules(tree.parent)
-        # the ranks a tree keeps in advance list the schedules in that order
-        if len(ref) <= 2048:
-            assert tree.schedule_ranks.tolist() == _ranks(ref, len(tree)).tolist()
-        else:
-            assert tree.schedule_ranks is None
 
 
 def test_first_schedule_of_a_large_subtree_lists_no_orders():
-    # one 9-node subtree has 362,880 orders; the first must come before
-    # any list of them is built
+    # one 9-node subtree has 362,880 orders; the first and the last are
+    # ranked without any list of them being built
     tree = make_tree([-1, 0, 1, 1, 2, 2, 3, 3, 4, 4], [0.0] + [10.0] * 9, [2.0] * 10)
+    groups = tuple(tree.subtrees[t] for t in tree.subtree_roots)
+    solvers._order_ranks.cache_clear()
     tracemalloc.start()
     try:
-        first = next(solvers._orders([tree.subtrees[t] for t in tree.subtree_roots]))
+        first = solvers._order_ranks(groups, 10, 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == (tuple(range(1, 10)),)
+    assert first.tolist() == [[0, *range(9)]]
+    last = solvers._order_ranks(groups, 10, 362_879, 362_880)
+    assert last.tolist() == [[0, *range(8, -1, -1)]]
     assert peak < 2**20
+
+
+def _interleaved_parent(rng, sizes):
+    """A parent array whose subtrees have `sizes` nodes, their ids mixed."""
+    owner = [g for g, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(owner)
+    parent, members = [-1], [[] for _ in sizes]
+    for i, g in enumerate(owner, 1):
+        parent.append(rng.choice(members[g]) if members[g] else 0)
+        members[g].append(i)
+    return tuple(parent)
+
+
+def test_order_ranks_match_the_oracle_enumeration():
+    # any window of orders holds the oracle's schedules lo..hi, ranked one
+    # by one: 0-3 groups of 0-5 columns whose ids interleave, and windows
+    # that cross group digits and _BLOCK boundaries
+    rng = random.Random(38)
+    crossed = 0
+    for _ in range(60):
+        sizes = [rng.randint(0, 5) for _ in range(rng.randint(0, 3))]
+        parent = _interleaved_parent(rng, [size for size in sizes if size])
+        roots = sorted(i for i in range(1, len(parent)) if parent[i] == 0)
+        members = iter(tuple(oracles.subtree_members(parent, t)) for t in roots)
+        # the oracle's subtrees in root order, an empty group (one order,
+        # nothing ranked) where a size is 0
+        groups = tuple(next(members) if size else () for size in sizes)
+        total, n = math.prod(math.factorial(size) for size in sizes), len(parent)
+        for _ in range(4):
+            if total > solvers._BLOCK and rng.random() < 0.5:
+                edge = solvers._BLOCK * rng.randint(1, total // solvers._BLOCK)
+                lo = max(0, edge - rng.randint(1, 40))
+            else:
+                lo = rng.randrange(total)
+            hi = min(total, lo + rng.randint(1, 300))
+            crossed += lo // solvers._BLOCK < (hi - 1) // solvers._BLOCK
+            ref = list(itertools.islice(oracles.all_schedules(parent), lo, hi))
+            got = solvers._order_ranks(groups, n, lo, hi)
+            assert got.tolist() == _ranks(ref, n).tolist()
+    assert crossed >= 10
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10])
+def test_order_ranks_match_permutations_at_both_ends(k):
+    # a k-node probe's columns 1..k: its first 3,000 orders and its last 50
+    cols, total = range(1, k + 1), math.factorial(k)
+    first = list(itertools.islice(itertools.permutations(cols), 3000))
+    # the last orders ascending are the first of the descending
+    # enumeration, reversed
+    last = list(itertools.islice(itertools.permutations(reversed(cols)), 50))[::-1]
+    for lo, hi, ref in ((0, 3000, first), (total - 50, total, last)):
+        got = solvers._order_ranks((tuple(cols),), k + 1, lo, hi)
+        assert got.tolist() == _ranks([(order,) for order in ref], k + 1).tolist()
 
 
 def test_fixed_order_rejects_a_bad_schedule_before_splitting(monkeypatch):
@@ -1244,8 +1297,7 @@ _WEIGHT_PAIRS = [W, Weights(1.0, 0.0), Weights(0.1, 0.9), Weights(0.0, 1.0)]
     ["cmo", "26-decades", "probe", "zero-task", "free-column", "ties", "blocks"],
 )
 def test_best_order_matches_the_sequential_loop(case, monkeypatch):
-    # a stack of problems gets each problem's own loop's bits, whether its
-    # blocks come ranked in advance or from the `_orders` stream
+    # a stack of problems gets each problem's own loop's bits
     stacks = []
     for seed in range(12):
         rng = random.Random(seed + 9000)
@@ -1291,26 +1343,24 @@ def test_best_order_matches_the_sequential_loop(case, monkeypatch):
         refs = [_sequential_best_order(*form) for form in stack]
         total = math.prod(math.factorial(len(g)) for g in groups)
         stacks_split = -(-len(stack) // max(1, solvers._BLOCK // total))
-        for ranks in (None, order_ranks(groups, static.shape[1])):
-            cold = []
-            with monkeypatch.context() as mp:
-                mp.setattr(solvers, "_cascade", lambda *a: cold.append(1) or cascade(*a))
-                found = solvers._best_order(
-                    np.stack([form[0] for form in stack]),
-                    np.stack([form[1] for form in stack]),
-                    groups,
-                    *rest,
-                    ranks,
-                )
-            assert len(found) == len(refs)
-            for got, ref in zip(found, refs):
-                assert got[0] == ref[0]
-                assert got[1] == ref[1]
-                assert got[2].tobytes() == ref[2].tobytes()
-                assert got[3] == ref[3] == total
-            # one cascade splits each stack of at most _BLOCK orders,
-            # carried supports and all
-            assert len(cold) == stacks_split * -(-total // solvers._BLOCK)
+        cold = []
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "_cascade", lambda *a: cold.append(1) or cascade(*a))
+            found = solvers._best_order(
+                np.stack([form[0] for form in stack]),
+                np.stack([form[1] for form in stack]),
+                groups,
+                *rest,
+            )
+        assert len(found) == len(refs)
+        for got, ref in zip(found, refs):
+            assert got[0] == ref[0]
+            assert got[1] == ref[1]
+            assert got[2].tobytes() == ref[2].tobytes()
+            assert got[3] == ref[3] == total
+        # one cascade splits each stack of at most _BLOCK orders, carried
+        # supports and all
+        assert len(cold) == stacks_split * -(-total // solvers._BLOCK)
         if case == "ties":
             assert all(got[1] == tuple(tuple(g) for g in groups) for got in found)
 
@@ -1445,19 +1495,25 @@ def test_twin_subtrees_keep_their_own_simplex_supports(monkeypatch):
 
 @pytest.mark.parametrize("solve", [cmo, pmo])
 def test_a_warm_tree_answers_as_a_fresh_one(solve):
-    # the second solve on a tree reads the order ranks and probe slices it
-    # cached in the first; both match a solve on a fresh copy, bit for bit
-    cache = "schedule_ranks" if solve is cmo else "probe_classes"
+    # the second solve on a tree reads the order ranks memoised in the
+    # first, and pmo the probe slices its tree cached; both match a solve
+    # on a fresh copy, bit for bit
+    memo = solvers._order_ranks
     for seed in range(16):
         tree, fresh = (_twin_tree(random.Random(seed), lambda: 2e-28) for _ in range(2))
         if solve is cmo and count_schedules(tree) > 2048:
-            continue
+            continue  # cmo past one block of schedules is slow
         rng = random.Random(seed)
         forced = frozenset(i for i in range(len(tree)) if rng.random() < 0.2 * (seed % 2))
         w = _WEIGHT_PAIRS[seed % 4]
+        memo.cache_clear()
         first = solve(tree, Y, w, forced, b=B_COMP)
-        assert cache in vars(tree) and cache not in vars(fresh)
+        misses = memo.cache_info().misses
+        assert misses > 0
+        assert ("probe_classes" in vars(tree)) == (solve is pmo)
+        assert "probe_classes" not in vars(fresh)
         warm = solve(tree, Y, w, forced, b=B_COMP)
+        assert memo.cache_info().misses == misses
         cold = solve(fresh, Y, w, forced, b=B_COMP)
         for got in (first, warm):
             assert got.cost == cold.cost
@@ -1506,6 +1562,28 @@ def test_huge_enumeration_warns_before_solving(monkeypatch):
         (warning,) = caught
         assert warning.category is RuntimeWarning
         assert warning.filename == __file__
+
+
+def test_an_enumeration_too_long_to_number_is_refused(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a schedule was solved")
+
+    monkeypatch.setattr(solvers, "_minmax_unit", no_solve)
+    # chains of 22 and 21 nodes: one subtree of 21 nodes, 21! >= 2**63
+    # orders, is refused before any warning or split; one of 20 nodes,
+    # 20! < 2**63, only warns
+    long_, numbered = (
+        make_tree(list(range(-1, n - 1)), [0.0] + [10.0] * (n - 1), [2.0] * n)
+        for n in (22, 21)
+    )
+    assert math.factorial(20) < 2**63 <= math.factorial(21)
+    for solve in (cmo, pmo):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=str(math.factorial(21))):
+                solve(long_, Y, W, b=B_COMP)
+            with pytest.raises(RuntimeWarning, match=str(math.factorial(20))):
+                solve(numbered, Y, W, b=B_COMP)
 
 
 def test_solver_rejects_bad_task_size():

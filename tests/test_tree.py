@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -18,6 +17,7 @@ from treeload import (
     generate_network,
     prune_tree,
 )
+import treeload.solvers as solvers
 from treeload.tree import tree_fingerprint
 
 
@@ -141,31 +141,30 @@ def test_paths_lead_to_root_with_positive_rates(seed, n):
 
 
 def test_enumeration_arrays_are_cached_and_read_only():
-    # subtrees of 3, 2 and 1 nodes: 12 schedules, ranked in advance
+    # subtrees of 3, 2 and 1 nodes: 12 schedules
     tree = make_tree([-1, 0, 0, 0, 1, 1, 2], [0.0] + [10.0] * 6, [2.0] * 7)
-    assert tree.schedule_ranks is tree.schedule_ranks
     assert tree.probe_classes is tree.probe_classes
-    assert tree.schedule_ranks.shape == (12, 7)
-    assert tree.schedule_ranks.dtype == np.int8
     assert sorted(tree.probe_classes) == [1, 2, 3]
-    arrays = [tree.schedule_ranks]
-    for k, (roots, gather, shared, ranks) in tree.probe_classes.items():
+    groups = tuple(tree.subtrees[t] for t in tree.subtree_roots)
+    ranks = solvers._order_ranks(groups, 7, 0, 12)
+    assert solvers._order_ranks(groups, 7, 0, 12) is ranks
+    assert ranks.shape == (12, 7)
+    assert ranks.dtype == np.int8
+    arrays = [ranks]
+    for k, (roots, gather, shared) in tree.probe_classes.items():
         assert gather.shape == (len(roots), k, k + 1)
         assert shared.shape == (len(roots), k, k + 1)
-        assert ranks.shape == (math.factorial(k), k + 1)
         # a probe's rows are its subtree's nodes, its columns the master's
         # then theirs
         for p, t in enumerate(roots):
             cols = (0, *tree.subtrees[t])
             assert gather[p].tolist() == [[7 * i + j for j in cols] for i in cols[1:]]
-        arrays += [gather, shared, ranks]
+        arrays += [gather, shared]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
-    # one 7-node subtree has 5,040 orders: more than 2,048, so none are
-    # ranked in advance; its slices still are
+    # one 7-node subtree has 5,040 orders; its slices are cached all the same
     chain = make_tree(list(range(-1, 7)), [0.0] + [10.0] * 7, [2.0] * 8)
-    assert chain.schedule_ranks is None
-    ((roots, gather, shared, ranks),) = chain.probe_classes.values()
-    assert roots == (1,) and ranks is None
+    ((roots, gather, shared),) = chain.probe_classes.values()
+    assert roots == (1,)
     assert shared.tolist() == [chain.shared_inv_rate[1:].tolist()]

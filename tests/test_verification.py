@@ -150,8 +150,8 @@ def test_enumeration_check_counts_the_orders_split(monkeypatch):
     # an enumeration that stops early reports the orders it split, not the
     # count that a complete one would reach
     tree = rand_tree(random.Random(5), 5)
-    blocks = solvers._rank_blocks
-    monkeypatch.setattr(solvers, "_rank_blocks", lambda *a: [next(blocks(*a))[:3]])
+    ranks = solvers._order_ranks
+    monkeypatch.setattr(solvers, "_order_ranks", lambda *a: ranks(*a)[:3])
     sol = cmo(tree, Y, W, b=B_COMP)
     assert sol.schedules_evaluated == 3 < solvers.count_schedules(tree)
     results = {r.name: r for r in check_solution(sol)}
